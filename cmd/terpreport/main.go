@@ -17,19 +17,14 @@
 //
 // With -baseline, the exit code is the regression verdict: 0 for pass or
 // improved, 3 for regressed (1 is reserved for operational errors), so
-// CI can gate directly on the process status.
+// CI can gate directly on the process status. Usage errors exit 2,
+// including a negative or non-finite -tolerance and a non-positive
+// -trend-window or -trend-min.
 //
 // -in reads a `terpbench -json` document. Saved grids carry metrics but
 // not raw event streams, so that mode reports overhead accounts and the
 // regression verdict; run an experiment directly for exposure timelines
 // and attack correlation.
-//
-// -gobench switches to wall-clock mode: it reads `go test -bench` text
-// output instead of running experiments, converts it to the bench-grid
-// format (-gobench-out writes the converted document, e.g. as a
-// BENCH_perf.json baseline), and with -baseline compares against a prior
-// conversion. Wall-clock metrics are informational unless -gate-perf is
-// set, because ns/op depends on the machine the benchmarks ran on.
 //
 // -trend switches to history mode: instead of running anything, it
 // reads the JSONL run ledger named by -ledger (appended by terpd,
@@ -46,6 +41,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -67,11 +63,8 @@ func main() {
 	htmlPath := flag.String("html", "", "write the self-contained HTML report to this file")
 	baseline := flag.String("baseline", "", "compare against this BENCH_*.json baseline and gate the exit code")
 	verdictPath := flag.String("verdict", "", "write the machine-readable regression verdict JSON to this file (requires -baseline)")
-	tolerance := flag.Float64("tolerance", 2, "regression tolerance in percent of the baseline total")
+	tolerance := flag.Float64("tolerance", report.DefaultTolerancePct, "regression tolerance in percent of the baseline total")
 	title := flag.String("title", "TERP run report", "report title")
-	gobench := flag.String("gobench", "", "read `go test -bench` text output from this file instead of running experiments")
-	gobenchOut := flag.String("gobench-out", "", "write the converted go-bench grid JSON to this file (requires -gobench)")
-	gatePerf := flag.Bool("gate-perf", false, "gate the verdict on wall-clock perf/* metrics too (use on controlled runner hardware only)")
 	ledgerPath := flag.String("ledger", "", "JSONL run ledger: appended after fresh runs, read by -trend")
 	trend := flag.Bool("trend", false, "analyze the -ledger run history instead of running; exit 3 on a regressing trend")
 	trendWindow := flag.Int("trend-window", 3, "trailing runs compared against the prior history (with -trend)")
@@ -81,6 +74,14 @@ func main() {
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
+	if math.IsNaN(*tolerance) || math.IsInf(*tolerance, 0) || *tolerance < 0 {
+		fmt.Fprintln(os.Stderr, "terpreport: -tolerance must be a finite percent >= 0")
+		os.Exit(2)
+	}
+	if *trendWindow <= 0 || *trendMin <= 0 {
+		fmt.Fprintln(os.Stderr, "terpreport: -trend-window and -trend-min must be positive")
+		os.Exit(2)
+	}
 	if (*trend || *ledgerCompact > 0) && *ledgerPath == "" {
 		fmt.Fprintln(os.Stderr, "terpreport: -trend and -ledger-compact require -ledger")
 		os.Exit(2)
@@ -103,15 +104,6 @@ func main() {
 	if *verdictPath != "" && *baseline == "" {
 		fmt.Fprintln(os.Stderr, "terpreport: -verdict requires -baseline")
 		os.Exit(2)
-	}
-	if *gobenchOut != "" && *gobench == "" {
-		fmt.Fprintln(os.Stderr, "terpreport: -gobench-out requires -gobench")
-		os.Exit(2)
-	}
-	ropts := report.RegressOpts{TolerancePct: *tolerance, GateWallClock: *gatePerf}
-
-	if *gobench != "" {
-		os.Exit(runGoBench(*gobench, *gobenchOut, *baseline, *verdictPath, ropts))
 	}
 
 	grids, runs, err := loadGrids(*in, *exp, terp.ExpOpts{Ops: *ops, Scale: *scale, Seed: *seed}, *parallel)
@@ -148,7 +140,7 @@ func main() {
 		check(err)
 		curGrids, err := report.ParseBench(curBytes)
 		check(err)
-		rep.Regression = report.Compare(curGrids, baseGrids, ropts)
+		rep.Regression = report.Compare(curGrids, baseGrids, report.RegressOpts{TolerancePct: *tolerance})
 		if rep.Regression == nil {
 			fmt.Fprintln(os.Stderr, "terpreport: baseline shares no experiment with the current run; nothing to compare")
 			os.Exit(2)
@@ -160,54 +152,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "terpreport: wrote HTML report to %s\n", *htmlPath)
 	}
 	if *verdictPath != "" {
-		buf, err := rep.Regression.VerdictJSON()
-		check(err)
-		check(os.WriteFile(*verdictPath, append(buf, '\n'), 0o644))
-		fmt.Fprintf(os.Stderr, "terpreport: wrote verdict to %s\n", *verdictPath)
+		writeVerdict(*verdictPath, rep.Regression)
 	}
 
 	fmt.Print(report.Text(rep))
 	if rep.Regression != nil {
-		os.Exit(rep.Regression.ExitCode())
+		os.Exit(rep.Regression.Verdict.ExitCode())
 	}
-}
-
-// runGoBench handles wall-clock mode: parse `go test -bench` output,
-// optionally persist the converted grid, optionally compare against a
-// baseline. Returns the process exit code.
-func runGoBench(inPath, outPath, baselinePath, verdictPath string, ropts report.RegressOpts) int {
-	buf, err := os.ReadFile(inPath)
-	check(err)
-	grids, err := report.ParseGoBench(buf)
-	check(err)
-
-	if outPath != "" {
-		out, err := json.MarshalIndent(grids, "", "  ")
-		check(err)
-		check(os.WriteFile(outPath, append(out, '\n'), 0o644))
-		fmt.Fprintf(os.Stderr, "terpreport: wrote %d benchmark cells to %s\n", len(grids[0].Obs.Cells), outPath)
-	}
-	if baselinePath == "" {
-		return 0
-	}
-
-	base, err := os.ReadFile(baselinePath)
-	check(err)
-	baseGrids, err := report.ParseBench(base)
-	check(err)
-	reg := report.Compare(grids, baseGrids, ropts)
-	if reg == nil {
-		fmt.Fprintln(os.Stderr, "terpreport: baseline shares no experiment with the go-bench input; nothing to compare")
-		return 2
-	}
-	vbuf, err := reg.VerdictJSON()
-	check(err)
-	if verdictPath != "" {
-		check(os.WriteFile(verdictPath, append(vbuf, '\n'), 0o644))
-		fmt.Fprintf(os.Stderr, "terpreport: wrote verdict to %s\n", verdictPath)
-	}
-	fmt.Printf("%s\n", vbuf)
-	return reg.ExitCode()
 }
 
 // runMeta describes one fresh run (parallel to the grids slice; empty
@@ -291,13 +242,19 @@ func runTrend(ledgerPath, verdictPath string, keep func(string) bool, opt report
 		fmt.Fprintf(os.Stderr, "terpreport: skipped %d unreadable ledger line(s)\n", skipped)
 	}
 	if verdictPath != "" {
-		buf, err := json.MarshalIndent(tr, "", "  ")
-		check(err)
-		check(os.WriteFile(verdictPath, append(buf, '\n'), 0o644))
-		fmt.Fprintf(os.Stderr, "terpreport: wrote trend verdict to %s\n", verdictPath)
+		writeVerdict(verdictPath, tr)
 	}
 	fmt.Print(tr.Text())
-	return tr.ExitCode()
+	return tr.Verdict.ExitCode()
+}
+
+// writeVerdict writes a verdict document — the -baseline Regression or
+// the -trend TrendReport — as indented JSON.
+func writeVerdict(path string, doc any) {
+	buf, err := json.MarshalIndent(doc, "", "  ")
+	check(err)
+	check(os.WriteFile(path, append(buf, '\n'), 0o644))
+	fmt.Fprintf(os.Stderr, "terpreport: wrote verdict to %s\n", path)
 }
 
 func check(err error) {

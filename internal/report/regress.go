@@ -56,32 +56,21 @@ func ParseBench(data []byte) ([]BenchGrid, error) {
 	return out, nil
 }
 
+// DefaultTolerancePct is the relative drift, in percent, a gated metric
+// may move before either gate (Compare or Trend) reads it as changed.
+// The simulation is deterministic, so any drift at all is a code change
+// — the tolerance only keeps hair-trigger noise metrics from gating CI.
+const DefaultTolerancePct = 2
+
+// ciZ is the z-score of both gates' confidence intervals (~95%).
+const ciZ = 1.96
+
 // RegressOpts tunes the baseline comparison.
 type RegressOpts struct {
 	// TolerancePct is the relative drift (percent of the baseline total)
 	// a gated metric may move without triggering a verdict; 0 selects
-	// 2%. The simulation is deterministic, so any drift at all is a code
-	// change — the tolerance only keeps hair-trigger noise metrics from
-	// gating CI.
+	// DefaultTolerancePct.
 	TolerancePct float64
-	// Z is the confidence z-score for the per-cell delta interval; 0
-	// selects 1.96 (~95%).
-	Z float64
-	// GateWallClock additionally gates the wall-clock metrics of go-bench
-	// grids (perf/ns_op and friends, see ParseGoBench). Off by default:
-	// wall time is machine-dependent, so it only gates where the runner
-	// hardware is controlled.
-	GateWallClock bool
-}
-
-func (o RegressOpts) withDefaults() RegressOpts {
-	if o.TolerancePct == 0 {
-		o.TolerancePct = 2
-	}
-	if o.Z == 0 {
-		o.Z = 1.96
-	}
-	return o
 }
 
 // MetricDelta is one metric's baseline-vs-current comparison.
@@ -124,13 +113,71 @@ type Regression struct {
 
 // gatedMetric reports whether drift in the metric should gate CI: the
 // cycle accounts are the paper's overhead currency, and more cycles is
-// strictly worse. Wall-clock metrics (perf/*, where more is also worse)
-// gate only when the comparison opts in.
-func gatedMetric(name string, opt RegressOpts) bool {
-	if strings.HasPrefix(name, "sim/cycles/") {
-		return true
+// strictly worse.
+func gatedMetric(name string) bool {
+	return strings.HasPrefix(name, "sim/cycles/")
+}
+
+// relPct is the relative change from base to cur in percent (NaN when
+// base is 0).
+func relPct(cur, base float64) Ratio {
+	if base == 0 {
+		return Ratio(math.NaN())
 	}
-	return opt.GateWallClock && strings.HasPrefix(name, "perf/")
+	return Ratio(100 * (cur - base) / base)
+}
+
+// classify is the one verdict rule both gates share. base and cur are
+// the two sides of a metric (baseline vs current totals in Compare,
+// prior-history vs trailing-window means in Trend) and shift ± half is
+// the confidence interval of the change (NaN when there is none). A
+// gated metric regresses or improves only when it drifts beyond the
+// tolerance AND the interval excludes zero; ungated metrics are "info".
+func classify(gated bool, base, cur, shift, half, tolerancePct float64) string {
+	if !gated {
+		return "info"
+	}
+	if base == 0 {
+		// Cycles appearing from nowhere regress; zero staying zero passes.
+		if cur > 0 {
+			return string(Regressed)
+		}
+		return string(Pass)
+	}
+	delta := float64(relPct(cur, base))
+	switch {
+	case math.Abs(delta) <= tolerancePct:
+		return string(Pass)
+	case math.Abs(shift) <= half:
+		return string(Pass) // interval includes zero: not significant
+	case delta > 0:
+		return string(Regressed)
+	default:
+		return string(Improved)
+	}
+}
+
+// worse folds one metric's verdict into the overall verdict: any
+// regression wins, then any improvement; "info" and "insufficient"
+// never move it.
+func worse(overall Verdict, metric string) Verdict {
+	switch {
+	case metric == string(Regressed):
+		return Regressed
+	case metric == string(Improved) && overall == Pass:
+		return Improved
+	}
+	return overall
+}
+
+// ExitCode maps a verdict to a process exit code: 0 for pass and
+// improved, 3 for regressed (distinct from 1, which commands use for
+// operational errors).
+func (v Verdict) ExitCode() int {
+	if v == Regressed {
+		return 3
+	}
+	return 0
 }
 
 // Compare runs the regression analysis of current against baseline.
@@ -139,12 +186,14 @@ func gatedMetric(name string, opt RegressOpts) bool {
 // per-cell values (paired by cell name) for the confidence interval. It
 // returns nil when the documents share no experiment.
 func Compare(current, baseline []BenchGrid, opt RegressOpts) *Regression {
-	opt = opt.withDefaults()
+	if opt.TolerancePct == 0 {
+		opt.TolerancePct = DefaultTolerancePct
+	}
 	baseByName := make(map[string]BenchGrid)
 	for _, g := range baseline {
 		baseByName[g.Name] = g
 	}
-	out := &Regression{Verdict: Pass, TolerancePct: opt.TolerancePct, Z: opt.Z}
+	out := &Regression{Verdict: Pass, TolerancePct: opt.TolerancePct, Z: ciZ}
 	matched := false
 	for _, cur := range current {
 		base, ok := baseByName[cur.Name]
@@ -152,20 +201,13 @@ func Compare(current, baseline []BenchGrid, opt RegressOpts) *Regression {
 			continue
 		}
 		matched = true
-		out.Metrics = append(out.Metrics, compareGrids(cur, base, opt)...)
+		out.Metrics = append(out.Metrics, compareGrids(cur, base, opt.TolerancePct)...)
 	}
 	if !matched {
 		return nil
 	}
 	for _, m := range out.Metrics {
-		switch m.Verdict {
-		case string(Regressed):
-			out.Verdict = Regressed
-		case string(Improved):
-			if out.Verdict == Pass {
-				out.Verdict = Improved
-			}
-		}
+		out.Verdict = worse(out.Verdict, m.Verdict)
 	}
 	// Gated metrics lead, then lexical (experiment, name): the order is a
 	// deterministic function of the inputs.
@@ -173,7 +215,7 @@ func Compare(current, baseline []BenchGrid, opt RegressOpts) *Regression {
 	return out
 }
 
-func compareGrids(cur, base BenchGrid, opt RegressOpts) []MetricDelta {
+func compareGrids(cur, base BenchGrid, tolerancePct float64) []MetricDelta {
 	var out []MetricDelta
 	baseCells := make(map[string]*obs.Snapshot)
 	for _, c := range base.Obs.Cells {
@@ -185,13 +227,9 @@ func compareGrids(cur, base BenchGrid, opt RegressOpts) []MetricDelta {
 			Name:       name,
 			Base:       base.Obs.Totals.Get(name),
 			Cur:        cur.Obs.Totals.Get(name),
-			Gated:      gatedMetric(name, opt),
+			Gated:      gatedMetric(name),
 		}
-		if d.Base > 0 {
-			d.DeltaPct = Ratio(100 * (float64(d.Cur) - float64(d.Base)) / float64(d.Base))
-		} else {
-			d.DeltaPct = Ratio(math.NaN())
-		}
+		d.DeltaPct = relPct(float64(d.Cur), float64(d.Base))
 		// Per-cell paired relative deltas feed the confidence interval.
 		var rel []float64
 		for _, c := range cur.Obs.Cells {
@@ -199,57 +237,25 @@ func compareGrids(cur, base BenchGrid, opt RegressOpts) []MetricDelta {
 			if !ok || bm == nil || c.Metrics == nil {
 				continue
 			}
-			bv := bm.Get(name)
-			if bv == 0 {
-				continue
+			if r := relPct(float64(c.Metrics.Get(name)), float64(bm.Get(name))); r.Valid() {
+				rel = append(rel, float64(r))
 			}
-			cv := c.Metrics.Get(name)
-			rel = append(rel, 100*(float64(cv)-float64(bv))/float64(bv))
 		}
 		d.N = len(rel)
-		if len(rel) > 0 {
-			mean, half := stats.MeanCI(rel, opt.Z)
-			d.MeanRelPct, d.CIHalfPct = Ratio(mean), Ratio(half)
-		} else {
-			d.MeanRelPct, d.CIHalfPct = Ratio(math.NaN()), Ratio(math.NaN())
+		mean, half := math.NaN(), math.NaN()
+		if d.N > 0 {
+			mean, half = stats.MeanCI(rel, ciZ)
 		}
-		d.Verdict = metricVerdict(d, opt)
+		d.MeanRelPct, d.CIHalfPct = Ratio(mean), Ratio(half)
+		if d.N < 2 {
+			// A single pair carries no spread: the deterministic totals
+			// speak for themselves.
+			mean, half = math.NaN(), math.NaN()
+		}
+		d.Verdict = classify(d.Gated, float64(d.Base), float64(d.Cur), mean, half, tolerancePct)
 		out = append(out, d)
 	}
 	return out
-}
-
-// metricVerdict classifies one metric. A gated metric regresses when its
-// total drifts beyond tolerance in the bad direction AND the per-cell
-// confidence interval excludes zero (or no per-cell pairing exists, in
-// which case the deterministic totals speak for themselves).
-func metricVerdict(d MetricDelta, opt RegressOpts) string {
-	if !d.Gated {
-		return "info"
-	}
-	delta := float64(d.DeltaPct)
-	if math.IsNaN(delta) {
-		// Baseline total was zero: a metric appearing from nowhere is a
-		// regression (new cycles charged), disappearing-to-zero is
-		// handled by the delta path below.
-		if d.Cur > d.Base {
-			return string(Regressed)
-		}
-		return string(Pass)
-	}
-	if math.Abs(delta) <= opt.TolerancePct {
-		return string(Pass)
-	}
-	if d.N >= 2 {
-		mean, half := float64(d.MeanRelPct), float64(d.CIHalfPct)
-		if math.Abs(mean) <= half {
-			return string(Pass) // interval includes zero: not significant
-		}
-	}
-	if delta > 0 {
-		return string(Regressed)
-	}
-	return string(Improved)
 }
 
 func sortMetricDeltas(ms []MetricDelta) {
@@ -263,20 +269,4 @@ func sortMetricDeltas(ms []MetricDelta) {
 		}
 		return a.Name < b.Name
 	})
-}
-
-// VerdictJSON renders the regression as indented JSON (the
-// machine-readable artifact CI stores and gates on).
-func (r *Regression) VerdictJSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// ExitCode maps the verdict to a process exit code: 0 for pass and
-// improved, 3 for regressed (distinct from 1, which commands use for
-// operational errors).
-func (r *Regression) ExitCode() int {
-	if r != nil && r.Verdict == Regressed {
-		return 3
-	}
-	return 0
 }

@@ -237,18 +237,18 @@ func TestCompareVerdicts(t *testing.T) {
 	base := benchDoc("sim/cycles/base", map[string]uint64{"a": 1000, "b": 1000, "c": 1000, "d": 1000})
 
 	same := Compare(benchDoc("sim/cycles/base", map[string]uint64{"a": 1000, "b": 1000, "c": 1000, "d": 1000}), base, RegressOpts{})
-	if same.Verdict != Pass || same.ExitCode() != 0 {
-		t.Fatalf("identical runs = %s (exit %d), want pass 0", same.Verdict, same.ExitCode())
+	if same.Verdict != Pass || same.Verdict.ExitCode() != 0 {
+		t.Fatalf("identical runs = %s (exit %d), want pass 0", same.Verdict, same.Verdict.ExitCode())
 	}
 
 	worse := Compare(benchDoc("sim/cycles/base", map[string]uint64{"a": 1100, "b": 1100, "c": 1100, "d": 1100}), base, RegressOpts{})
-	if worse.Verdict != Regressed || worse.ExitCode() != 3 {
-		t.Fatalf("+10%% cycles = %s (exit %d), want regressed 3", worse.Verdict, worse.ExitCode())
+	if worse.Verdict != Regressed || worse.Verdict.ExitCode() != 3 {
+		t.Fatalf("+10%% cycles = %s (exit %d), want regressed 3", worse.Verdict, worse.Verdict.ExitCode())
 	}
 
 	better := Compare(benchDoc("sim/cycles/base", map[string]uint64{"a": 900, "b": 900, "c": 900, "d": 900}), base, RegressOpts{})
-	if better.Verdict != Improved || better.ExitCode() != 0 {
-		t.Fatalf("-10%% cycles = %s (exit %d), want improved 0", better.Verdict, better.ExitCode())
+	if better.Verdict != Improved || better.Verdict.ExitCode() != 0 {
+		t.Fatalf("-10%% cycles = %s (exit %d), want improved 0", better.Verdict, better.Verdict.ExitCode())
 	}
 
 	// Within tolerance: 1% drift passes at the default 2%.
@@ -302,7 +302,7 @@ func TestVerdictJSONRoundTrips(t *testing.T) {
 	base := benchDoc("sim/cycles/base", map[string]uint64{"a": 1000})
 	cur := benchDoc("sim/cycles/base", map[string]uint64{"a": 2000})
 	r := Compare(cur, base, RegressOpts{})
-	buf, err := r.VerdictJSON()
+	buf, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // Trend analytics over the run ledger: per-metric time series keyed by
-// spec hash, a trailing-window regression test reusing the baseline
-// gate's tolerance/CI rules, and a simple mean-split change-point
+// spec hash, a trailing-window regression test through the same
+// classifier as the baseline gate, and a simple mean-split change-point
 // locator. The ledger layer builds TrendSeries from records; this file
 // never reads files, so the report package stays import-cycle-free
 // (terp imports report; ledger imports both).
@@ -39,10 +39,9 @@ type TrendOpts struct {
 	// MinRuns is the history length below which a series reports
 	// "insufficient" instead of gating; 0 selects 5.
 	MinRuns int
-	// TolerancePct and Z mirror RegressOpts: relative drift allowed
-	// before gating (0 selects 2) and the CI z-score (0 selects 1.96).
+	// TolerancePct mirrors RegressOpts: relative drift allowed before
+	// gating; 0 selects DefaultTolerancePct.
 	TolerancePct float64
-	Z            float64
 }
 
 func (o TrendOpts) withDefaults() TrendOpts {
@@ -58,10 +57,7 @@ func (o TrendOpts) withDefaults() TrendOpts {
 		o.MinRuns = o.Window + 1
 	}
 	if o.TolerancePct == 0 {
-		o.TolerancePct = 2
-	}
-	if o.Z == 0 {
-		o.Z = 1.96
+		o.TolerancePct = DefaultTolerancePct
 	}
 	return o
 }
@@ -118,19 +114,12 @@ func Trend(series []TrendSeries, opt TrendOpts) *TrendReport {
 	out := &TrendReport{
 		Verdict: Pass,
 		Window:  opt.Window, MinRuns: opt.MinRuns,
-		TolerancePct: opt.TolerancePct, Z: opt.Z,
+		TolerancePct: opt.TolerancePct, Z: ciZ,
 	}
 	for _, s := range series {
 		st := trendOne(s, opt)
 		out.Series = append(out.Series, st)
-		switch st.Verdict {
-		case string(Regressed):
-			out.Verdict = Regressed
-		case string(Improved):
-			if out.Verdict == Pass {
-				out.Verdict = Improved
-			}
-		}
+		out.Verdict = worse(out.Verdict, st.Verdict)
 	}
 	sort.SliceStable(out.Series, func(i, j int) bool {
 		a, b := out.Series[i], out.Series[j]
@@ -156,7 +145,7 @@ func trendOne(s TrendSeries, opt TrendOpts) SeriesTrend {
 	st := SeriesTrend{
 		Experiment: s.Experiment, SpecHash: s.SpecHash, Metric: s.Metric,
 		N:           len(vals),
-		Gated:       gatedMetric(s.Metric, RegressOpts{}),
+		Gated:       gatedMetric(s.Metric),
 		ChangePoint: -1,
 	}
 	nan := Ratio(math.NaN())
@@ -169,42 +158,18 @@ func trendOne(s TrendSeries, opt TrendOpts) SeriesTrend {
 		return st
 	}
 	base, cur := vals[:st.N-opt.Window], vals[st.N-opt.Window:]
-	baseMean, half := stats.MeanCI(base, opt.Z)
+	baseMean, half := stats.MeanCI(base, ciZ)
 	curMean := stats.Mean(cur)
 	st.BaseMean, st.CurMean = Ratio(baseMean), Ratio(curMean)
+	st.DeltaPct = relPct(curMean, baseMean)
 	if baseMean != 0 {
-		st.DeltaPct = Ratio(100 * (curMean - baseMean) / baseMean)
 		st.CIHalfPct = Ratio(100 * half / math.Abs(baseMean))
 	}
 	st.ChangePoint = changePoint(vals, opt.TolerancePct)
-	st.Verdict = trendVerdict(st, baseMean, curMean, half, opt)
+	// The trailing window's shift is noise when the base history's own
+	// interval covers it.
+	st.Verdict = classify(st.Gated, baseMean, curMean, curMean-baseMean, half, opt.TolerancePct)
 	return st
-}
-
-// trendVerdict classifies one series, mirroring metricVerdict: gated
-// series regress when the trailing window drifts beyond tolerance in
-// the bad direction and outside the base window's confidence interval.
-func trendVerdict(st SeriesTrend, baseMean, curMean, half float64, opt TrendOpts) string {
-	if !st.Gated {
-		return "info"
-	}
-	if baseMean == 0 {
-		if curMean > 0 {
-			return string(Regressed) // cycles appearing from nowhere
-		}
-		return string(Pass)
-	}
-	delta := float64(st.DeltaPct)
-	if math.Abs(delta) <= opt.TolerancePct {
-		return string(Pass)
-	}
-	if math.Abs(curMean-baseMean) <= half {
-		return string(Pass) // within the base history's own noise
-	}
-	if delta > 0 {
-		return string(Regressed)
-	}
-	return string(Improved)
 }
 
 // changePoint locates the split index k (2 <= k <= n-2) maximizing the
@@ -227,15 +192,6 @@ func changePoint(vals []float64, tolerancePct float64) int {
 		return -1
 	}
 	return best
-}
-
-// ExitCode maps the trend verdict to a process exit code, matching
-// Regression.ExitCode: 0 for pass/improved, 3 for regressed.
-func (t *TrendReport) ExitCode() int {
-	if t != nil && t.Verdict == Regressed {
-		return 3
-	}
-	return 0
 }
 
 // Text renders the trend report as an aligned table.
@@ -355,11 +311,8 @@ func CellCycleDeltas(cur, base *BenchObs) []CellDelta {
 	sort.Strings(names)
 	var out []CellDelta
 	for _, n := range names {
-		d := CellDelta{Cell: n, Base: bm[n], Cur: cm[n], DeltaPct: Ratio(math.NaN())}
-		if d.Base > 0 {
-			d.DeltaPct = Ratio(100 * (float64(d.Cur) - float64(d.Base)) / float64(d.Base))
-		}
-		out = append(out, d)
+		out = append(out, CellDelta{Cell: n, Base: bm[n], Cur: cm[n],
+			DeltaPct: relPct(float64(cm[n]), float64(bm[n]))})
 	}
 	return out
 }

@@ -19,14 +19,14 @@ func series(metric string, vals ...float64) TrendSeries {
 
 func TestTrendVerdicts(t *testing.T) {
 	flat := Trend([]TrendSeries{series("sim/cycles/app", 100, 100, 100, 100, 100, 100)}, TrendOpts{})
-	if flat.Verdict != Pass || flat.ExitCode() != 0 {
-		t.Fatalf("flat series = %s (exit %d), want pass 0", flat.Verdict, flat.ExitCode())
+	if flat.Verdict != Pass || flat.Verdict.ExitCode() != 0 {
+		t.Fatalf("flat series = %s (exit %d), want pass 0", flat.Verdict, flat.Verdict.ExitCode())
 	}
 
 	// Trailing window jumps 30% above a tight base history.
 	up := Trend([]TrendSeries{series("sim/cycles/app", 100, 100, 100, 100, 130, 130, 130)}, TrendOpts{})
-	if up.Verdict != Regressed || up.ExitCode() != 3 {
-		t.Fatalf("regressing series = %s (exit %d), want regressed 3", up.Verdict, up.ExitCode())
+	if up.Verdict != Regressed || up.Verdict.ExitCode() != 3 {
+		t.Fatalf("regressing series = %s (exit %d), want regressed 3", up.Verdict, up.Verdict.ExitCode())
 	}
 	st := up.Series[0]
 	if !st.Gated || st.Verdict != string(Regressed) {
@@ -40,8 +40,8 @@ func TestTrendVerdicts(t *testing.T) {
 	}
 
 	down := Trend([]TrendSeries{series("sim/cycles/app", 130, 130, 130, 130, 100, 100, 100)}, TrendOpts{})
-	if down.Verdict != Improved || down.ExitCode() != 0 {
-		t.Fatalf("improving series = %s (exit %d), want improved 0", down.Verdict, down.ExitCode())
+	if down.Verdict != Improved || down.Verdict.ExitCode() != 0 {
+		t.Fatalf("improving series = %s (exit %d), want improved 0", down.Verdict, down.Verdict.ExitCode())
 	}
 
 	short := Trend([]TrendSeries{series("sim/cycles/app", 100, 130)}, TrendOpts{})

@@ -1,5 +1,5 @@
 // Package stats provides the small statistics and reporting toolkit the
-// benchmark harness uses: histograms with percentile queries (Figure 8),
+// benchmark harness uses: histograms (Figure 8), nearest-rank percentiles,
 // aligned text tables (Tables III-VI), and ASCII bar charts for the
 // overhead figures (Figures 9-11).
 package stats
@@ -59,23 +59,6 @@ func (h *Histogram) FractionAtLeast(v float64) float64 {
 		}
 	}
 	return float64(n) / float64(h.N)
-}
-
-// Percentile returns the p-th percentile (0-100) of the samples.
-func (h *Histogram) Percentile(p float64) float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), h.samples...)
-	sort.Float64s(s)
-	idx := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }
 
 // BucketLabel renders the label of bucket i ("<=x" style).

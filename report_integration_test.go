@@ -72,10 +72,10 @@ func TestReportByteIdenticalAcrossParallel(t *testing.T) {
 		if reg == nil {
 			t.Fatal("no comparable experiments")
 		}
-		if reg.Verdict != report.Pass || reg.ExitCode() != 0 {
+		if reg.Verdict != report.Pass || reg.Verdict.ExitCode() != 0 {
 			t.Fatalf("identical runs produced verdict %s", reg.Verdict)
 		}
-		buf, err := reg.VerdictJSON()
+		buf, err := json.MarshalIndent(reg, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
