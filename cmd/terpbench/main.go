@@ -207,7 +207,7 @@ func main() {
 	}
 	if *reportPath != "" {
 		in := terp.ReportInput("TERP run report", grids)
-		rep := report.Build(in, report.Options{})
+		rep := report.Build(in)
 		check(os.WriteFile(*reportPath, report.HTML(rep), 0o644))
 		fmt.Fprintf(os.Stderr, "terpbench: wrote HTML report for %d experiment(s) to %s\n",
 			len(in.Experiments), *reportPath)

@@ -127,7 +127,7 @@ func main() {
 		}
 	}
 
-	rep := report.Build(terp.ReportInput(*title, grids), report.Options{})
+	rep := report.Build(terp.ReportInput(*title, grids))
 
 	if *baseline != "" {
 		base, err := os.ReadFile(*baseline)

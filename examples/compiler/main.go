@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/nvm"
 	"repro/internal/params"
@@ -83,7 +84,11 @@ func main() {
 	mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, 1<<28))
 	rt := core.NewRuntime(params.NewConfig(params.TT, 40), mgr)
 	ctx := rt.NewThread(sim.SingleThread())
-	m, err := interp.New(prog, ctx)
+	linked, err := ir.Link(prog)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m, err := interp.NewLinked(linked, ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -567,11 +567,11 @@ func specGadgetCensus(o ExpOpts) (attack.GadgetCensus, error) {
 		TEWThreshold: params.Micros(params.DefaultTEWMicros),
 	}
 	for _, k := range speckit.Kernels() {
-		prog, err := runner.DefaultCache.Program(k, o.Scale, true, opt)
+		l, err := runner.DefaultCache.Linked(k, o.Scale, true, opt)
 		if err != nil {
 			return total, err
 		}
-		c := attack.ScanProgram(prog)
+		c := attack.ScanProgram(l.Prog)
 		total.Total += c.Total
 		total.Covered += c.Covered
 		total.Gadgets = append(total.Gadgets, c.Gadgets...)

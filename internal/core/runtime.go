@@ -44,14 +44,6 @@ func (c Counters) SilentPercent() float64 {
 	return 100 * float64(c.SilentOps) / float64(c.CondOps)
 }
 
-// UseLegacyAccessPath, when set before NewRuntime, disables the
-// per-thread last-translation cache so every access resolves its PMO,
-// mapping, matrix entry and protection domain through the full map-lookup
-// path. The optimized and legacy paths charge identical simulated cycles
-// and produce identical counters and events; the switch exists so the
-// equivalence tests (and suspicious users) can compare whole runs.
-var UseLegacyAccessPath = false
-
 // Runtime is one protected process: the PMO attach/detach state machine
 // for a chosen scheme plus all architectural structures it needs. A
 // Runtime is driven by one or more ThreadCtx values; under the cooperative
@@ -59,8 +51,10 @@ var UseLegacyAccessPath = false
 type Runtime struct {
 	Cfg params.Config
 
-	// fastPath enables the per-thread last-translation cache (the
-	// inverse of UseLegacyAccessPath, latched at construction).
+	// fastPath enables the per-thread last-translation cache. Only tests
+	// clear it, to run the uncached access path the cache is checked
+	// against (both charge identical cycles and produce identical
+	// counters and events).
 	fastPath bool
 
 	mgr     *pmo.Manager
@@ -94,7 +88,7 @@ func NewRuntime(cfg params.Config, mgr *pmo.Manager) *Runtime {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	r := &Runtime{
 		Cfg:      cfg,
-		fastPath: !UseLegacyAccessPath,
+		fastPath: true,
 		mgr:      mgr,
 		as:       paging.NewAddressSpace(rng),
 		matrix:   merr.NewMatrix(),
@@ -692,7 +686,7 @@ func (c *ThreadCtx) revokeThread(p *pmo.PMO, at uint64) {
 // randomization happened in between (address-space epoch check). Every
 // simulated-cost element still executes on a hit — the TLB lookup, the
 // matrix-check cycle and the re-verification of both permission layers,
-// the cache-hierarchy walk — so the fast and legacy paths charge the same
+// the cache-hierarchy walk — so the fast and uncached paths charge the same
 // cycles, bump the same counters and emit the same events.
 func (c *ThreadCtx) access(o pmo.OID, want paging.Perm, n int) (p *pmo.PMO, va uint64, err error) {
 	r := c.rt

@@ -90,7 +90,7 @@ func SpecHash(spec terp.ExperimentSpec) string {
 // to fill — two calls over the same grid return equal records.
 func FromGrid(source string, spec terp.ExperimentSpec, g *terp.Grid) Record {
 	canon := spec.Canonical()
-	cells, _ := canon.CellCount()
+	cells, _ := canon.Cells()
 	r := Record{
 		Schema:     SchemaVersion,
 		Source:     source,
@@ -99,7 +99,7 @@ func FromGrid(source string, spec terp.ExperimentSpec, g *terp.Grid) Record {
 		Seed:       g.Opts.Seed,
 		Ops:        g.Opts.Ops,
 		Scale:      g.Opts.Scale,
-		Cells:      cells,
+		Cells:      len(cells),
 		Metrics:    map[string]uint64{},
 		Values:     map[string]float64{},
 	}

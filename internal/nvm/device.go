@@ -53,14 +53,6 @@ type Device struct {
 	// npages counts materialized pages under the table representation.
 	npages int
 
-	// lastPN/lastPage cache the most recently touched materialized page,
-	// skipping the page-map lookup on the word fast paths. The cache is
-	// dropped whenever a page can disappear (Zero, Restore); page
-	// materialization only adds entries and never moves existing ones, so
-	// a cached pointer otherwise stays valid.
-	lastPN   uint64
-	lastPage []byte
-
 	// buf, when non-nil, is the volatile persist buffer: writes stay
 	// volatile until flushed and fenced (see EnablePersistBuffer).
 	buf *PersistBuffer
@@ -108,34 +100,6 @@ func (d *Device) page(off uint64, materialize bool) []byte {
 	if p == nil && materialize {
 		p = make([]byte, pageSize)
 		d.pages[pn] = p
-	}
-	return p
-}
-
-// pageFast is page() with the map lookup shortcut: table-backed devices
-// already resolve in one indexed load, and map-backed devices go through
-// the last-page cache first.
-func (d *Device) pageFast(off uint64, materialize bool) []byte {
-	pn := off / pageSize
-	if d.table != nil {
-		p := d.table[pn]
-		if p == nil && materialize {
-			p = make([]byte, pageSize)
-			d.table[pn] = p
-			d.npages++
-		}
-		return p
-	}
-	if d.lastPage != nil && pn == d.lastPN {
-		return d.lastPage
-	}
-	p := d.pages[pn]
-	if p == nil && materialize {
-		p = make([]byte, pageSize)
-		d.pages[pn] = p
-	}
-	if p != nil {
-		d.lastPN, d.lastPage = pn, p
 	}
 	return p
 }
@@ -211,7 +175,7 @@ func (d *Device) Read8(off uint64) (uint64, error) {
 			return 0, err
 		}
 		d.Reads += 8
-		p := d.pageFast(off, false)
+		p := d.page(off, false)
 		if p == nil {
 			return 0, nil
 		}
@@ -233,7 +197,7 @@ func (d *Device) Write8(off uint64, v uint64) error {
 			return err
 		}
 		d.Writes += 8
-		put64(d.pageFast(off, true)[in:in+8], v)
+		put64(d.page(off, true)[in:in+8], v)
 		return nil
 	}
 	var b [8]byte
@@ -246,7 +210,6 @@ func (d *Device) Zero(off uint64, n uint64) error {
 	if err := d.check(off, int(n)); err != nil {
 		return err
 	}
-	d.lastPage = nil // whole pages may be dropped below
 	var zeros []byte
 	for n > 0 {
 		in := off % pageSize
@@ -312,7 +275,6 @@ func (d *Device) Snapshot() map[uint64][]byte {
 // power cycle, so an enabled persist buffer empties: the restored bytes
 // are durable and no volatile lines survive.
 func (d *Device) Restore(s map[uint64][]byte) {
-	d.lastPage = nil
 	if d.table != nil {
 		clear(d.table)
 		d.npages = 0

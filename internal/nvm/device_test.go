@@ -7,42 +7,57 @@ import (
 	"testing/quick"
 )
 
+// forEachBacking runs f on a table-backed NVM device of the given size
+// and on a map-backed one past maxTablePages pages, so a device test
+// covers both storage representations.
+func forEachBacking(t *testing.T, size uint64, f func(t *testing.T, d *Device)) {
+	t.Helper()
+	table, sparse := NewDevice(NVM, size), NewDevice(NVM, 2*maxTablePages*pageSize)
+	if table.table == nil || sparse.pages == nil {
+		t.Fatal("want one table-backed and one map-backed device")
+	}
+	t.Run("table", func(t *testing.T) { f(t, table) })
+	t.Run("map", func(t *testing.T) { f(t, sparse) })
+}
+
 func TestDeviceReadWriteRoundTrip(t *testing.T) {
-	d := NewDevice(NVM, 1<<20)
-	msg := []byte("persistent memory object")
-	if err := d.WriteAt(msg, 100); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(msg))
-	if err := d.ReadAt(got, 100); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("got %q want %q", got, msg)
-	}
+	forEachBacking(t, 1<<20, func(t *testing.T, d *Device) {
+		msg := []byte("persistent memory object")
+		if err := d.WriteAt(msg, 100); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(msg))
+		if err := d.ReadAt(got, 100); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Fatalf("got %q want %q", got, msg)
+		}
+	})
 }
 
 func TestDeviceCrossPageAccess(t *testing.T) {
-	d := NewDevice(NVM, 1<<20)
-	// Write spanning a page boundary.
-	msg := make([]byte, 5000)
-	for i := range msg {
-		msg[i] = byte(i)
-	}
-	off := uint64(pageSize - 100)
-	if err := d.WriteAt(msg, off); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(msg))
-	if err := d.ReadAt(got, off); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatal("cross-page round trip mismatch")
-	}
-	if d.FootprintPages() < 2 {
-		t.Fatalf("expected at least 2 materialized pages, got %d", d.FootprintPages())
-	}
+	forEachBacking(t, 1<<20, func(t *testing.T, d *Device) {
+		// Write spanning a page boundary.
+		msg := make([]byte, 5000)
+		for i := range msg {
+			msg[i] = byte(i)
+		}
+		off := uint64(pageSize - 100)
+		if err := d.WriteAt(msg, off); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(msg))
+		if err := d.ReadAt(got, off); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Fatal("cross-page round trip mismatch")
+		}
+		if d.FootprintPages() < 2 {
+			t.Fatalf("expected at least 2 materialized pages, got %d", d.FootprintPages())
+		}
+	})
 }
 
 func TestDeviceUnwrittenReadsZero(t *testing.T) {
@@ -73,58 +88,62 @@ func TestDeviceOutOfRange(t *testing.T) {
 }
 
 func TestDeviceWord(t *testing.T) {
-	d := NewDevice(NVM, 1<<16)
-	if err := d.Write8(40, 0xdeadbeefcafef00d); err != nil {
-		t.Fatal(err)
-	}
-	v, err := d.Read8(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0xdeadbeefcafef00d {
-		t.Fatalf("got %#x", v)
-	}
+	forEachBacking(t, 1<<16, func(t *testing.T, d *Device) {
+		if err := d.Write8(40, 0xdeadbeefcafef00d); err != nil {
+			t.Fatal(err)
+		}
+		v, err := d.Read8(40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != 0xdeadbeefcafef00d {
+			t.Fatalf("got %#x", v)
+		}
+	})
 }
 
 func TestDeviceSnapshotRestore(t *testing.T) {
-	d := NewDevice(NVM, 1<<16)
-	d.Write8(0, 111)
-	snap := d.Snapshot()
-	d.Write8(0, 222)
-	d.Write8(8192, 333)
-	d.Restore(snap)
-	if v, _ := d.Read8(0); v != 111 {
-		t.Fatalf("restored value = %d, want 111", v)
-	}
-	if v, _ := d.Read8(8192); v != 0 {
-		t.Fatalf("page written after snapshot should be gone, got %d", v)
-	}
+	forEachBacking(t, 1<<16, func(t *testing.T, d *Device) {
+		d.Write8(0, 111)
+		snap := d.Snapshot()
+		d.Write8(0, 222)
+		d.Write8(8192, 333)
+		d.Restore(snap)
+		if v, _ := d.Read8(0); v != 111 {
+			t.Fatalf("restored value = %d, want 111", v)
+		}
+		if v, _ := d.Read8(8192); v != 0 {
+			t.Fatalf("page written after snapshot should be gone, got %d", v)
+		}
+	})
 }
 
 func TestDeviceZero(t *testing.T) {
-	d := NewDevice(NVM, 1<<16)
-	for off := uint64(0); off < 3*pageSize; off += 8 {
-		d.Write8(off, off+1)
-	}
-	if err := d.Zero(100, 2*pageSize); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := d.Read8(96); v == 0 {
-		t.Fatal("byte before zero range was cleared")
-	}
-	if v, _ := d.Read8(104); v != 0 {
-		t.Fatalf("zeroed word = %d", v)
-	}
+	forEachBacking(t, 1<<16, func(t *testing.T, d *Device) {
+		for off := uint64(0); off < 3*pageSize; off += 8 {
+			d.Write8(off, off+1)
+		}
+		if err := d.Zero(100, 2*pageSize); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := d.Read8(96); v == 0 {
+			t.Fatal("byte before zero range was cleared")
+		}
+		if v, _ := d.Read8(104); v != 0 {
+			t.Fatalf("zeroed word = %d", v)
+		}
+	})
 }
 
 func TestDeviceCounters(t *testing.T) {
-	d := NewDevice(NVM, 1<<16)
-	d.Write8(0, 1)
-	d.Read8(0)
-	d.Read8(0)
-	if d.Writes != 8 || d.Reads != 16 {
-		t.Fatalf("counters = %d writes %d reads, want 8/16", d.Writes, d.Reads)
-	}
+	forEachBacking(t, 1<<16, func(t *testing.T, d *Device) {
+		d.Write8(0, 1)
+		d.Read8(0)
+		d.Read8(0)
+		if d.Writes != 8 || d.Reads != 16 {
+			t.Fatalf("counters = %d writes %d reads, want 8/16", d.Writes, d.Reads)
+		}
+	})
 }
 
 // Property: arbitrary word writes at arbitrary aligned offsets read back.

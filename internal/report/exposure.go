@@ -46,7 +46,7 @@ type ExposureGroup struct {
 	EW  WindowStats `json:"ew"`
 	TEW WindowStats `json:"tew"`
 	// Timelines holds per-PMO exposure timelines (bounded, see
-	// Options.MaxTimelinePMOs).
+	// maxTimelinePMOs).
 	Timelines []PMOTimeline `json:"timelines,omitempty"`
 	// TimelinePMOs is the real distinct-PMO count when Timelines was
 	// capped; 0 means nothing was dropped.
@@ -81,7 +81,7 @@ const maxCDFPoints = 64
 // analyzeExposure reconstructs exposure windows from every cell's trace
 // and groups them by configuration label. It returns nil when no cell
 // carries expo events.
-func analyzeExposure(e Experiment, opt Options) *ExposureReport {
+func analyzeExposure(e Experiment) *ExposureReport {
 	type acc struct {
 		cells    int
 		ew, tew  []float64 // durations in us
@@ -122,9 +122,9 @@ func analyzeExposure(e Experiment, opt Options) *ExposureReport {
 			g.tewPMOs[w.Arg&0xffffffff] = true
 		}
 		// Timelines come from the group's first contributing cell, capped
-		// at MaxTimelinePMOs objects; the cap is recorded, never silent.
+		// at maxTimelinePMOs objects; the cap is recorded, never silent.
 		if g.timeline == nil && len(ews) > 0 {
-			g.timeline, g.tlPMOs = buildTimelines(c.Name, ews, opt)
+			g.timeline, g.tlPMOs = buildTimelines(c.Name, ews)
 		}
 	}
 	if len(order) == 0 {
@@ -188,7 +188,7 @@ func buildCDF(durs []float64) []CDFPoint {
 
 // buildTimelines converts one cell's EW windows into per-PMO timelines.
 // It returns the (bounded) timelines plus the real distinct-PMO count.
-func buildTimelines(cell string, ews []obs.Window, opt Options) ([]PMOTimeline, int) {
+func buildTimelines(cell string, ews []obs.Window) ([]PMOTimeline, int) {
 	var order []int64
 	byPMO := make(map[int64][]Span)
 	counts := make(map[int64]int)
@@ -198,7 +198,7 @@ func buildTimelines(cell string, ews []obs.Window, opt Options) ([]PMOTimeline, 
 			byPMO[w.Arg] = nil
 		}
 		counts[w.Arg]++
-		if len(byPMO[w.Arg]) < opt.MaxTimelineSpans {
+		if len(byPMO[w.Arg]) < maxTimelineSpans {
 			byPMO[w.Arg] = append(byPMO[w.Arg], Span{
 				StartMicros: params.ToMicros(w.Start),
 				EndMicros:   params.ToMicros(w.End),
@@ -206,8 +206,8 @@ func buildTimelines(cell string, ews []obs.Window, opt Options) ([]PMOTimeline, 
 		}
 	}
 	total := len(order)
-	if len(order) > opt.MaxTimelinePMOs {
-		order = order[:opt.MaxTimelinePMOs]
+	if len(order) > maxTimelinePMOs {
+		order = order[:maxTimelinePMOs]
 	}
 	var out []PMOTimeline
 	for _, pmo := range order {
@@ -248,7 +248,7 @@ type AttackReport struct {
 
 // analyzeAttack scans every cell for CatAttack instants. It returns nil
 // when the experiment recorded none.
-func analyzeAttack(e Experiment, opt Options) *AttackReport {
+func analyzeAttack(e Experiment) *AttackReport {
 	var dead []float64
 	probes, hits, hitsIn, probesIn, windows := 0, 0, 0, 0, 0
 	for _, c := range e.Cells {
@@ -285,7 +285,7 @@ func analyzeAttack(e Experiment, opt Options) *AttackReport {
 	out := &AttackReport{
 		DeadTimes:       len(dead),
 		DeadStats:       windowStats(dead, 0),
-		TEWTargetMicros: opt.TEWTargetMicros,
+		TEWTargetMicros: tewTargetMicros,
 		Probes:          probes,
 		ProbeHits:       hits,
 		HitsInWindow:    hitsIn,
@@ -295,7 +295,7 @@ func analyzeAttack(e Experiment, opt Options) *AttackReport {
 	if len(dead) > 0 {
 		atLeast := 0
 		for _, d := range dead {
-			if d >= opt.TEWTargetMicros {
+			if d >= tewTargetMicros {
 				atLeast++
 			}
 		}

@@ -62,7 +62,7 @@ func goldenReport() *Report {
 			{Name: "empty"},
 		},
 	}
-	r := Build(in, Options{TEWTargetMicros: 2})
+	r := Build(in)
 	r.Regression = Compare(
 		benchDoc("sim/cycles/base", map[string]uint64{"a": 1100, "b": 1100}),
 		benchDoc("sim/cycles/base", map[string]uint64{"a": 1000, "b": 1000}),

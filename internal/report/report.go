@@ -67,31 +67,16 @@ type Input struct {
 	Experiments []Experiment
 }
 
-// Options tunes the analysis.
-type Options struct {
-	// TEWTargetMicros is the thread-exposure-window target the dead-time
-	// surface is measured against; 0 selects the paper's 2 us.
-	TEWTargetMicros float64
-	// MaxTimelinePMOs bounds the per-PMO timelines rendered per
-	// configuration; 0 selects 8. The bound is reported, never silent.
-	MaxTimelinePMOs int
-	// MaxTimelineSpans bounds the spans rendered per timeline; 0
-	// selects 120.
-	MaxTimelineSpans int
-}
-
-func (o Options) withDefaults() Options {
-	if o.TEWTargetMicros == 0 {
-		o.TEWTargetMicros = params.DefaultTEWMicros
-	}
-	if o.MaxTimelinePMOs == 0 {
-		o.MaxTimelinePMOs = 8
-	}
-	if o.MaxTimelineSpans == 0 {
-		o.MaxTimelineSpans = 120
-	}
-	return o
-}
+// Analysis constants. tewTargetMicros is the thread-exposure-window
+// target the dead-time surface is measured against (the paper's 2 us).
+// maxTimelinePMOs and maxTimelineSpans bound the per-PMO timelines
+// rendered per configuration and the spans per timeline; the bounds are
+// reported, never silent.
+const (
+	tewTargetMicros  = params.DefaultTEWMicros
+	maxTimelinePMOs  = 8
+	maxTimelineSpans = 120
+)
 
 // Report is the finished analysis.
 type Report struct {
@@ -129,13 +114,12 @@ type DroppedCell struct {
 }
 
 // Build runs the full analysis over the input.
-func Build(in Input, opt Options) *Report {
-	opt = opt.withDefaults()
+func Build(in Input) *Report {
 	r := &Report{Title: in.Title}
 	for _, e := range in.Experiments {
 		er := ExperimentReport{Name: e.Name, Opts: e.Opts}
-		er.Exposure = analyzeExposure(e, opt)
-		er.Attack = analyzeAttack(e, opt)
+		er.Exposure = analyzeExposure(e)
+		er.Attack = analyzeAttack(e)
 		er.Overhead = analyzeOverhead(e)
 		for _, c := range e.Cells {
 			if c.TraceDropped > 0 {

@@ -65,7 +65,7 @@ func TestOverheadRowNaNSurvivesJSONExport(t *testing.T) {
 	s := obs.NewSnapshot()
 	s.Add("sim/cycles/attach", 100)
 	e := Experiment{Name: "x", Cells: []Cell{{Name: "x/c/MM", Metrics: s}}}
-	r := Build(Input{Title: "t", Experiments: []Experiment{e}}, Options{})
+	r := Build(Input{Title: "t", Experiments: []Experiment{e}})
 	o := r.Experiments[0].Overhead
 	if o == nil || len(o.Rows) != 2 {
 		t.Fatalf("overhead = %+v, want MM + total rows", o)
@@ -92,7 +92,7 @@ func TestAnalyzeExposureGroupsAndStats(t *testing.T) {
 			expoCell("exp/a/TT", [][3]float64{{0, 0, 2}, {1, 4, 6}}),
 		},
 	}}}
-	r := Build(in, Options{})
+	r := Build(in)
 	x := r.Experiments[0].Exposure
 	if x == nil || len(x.Groups) != 2 {
 		t.Fatalf("exposure = %+v, want MM and TT groups", x)
@@ -120,10 +120,11 @@ func TestAnalyzeExposureGroupsAndStats(t *testing.T) {
 }
 
 func TestTimelineCapsAreReportedNotSilent(t *testing.T) {
+	pmos, spans := maxTimelinePMOs+3, maxTimelineSpans+1
 	var ews [][3]float64
-	for pmo := 0; pmo < 5; pmo++ {
-		for s := 0; s < 4; s++ {
-			start := float64(pmo*100 + s*10)
+	for pmo := 0; pmo < pmos; pmo++ {
+		for s := 0; s < spans; s++ {
+			start := float64(pmo*10*spans + s*10)
 			ews = append(ews, [3]float64{float64(pmo), start, start + 5})
 		}
 	}
@@ -131,14 +132,16 @@ func TestTimelineCapsAreReportedNotSilent(t *testing.T) {
 		Name:  "exp",
 		Cells: []Cell{expoCell("exp/a/MM", ews)},
 	}}}
-	r := Build(in, Options{MaxTimelinePMOs: 2, MaxTimelineSpans: 3})
+	r := Build(in)
 	g := r.Experiments[0].Exposure.Groups[0]
-	if len(g.Timelines) != 2 || g.TimelinePMOs != 5 {
-		t.Fatalf("timelines = %d shown, TimelinePMOs = %d; want 2 shown of 5", len(g.Timelines), g.TimelinePMOs)
+	if len(g.Timelines) != maxTimelinePMOs || g.TimelinePMOs != pmos {
+		t.Fatalf("timelines = %d shown, TimelinePMOs = %d; want %d shown of %d",
+			len(g.Timelines), g.TimelinePMOs, maxTimelinePMOs, pmos)
 	}
 	tl := g.Timelines[0]
-	if len(tl.Spans) != 3 || tl.TruncatedFrom != 4 {
-		t.Fatalf("spans = %d, TruncatedFrom = %d; want 3 of 4", len(tl.Spans), tl.TruncatedFrom)
+	if len(tl.Spans) != maxTimelineSpans || tl.TruncatedFrom != spans {
+		t.Fatalf("spans = %d, TruncatedFrom = %d; want %d of %d",
+			len(tl.Spans), tl.TruncatedFrom, maxTimelineSpans, spans)
 	}
 }
 
@@ -181,7 +184,7 @@ func TestAnalyzeAttackCorrelation(t *testing.T) {
 		Name:  "exp",
 		Cells: []Cell{{Name: "exp/mc", Events: rec.Events()}},
 	}}}
-	a := Build(in, Options{TEWTargetMicros: 2}).Experiments[0].Attack
+	a := Build(in).Experiments[0].Attack
 	if a == nil {
 		t.Fatal("no attack report")
 	}
@@ -204,7 +207,7 @@ func TestDroppedCellsFlagged(t *testing.T) {
 			{Name: "exp/lossy", TraceEvents: 100, TraceDropped: 40},
 		},
 	}}}
-	r := Build(in, Options{})
+	r := Build(in)
 	d := r.Experiments[0].Dropped
 	if len(d) != 1 || d[0].Cell != "exp/lossy" || d[0].Dropped != 40 {
 		t.Fatalf("dropped = %+v, want only the lossy cell", d)

@@ -22,10 +22,11 @@ type progKey struct {
 	opt    terpc.Options
 }
 
-// ProgCache memoizes the TPL lex/parse/lower + insertion pipeline. A
-// compiled program is read-only to the interpreter, so one entry may back
-// any number of concurrent cells. Compilation of distinct keys proceeds
-// in parallel; duplicate requests for one key block on a single compile.
+// ProgCache memoizes the TPL lex/parse/lower + insertion pipeline and
+// the link pass over its result. A linked program is read-only to the
+// interpreter, so one entry may back any number of concurrent cells.
+// Compilation of distinct keys proceeds in parallel; duplicate requests
+// for one key block on a single compile.
 type ProgCache struct {
 	mu      sync.Mutex
 	entries map[progKey]*progEntry
@@ -34,16 +35,9 @@ type ProgCache struct {
 }
 
 type progEntry struct {
-	once sync.Once
-	prog *ir.Program
-	err  error
-
-	// linkOnce lazily derives the pre-resolved execution form (ir.Link)
-	// from prog. Linking is memoized separately from compilation so
-	// callers that only need the ir.Program never pay for it.
-	linkOnce sync.Once
-	linked   *ir.Linked
-	linkErr  error
+	once   sync.Once
+	linked *ir.Linked
+	err    error
 }
 
 // DefaultCache is the shared process-wide cache used when Options.Cache
@@ -56,33 +50,9 @@ func NewProgCache() *ProgCache {
 	return &ProgCache{entries: make(map[progKey]*progEntry)}
 }
 
-// Program returns the compiled (and, when insert is true, instrumented)
-// program for the kernel, compiling at most once per key.
-func (c *ProgCache) Program(k speckit.Kernel, scale int, insert bool, opt terpc.Options) (*ir.Program, error) {
-	if scale < 1 {
-		scale = 1
-	}
-	key := progKey{kernel: k.Name, scale: scale, insert: insert, opt: opt}
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &progEntry{}
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	e.once.Do(func() { e.prog, e.err = speckit.Build(k, scale, insert, opt) })
-	return e.prog, e.err
-}
-
-// Linked returns the pre-linked execution form of the kernel's program,
-// compiling and linking at most once per key. The linked form is
-// read-only to the interpreter, so one entry may back any number of
-// concurrent cells.
+// Linked returns the pre-linked execution form of the kernel's compiled
+// (and, when insert is true, instrumented) program, compiling and linking
+// at most once per key. The program it was linked from is its Prog field.
 func (c *ProgCache) Linked(k speckit.Kernel, scale int, insert bool, opt terpc.Options) (*ir.Linked, error) {
 	if scale < 1 {
 		scale = 1
@@ -100,12 +70,15 @@ func (c *ProgCache) Linked(k speckit.Kernel, scale int, insert bool, opt terpc.O
 	} else {
 		c.misses.Add(1)
 	}
-	e.once.Do(func() { e.prog, e.err = speckit.Build(k, scale, insert, opt) })
-	if e.err != nil {
-		return nil, e.err
-	}
-	e.linkOnce.Do(func() { e.linked, e.linkErr = ir.Link(e.prog) })
-	return e.linked, e.linkErr
+	e.once.Do(func() {
+		prog, err := speckit.Build(k, scale, insert, opt)
+		if err != nil {
+			e.err = err
+			return
+		}
+		e.linked, e.err = ir.Link(prog)
+	})
+	return e.linked, e.err
 }
 
 // Stats reports cache hits and misses (a "hit" may still briefly block

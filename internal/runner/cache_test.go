@@ -50,20 +50,4 @@ func TestProgCacheHitIdentical(t *testing.T) {
 	if string(cj) != string(wj) {
 		t.Errorf("cache-hit cell result differs from cache-miss result:\ncold: %s\nwarm: %s", cj, wj)
 	}
-
-	// The legacy engine shares the same cache entries (program side) and
-	// must agree with the linked engine on the same cell.
-	UseLegacyEngine = true
-	defer func() { UseLegacyEngine = false }()
-	leg, err := RunCell(cell, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lj, err := json.Marshal(leg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(lj) != string(cj) {
-		t.Errorf("legacy-engine cell result differs from linked-engine result")
-	}
 }

@@ -8,8 +8,8 @@
 // Each cell builds its own simulated machine, NVM device and runtime, so
 // cells share no mutable state; the only cross-cell structure is the
 // compiled-program cache (see ProgCache), which memoizes the TPL
-// compile + insertion pipeline per (kernel, scale, cost model) and hands
-// out read-only IR programs.
+// compile + insertion + link pipeline per (kernel, scale, cost model)
+// and hands out read-only linked programs.
 package runner
 
 import (
@@ -25,12 +25,6 @@ import (
 	"repro/internal/speckit"
 	"repro/internal/whisper"
 )
-
-// UseLegacyEngine routes Spec cells through the unoptimized tree-walking
-// interpreter instead of the pre-linked execution form. Results are
-// identical either way; the switch exists so the equivalence tests can
-// run both engines side by side.
-var UseLegacyEngine = false
 
 // Kind selects the driver a cell runs under.
 type Kind int
@@ -193,23 +187,18 @@ func ExecuteContext(ctx context.Context, cells []Cell, opt Options) ([]CellResul
 // populated result (Err is left for the caller to attach). The cache
 // supplies compiled kernel programs for Spec cells; nil uses DefaultCache.
 func RunCell(c Cell, cache *ProgCache) (CellResult, error) {
-	return RunCellObs(c, cache, obs.Config{})
+	return RunCellCtx(context.Background(), c, cache, obs.Config{})
 }
 
-// RunCellObs is RunCell with observability: when ocfg enables tracing or
-// metrics, the cell's runtime is instrumented and the result carries its
-// CellObs payload. The instrumented run charges the same simulated cycles
-// as a plain one — collection only observes, never charges.
-func RunCellObs(c Cell, cache *ProgCache, ocfg obs.Config) (CellResult, error) {
-	return RunCellCtx(context.Background(), c, cache, ocfg)
-}
-
-// RunCellCtx is RunCellObs with cancellation: the cell is skipped when
-// ctx is already done, and whisper cells additionally poll ctx between
-// operation batches so a cancelled grid stops mid-cell instead of
-// simulating to completion. Cancellation never alters results — a cell
-// either runs to completion with byte-identical output or fails with
-// ctx.Err().
+// RunCellCtx is RunCell with observability and cancellation. When ocfg
+// enables tracing or metrics, the cell's runtime is instrumented and the
+// result carries its CellObs payload; the instrumented run charges the
+// same simulated cycles as a plain one — collection only observes, never
+// charges. The cell is skipped when ctx is already done, and whisper
+// cells additionally poll ctx between operation batches so a cancelled
+// grid stops mid-cell instead of simulating to completion. Cancellation
+// never alters results — a cell either runs to completion with
+// byte-identical output or fails with ctx.Err().
 func RunCellCtx(ctx context.Context, c Cell, cache *ProgCache, ocfg obs.Config) (CellResult, error) {
 	if cache == nil {
 		cache = DefaultCache
@@ -258,27 +247,15 @@ func RunCellCtx(ctx context.Context, c Cell, cache *ProgCache, ocfg obs.Config) 
 			return out, err
 		}
 		opt, insert := speckit.InsertOptions(cfg)
-		ropts := speckit.RunOpts{
-			Threads:   c.Threads,
-			Scale:     c.Scale,
-			OnRuntime: onRuntime,
-		}
-		var res core.Result
-		if UseLegacyEngine {
-			prog, err := cache.Program(k, c.Scale, insert, opt)
-			if err != nil {
-				return out, err
-			}
-			res, err = speckit.RunProgram(cfg, k, prog, ropts)
-			out.Result = res
-			snapshot()
-			return out, err
-		}
 		linked, err := cache.Linked(k, c.Scale, insert, opt)
 		if err != nil {
 			return out, err
 		}
-		res, err = speckit.RunLinked(cfg, k, linked, ropts)
+		res, err := speckit.RunLinked(cfg, k, linked, speckit.RunOpts{
+			Threads:   c.Threads,
+			Scale:     c.Scale,
+			OnRuntime: onRuntime,
+		})
 		out.Result = res
 		snapshot()
 		return out, err

@@ -133,7 +133,7 @@ func TestProgCacheCompilesOncePerKey(t *testing.T) {
 			if i%2 == 1 {
 				opt, ins = optCB, insCB
 			}
-			p, err := cache.Program(k, 1, ins, opt)
+			p, err := cache.Linked(k, 1, ins, opt)
 			if err != nil {
 				t.Error(err)
 			}
@@ -154,7 +154,7 @@ func TestProgCacheCompilesOncePerKey(t *testing.T) {
 
 	// A different cost model is a different key.
 	optMM, insMM := speckit.InsertOptions(params.NewConfig(params.MM, 40))
-	if _, err := cache.Program(k, 1, insMM, optMM); err != nil {
+	if _, err := cache.Linked(k, 1, insMM, optMM); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := cache.Stats(); misses != 2 {

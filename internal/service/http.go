@@ -257,7 +257,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	title := fmt.Sprintf("terpd job %s (%s, tenant %s)", j.ID, grid.Name, j.Tenant)
-	rep := report.Build(terp.ReportInput(title, []*terp.Grid{grid}), report.Options{})
+	rep := report.Build(terp.ReportInput(title, []*terp.Grid{grid}))
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	w.Write(report.HTML(rep)) //nolint:errcheck
 }

@@ -115,7 +115,7 @@ func (s *Scheduler) Submit(tenantName string, spec terp.ExperimentSpec) (*Job, e
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	total, err := spec.CellCount()
+	cells, err := spec.Cells()
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func (s *Scheduler) Submit(tenantName string, spec terp.ExperimentSpec) (*Job, e
 			ErrQueueFull, tenantName, depth, s.queueDepth)
 	}
 	s.nextID++
-	j := newJob(fmt.Sprintf("j%06d", s.nextID), tenantName, spec, total)
+	j := newJob(fmt.Sprintf("j%06d", s.nextID), tenantName, spec, len(cells))
 	s.active[j.ID] = j
 	t.queue = append(t.queue, j)
 	s.counters.Submitted++

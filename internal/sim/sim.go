@@ -6,6 +6,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -189,8 +190,17 @@ func (t *Thread) Yield() {
 	}
 	t.yieldBudget = 0
 	m.park <- t
-	<-t.turn
+	if _, ok := <-t.turn; !ok {
+		// The run is over: detach from the machine so Yields made by
+		// deferred calls while unwinding return at once, then unwind.
+		t.machine = nil
+		panic(errUnwound)
+	}
 }
+
+// errUnwound is the panic that unwinds a parked thread once another
+// thread's panic has ended the run (see Machine.unwind).
+var errUnwound = errors.New("sim: run ended by another thread's panic")
 
 // Machine is a deterministic cooperative scheduler for simulated threads.
 // It always resumes the runnable thread with the smallest local clock, so
@@ -249,7 +259,8 @@ func (m *Machine) AddThread(body func(*Thread)) *Thread {
 
 // Run executes all registered threads to completion under min-time
 // scheduling and returns the final global time (the max of thread clocks).
-// Any panic inside a thread body is re-raised on the caller.
+// Any panic inside a thread body is re-raised on the caller once every
+// other thread has been unwound.
 func (m *Machine) Run() uint64 {
 	live := len(m.Threads)
 	if live == 0 {
@@ -259,14 +270,15 @@ func (m *Machine) Run() uint64 {
 		t := t
 		go func() {
 			defer func() {
-				if r := recover(); r != nil {
+				if r := recover(); r != nil && r != errUnwound {
 					t.err = fmt.Errorf("sim thread %d: %v", t.ID, r)
 				}
 				t.done = true
 				m.park <- t
 			}()
-			<-t.turn
-			t.body(t)
+			if _, ok := <-t.turn; ok {
+				t.body(t)
+			}
 		}()
 	}
 	// All threads start parked on their turn channel; wake the first.
@@ -297,6 +309,7 @@ func (m *Machine) Run() uint64 {
 		if parked.done {
 			live--
 			if parked.err != nil {
+				m.unwind()
 				panic(parked.err)
 			}
 			continue
@@ -310,6 +323,19 @@ func (m *Machine) Run() uint64 {
 		}
 	}
 	return end
+}
+
+// unwind ends the threads still parked after one panicked, one at a
+// time, so the re-raised panic leaks no goroutine. Closing a thread's
+// turn channel skips a body that never started and panics a parked one
+// out of its Yield; unwind waits for each to finish before the next.
+func (m *Machine) unwind() {
+	for _, t := range m.Threads {
+		if !t.done {
+			close(t.turn)
+			<-m.park
+		}
+	}
 }
 
 // Now returns the minimum clock across threads — the global simulated time

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 func TestAccountsTotalsAndOverhead(t *testing.T) {
@@ -233,6 +236,48 @@ func TestMachinePanicPropagates(t *testing.T) {
 	m := NewMachine(1, 100)
 	m.AddThread(func(th *Thread) { panic("boom") })
 	m.Run()
+}
+
+// TestMachinePanicUnwindsThreads: when Run re-raises a thread's panic,
+// the other threads' goroutines must not stay blocked on their turn
+// channels. They cover the three places a live thread can be parked: in
+// a deferred Yield, in a Yield whose caller defers another, and before
+// its body ever started. None of them may run on past its park.
+func TestMachinePanicUnwindsThreads(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ranOn := false
+	m := NewMachine(1, 10)
+	m.AddThread(func(th *Thread) {
+		defer th.Yield()
+		th.DirectCharge(Base, 1)
+	})
+	m.AddThread(func(th *Thread) {
+		defer th.Yield()
+		th.Charge(Base, 20)
+		ranOn = true
+	})
+	m.AddThread(func(th *Thread) { panic("boom") })
+	m.AddThread(func(th *Thread) { ranOn = true })
+
+	func() {
+		defer func() {
+			r := recover()
+			if err, ok := r.(error); !ok || !strings.Contains(err.Error(), "sim thread 2: boom") {
+				t.Fatalf("recovered %v, want thread 2's panic", r)
+			}
+		}()
+		m.Run()
+	}()
+	if ranOn {
+		t.Error("a parked thread ran on after another thread panicked")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines after a panicking Run = %d, want <= %d (thread leak)", n, before)
+	}
 }
 
 func TestMachineEmptyRun(t *testing.T) {

@@ -15,14 +15,15 @@ import (
 	"repro/internal/terpc"
 )
 
+// deviceSize is the NVM device every kernel run gets (1 GB).
+const deviceSize = 1 << 30
+
 // RunOpts configures one kernel run.
 type RunOpts struct {
 	// Threads is the worker count (1 or the paper's 4).
 	Threads int
 	// Scale multiplies the kernel's array sizes.
 	Scale int
-	// DeviceSize overrides the NVM device size (default 1 GB).
-	DeviceSize uint64
 	// InsertOverride replaces the insertion pass options (used by the
 	// compiler cost-model ablation); nil selects the scheme defaults.
 	InsertOverride *terpc.Options
@@ -37,9 +38,6 @@ func (o RunOpts) withDefaults() RunOpts {
 	}
 	if o.Scale == 0 {
 		o.Scale = 1
-	}
-	if o.DeviceSize == 0 {
-		o.DeviceSize = 1 << 30
 	}
 	return o
 }
@@ -60,9 +58,9 @@ func InsertOptions(cfg params.Config) (terpc.Options, bool) {
 }
 
 // Build compiles the kernel at the given scale and, when insert is true,
-// runs the attach/detach insertion pass over it. The returned program is
-// read-only to the interpreter, so one Build result may back any number
-// of concurrent RunProgram calls (the runner's program cache relies on
+// runs the attach/detach insertion pass over it. Neither the interpreter
+// nor ir.Link mutates the returned program, so one Build result may back
+// any number of concurrent runs (the runner's program cache relies on
 // this).
 func Build(k Kernel, scale int, insert bool, opt terpc.Options) (*ir.Program, error) {
 	if scale < 1 {
@@ -81,7 +79,7 @@ func Build(k Kernel, scale int, insert bool, opt terpc.Options) (*ir.Program, er
 }
 
 // Run compiles the kernel, applies the configuration's insertion strategy,
-// and executes it on a fresh simulated machine.
+// links the result and executes it on a fresh simulated machine.
 func Run(cfg params.Config, k Kernel, opts RunOpts) (core.Result, error) {
 	opts = opts.withDefaults()
 	o, insert := InsertOptions(cfg)
@@ -92,12 +90,18 @@ func Run(cfg params.Config, k Kernel, opts RunOpts) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	return RunProgram(cfg, k, prog, opts)
+	l, err := ir.Link(prog)
+	if err != nil {
+		return core.Result{}, fmt.Errorf("speckit %s: %w", k.Name, err)
+	}
+	return RunLinked(cfg, k, l, opts)
 }
 
 // RunProgram executes an already compiled (and, scheme permitting,
-// instrumented) kernel program on a fresh simulated machine. The program
-// is not mutated, so callers may share one program across concurrent runs.
+// instrumented) kernel program on a fresh simulated machine through the
+// block interpreter (interp.New). It is the reference RunLinked is
+// tested against. The program is not mutated, so callers may share one
+// program across concurrent runs.
 func RunProgram(cfg params.Config, k Kernel, prog *ir.Program, opts RunOpts) (core.Result, error) {
 	return runWith(cfg, k, prog.PMONames(), opts, func(ctx *core.ThreadCtx) (*interp.Machine, error) {
 		return interp.New(prog, ctx)
@@ -119,7 +123,7 @@ func RunLinked(cfg params.Config, k Kernel, l *ir.Linked, opts RunOpts) (core.Re
 // place the single- and multi-thread drive logic lives.
 func runWith(cfg params.Config, k Kernel, pmoNames []string, opts RunOpts, newMachine func(*core.ThreadCtx) (*interp.Machine, error)) (core.Result, error) {
 	opts = opts.withDefaults()
-	mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, opts.DeviceSize))
+	mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, deviceSize))
 	rt := core.NewRuntime(cfg, mgr)
 	if opts.OnRuntime != nil {
 		opts.OnRuntime(rt)

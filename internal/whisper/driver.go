@@ -16,8 +16,6 @@ import (
 type RunOpts struct {
 	// Ops is the number of operations (the paper runs 100K).
 	Ops int
-	// Seed seeds workload randomness (defaults to the config seed).
-	Seed int64
 	// OnRuntime, when set, is called with the freshly built runtime
 	// before the run (tracing, inspection).
 	OnRuntime func(*core.Runtime)
@@ -58,10 +56,6 @@ func Run(cfg params.Config, mk func() Workload, opts RunOpts) (core.Result, erro
 	if opts.Ops == 0 {
 		opts.Ops = DefaultOps
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = cfg.Seed
-	}
 	w := mk()
 
 	dev := nvm.NewDevice(nvm.NVM, 2*pmoSize)
@@ -71,7 +65,7 @@ func Run(cfg params.Config, mk func() Workload, opts RunOpts) (core.Result, erro
 		opts.OnRuntime(rt)
 	}
 	ctx := rt.NewThread(sim.SingleThread())
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	if err := w.Setup(mgr, ctx, rng); err != nil {
 		return core.Result{}, fmt.Errorf("whisper %s setup: %w", w.Name(), err)

@@ -26,7 +26,7 @@ func runReport(t *testing.T, names []string, parallel int) (grids []*Grid, html,
 		}
 		grids = append(grids, g)
 	}
-	r := report.Build(ReportInput("determinism check", grids), report.Options{})
+	r := report.Build(ReportInput("determinism check", grids))
 	return grids, report.HTML(r), []byte(report.Text(r))
 }
 

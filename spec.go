@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"repro/internal/runner"
 )
 
 // WireVersion is the wire-format generation this build speaks. Specs
@@ -70,20 +72,21 @@ func (s ExperimentSpec) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
-// CellCount returns the number of simulation cells the spec enumerates
-// (0 for pure-analysis experiments). Schedulers use it to size queues
-// and progress displays before any cell has run.
-func (s ExperimentSpec) CellCount() (int, error) {
+// Cells returns the simulation cells the spec enumerates, in run order
+// (none for pure-analysis experiments). Schedulers use the count to size
+// queues and progress displays before any cell has run; tests use the
+// cells to check the engine one cell at a time.
+func (s ExperimentSpec) Cells() ([]runner.Cell, error) {
 	e, ok := findExperiment(s.Name)
 	if !ok {
-		return 0, fmt.Errorf("terp: unknown experiment %q (valid: %s)",
+		return nil, fmt.Errorf("terp: unknown experiment %q (valid: %s)",
 			s.Name, strings.Join(Experiments(), ", "))
 	}
 	if e.cells == nil {
-		return 0, nil
+		return nil, nil
 	}
 	s.Opts = s.Opts.withDefaults()
-	return len(e.cells(s)), nil
+	return e.cells(s), nil
 }
 
 // ParseGrids parses a grid document — the `terpbench -json` array form
