@@ -154,6 +154,11 @@ func (r *Runtime) AttachMachine(m *sim.Machine) {
 	}
 }
 
+// DetachMachine returns the runtime to single-thread mode once the
+// attached machine's run is over: thread contexts sweep the timer
+// themselves again.
+func (r *Runtime) DetachMachine() { r.machine = nil }
+
 // Manager returns the PMO manager the runtime operates on.
 func (r *Runtime) Manager() *pmo.Manager { return r.mgr }
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Account names one overhead component in the execution-time breakdown.
@@ -180,16 +179,23 @@ func (t *Thread) AdvanceTo(c uint64, a Account) {
 	}
 }
 
-// Yield hands control back to the machine scheduler, which will resume
-// this thread when it again holds the minimum clock. On threads that are
-// not machine-scheduled it is a no-op.
+// Yield ends the thread's turn: the thread itself picks the next thread
+// to run. When it still holds the minimum clock it keeps running with no
+// goroutine switch; otherwise it wakes the next thread and parks until a
+// later pick resumes it. On threads that are not machine-scheduled it is
+// a no-op.
 func (t *Thread) Yield() {
 	m := t.machine
 	if m == nil {
 		return
 	}
 	t.yieldBudget = 0
-	m.park <- t
+	next := m.pick()
+	m.dispatch(next)
+	if next == t {
+		return
+	}
+	next.turn <- struct{}{}
 	if _, ok := <-t.turn; !ok {
 		// The run is over: detach from the machine so Yields made by
 		// deferred calls while unwinding return at once, then unwind.
@@ -203,21 +209,28 @@ func (t *Thread) Yield() {
 var errUnwound = errors.New("sim: run ended by another thread's panic")
 
 // Machine is a deterministic cooperative scheduler for simulated threads.
-// It always resumes the runnable thread with the smallest local clock, so
-// the interleaving of cross-thread events is a deterministic function of
-// the per-thread cycle charges. Hardware "background" work (the circular
-// buffer timer sweep) is driven by hooks invoked as global time advances.
+// It always resumes the unfinished thread with the smallest local clock,
+// so the interleaving of cross-thread events is a deterministic function
+// of the per-thread cycle charges. There is no scheduler goroutine: the
+// thread that yields or finishes picks its successor and hands it the
+// CPU directly, so one thread goroutine runs at a time and the channel
+// handoff orders every access to the machine state. Hardware
+// "background" work (the circular buffer timer sweep) is driven by hooks
+// invoked as global time advances.
 type Machine struct {
 	Threads []*Thread
 	// Rand is the machine-wide deterministic random source.
 	Rand *rand.Rand
 
 	quantum uint64
-	park    chan *Thread
+	// end carries the thread that ends the run to Run: the last one to
+	// finish, or the first one to panic.
+	end chan *Thread
 
 	// tick is called with the new global low-water-mark time whenever
 	// it advances; the TERP hardware uses it to run timer sweeps.
-	tick func(now uint64)
+	tick     func(now uint64)
+	lastTick uint64
 
 	// SwitchHook, when set, observes every context switch: it is called
 	// with the resumed thread's clock and ID each time the scheduler
@@ -236,7 +249,7 @@ func NewMachine(seed int64, quantum uint64) *Machine {
 	return &Machine{
 		Rand:    rand.New(rand.NewSource(seed)),
 		quantum: quantum,
-		park:    make(chan *Thread),
+		end:     make(chan *Thread),
 		lastRun: -1,
 	}
 }
@@ -262,59 +275,19 @@ func (m *Machine) AddThread(body func(*Thread)) *Thread {
 // Any panic inside a thread body is re-raised on the caller once every
 // other thread has been unwound.
 func (m *Machine) Run() uint64 {
-	live := len(m.Threads)
-	if live == 0 {
+	if len(m.Threads) == 0 {
 		return 0
 	}
 	for _, t := range m.Threads {
-		t := t
-		go func() {
-			defer func() {
-				if r := recover(); r != nil && r != errUnwound {
-					t.err = fmt.Errorf("sim thread %d: %v", t.ID, r)
-				}
-				t.done = true
-				m.park <- t
-			}()
-			if _, ok := <-t.turn; ok {
-				t.body(t)
-			}
-		}()
+		go m.run(t)
 	}
 	// All threads start parked on their turn channel; wake the first.
-	runnable := make([]*Thread, len(m.Threads))
-	copy(runnable, m.Threads)
-	var lastTick uint64
-	for live > 0 {
-		// Pick the runnable thread with the minimum clock; ties are
-		// broken by thread ID for determinism.
-		sort.Slice(runnable, func(i, j int) bool {
-			if runnable[i].Clock != runnable[j].Clock {
-				return runnable[i].Clock < runnable[j].Clock
-			}
-			return runnable[i].ID < runnable[j].ID
-		})
-		next := runnable[0]
-		runnable = runnable[1:]
-		if m.tick != nil && next.Clock > lastTick {
-			lastTick = next.Clock
-			m.tick(lastTick)
-		}
-		if m.SwitchHook != nil && next.ID != m.lastRun {
-			m.SwitchHook(next.Clock, next.ID)
-		}
-		m.lastRun = next.ID
-		next.turn <- struct{}{}
-		parked := <-m.park
-		if parked.done {
-			live--
-			if parked.err != nil {
-				m.unwind()
-				panic(parked.err)
-			}
-			continue
-		}
-		runnable = append(runnable, parked)
+	first := m.pick()
+	m.dispatch(first)
+	first.turn <- struct{}{}
+	if t := <-m.end; t.err != nil {
+		m.unwind()
+		panic(t.err)
 	}
 	var end uint64
 	for _, t := range m.Threads {
@@ -325,6 +298,61 @@ func (m *Machine) Run() uint64 {
 	return end
 }
 
+// run is thread t's goroutine. A thread whose body returns hands the CPU
+// on like a Yield; the last thread to finish, one that panicked and one
+// unwound after another's panic report to Run instead.
+func (m *Machine) run(t *Thread) {
+	handedOff := false
+	defer func() {
+		if handedOff {
+			return
+		}
+		if r := recover(); r != nil && r != errUnwound {
+			t.err = fmt.Errorf("sim thread %d: %v", t.ID, r)
+		}
+		t.done = true
+		m.end <- t
+	}()
+	if _, ok := <-t.turn; !ok {
+		return
+	}
+	t.body(t)
+	t.done = true
+	// A nil machine means the body recovered from its own unwinding.
+	if next := m.pick(); next != nil && t.machine != nil {
+		m.dispatch(next)
+		next.turn <- struct{}{}
+		handedOff = true
+	}
+}
+
+// pick returns the unfinished thread with the minimum clock, ties going
+// to the lower ID, or nil once every thread has finished.
+func (m *Machine) pick() *Thread {
+	var next *Thread
+	for _, t := range m.Threads {
+		if !t.done && (next == nil || t.Clock < next.Clock) {
+			next = t
+		}
+	}
+	return next
+}
+
+// dispatch runs the hooks due before next takes the CPU: the tick when
+// next's clock passed the last tick, then SwitchHook when next is not the
+// thread that ran last. next was picked before the hooks run and stays
+// picked whatever they charge.
+func (m *Machine) dispatch(next *Thread) {
+	if m.tick != nil && next.Clock > m.lastTick {
+		m.lastTick = next.Clock
+		m.tick(m.lastTick)
+	}
+	if m.SwitchHook != nil && next.ID != m.lastRun {
+		m.SwitchHook(next.Clock, next.ID)
+	}
+	m.lastRun = next.ID
+}
+
 // unwind ends the threads still parked after one panicked, one at a
 // time, so the re-raised panic leaks no goroutine. Closing a thread's
 // turn channel skips a body that never started and panics a parked one
@@ -333,24 +361,19 @@ func (m *Machine) unwind() {
 	for _, t := range m.Threads {
 		if !t.done {
 			close(t.turn)
-			<-m.park
+			<-m.end
 		}
 	}
 }
 
-// Now returns the minimum clock across threads — the global simulated time
-// up to which all events are final. With a single thread it is that
-// thread's clock.
+// Now returns the minimum clock across unfinished threads — the global
+// simulated time up to which all events are final. With a single thread
+// it is that thread's clock.
 func (m *Machine) Now() uint64 {
-	var now uint64
-	first := true
-	for _, t := range m.Threads {
-		if !t.done && (first || t.Clock < now) {
-			now = t.Clock
-			first = false
-		}
+	if t := m.pick(); t != nil {
+		return t.Clock
 	}
-	return now
+	return 0
 }
 
 // TotalCosts sums the cost accounts of every thread.

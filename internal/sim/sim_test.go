@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -135,38 +138,123 @@ func TestSingleThreadCharge(t *testing.T) {
 	}
 }
 
+// step is one step of a scripted thread body: Charge(n), or with direct
+// set DirectCharge(n) followed by an explicit Yield.
+type step struct {
+	n      uint64
+	direct bool
+}
+
+// TestMachineMinTimeOrdering runs scripted thread bodies and checks the
+// exact schedule: every body step start ("t<id>@<clock>"), and with
+// hooks on every tick ("tick <now>") and context switch
+// ("switch t<id>@<clock>"), in the order they happened, plus each
+// thread's final clock.
 func TestMachineMinTimeOrdering(t *testing.T) {
-	m := NewMachine(1, 10)
-	var order []int
-	// Thread 0 does two 100-cycle steps; thread 1 does one 50-cycle
-	// step then one 200-cycle step. Min-time order of step starts:
-	// t0@0, t1@0 (tie by id: t0 first), then t1@50, t0@100, t1@250...
-	m.AddThread(func(th *Thread) {
-		order = append(order, 0)
-		th.Charge(Base, 100)
-		order = append(order, 0)
-		th.Charge(Base, 100)
-	})
-	m.AddThread(func(th *Thread) {
-		order = append(order, 1)
-		th.Charge(Base, 50)
-		order = append(order, 1)
-		th.Charge(Base, 200)
-	})
-	end := m.Run()
-	if end != 250 {
-		t.Fatalf("end = %d, want 250", end)
-	}
-	// Step starts in min-time order: t0@0, t1@0 (tie by ID), t1@50
-	// (its clock 50 < t0's 100), then t0@100.
-	want := []int{0, 1, 1, 0}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	for _, tc := range []struct {
+		name    string
+		quantum uint64
+		threads [][]step
+		// hooks installs SwitchHook and a tick hook that calls
+		// ChargeAll(Rand, 4) on every third tick and stalls the
+		// thread about to run on every fifth.
+		hooks      bool
+		want       []string
+		wantClocks []uint64
+	}{
+		{
+			// Step starts in min-time order: t0@0, t1@0 (tie by
+			// ID), t1@50 (its clock 50 < t0's 100), then t0@100.
+			name:       "two threads",
+			quantum:    10,
+			threads:    [][]step{{{n: 100}, {n: 100}}, {{n: 50}, {n: 200}}},
+			want:       []string{"t0@0", "t1@0", "t1@50", "t0@100"},
+			wantClocks: []uint64{200, 250},
+		},
+		{
+			// Unequal steps; some yields leave the yielding thread
+			// at the minimum clock, so it keeps the CPU; ticks
+			// stall every thread or only the picked one; thread 1
+			// finishes early.
+			name:    "four threads with hooks",
+			quantum: 20,
+			threads: [][]step{
+				{{n: 40}, {n: 5, direct: true}, {n: 30}, {n: 60, direct: true}, {n: 10}},
+				{{n: 10}, {n: 10}, {n: 3, direct: true}},
+				{{n: 20, direct: true}, {n: 70}, {n: 1, direct: true}, {n: 25}},
+				{{n: 15}, {n: 2, direct: true}, {n: 2, direct: true}, {n: 55}, {n: 8, direct: true}},
+			},
+			hooks: true,
+			want: []string{
+				"switch t0@0", "t0@0",
+				"switch t1@0", "t1@0", "t1@10",
+				"switch t2@0", "t2@0",
+				"switch t3@0", "t3@0", "t3@15", "tick 17", "t3@17", "tick 19", "t3@19", "tick 20",
+				"switch t1@24", "t1@24", "tick 24",
+				"switch t2@24", "t2@24", "tick 27",
+				"switch t1@57", "tick 44",
+				"switch t0@48", "t0@48", "tick 53", "t0@53", "tick 82",
+				"switch t3@82", "t3@82", "tick 83",
+				"switch t0@87", "t0@87", "tick 94",
+				"switch t3@124", "tick 102",
+				"switch t2@102", "t2@102", "tick 103", "t2@107", "tick 132", "tick 151",
+				"switch t0@151", "t0@151",
+			},
+			wantClocks: []uint64{161, 57, 132, 124},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMachine(1, tc.quantum)
+			var log []string
+			if tc.hooks {
+				m.SwitchHook = func(ts uint64, thread int) {
+					log = append(log, fmt.Sprintf("switch t%d@%d", thread, ts))
+				}
+				ticks := 0
+				m.SetTick(func(now uint64) {
+					log = append(log, fmt.Sprintf("tick %d", now))
+					ticks++
+					if ticks%3 == 0 {
+						m.ChargeAll(Rand, 4)
+					}
+					if ticks%5 == 0 {
+						// Stall only the thread about to run: it
+						// was picked before the tick, so it still
+						// runs next.
+						for _, th := range m.Threads {
+							if !th.done && th.Clock == now {
+								th.DirectCharge(Other, 30)
+							}
+						}
+					}
+				})
+			}
+			for _, steps := range tc.threads {
+				steps := steps
+				m.AddThread(func(th *Thread) {
+					for _, s := range steps {
+						log = append(log, fmt.Sprintf("t%d@%d", th.ID, th.Clock))
+						if s.direct {
+							th.DirectCharge(Base, s.n)
+							th.Yield()
+						} else {
+							th.Charge(Base, s.n)
+						}
+					}
+				})
+			}
+			end := m.Run()
+			var clocks []uint64
+			for _, th := range m.Threads {
+				clocks = append(clocks, th.Clock)
+			}
+			if !reflect.DeepEqual(log, tc.want) {
+				t.Errorf("schedule =\n%q\nwant\n%q", log, tc.want)
+			}
+			if !reflect.DeepEqual(clocks, tc.wantClocks) || end != slices.Max(clocks) {
+				t.Errorf("final clocks = %v, end = %d; want %v, end = max", clocks, end, tc.wantClocks)
+			}
+		})
 	}
 }
 
@@ -278,6 +366,41 @@ func TestMachinePanicUnwindsThreads(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("goroutines after a panicking Run = %d, want <= %d (thread leak)", n, before)
 	}
+}
+
+// runHandoff runs a machine of threads whose bodies each charge quanta
+// quanta one at a time, so every charge yields and hands the CPU to the
+// next thread.
+func runHandoff(threads, quanta int) {
+	const quantum = 200
+	m := NewMachine(1, quantum)
+	for t := 0; t < threads; t++ {
+		m.AddThread(func(th *Thread) {
+			for i := 0; i < quanta; i++ {
+				th.Charge(Base, quantum)
+			}
+		})
+	}
+	m.Run()
+}
+
+// TestMachineHandoffAllocatesNothing: a run with 11x the handoffs
+// allocates exactly as much, so a handoff allocates nothing.
+func TestMachineHandoffAllocatesNothing(t *testing.T) {
+	allocs := func(quanta int) float64 {
+		return testing.AllocsPerRun(5, func() { runHandoff(4, quanta) })
+	}
+	if short, long := allocs(100), allocs(1100); short != long {
+		t.Fatalf("allocs per run = %v at 100 quanta per thread, %v at 1100; want equal", short, long)
+	}
+}
+
+// BenchmarkMachineHandoff times one scheduler handoff between four
+// threads, as terpperf's sim.handoff_ns does.
+func BenchmarkMachineHandoff(b *testing.B) {
+	const threads = 4
+	b.ReportAllocs()
+	runHandoff(threads, (b.N+threads-1)/threads)
 }
 
 func TestMachineEmptyRun(t *testing.T) {

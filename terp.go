@@ -266,11 +266,13 @@ func (s *System) Reboot() (*System, error) {
 }
 
 // Parallel runs n simulated threads concurrently under the system's
-// scheme. Each body receives its thread context; the deterministic
-// min-time scheduler interleaves them at Options.QuantumCycles
-// granularity. It returns the section's end time in cycles; when
-// several threads fail, every failure is reported (errors.Join).
+// scheme. The threads fork from the main thread's clock; each body
+// receives its thread context; the deterministic min-time scheduler
+// interleaves them at Options.QuantumCycles granularity. The main thread
+// joins at the section's end time, which Parallel returns in cycles;
+// when several threads fail, every failure is reported (errors.Join).
 func (s *System) Parallel(n int, body func(t int, ctx *core.ThreadCtx) error) (uint64, error) {
+	main := s.main.Thread()
 	m := sim.NewMachine(s.opts.Seed, s.opts.QuantumCycles)
 	s.rt.AttachMachine(m)
 	threadErrs := make([]error, n)
@@ -278,9 +280,13 @@ func (s *System) Parallel(n int, body func(t int, ctx *core.ThreadCtx) error) (u
 		i := i
 		m.AddThread(func(th *sim.Thread) {
 			threadErrs[i] = body(i, s.rt.NewThread(th))
-		})
+		}).Clock = main.Clock
 	}
-	end := m.Run()
+	end := max(m.Run(), main.Clock) // Run returns 0 when n is 0
+	s.rt.DetachMachine()
+	// The join moves the clock without a charge: Stats sums every
+	// thread's accounts, and the section's threads hold its cycles.
+	main.Clock = end
 	var errs []error
 	for i, err := range threadErrs {
 		if err != nil {

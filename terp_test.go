@@ -1,6 +1,7 @@
 package terp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -154,6 +155,63 @@ func TestSystemParallel(t *testing.T) {
 	st := sys.Runtime().Finish(end)
 	if st.Counts.SilentOps == 0 {
 		t.Fatal("no combining across threads")
+	}
+}
+
+// TestParallelForksAndJoinsMainThread: a Parallel section starts at the
+// main thread's clock and the main thread resumes at the section's end,
+// so Stats covers the section's time; afterwards the runtime is
+// single-threaded again, so the main thread's own timer sweep closes a
+// window it left open.
+func TestParallelForksAndJoinsMainThread(t *testing.T) {
+	sys, err := NewSystem(Options{Scheme: TT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := sys.Create("p", 1<<20)
+	q, _ := sys.Create("q", 1<<20)
+	po, _ := p.Alloc(8)
+	qo, _ := q.Alloc(8)
+	main := sys.MainThread()
+	sys.Compute(1000)
+	start := main.Now()
+	end, err := sys.Parallel(2, func(tid int, ctx *core.ThreadCtx) error {
+		if ctx.Now() != start {
+			return fmt.Errorf("starts at cycle %d, want the main thread's %d", ctx.Now(), start)
+		}
+		ctx.Compute(100000)
+		if err := ctx.Attach(q, ReadWrite); err != nil {
+			return err
+		}
+		return ctx.Store(qo, uint64(tid))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if main.Now() != end || end < start+100000 {
+		t.Fatalf("main thread at cycle %d after a section from %d to %d, want the section's end", main.Now(), start, end)
+	}
+	// The join moves the clock without a charge: Stats sums every
+	// thread's accounts, so the section's cycles are already counted.
+	if got := main.Thread().Costs.Total(); got != 1000 {
+		t.Errorf("main thread accounts = %d cycles after the join, want 1000", got)
+	}
+	if st := sys.Stats(); st.Cycles != end || st.Exposure.MaxEW == 0 || st.Exposure.ER == 0 {
+		t.Errorf("Stats after the section: cycles %d (want %d), %v; want q's open window counted", st.Cycles, end, st.Exposure)
+	}
+
+	if err := sys.Attach(p, ReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Store(po, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Detach(p); err != nil {
+		t.Fatal(err)
+	}
+	sys.Compute(2_000_000)
+	if sys.Runtime().AddressSpace().Attached(p.ID) {
+		t.Error("p still attached after an exposure window's worth of main-thread compute: the timer sweep did not run")
 	}
 }
 
