@@ -57,3 +57,15 @@ func BenchmarkDeviceWrite8(b *testing.B) {
 		off = (off + 8) % (1 << 20)
 	}
 }
+
+// BenchmarkNewDevice measures creating a 2 GB device and writing one
+// word: what crash recovery pays for every image it checks on a fresh
+// device.
+func BenchmarkNewDevice(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := NewDevice(NVM, 2<<30).Write8(0, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,13 +1,15 @@
 // Package nvm models the physical memory devices of the simulated machine:
 // a byte-addressable persistent memory (NVM) device and a DRAM device.
-// Storage is sparse (pages are materialized on first touch) so simulations
-// can declare the paper's 1 GB PMOs without allocating 1 GB. The NVM
-// device supports snapshot and restore, which the crash-consistency tests
-// use to emulate power failure, and counts reads/writes for the
-// wear-related statistics. An optional persist buffer (persist.go) models
-// the volatile store path to persistent media: while enabled, writes only
-// become durable once their cache line is flushed and a fence drains it,
-// and CrashImage materializes the state a power failure would leave.
+// Storage is sparse (pages are materialized on first touch) and so is its
+// bookkeeping (a page directory that grows with the pages written), so
+// simulations can declare the paper's 1 GB PMOs on a 2 GB device without
+// paying for either. The NVM device supports snapshot and restore, which
+// the crash-consistency tests use to emulate power failure, and counts
+// reads/writes for the wear-related statistics. An optional persist buffer
+// (persist.go) models the volatile store path to persistent media: while
+// enabled, writes only become durable once their cache line is flushed and
+// a fence drains it, and CrashImage materializes the state a power failure
+// would leave.
 package nvm
 
 import (
@@ -38,20 +40,25 @@ func (k Kind) String() string {
 	return "NVM"
 }
 
-// maxTablePages bounds the direct page-table representation: devices of
-// up to this many pages (4 GB at 4 KB pages, an 8 MB pointer table) index
-// their pages through a flat slice; larger devices fall back to the
-// sparse map. Both are materialize-on-first-touch.
-const maxTablePages = 1 << 20
+// A leaf is one page-directory node: the backing pages of a 4 MB stretch
+// of device space, nil for a page never written.
+type leaf [leafPages]*[pageSize]byte
+
+const leafPages = 1024 // pages per leaf: 8 KB of pointers
 
 // Device is one sparse byte-addressable memory device.
+//
+// Page pn lives at dir[pn/leafPages][pn%leafPages]. The directory grows on
+// first write up to the highest leaf touched, and leaves and pages are
+// allocated on first write, so a device costs 8 bytes per 4 MB of space
+// below its highest written byte (at most size/512 KB: 4 KB for 2 GB, 2 MB
+// for 1 TB), 8 KB per leaf touched and 4 KB per page touched, whatever its
+// capacity. NewDevice allocates nothing that depends on size.
 type Device struct {
-	kind  Kind
-	size  uint64
-	pages map[uint64][]byte // sparse store (nil when table is in use)
-	table [][]byte          // direct page table (nil for huge devices)
-	// npages counts materialized pages under the table representation.
-	npages int
+	kind   Kind
+	size   uint64
+	dir    []*leaf
+	npages int // materialized pages
 
 	// buf, when non-nil, is the volatile persist buffer: writes stay
 	// volatile until flushed and fenced (see EnablePersistBuffer).
@@ -66,13 +73,7 @@ var ErrOutOfRange = errors.New("nvm: access out of device range")
 
 // NewDevice creates a device of the given technology and byte size.
 func NewDevice(kind Kind, size uint64) *Device {
-	d := &Device{kind: kind, size: size}
-	if n := (size + pageSize - 1) / pageSize; n <= maxTablePages {
-		d.table = make([][]byte, n)
-	} else {
-		d.pages = make(map[uint64][]byte)
-	}
-	return d
+	return &Device{kind: kind, size: size}
 }
 
 // Kind returns the device technology.
@@ -84,23 +85,39 @@ func (d *Device) Size() uint64 { return d.size }
 // Persistent reports whether the device retains contents across a crash.
 func (d *Device) Persistent() bool { return d.kind == NVM }
 
-// page returns the backing page for offset, materializing it if needed.
-func (d *Device) page(off uint64, materialize bool) []byte {
-	pn := off / pageSize
-	if d.table != nil {
-		p := d.table[pn]
-		if p == nil && materialize {
-			p = make([]byte, pageSize)
-			d.table[pn] = p
-			d.npages++
+// lookup returns the backing page of page pn, or nil when the page was
+// never written. It is small enough to inline into the word accessors.
+func (d *Device) lookup(pn uint64) *[pageSize]byte {
+	if i := pn / leafPages; i < uint64(len(d.dir)) {
+		if l := d.dir[i]; l != nil {
+			return l[pn%leafPages]
 		}
-		return p
 	}
-	p := d.pages[pn]
-	if p == nil && materialize {
-		p = make([]byte, pageSize)
-		d.pages[pn] = p
+	return nil
+}
+
+// materialize allocates the zeroed backing page of page pn (which must not
+// exist yet), growing the directory and allocating its leaf as needed.
+// Writers call it only on a lookup miss; keeping it out of line keeps
+// their page-hit path small.
+//
+//go:noinline
+func (d *Device) materialize(pn uint64) *[pageSize]byte {
+	i := pn / leafPages
+	if i >= uint64(len(d.dir)) {
+		// Exactly i+1 leaves, so the bound in the Device comment holds.
+		dir := make([]*leaf, i+1)
+		copy(dir, d.dir)
+		d.dir = dir
 	}
+	l := d.dir[i]
+	if l == nil {
+		l = new(leaf)
+		d.dir[i] = l
+	}
+	p := new([pageSize]byte)
+	l[pn%leafPages] = p
+	d.npages++
 	return p
 }
 
@@ -130,12 +147,10 @@ func (d *Device) readRaw(b []byte, off uint64) {
 		if n > uint64(len(b)) {
 			n = uint64(len(b))
 		}
-		if p := d.page(off, false); p != nil {
+		if p := d.lookup(off / pageSize); p != nil {
 			copy(b[:n], p[in:in+n])
 		} else {
-			for i := range b[:n] {
-				b[i] = 0
-			}
+			clear(b[:n])
 		}
 		b = b[n:]
 		off += n
@@ -157,7 +172,10 @@ func (d *Device) WriteAt(b []byte, off uint64) error {
 		if n > uint64(len(b)) {
 			n = uint64(len(b))
 		}
-		p := d.page(off, true)
+		p := d.lookup(off / pageSize)
+		if p == nil {
+			p = d.materialize(off / pageSize)
+		}
 		copy(p[in:in+n], b[:n])
 		b = b[n:]
 		off += n
@@ -175,7 +193,7 @@ func (d *Device) Read8(off uint64) (uint64, error) {
 			return 0, err
 		}
 		d.Reads += 8
-		p := d.page(off, false)
+		p := d.lookup(off / pageSize)
 		if p == nil {
 			return 0, nil
 		}
@@ -197,7 +215,11 @@ func (d *Device) Write8(off uint64, v uint64) error {
 			return err
 		}
 		d.Writes += 8
-		put64(d.page(off, true)[in:in+8], v)
+		p := d.lookup(off / pageSize)
+		if p == nil {
+			p = d.materialize(off / pageSize)
+		}
+		put64(p[in:in+8], v)
 		return nil
 	}
 	var b [8]byte
@@ -225,10 +247,8 @@ func (d *Device) Zero(off uint64, n uint64) error {
 		}
 		if in == 0 && m == pageSize {
 			d.dropPage(off / pageSize)
-		} else if p := d.page(off, false); p != nil {
-			for i := in; i < in+m; i++ {
-				p[i] = 0
-			}
+		} else if p := d.lookup(off / pageSize); p != nil {
+			clear(p[in : in+m])
 		}
 		off += m
 		n -= m
@@ -238,59 +258,41 @@ func (d *Device) Zero(off uint64, n uint64) error {
 
 // dropPage discards a whole materialized page.
 func (d *Device) dropPage(pn uint64) {
-	if d.table != nil {
-		if d.table[pn] != nil {
-			d.table[pn] = nil
-			d.npages--
-		}
-		return
+	if d.lookup(pn) != nil {
+		d.dir[pn/leafPages][pn%leafPages] = nil
+		d.npages--
 	}
-	delete(d.pages, pn)
 }
 
 // Snapshot captures the full device contents. Used to emulate the state
 // that survives a crash (for NVM) in crash-consistency tests.
 func (d *Device) Snapshot() map[uint64][]byte {
-	s := make(map[uint64][]byte, d.FootprintPages())
-	if d.table != nil {
-		for pn, p := range d.table {
-			if p == nil {
-				continue
-			}
-			cp := make([]byte, pageSize)
-			copy(cp, p)
-			s[uint64(pn)] = cp
+	s := make(map[uint64][]byte, d.npages)
+	for i, l := range d.dir {
+		if l == nil {
+			continue
 		}
-		return s
-	}
-	for pn, p := range d.pages {
-		cp := make([]byte, pageSize)
-		copy(cp, p)
-		s[pn] = cp
+		for j, p := range l {
+			if p != nil {
+				s[uint64(i)*leafPages+uint64(j)] = append([]byte(nil), p[:]...)
+			}
+		}
 	}
 	return s
 }
 
 // Restore replaces the device contents with a snapshot. It models a
 // power cycle, so an enabled persist buffer empties: the restored bytes
-// are durable and no volatile lines survive.
+// are durable and no volatile lines survive. A snapshot page past the
+// device's last page panics.
 func (d *Device) Restore(s map[uint64][]byte) {
-	if d.table != nil {
-		clear(d.table)
-		d.npages = 0
-		for pn, p := range s {
-			cp := make([]byte, pageSize)
-			copy(cp, p)
-			d.table[pn] = cp
-			d.npages++
+	pages := (d.size + pageSize - 1) / pageSize
+	d.dir, d.npages = nil, 0
+	for pn, p := range s {
+		if pn >= pages {
+			panic(fmt.Sprintf("nvm: snapshot page %d is outside the device's %d pages", pn, pages))
 		}
-	} else {
-		d.pages = make(map[uint64][]byte, len(s))
-		for pn, p := range s {
-			cp := make([]byte, pageSize)
-			copy(cp, p)
-			d.pages[pn] = cp
-		}
+		copy(d.materialize(pn)[:], p)
 	}
 	if d.buf != nil {
 		d.buf.reset()
@@ -298,12 +300,7 @@ func (d *Device) Restore(s map[uint64][]byte) {
 }
 
 // FootprintPages returns the number of materialized pages.
-func (d *Device) FootprintPages() int {
-	if d.table != nil {
-		return d.npages
-	}
-	return len(d.pages)
-}
+func (d *Device) FootprintPages() int { return d.npages }
 
 func le64(b []byte) uint64 {
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |

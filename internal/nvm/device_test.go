@@ -2,22 +2,27 @@ package nvm
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// forEachBacking runs f on a table-backed NVM device of the given size
-// and on a map-backed one past maxTablePages pages, so a device test
-// covers both storage representations.
+// bigDevice is 8 GB, a directory of 2048 leaves: larger than any device
+// the simulator creates.
+const bigDevice = 8 << 30
+
+// forEachBacking runs f on an NVM device of the given size and on an
+// 8 GB one, so a device test checks that nothing depends on capacity.
+// The subtests keep the names of the flat-table and map layouts that
+// covered these two sizes before the page directory replaced both.
 func forEachBacking(t *testing.T, size uint64, f func(t *testing.T, d *Device)) {
 	t.Helper()
-	table, sparse := NewDevice(NVM, size), NewDevice(NVM, 2*maxTablePages*pageSize)
-	if table.table == nil || sparse.pages == nil {
-		t.Fatal("want one table-backed and one map-backed device")
-	}
-	t.Run("table", func(t *testing.T) { f(t, table) })
-	t.Run("map", func(t *testing.T) { f(t, sparse) })
+	t.Run("table", func(t *testing.T) { f(t, NewDevice(NVM, size)) })
+	t.Run("map", func(t *testing.T) { f(t, NewDevice(NVM, bigDevice)) })
 }
 
 func TestDeviceReadWriteRoundTrip(t *testing.T) {
@@ -159,6 +164,224 @@ func TestDeviceWordProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeviceRestoreRejectsPagePastCapacity: a snapshot page at or past
+// the device's page count is a caller bug, reported with a descriptive
+// panic rather than an index error or a page kept out of range.
+func TestDeviceRestoreRejectsPagePastCapacity(t *testing.T) {
+	for _, size := range []uint64{1 << 16, bigDevice} {
+		pages := size / pageSize
+		page := func(v byte) []byte { return bytes.Repeat([]byte{v}, pageSize) }
+		d := NewDevice(NVM, size)
+		d.Restore(map[uint64][]byte{0: page(1), pages - 1: page(2)})
+		if v, err := d.Read8(size - 8); err != nil || v != 0x0202020202020202 {
+			t.Fatalf("size %d: last word = %#x, %v", size, v, err)
+		}
+		for _, pn := range []uint64{pages, pages + leafPages, 1 << 40} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "nvm: snapshot page") {
+						t.Errorf("size %d: Restore of page %d: recovered %q, want the snapshot-page panic", size, pn, msg)
+					}
+				}()
+				NewDevice(NVM, size).Restore(map[uint64][]byte{0: page(1), pn: page(2)})
+			}()
+		}
+	}
+}
+
+// TestDeviceCostIndependentOfCapacity: a device touched at its first and
+// last word costs its two pages, two leaves and a directory of one
+// pointer per 4 MB, however large its capacity.
+func TestDeviceCostIndependentOfCapacity(t *testing.T) {
+	for _, tc := range []struct{ size, limit uint64 }{
+		{2 << 30, 64 << 10},
+		{1 << 40, 4 << 20},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := NewDevice(NVM, tc.size)
+		if err := d.Write8(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Write8(tc.size-8, 2); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.limit {
+			t.Errorf("%d-byte device touched at both ends allocated %d bytes, want <= %d", tc.size, got, tc.limit)
+		}
+		if d.FootprintPages() != 2 {
+			t.Errorf("%d-byte device: %d pages, want 2", tc.size, d.FootprintPages())
+		}
+	}
+}
+
+// byteModel is the reference the device is checked against: the nonzero
+// bytes by offset and the set of pages a write has materialized.
+type byteModel struct {
+	bytes map[uint64]byte
+	pages map[uint64]bool
+}
+
+func (m *byteModel) write(off uint64, b []byte) {
+	for i, v := range b {
+		if v == 0 {
+			delete(m.bytes, off+uint64(i))
+		} else {
+			m.bytes[off+uint64(i)] = v
+		}
+	}
+	if len(b) > 0 {
+		for pn := off / pageSize; pn <= (off+uint64(len(b))-1)/pageSize; pn++ {
+			m.pages[pn] = true
+		}
+	}
+}
+
+func (m *byteModel) zero(off, n uint64) {
+	for a := off; a < off+n; a++ {
+		delete(m.bytes, a)
+	}
+	for pn := (off + pageSize - 1) / pageSize; (pn+1)*pageSize <= off+n; pn++ {
+		delete(m.pages, pn) // only pages the range covers whole are dropped
+	}
+}
+
+func (m *byteModel) read(off, n uint64) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = m.bytes[off+uint64(i)]
+	}
+	return b
+}
+
+// check compares the whole device with the model through a snapshot, and
+// checks that Snapshot -> Restore -> Snapshot preserves the image.
+func (m *byteModel) check(t *testing.T, d *Device, step int) {
+	t.Helper()
+	if d.FootprintPages() != len(m.pages) {
+		t.Fatalf("step %d: %d pages, model has %d", step, d.FootprintPages(), len(m.pages))
+	}
+	snap := d.Snapshot()
+	nonzero := 0
+	for pn, p := range snap {
+		if !m.pages[pn] {
+			t.Fatalf("step %d: page %d materialized, not in the model", step, pn)
+		}
+		for i, v := range p {
+			if off := pn*pageSize + uint64(i); v != m.bytes[off] {
+				t.Fatalf("step %d: byte %d = %#x, model %#x", step, off, v, m.bytes[off])
+			}
+			if v != 0 {
+				nonzero++
+			}
+		}
+	}
+	if len(snap) != len(m.pages) || nonzero != len(m.bytes) {
+		t.Fatalf("step %d: snapshot has %d pages and %d nonzero bytes, model %d and %d",
+			step, len(snap), nonzero, len(m.pages), len(m.bytes))
+	}
+	want := ImageHash(snap)
+	d.Restore(snap)
+	if got := ImageHash(d.Snapshot()); got != want || d.FootprintPages() != len(m.pages) {
+		t.Fatalf("step %d: Snapshot -> Restore -> Snapshot changed the image", step)
+	}
+}
+
+// TestDeviceMatchesByteMapModel drives a device and a byte-map model with
+// the same seeded random accesses, clustered where the page directory has
+// edges: page boundaries, the first leaf boundary (pages 1023-1025) and
+// the device's last page and end. Out-of-range accesses must fail and
+// change nothing.
+func TestDeviceMatchesByteMapModel(t *testing.T) {
+	small := uint64(leafPages+2)*pageSize + 1000 // ends inside page 1026
+	for i, size := range []uint64{small, bigDevice} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(i + 1)))
+			d := NewDevice(NVM, size)
+			m := &byteModel{bytes: map[uint64]byte{}, pages: map[uint64]bool{}}
+			anchors := []uint64{0, pageSize, (leafPages - 1) * pageSize, leafPages * pageSize,
+				(leafPages + 1) * pageSize, (size - 1) / pageSize * pageSize, size}
+			offset := func() uint64 {
+				a := anchors[r.Intn(len(anchors))]
+				if r.Intn(4) == 0 {
+					return a + uint64(r.Intn(pageSize)) // anywhere in the page
+				}
+				if a += uint64(r.Intn(81)); a >= 40 {
+					return a - 40 // within 40 bytes of the boundary
+				}
+				return 0
+			}
+			length := func() uint64 {
+				switch r.Intn(4) {
+				case 0:
+					return uint64(r.Intn(3 * pageSize))
+				case 1:
+					return uint64(1+r.Intn(2)) * pageSize
+				default:
+					return uint64(r.Intn(24))
+				}
+			}
+			for step := 0; step < 600; step++ {
+				off := offset()
+				var n uint64
+				var err error
+				switch r.Intn(6) {
+				case 0: // WriteAt
+					n = length()
+					b := make([]byte, n)
+					for j := range b {
+						if r.Intn(3) > 0 {
+							b[j] = byte(1 + r.Intn(255))
+						}
+					}
+					if err = d.WriteAt(b, off); err == nil {
+						m.write(off, b)
+					}
+				case 1: // Write8
+					n = 8
+					v := r.Uint64()
+					if r.Intn(4) == 0 {
+						v = 0
+					}
+					var b [8]byte
+					put64(b[:], v)
+					if err = d.Write8(off, v); err == nil {
+						m.write(off, b[:])
+					}
+				case 2: // ReadAt
+					n = length()
+					b := make([]byte, n)
+					if err = d.ReadAt(b, off); err == nil && !bytes.Equal(b, m.read(off, n)) {
+						t.Fatalf("step %d: ReadAt(%d, %d) differs from the model", step, off, n)
+					}
+				case 3: // Read8
+					n = 8
+					var v uint64
+					if v, err = d.Read8(off); err == nil && v != le64(m.read(off, 8)) {
+						t.Fatalf("step %d: Read8(%d) = %#x, model %#x", step, off, v, le64(m.read(off, 8)))
+					}
+				case 4: // Zero, whole pages
+					off = off / pageSize * pageSize
+					n = uint64(1+r.Intn(2)) * pageSize
+					if err = d.Zero(off, n); err == nil {
+						m.zero(off, n)
+					}
+				case 5: // Zero, partial
+					n = length()
+					if err = d.Zero(off, n); err == nil {
+						m.zero(off, n)
+					}
+				}
+				if inRange := off+n <= size; inRange != (err == nil) || (err != nil && !errors.Is(err, ErrOutOfRange)) {
+					t.Fatalf("step %d: access [%d, %d) on a %d-byte device: err %v", step, off, off+n, size, err)
+				}
+				m.check(t, d, step)
+			}
+		})
 	}
 }
 

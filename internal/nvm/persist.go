@@ -78,6 +78,9 @@ type PersistBuffer struct {
 	line uint64
 
 	pending map[uint64]*lineState // line number -> buffered state
+	// scratch holds one line of device content for comparisons, so a
+	// silent store or a drained writeback allocates nothing.
+	scratch []byte
 
 	events  uint64
 	flushes uint64
@@ -105,7 +108,7 @@ func (d *Device) EnablePersistBuffer(lineSize uint64) *PersistBuffer {
 	if lineSize&(lineSize-1) != 0 || lineSize > pageSize {
 		panic(fmt.Sprintf("nvm: persist-buffer line size %d must be a power of two <= %d", lineSize, pageSize))
 	}
-	b := &PersistBuffer{dev: d, line: lineSize, pending: make(map[uint64]*lineState)}
+	b := &PersistBuffer{dev: d, line: lineSize, pending: make(map[uint64]*lineState), scratch: make([]byte, lineSize)}
 	d.buf = b
 	return b
 }
@@ -226,12 +229,12 @@ func (b *PersistBuffer) dirty(off uint64, data []byte) {
 			hi = off + n
 		}
 		seg := data[lo-off : hi-off]
-		cur := make([]byte, b.line)
+		cur := b.scratch
 		b.dev.readRaw(cur, lineStart)
 		if bytesEqual(seg, cur[lo-lineStart:hi-lineStart]) {
 			continue // silent store to a clean line
 		}
-		b.pending[ln] = &lineState{durable: cur}
+		b.pending[ln] = &lineState{durable: append([]byte(nil), cur...)}
 	}
 }
 
@@ -268,9 +271,8 @@ func (b *PersistBuffer) fence() {
 		if st.wb == nil {
 			continue
 		}
-		cur := make([]byte, b.line)
-		b.dev.readRaw(cur, ln*b.line)
-		if bytesEqual(cur, st.wb) {
+		b.dev.readRaw(b.scratch, ln*b.line)
+		if bytesEqual(b.scratch, st.wb) {
 			delete(b.pending, ln) // cache copy matches the medium: clean
 		} else {
 			st.durable, st.wb = st.wb, nil // still dirty past the drain

@@ -346,3 +346,28 @@ func TestPersistBufferObsEvents(t *testing.T) {
 		t.Fatalf("occupancy hist: count=%d max=%d", occ.Count, occ.Max)
 	}
 }
+
+// TestPersistBufferComparisonsAllocateNothing pins the scratch line the
+// buffer compares device content in: a silent store to a clean line
+// allocates nothing, and a store, flush and fence cycle allocates only
+// the dirtied line's state, its durable copy and its writeback.
+func TestPersistBufferComparisonsAllocateNothing(t *testing.T) {
+	d := NewDevice(NVM, 1<<20)
+	d.Write8(0, 7)
+	d.EnablePersistBuffer(0)
+	if a := testing.AllocsPerRun(100, func() { d.Write8(0, 7) }); a != 0 {
+		t.Errorf("silent Write8 to a clean line: %v allocations, want 0", a)
+	}
+	var v uint64
+	if a := testing.AllocsPerRun(100, func() {
+		v++
+		d.Write8(64, v)
+		d.Flush(64, 8)
+		d.Fence()
+	}); a != 3 {
+		t.Errorf("Write8+Flush+Fence: %v allocations, want 3", a)
+	}
+	if v := img8(t, d.CrashImage(nil), 64); v != 101 {
+		t.Fatalf("fenced word = %d, want 101", v)
+	}
+}
