@@ -82,9 +82,6 @@ func (d *Device) Kind() Kind { return d.kind }
 // Size returns the device capacity in bytes.
 func (d *Device) Size() uint64 { return d.size }
 
-// Persistent reports whether the device retains contents across a crash.
-func (d *Device) Persistent() bool { return d.kind == NVM }
-
 // lookup returns the backing page of page pn, or nil when the page was
 // never written. It is small enough to inline into the word accessors.
 func (d *Device) lookup(pn uint64) *[pageSize]byte {

@@ -384,74 +384,3 @@ func TestDeviceMatchesByteMapModel(t *testing.T) {
 		})
 	}
 }
-
-func TestCacheBasicHitMiss(t *testing.T) {
-	c := NewCache(32<<10, 8, 64)
-	if c.Access(0) {
-		t.Fatal("cold access should miss")
-	}
-	if !c.Access(0) {
-		t.Fatal("second access should hit")
-	}
-	if !c.Access(63) {
-		t.Fatal("same-line access should hit")
-	}
-	if c.Access(64) {
-		t.Fatal("next line should miss")
-	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 2 {
-		t.Fatalf("stats = %d/%d", hits, misses)
-	}
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	// 2 sets x 2 ways x 64B lines = 256 bytes.
-	c := NewCache(256, 2, 64)
-	// Fill set 0 with two lines: addresses 0 and 128 map to set 0.
-	c.Access(0)
-	c.Access(128)
-	c.Access(0) // make 0 most-recent
-	// A third line in set 0 must evict 128 (LRU).
-	c.Access(256)
-	if !c.Access(0) {
-		t.Fatal("MRU line was evicted")
-	}
-	if c.Access(128) {
-		t.Fatal("LRU line should have been evicted")
-	}
-}
-
-func TestCacheInvalidateAll(t *testing.T) {
-	c := NewCache(1<<10, 4, 64)
-	c.Access(0)
-	c.InvalidateAll()
-	if c.Access(0) {
-		t.Fatal("access after invalidate should miss")
-	}
-}
-
-func TestCacheHitRateOnLoop(t *testing.T) {
-	c := NewCache(32<<10, 8, 64)
-	// Working set that fits: expect high hit rate after warmup.
-	for pass := 0; pass < 10; pass++ {
-		for a := uint64(0); a < 16<<10; a += 64 {
-			c.Access(a)
-		}
-	}
-	if c.HitRate() < 0.85 {
-		t.Fatalf("hit rate %f too low for fitting working set", c.HitRate())
-	}
-}
-
-func TestCacheRandomizedNoCrash(t *testing.T) {
-	c := NewCache(8<<10, 4, 64)
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 10000; i++ {
-		c.Access(r.Uint64() % (1 << 40))
-	}
-	hits, misses := c.Stats()
-	if hits+misses != 10000 {
-		t.Fatalf("accesses lost: %d", hits+misses)
-	}
-}

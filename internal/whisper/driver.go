@@ -32,14 +32,6 @@ const interruptStride = 1024
 // DefaultOps is the paper's operation count.
 const DefaultOps = 100_000
 
-// unprotCfg is the configuration used for load phases.
-func unprotCfg() params.Config {
-	return params.NewConfig(params.Unprotected, params.DefaultEWMicros)
-}
-
-// newLoadThread returns a throwaway thread for load phases.
-func newLoadThread() *sim.Thread { return sim.SingleThread() }
-
 // Run executes one WHISPER workload under the given protection
 // configuration on a fresh simulated machine and returns the result.
 //

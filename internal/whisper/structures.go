@@ -205,9 +205,28 @@ func field(n pmo.OID, off uint64) pmo.OID {
 	return pmo.MakeOID(n.Pool(), n.Offset()+off)
 }
 
+// Accessor reads and writes PMO words for a structure operation and
+// charges its non-memory work. *core.ThreadCtx is the measured one: each
+// access passes the protection checks and is charged its simulated cost.
+// A workload's load phase uses an untimed one.
+type Accessor interface {
+	Load(o pmo.OID) (uint64, error)
+	Store(o pmo.OID, v uint64) error
+	Compute(n uint64)
+}
+
+// untimed is the load-phase Accessor of one PMO: it reads and writes the
+// PMO directly and charges nothing.
+type untimed struct{ p *pmo.PMO }
+
+func (u untimed) Load(o pmo.OID) (uint64, error)  { return u.p.Read8(o.Offset()) }
+func (u untimed) Store(o pmo.OID, v uint64) error { return u.p.Write8(o.Offset(), v) }
+func (untimed) Compute(uint64)                    {}
+
 // Insert adds or updates a key transactionally; allocation of new nodes
-// charges a fixed allocator cost to the context.
-func (t *Tree) Insert(ctx *core.ThreadCtx, key, value uint64) error {
+// charges a fixed allocator cost through the accessor. The undo log
+// charges its own persistence costs to its sink.
+func (t *Tree) Insert(ctx Accessor, key, value uint64) error {
 	if err := t.log.Begin(); err != nil {
 		return err
 	}

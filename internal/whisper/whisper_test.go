@@ -1,6 +1,7 @@
 package whisper
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,6 +15,12 @@ import (
 )
 
 const testOps = 1500
+
+// unprotCfg is the unprotected configuration the structure tests run
+// their contexts under.
+func unprotCfg() params.Config {
+	return params.NewConfig(params.Unprotected, params.DefaultEWMicros)
+}
 
 func runOne(t *testing.T, scheme params.Scheme, mk func() Workload) core.Result {
 	t.Helper()
@@ -440,4 +447,44 @@ func TestTPCCAuditDetectsCorruption(t *testing.T) {
 	if err := w.CheckInvariants(p); err == nil {
 		t.Fatal("bad district not detected")
 	}
+}
+
+// TestSetupStatePinned pins each workload's state after Setup at seed 1
+// on the machine Run builds: the device image, the measured thread's
+// clock and cost accounts, and the workload rng's next draw. The load
+// phase is not timed, so none of these may change with how it runs.
+func TestSetupStatePinned(t *testing.T) {
+	want := map[string]string{
+		"echo":    "image 5c32036dcc4b972ebc9afdcfd77d091352a9966c6667e4d4ce85317db935e687 clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
+		"ycsb":    "image 890121fab95714fbecd11f05ed6829794a2db40be3cf8072307d3b13e695e7e7 clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
+		"tpcc":    "image e86bf1bbb4b0d25fc826ddeee1b0ed2586e3471ca37791b5b4b92816328ef3cf clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
+		"ctree":   "image 45d7280d081aaf91cd7a7412816c58835e43fd78522ea1dba8b8da70d75d1188 clock 12779520 costs [12779520 0 0 0 0 0] next 0xa422cbfd828d02da",
+		"hashmap": "image 988928ea9632ebafc01c637f13f6b43a03869b50470cc68c5222d7b86f4c2176 clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
+		"redis":   "image 3345fe8d1a2f7d4fddeedc4a34701a2dc209b61aa9d8b84f65e561c49dbfdb1c clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
+	}
+	for _, mk := range All() {
+		w := mk()
+		t.Run(w.Name(), func(t *testing.T) {
+			dev, mgr, ctx := newMeasured()
+			rng := rand.New(rand.NewSource(1))
+			if err := w.Setup(mgr, ctx, rng); err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("image %x clock %d costs %v next %#x",
+				nvm.ImageHash(dev.Snapshot()), ctx.Now(), ctx.Thread().Costs, rng.Uint64())
+			if got != want[w.Name()] {
+				t.Errorf("post-Setup state\n got %s\nwant %s", got, want[w.Name()])
+			}
+		})
+	}
+}
+
+// newMeasured builds the machine Run builds for a TT run at the default
+// exposure window: a 2 GB NVM device, its manager and the measured
+// thread.
+func newMeasured() (*nvm.Device, *pmo.Manager, *core.ThreadCtx) {
+	dev := nvm.NewDevice(nvm.NVM, 2*pmoSize)
+	mgr := pmo.NewManager(dev)
+	rt := core.NewRuntime(params.NewConfig(params.TT, params.DefaultEWMicros), mgr)
+	return dev, mgr, rt.NewThread(sim.SingleThread())
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/paging"
 	"repro/internal/pmo"
 	"repro/internal/txn"
 )
@@ -197,15 +196,12 @@ func (w *Ctree) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) err
 	if err != nil {
 		return err
 	}
-	// Preload keys in shuffled order through an unprotected context so
-	// the tree is reasonably balanced (load phase, not measured).
-	load := core.NewRuntime(unprotCfg(), mgr).NewThread(newLoadThread())
-	if err := load.Attach(p, paging.ReadWrite); err != nil {
-		return err
-	}
+	// Preload keys in shuffled order so the tree is reasonably balanced.
+	// The load phase is not measured, so its accesses are untimed; the
+	// undo log still charges ctx, as it does for every transaction.
 	perm := rng.Perm(int(w.keys / 2))
 	for _, k := range perm {
-		if err := w.t.Insert(load, uint64(k)+1, uint64(k)); err != nil {
+		if err := w.t.Insert(untimed{p}, uint64(k)+1, uint64(k)); err != nil {
 			return err
 		}
 	}
