@@ -17,9 +17,11 @@
 //
 // With -baseline, the exit code is the regression verdict: 0 for pass or
 // improved, 3 for regressed (1 is reserved for operational errors), so
-// CI can gate directly on the process status. Usage errors exit 2,
-// including a negative or non-finite -tolerance and a non-positive
-// -trend-window or -trend-min.
+// CI can gate directly on the process status. The baseline is a
+// `terpbench -json` document held to the same wire-version check as -in
+// (exit 1 on a mismatch). Usage errors exit 2, including a negative or
+// non-finite -tolerance, a non-positive -trend-window or -trend-min,
+// and a baseline with no experiment that has metrics on both sides.
 //
 // -in reads a `terpbench -json` document. Saved grids carry metrics but
 // not raw event streams, so that mode reports overhead accounts and the
@@ -127,22 +129,16 @@ func main() {
 		}
 	}
 
-	rep := report.Build(terp.ReportInput(*title, grids))
+	input := terp.ReportInput(*title, grids)
+	rep := report.Build(input)
 
 	if *baseline != "" {
-		base, err := os.ReadFile(*baseline)
+		baseGrids, err := readGrids(*baseline)
 		check(err)
-		baseGrids, err := report.ParseBench(base)
-		check(err)
-		// A Grid marshals to exactly the bench format, so the current side
-		// round-trips through the same parser.
-		curBytes, err := json.Marshal(grids)
-		check(err)
-		curGrids, err := report.ParseBench(curBytes)
-		check(err)
-		rep.Regression = report.Compare(curGrids, baseGrids, report.RegressOpts{TolerancePct: *tolerance})
+		base := terp.ReportInput("", baseGrids).Experiments
+		rep.Regression = report.Compare(input.Experiments, base, report.RegressOpts{TolerancePct: *tolerance})
 		if rep.Regression == nil {
-			fmt.Fprintln(os.Stderr, "terpreport: baseline shares no experiment with the current run; nothing to compare")
+			fmt.Fprintln(os.Stderr, "terpreport: no experiment has metrics in both the current run and the baseline; nothing to compare")
 			os.Exit(2)
 		}
 	}
@@ -173,17 +169,8 @@ type runMeta struct {
 // their specs and wall-clock durations for the ledger.
 func loadGrids(inPath, exp string, opts terp.ExpOpts, parallel int) ([]*terp.Grid, []runMeta, error) {
 	if inPath != "" {
-		buf, err := os.ReadFile(inPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		// ParseGrids enforces the wire version, so a document from an
-		// incompatible build fails loudly instead of mis-reporting.
-		grids, err := terp.ParseGrids(buf)
-		if err != nil {
-			return nil, nil, fmt.Errorf("parsing %s: %w", inPath, err)
-		}
-		return grids, nil, nil
+		grids, err := readGrids(inPath)
+		return grids, nil, err
 	}
 
 	names := strings.Split(exp, ",")
@@ -209,6 +196,21 @@ func loadGrids(inPath, exp string, opts terp.ExpOpts, parallel int) ([]*terp.Gri
 		runs = append(runs, runMeta{spec: spec, wallMS: time.Since(start).Seconds() * 1e3})
 	}
 	return grids, runs, nil
+}
+
+// readGrids parses a saved `terpbench -json` document (an -in input or
+// a -baseline). ParseGrids enforces the wire version, so a document from
+// an incompatible build fails loudly instead of mis-reporting.
+func readGrids(path string) ([]*terp.Grid, error) {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	grids, err := terp.ParseGrids(buf)
+	if err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return grids, nil
 }
 
 // trendFilter restricts trend mode to the -exp experiments only when

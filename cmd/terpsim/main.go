@@ -4,7 +4,9 @@
 //	terpsim -suite whisper -workload redis -scheme TT -ew 40
 //	terpsim -suite spec -workload lbm -scheme TM -threads 4
 //
-// Schemes: base (unprotected), MM, TM, TT, basic, +cond, +cb.
+// Schemes: base (unprotected), MM, TM, TT, basic, +cond, +cb. -trace N
+// turns on the obs event recorder and prints the last N protection
+// events (attach, grant, revoke, fault, ...) as a timeline.
 package main
 
 import (
@@ -13,6 +15,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/params"
 	"repro/internal/speckit"
 	"repro/internal/whisper"
@@ -41,7 +44,7 @@ func main() {
 	var traced *core.Runtime
 	hook := func(rt *core.Runtime) {
 		if *trace > 0 {
-			rt.EnableTrace(*trace)
+			rt.EnableObs(obs.Config{Trace: true})
 			traced = rt
 		}
 	}
@@ -69,11 +72,31 @@ func main() {
 	}
 	printResult(*suite, *workload, cfg, res)
 	if traced != nil {
-		events, total := traced.TraceEvents()
-		fmt.Printf("\nlast %d of %d protection events:\n", len(events), total)
-		for _, e := range events {
-			fmt.Println("  " + e.String())
+		printProtectionEvents(traced.ObsRecorder(), *trace)
+	}
+}
+
+// printProtectionEvents prints the last n of the run's protection events
+// (the runtime's CatCore instants) in the recorder's time order, one
+// timeline line each. The count covers the events the trace rings kept;
+// the header says when they dropped older ones.
+func printProtectionEvents(rec *obs.Recorder, n int) {
+	events := obs.FilterInstants(obs.Instants(rec.Events()), obs.CatCore, "")
+	total := len(events)
+	if total > n {
+		events = events[total-n:]
+	}
+	fmt.Printf("\nlast %d of %d protection events", len(events), total)
+	if d := rec.Dropped(); d > 0 {
+		fmt.Printf(" (the trace rings dropped %d older events of all kinds)", d)
+	}
+	fmt.Println(":")
+	for _, e := range events {
+		th := fmt.Sprintf("t%d", e.Thread)
+		if e.Thread == obs.HWThread {
+			th = "hw"
 		}
+		fmt.Printf("  %10.2fus %-3s pmo%-3d %s\n", params.ToMicros(e.TS), th, e.Arg, e.Name)
 	}
 }
 

@@ -615,21 +615,16 @@ func attachAnalysisObs(spec ExperimentSpec, g *Grid, cell string, rec *obs.Recor
 		return
 	}
 	c := &obs.CellObs{Cell: cell}
-	og := &ObsGrid{Cells: []*obs.CellObs{c}}
 	if spec.Obs.Metrics {
 		c.Metrics = obs.NewSnapshot()
-		if fill != nil {
-			fill(c.Metrics)
-		}
-		og.Totals = obs.NewSnapshot()
-		og.Totals.Merge(c.Metrics)
+		fill(c.Metrics)
 	}
 	if rec != nil {
 		c.TraceEvents = rec.Total()
 		c.TraceDropped = rec.Dropped()
 		c.Events = rec.Events()
 	}
-	g.Obs = og
+	g.Obs = obs.NewGridObs([]*obs.CellObs{c}, spec.Obs.Metrics)
 }
 
 // Figure8 reproduces the dead-time distribution study.
@@ -912,17 +907,6 @@ func assembleCrash(spec ExperimentSpec, res []runner.CellResult, g *Grid) error 
 	return nil
 }
 
-// Crash runs the crash-consistency matrix (extension): deterministic
-// fault injection over the persist-buffer model with full recovery
-// verification at every point.
-func Crash(o ExpOpts) ([]CrashRow, error) {
-	g, err := Run(ExperimentSpec{Name: "crash", Opts: o})
-	if err != nil {
-		return nil, err
-	}
-	return g.Crash, nil
-}
-
 // FormatCrash renders the matrix.
 func FormatCrash(rows []CrashRow) string {
 	t := stats.NewTable("Prog", "Policy", "Adv", "Ops", "Events", "Fences",
@@ -1036,17 +1020,6 @@ func litmusRows(res []runner.CellResult) []LitmusRow {
 func assembleLitmus(spec ExperimentSpec, res []runner.CellResult, g *Grid) error {
 	g.Litmus = litmusRows(res)
 	return nil
-}
-
-// Litmus runs the persistency-litmus matrix (extension): exhaustive
-// crash-state enumeration of the persist-buffer model cross-checked
-// against the declarative Px86-style oracle.
-func Litmus(o ExpOpts) ([]LitmusRow, error) {
-	g, err := Run(ExperimentSpec{Name: "litmus", Opts: o})
-	if err != nil {
-		return nil, err
-	}
-	return g.Litmus, nil
 }
 
 // FormatLitmus renders the matrix.

@@ -12,7 +12,7 @@ import (
 )
 
 func TestDeadTimeStudyShape(t *testing.T) {
-	h, atLeastTEW, err := DeadTimeStudy(1)
+	h, atLeastTEW, err := DeadTimeStudyObs(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,16 +37,45 @@ func TestDeadTimeStudyShape(t *testing.T) {
 }
 
 func TestDeadTimeDeterministic(t *testing.T) {
-	a, fa, err := DeadTimeStudy(2)
+	a, fa, err := DeadTimeStudyObs(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, fb, err := DeadTimeStudy(2)
+	b, fb, err := DeadTimeStudyObs(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fa != fb || a.N != b.N {
 		t.Fatal("study not deterministic")
+	}
+}
+
+// TestDeadTimeStudyFractionAtLeastTEW: the study's TEW fraction, counted
+// as the samples are added, equals a recount over every profile's
+// samples.
+func TestDeadTimeStudyFractionAtLeastTEW(t *testing.T) {
+	h, frac, err := DeadTimeStudyObs(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n, atLeast int
+	for _, p := range Profiles() {
+		samples, err := ProfileDeadTimesObs(p, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			n++
+			if params.ToMicros(s.Cycles) >= params.DefaultTEWMicros {
+				atLeast++
+			}
+		}
+	}
+	if uint64(n) != h.N {
+		t.Fatalf("histogram holds %d samples, profiles produced %d", h.N, n)
+	}
+	if want := float64(atLeast) / float64(n); frac != want {
+		t.Fatalf("P(dead >= TEW) = %v, recount gives %v", frac, want)
 	}
 }
 
@@ -296,7 +325,7 @@ func TestDeadTimeObsInstantsMatchSamples(t *testing.T) {
 		}
 	}
 	// The obs variant must not perturb the base result.
-	plain, err := ProfileDeadTimes(p, 1)
+	plain, err := ProfileDeadTimesObs(p, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +340,7 @@ func TestDeadTimeStudyObsTracksPerProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, plainFrac, err := DeadTimeStudy(1)
+	_, plainFrac, err := DeadTimeStudyObs(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,3 +190,39 @@ func TestObsDoesNotPerturbCharges(t *testing.T) {
 		t.Fatalf("observability changed charges:\nplain: %v\nfull:  %v", plain, full)
 	}
 }
+
+// TestTraceRecordsProtectionEvents: with tracing on, the runtime's
+// attach, grant, revoke and fault events land on the recorder as CatCore
+// instants named by their TraceKind, in time order.
+func TestTraceRecordsProtectionEvents(t *testing.T) {
+	rt, ctx, p := newObsEnv(t, params.TT, obs.Config{Trace: true})
+	if err := ctx.Attach(p, paging.ReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	o, _ := p.Alloc(8)
+	if err := ctx.Store(o, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.Detach(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.Load(o); !IsFault(err, ThreadPermFault) {
+		t.Fatalf("expected fault, got %v", err)
+	}
+	events := obs.FilterInstants(obs.Instants(rt.ObsRecorder().Events()), obs.CatCore, "")
+	if len(events) == 0 {
+		t.Fatal("no events recorded")
+	}
+	kinds := map[string]bool{}
+	for i, e := range events {
+		kinds[e.Name] = true
+		if i > 0 && e.TS < events[i-1].TS {
+			t.Fatal("events out of order")
+		}
+	}
+	for _, want := range []TraceKind{TraceRealAttach, TraceGrant, TraceRevoke, TraceFault} {
+		if !kinds[want.String()] {
+			t.Fatalf("missing %v in trace (have %v)", want, kinds)
+		}
+	}
+}

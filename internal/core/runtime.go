@@ -70,7 +70,6 @@ type Runtime struct {
 	rng     *rand.Rand
 	machine *sim.Machine
 	threads []*ThreadCtx
-	trace   *tracer
 	user    pmo.Principal
 
 	// Observability (nil / empty when off; see EnableObs).

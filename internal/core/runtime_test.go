@@ -504,81 +504,6 @@ func TestExposureWindowsBoundedUnderTT(t *testing.T) {
 	}
 }
 
-func TestTraceRecordsProtectionEvents(t *testing.T) {
-	rt, ctx, p := newEnv(t, params.TT)
-	rt.EnableTrace(64)
-	if err := ctx.Attach(p, paging.ReadWrite); err != nil {
-		t.Fatal(err)
-	}
-	o, _ := p.Alloc(8)
-	if err := ctx.Store(o, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.Detach(p); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctx.Load(o); !IsFault(err, ThreadPermFault) {
-		t.Fatalf("expected fault, got %v", err)
-	}
-	events, total := rt.TraceEvents()
-	if total == 0 || len(events) == 0 {
-		t.Fatal("no events recorded")
-	}
-	kinds := map[TraceKind]bool{}
-	for i, e := range events {
-		kinds[e.Kind] = true
-		if e.String() == "" {
-			t.Fatal("empty event string")
-		}
-		if i > 0 && e.Time < events[i-1].Time {
-			t.Fatal("events out of order")
-		}
-	}
-	for _, want := range []TraceKind{TraceRealAttach, TraceGrant, TraceRevoke, TraceFault} {
-		if !kinds[want] {
-			t.Fatalf("missing %v in trace (have %v)", want, kinds)
-		}
-	}
-}
-
-func TestTraceRingBounded(t *testing.T) {
-	rt, ctx, p := newEnv(t, params.TT)
-	rt.EnableTrace(8)
-	for i := 0; i < 50; i++ {
-		if err := ctx.Attach(p, paging.ReadWrite); err != nil {
-			t.Fatal(err)
-		}
-		if err := ctx.Detach(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	events, total := rt.TraceEvents()
-	if len(events) != 8 {
-		t.Fatalf("ring kept %d events", len(events))
-	}
-	if total < 100 {
-		t.Fatalf("total = %d", total)
-	}
-	// The retained window is the most recent: its last event must be
-	// the newest overall.
-	for i := 1; i < len(events); i++ {
-		if events[i].Time < events[i-1].Time {
-			t.Fatal("ring window out of order")
-		}
-	}
-}
-
-func TestTraceDisabledIsFree(t *testing.T) {
-	rt, ctx, p := newEnv(t, params.TT)
-	if err := ctx.Attach(p, paging.ReadWrite); err != nil {
-		t.Fatal(err)
-	}
-	events, total := rt.TraceEvents()
-	if events != nil || total != 0 {
-		t.Fatal("trace recorded without EnableTrace")
-	}
-}
-
 func TestVAAccessPath(t *testing.T) {
 	rt, ctx, p := newEnv(t, params.TT)
 	if err := ctx.Attach(p, paging.ReadWrite); err != nil {
@@ -666,9 +591,5 @@ func TestTraceKindStringsComplete(t *testing.T) {
 		if k.String() == "" {
 			t.Fatalf("kind %d empty", k)
 		}
-	}
-	hw := TraceEvent{Time: 2200, Thread: -1, PMO: 3, Kind: TraceRandomize}
-	if s := hw.String(); s == "" {
-		t.Fatal("hardware event renders empty")
 	}
 }

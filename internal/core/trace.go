@@ -4,10 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/params"
 )
 
-// TraceKind classifies protection events recorded by the tracer.
+// TraceKind classifies the protection events a runtime records.
 type TraceKind int
 
 // The protection events of one run.
@@ -53,77 +52,12 @@ func (k TraceKind) String() string {
 	return fmt.Sprintf("event(%d)", int(k))
 }
 
-// TraceEvent is one recorded protection event.
-type TraceEvent struct {
-	// Time is the event time in cycles.
-	Time uint64
-	// Thread is the acting thread (-1 for hardware-initiated events).
-	Thread int
-	// PMO is the affected PMO ID (0 when not applicable).
-	PMO uint32
-	// Kind classifies the event.
-	Kind TraceKind
-}
-
-// String renders the event as a timeline line.
-func (e TraceEvent) String() string {
-	th := fmt.Sprintf("t%d", e.Thread)
-	if e.Thread < 0 {
-		th = "hw"
-	}
-	return fmt.Sprintf("%10.2fus %-3s pmo%-3d %s",
-		params.ToMicros(e.Time), th, e.PMO, e.Kind)
-}
-
-// tracer is a bounded ring of protection events. A nil tracer costs one
-// nil check per event site.
-type tracer struct {
-	ring  []TraceEvent
-	next  int
-	total uint64
-}
-
-// EnableTrace starts recording the last `keep` protection events.
-func (r *Runtime) EnableTrace(keep int) {
-	if keep <= 0 {
-		keep = 256
-	}
-	r.trace = &tracer{ring: make([]TraceEvent, 0, keep)}
-}
-
-// TraceEvents returns the recorded events in time order and the total
-// number of events observed (which may exceed the retained window).
-func (r *Runtime) TraceEvents() ([]TraceEvent, uint64) {
-	if r.trace == nil {
-		return nil, 0
-	}
-	t := r.trace
-	out := make([]TraceEvent, 0, len(t.ring))
-	if len(t.ring) == cap(t.ring) {
-		out = append(out, t.ring[t.next:]...)
-	}
-	out = append(out, t.ring[:t.next]...)
-	return out, t.total
-}
-
-// emit records one event (no-op without EnableTrace/EnableObs). The
-// protection-event thread convention (-1 = hardware) matches obs.HWThread,
-// so events mirror directly onto the obs tracks.
+// emit records one protection event as a CatCore instant on the acting
+// thread's obs track, named by kind with the PMO ID as its arg (no-op
+// unless EnableObs turned tracing on). The protection-event thread
+// convention (-1 = hardware) matches obs.HWThread.
 func (r *Runtime) emit(time uint64, thread int, pmoID uint32, kind TraceKind) {
 	if r.obs != nil {
 		r.obs.Track(thread).Instant(time, obs.CatCore, kind.String(), int64(pmoID))
 	}
-	t := r.trace
-	if t == nil {
-		return
-	}
-	t.total++
-	ev := TraceEvent{Time: time, Thread: thread, PMO: pmoID, Kind: kind}
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, ev)
-		t.next = len(t.ring) % cap(t.ring)
-		return
-	}
-	t.ring[t.next] = ev
-	t.next = (t.next + 1) % cap(t.ring)
 }

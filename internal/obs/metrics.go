@@ -181,6 +181,30 @@ type CellObs struct {
 	Events []Event `json:"-"`
 }
 
+// GridObs is one experiment's observability payload: one entry per
+// simulated cell in enumeration order, plus the deterministic merge of
+// every cell's metrics. Runs produce it, the wire carries it, and the
+// report layer and regression gates read it.
+type GridObs struct {
+	// Cells holds each cell's snapshot in enumeration order.
+	Cells []*CellObs `json:"cells"`
+	// Totals merges all cell metrics (nil when metrics were off).
+	Totals *Snapshot `json:"totals,omitempty"`
+}
+
+// NewGridObs wraps the cells; with metrics on it also merges their
+// snapshots into Totals in enumeration order.
+func NewGridObs(cells []*CellObs, metrics bool) *GridObs {
+	g := &GridObs{Cells: cells}
+	if metrics {
+		g.Totals = NewSnapshot()
+		for _, c := range cells {
+			g.Totals.Merge(c.Metrics)
+		}
+	}
+	return g
+}
+
 // CellTrace names one cell's event stream for the trace exporters.
 type CellTrace struct {
 	// Name is the cell's display name.

@@ -81,7 +81,7 @@ const maxCDFPoints = 64
 // analyzeExposure reconstructs exposure windows from every cell's trace
 // and groups them by configuration label. It returns nil when no cell
 // carries expo events.
-func analyzeExposure(e Experiment) *ExposureReport {
+func analyzeExposure(cells []*obs.CellObs) *ExposureReport {
 	type acc struct {
 		cells    int
 		ew, tew  []float64 // durations in us
@@ -93,7 +93,7 @@ func analyzeExposure(e Experiment) *ExposureReport {
 	var order []string
 	groups := make(map[string]*acc)
 
-	for _, c := range e.Cells {
+	for _, c := range cells {
 		if len(c.Events) == 0 {
 			continue
 		}
@@ -103,7 +103,7 @@ func analyzeExposure(e Experiment) *ExposureReport {
 		if len(ews) == 0 && len(tews) == 0 {
 			continue
 		}
-		label := c.Label()
+		label := cellLabel(c.Cell)
 		g := groups[label]
 		if g == nil {
 			g = &acc{ewPMOs: make(map[int64]bool), tewPMOs: make(map[int64]bool)}
@@ -124,7 +124,7 @@ func analyzeExposure(e Experiment) *ExposureReport {
 		// Timelines come from the group's first contributing cell, capped
 		// at maxTimelinePMOs objects; the cap is recorded, never silent.
 		if g.timeline == nil && len(ews) > 0 {
-			g.timeline, g.tlPMOs = buildTimelines(c.Name, ews)
+			g.timeline, g.tlPMOs = buildTimelines(c.Cell, ews)
 		}
 	}
 	if len(order) == 0 {
@@ -248,10 +248,10 @@ type AttackReport struct {
 
 // analyzeAttack scans every cell for CatAttack instants. It returns nil
 // when the experiment recorded none.
-func analyzeAttack(e Experiment) *AttackReport {
+func analyzeAttack(cells []*obs.CellObs) *AttackReport {
 	var dead []float64
 	probes, hits, hitsIn, probesIn, windows := 0, 0, 0, 0, 0
-	for _, c := range e.Cells {
+	for _, c := range cells {
 		if len(c.Events) == 0 {
 			continue
 		}

@@ -40,7 +40,7 @@ func goldenReport() *Report {
 	// sentinel ("n/a" bar) without crashing the JSON or SVG paths.
 	orphanMetrics := obs.NewSnapshot()
 	orphanMetrics.Add("sim/cycles/attach", 2_000)
-	orphan := Cell{Name: "exp/whisper/XX", Metrics: orphanMetrics}
+	orphan := &obs.CellObs{Cell: "exp/whisper/XX", Metrics: orphanMetrics}
 
 	rec := obs.NewRecorder(1 << 12)
 	hw := rec.Track(obs.HWThread)
@@ -52,13 +52,14 @@ func goldenReport() *Report {
 	hw.AsyncEnd(us(20), obs.CatExpo, "ew", 0)
 	att.Instant(us(30), obs.CatAttack, "deadtime", int64(us(1)))
 	att.Instant(us(31), obs.CatAttack, "deadtime", int64(us(5)))
-	mc := Cell{Name: "exp/probe/mc", Events: rec.Events(),
+	mc := &obs.CellObs{Cell: "exp/probe/mc", Events: rec.Events(),
 		TraceEvents: rec.Total() + 7, TraceDropped: 7}
 
 	in := Input{
 		Title: "golden report",
 		Experiments: []Experiment{
-			{Name: "exp", Opts: "ops=100 seed=1", Cells: []Cell{mm, tt, orphan, mc}},
+			{Name: "exp", Opts: "ops=100 seed=1",
+				Obs: obs.NewGridObs([]*obs.CellObs{mm, tt, orphan, mc}, false)},
 			{Name: "empty"},
 		},
 	}

@@ -117,7 +117,7 @@ func rowOf(label string, cells int, a sim.Accounts) OverheadRow {
 // analyzeOverhead builds the component-account breakdown from per-cell
 // metrics, grouped by configuration label in first-seen order. It
 // returns nil when no cell carries cycle counters.
-func analyzeOverhead(e Experiment) *OverheadReport {
+func analyzeOverhead(cells []*obs.CellObs) *OverheadReport {
 	type acc struct {
 		cells int
 		a     sim.Accounts
@@ -125,13 +125,13 @@ func analyzeOverhead(e Experiment) *OverheadReport {
 	var order []string
 	groups := make(map[string]*acc)
 	var total sim.Accounts
-	cells := 0
-	for _, c := range e.Cells {
+	counted := 0
+	for _, c := range cells {
 		a := accountsOf(c.Metrics)
 		if a.Total() == 0 {
 			continue // no cycle counters (metrics off, or a crash cell)
 		}
-		label := c.Label()
+		label := cellLabel(c.Cell)
 		g := groups[label]
 		if g == nil {
 			g = &acc{}
@@ -141,7 +141,7 @@ func analyzeOverhead(e Experiment) *OverheadReport {
 		g.cells++
 		g.a.Merge(&a)
 		total.Merge(&a)
-		cells++
+		counted++
 	}
 	if len(order) == 0 {
 		return nil
@@ -151,6 +151,6 @@ func analyzeOverhead(e Experiment) *OverheadReport {
 		g := groups[label]
 		out.Rows = append(out.Rows, rowOf(label, g.cells, g.a))
 	}
-	out.Rows = append(out.Rows, rowOf("total", cells, total))
+	out.Rows = append(out.Rows, rowOf("total", counted, total))
 	return out
 }

@@ -1,8 +1,6 @@
 package report
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -25,36 +23,6 @@ const (
 	// bad direction.
 	Regressed Verdict = "regressed"
 )
-
-// BenchCell is one cell's metrics as stored in a BENCH_*.json grid.
-type BenchCell struct {
-	Cell    string        `json:"cell"`
-	Metrics *obs.Snapshot `json:"metrics"`
-}
-
-// BenchObs is the observability payload of one stored grid.
-type BenchObs struct {
-	Cells  []BenchCell   `json:"cells"`
-	Totals *obs.Snapshot `json:"totals"`
-}
-
-// BenchGrid is the slice of a stored grid the regression tracker reads:
-// the experiment name and its metrics. All other payload fields are
-// ignored, so the format tolerates grids from any experiment.
-type BenchGrid struct {
-	Name string    `json:"name"`
-	Obs  *BenchObs `json:"obs"`
-}
-
-// ParseBench parses a BENCH_*.json document (the `terpbench -json`
-// output: an array of grids).
-func ParseBench(data []byte) ([]BenchGrid, error) {
-	var out []BenchGrid
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("report: parsing bench document: %w", err)
-	}
-	return out, nil
-}
 
 // DefaultTolerancePct is the relative drift, in percent, a gated metric
 // may move before either gate (Compare or Trend) reads it as changed.
@@ -181,27 +149,29 @@ func (v Verdict) ExitCode() int {
 }
 
 // Compare runs the regression analysis of current against baseline.
-// Grids pair by experiment name; within a pair, every counter present on
+// Experiments pair by name; within a pair, every counter present on
 // either side is compared: totals for the headline delta, and matched
-// per-cell values (paired by cell name) for the confidence interval. It
-// returns nil when the documents share no experiment.
-func Compare(current, baseline []BenchGrid, opt RegressOpts) *Regression {
+// per-cell values (paired by cell name) for the confidence interval. A
+// side without metrics (no Obs, or a trace-only run's nil Totals) has
+// nothing to compare and is skipped. It returns nil when no experiment
+// has metrics on both sides.
+func Compare(current, baseline []Experiment, opt RegressOpts) *Regression {
 	if opt.TolerancePct == 0 {
 		opt.TolerancePct = DefaultTolerancePct
 	}
-	baseByName := make(map[string]BenchGrid)
-	for _, g := range baseline {
-		baseByName[g.Name] = g
+	baseByName := make(map[string]*obs.GridObs)
+	for _, e := range baseline {
+		baseByName[e.Name] = e.Obs
 	}
 	out := &Regression{Verdict: Pass, TolerancePct: opt.TolerancePct, Z: ciZ}
 	matched := false
 	for _, cur := range current {
-		base, ok := baseByName[cur.Name]
-		if !ok || cur.Obs == nil || base.Obs == nil {
+		base := baseByName[cur.Name]
+		if !hasMetrics(cur.Obs) || !hasMetrics(base) {
 			continue
 		}
 		matched = true
-		out.Metrics = append(out.Metrics, compareGrids(cur, base, opt.TolerancePct)...)
+		out.Metrics = append(out.Metrics, compareGrids(cur.Name, cur.Obs, base, opt.TolerancePct)...)
 	}
 	if !matched {
 		return nil
@@ -215,24 +185,27 @@ func Compare(current, baseline []BenchGrid, opt RegressOpts) *Regression {
 	return out
 }
 
-func compareGrids(cur, base BenchGrid, tolerancePct float64) []MetricDelta {
+// hasMetrics reports whether a payload carries merged metrics.
+func hasMetrics(g *obs.GridObs) bool { return g != nil && g.Totals != nil }
+
+func compareGrids(experiment string, cur, base *obs.GridObs, tolerancePct float64) []MetricDelta {
 	var out []MetricDelta
 	baseCells := make(map[string]*obs.Snapshot)
-	for _, c := range base.Obs.Cells {
+	for _, c := range base.Cells {
 		baseCells[c.Cell] = c.Metrics
 	}
-	for _, name := range sortedCounterNames(cur.Obs.Totals, base.Obs.Totals) {
+	for _, name := range sortedCounterNames(cur.Totals, base.Totals) {
 		d := MetricDelta{
-			Experiment: cur.Name,
+			Experiment: experiment,
 			Name:       name,
-			Base:       base.Obs.Totals.Get(name),
-			Cur:        cur.Obs.Totals.Get(name),
+			Base:       base.Totals.Get(name),
+			Cur:        cur.Totals.Get(name),
 			Gated:      gatedMetric(name),
 		}
 		d.DeltaPct = relPct(float64(d.Cur), float64(d.Base))
 		// Per-cell paired relative deltas feed the confidence interval.
 		var rel []float64
-		for _, c := range cur.Obs.Cells {
+		for _, c := range cur.Cells {
 			bm, ok := baseCells[c.Cell]
 			if !ok || bm == nil || c.Metrics == nil {
 				continue

@@ -7,6 +7,12 @@
 // breakdown matching the paper's component accounts — plus benchmark
 // regression tracking against a committed BENCH_*.json baseline.
 //
+// Its input is the runs' own payload: each Experiment holds the
+// *obs.GridObs its grid carries, so the reports, Compare and
+// CellCycleDeltas read exactly what the run produced and the wire
+// carried. Parsing saved grids (and checking their wire version) is the
+// root package's job, in terp.ParseGrids.
+//
 // Determinism contract: the package inherits obs's guarantees — every
 // input value is keyed by simulated cycles and merged in enumeration
 // order — and adds none of its own nondeterminism: no wall time, no map
@@ -23,39 +29,23 @@ import (
 	"repro/internal/params"
 )
 
-// Cell is one experiment cell's observability payload as the analyzer
-// consumes it (a thin mirror of obs.CellObs with the trace attached).
-type Cell struct {
-	// Name is the cell's display name ("table3/echo/MM(40us)").
-	Name string
-	// Metrics is the cell's counter/histogram snapshot (nil when metrics
-	// collection was off).
-	Metrics *obs.Snapshot
-	// Events is the cell's retained trace (nil when tracing was off).
-	Events []obs.Event
-	// TraceEvents and TraceDropped count observed and ring-evicted trace
-	// events.
-	TraceEvents, TraceDropped uint64
-}
-
-// Label returns the cell's configuration label — the last segment of the
-// slash-separated cell name ("MM(40us)").
-func (c Cell) Label() string {
-	if i := strings.LastIndexByte(c.Name, '/'); i >= 0 {
-		return c.Name[i+1:]
-	}
-	return c.Name
-}
-
-// Experiment is one experiment's observability payload.
+// Experiment is one experiment's observability payload, as the run
+// produced it and the wire carries it.
 type Experiment struct {
 	// Name is the experiment ("table3"); Opts a rendered options line.
 	Name, Opts string
-	// Cells holds the per-cell payloads in enumeration order.
-	Cells []Cell
-	// Totals is the deterministic merge of all cell metrics (nil when
-	// metrics were off).
-	Totals *obs.Snapshot
+	// Obs holds the per-cell payloads in enumeration order and the
+	// merged totals (nil when the run collected nothing).
+	Obs *obs.GridObs
+}
+
+// cellLabel returns a cell's configuration label — the last segment of
+// its slash-separated name ("table3/echo/MM(40us)" -> "MM(40us)").
+func cellLabel(name string) string {
+	if i := strings.LastIndexByte(name, '/'); i >= 0 {
+		return name[i+1:]
+	}
+	return name
 }
 
 // Input is everything one report is built from.
@@ -118,13 +108,17 @@ func Build(in Input) *Report {
 	r := &Report{Title: in.Title}
 	for _, e := range in.Experiments {
 		er := ExperimentReport{Name: e.Name, Opts: e.Opts}
-		er.Exposure = analyzeExposure(e)
-		er.Attack = analyzeAttack(e)
-		er.Overhead = analyzeOverhead(e)
-		for _, c := range e.Cells {
+		var cells []*obs.CellObs
+		if e.Obs != nil {
+			cells = e.Obs.Cells
+		}
+		er.Exposure = analyzeExposure(cells)
+		er.Attack = analyzeAttack(cells)
+		er.Overhead = analyzeOverhead(cells)
+		for _, c := range cells {
 			if c.TraceDropped > 0 {
 				er.Dropped = append(er.Dropped, DroppedCell{
-					Cell: c.Name, Dropped: c.TraceDropped, Total: c.TraceEvents,
+					Cell: c.Cell, Dropped: c.TraceDropped, Total: c.TraceEvents,
 				})
 			}
 		}

@@ -13,9 +13,14 @@ import (
 // us converts microseconds to simulated cycles for event timestamps.
 func us(m float64) uint64 { return uint64(m * params.CyclesPerMicro) }
 
+// experiment wraps synthetic cells as one experiment's payload.
+func experiment(name string, cells ...*obs.CellObs) Experiment {
+	return Experiment{Name: name, Obs: obs.NewGridObs(cells, true)}
+}
+
 // expoCell builds a synthetic cell whose trace holds EW windows (PMO ids
 // and [start, end) bounds in us) plus optional TEW windows.
-func expoCell(name string, ews [][3]float64) Cell {
+func expoCell(name string, ews [][3]float64) *obs.CellObs {
 	rec := obs.NewRecorder(1 << 12)
 	hw := rec.Track(obs.HWThread)
 	for _, w := range ews {
@@ -23,7 +28,7 @@ func expoCell(name string, ews [][3]float64) Cell {
 		hw.AsyncBegin(us(w[1]), obs.CatExpo, "ew", pmo)
 		hw.AsyncEnd(us(w[2]), obs.CatExpo, "ew", pmo)
 	}
-	return Cell{Name: name, Events: rec.Events(), TraceEvents: rec.Total()}
+	return &obs.CellObs{Cell: name, Events: rec.Events(), TraceEvents: rec.Total()}
 }
 
 func TestRatioMarshalsNaNAsNull(t *testing.T) {
@@ -64,7 +69,7 @@ func TestOverheadRowNaNSurvivesJSONExport(t *testing.T) {
 	// the report must still marshal (nulls in place of the ratios).
 	s := obs.NewSnapshot()
 	s.Add("sim/cycles/attach", 100)
-	e := Experiment{Name: "x", Cells: []Cell{{Name: "x/c/MM", Metrics: s}}}
+	e := experiment("x", &obs.CellObs{Cell: "x/c/MM", Metrics: s})
 	r := Build(Input{Title: "t", Experiments: []Experiment{e}})
 	o := r.Experiments[0].Overhead
 	if o == nil || len(o.Rows) != 2 {
@@ -84,14 +89,11 @@ func TestOverheadRowNaNSurvivesJSONExport(t *testing.T) {
 
 func TestAnalyzeExposureGroupsAndStats(t *testing.T) {
 	// Two MM cells and one TT cell: grouping is by label, first seen first.
-	in := Input{Title: "t", Experiments: []Experiment{{
-		Name: "exp",
-		Cells: []Cell{
-			expoCell("exp/a/MM", [][3]float64{{0, 0, 10}, {0, 20, 30}, {1, 5, 25}}),
-			expoCell("exp/b/MM", [][3]float64{{0, 0, 10}}),
-			expoCell("exp/a/TT", [][3]float64{{0, 0, 2}, {1, 4, 6}}),
-		},
-	}}}
+	in := Input{Title: "t", Experiments: []Experiment{experiment("exp",
+		expoCell("exp/a/MM", [][3]float64{{0, 0, 10}, {0, 20, 30}, {1, 5, 25}}),
+		expoCell("exp/b/MM", [][3]float64{{0, 0, 10}}),
+		expoCell("exp/a/TT", [][3]float64{{0, 0, 2}, {1, 4, 6}}),
+	)}}
 	r := Build(in)
 	x := r.Experiments[0].Exposure
 	if x == nil || len(x.Groups) != 2 {
@@ -128,10 +130,7 @@ func TestTimelineCapsAreReportedNotSilent(t *testing.T) {
 			ews = append(ews, [3]float64{float64(pmo), start, start + 5})
 		}
 	}
-	in := Input{Experiments: []Experiment{{
-		Name:  "exp",
-		Cells: []Cell{expoCell("exp/a/MM", ews)},
-	}}}
+	in := Input{Experiments: []Experiment{experiment("exp", expoCell("exp/a/MM", ews))}}
 	r := Build(in)
 	g := r.Experiments[0].Exposure.Groups[0]
 	if len(g.Timelines) != maxTimelinePMOs || g.TimelinePMOs != pmos {
@@ -180,10 +179,8 @@ func TestAnalyzeAttackCorrelation(t *testing.T) {
 	att.Instant(us(30), obs.CatAttack, "deadtime", int64(us(1)))
 	att.Instant(us(31), obs.CatAttack, "deadtime", int64(us(5)))
 
-	in := Input{Experiments: []Experiment{{
-		Name:  "exp",
-		Cells: []Cell{{Name: "exp/mc", Events: rec.Events()}},
-	}}}
+	in := Input{Experiments: []Experiment{experiment("exp",
+		&obs.CellObs{Cell: "exp/mc", Events: rec.Events()})}}
 	a := Build(in).Experiments[0].Attack
 	if a == nil {
 		t.Fatal("no attack report")
@@ -200,13 +197,10 @@ func TestAnalyzeAttackCorrelation(t *testing.T) {
 }
 
 func TestDroppedCellsFlagged(t *testing.T) {
-	in := Input{Experiments: []Experiment{{
-		Name: "exp",
-		Cells: []Cell{
-			{Name: "exp/ok", TraceEvents: 10},
-			{Name: "exp/lossy", TraceEvents: 100, TraceDropped: 40},
-		},
-	}}}
+	in := Input{Experiments: []Experiment{experiment("exp",
+		&obs.CellObs{Cell: "exp/ok", TraceEvents: 10},
+		&obs.CellObs{Cell: "exp/lossy", TraceEvents: 100, TraceDropped: 40},
+	)}}
 	r := Build(in)
 	d := r.Experiments[0].Dropped
 	if len(d) != 1 || d[0].Cell != "exp/lossy" || d[0].Dropped != 40 {
@@ -217,10 +211,10 @@ func TestDroppedCellsFlagged(t *testing.T) {
 	}
 }
 
-// benchDoc builds a one-experiment bench document with the given per-cell
+// benchDoc builds a one-experiment document with the given per-cell
 // counter values for one metric.
-func benchDoc(metric string, cells map[string]uint64) []BenchGrid {
-	obsDoc := &BenchObs{Totals: obs.NewSnapshot()}
+func benchDoc(metric string, cells map[string]uint64) []Experiment {
+	var cs []*obs.CellObs
 	// Deterministic cell order for the test: sortedCounterNames handles
 	// metrics, but cells pair by name so order is irrelevant here.
 	for _, name := range []string{"a", "b", "c", "d"} {
@@ -230,10 +224,9 @@ func benchDoc(metric string, cells map[string]uint64) []BenchGrid {
 		}
 		s := obs.NewSnapshot()
 		s.Add(metric, v)
-		obsDoc.Cells = append(obsDoc.Cells, BenchCell{Cell: name, Metrics: s})
-		obsDoc.Totals.Add(metric, v)
+		cs = append(cs, &obs.CellObs{Cell: name, Metrics: s})
 	}
-	return []BenchGrid{{Name: "exp", Obs: obsDoc}}
+	return []Experiment{experiment("exp", cs...)}
 }
 
 func TestCompareVerdicts(t *testing.T) {
@@ -269,7 +262,7 @@ func TestCompareVerdicts(t *testing.T) {
 	}
 
 	// No shared experiment: nothing to compare.
-	other := []BenchGrid{{Name: "elsewhere", Obs: &BenchObs{Totals: obs.NewSnapshot()}}}
+	other := []Experiment{experiment("elsewhere")}
 	if got := Compare(other, base, RegressOpts{}); got != nil {
 		t.Fatalf("disjoint docs = %+v, want nil", got)
 	}
@@ -318,12 +311,28 @@ func TestVerdictJSONRoundTrips(t *testing.T) {
 	}
 }
 
-func TestParseBenchRejectsGarbage(t *testing.T) {
-	if _, err := ParseBench([]byte("{not json")); err == nil {
-		t.Fatal("expected a parse error")
+// TestCompareSkipsTraceOnlySide: a run with tracing but no metrics
+// carries per-cell payloads and nil Totals. Such a side has nothing to
+// compare, in either direction, and must be skipped like a side with no
+// payload at all — not dereferenced.
+func TestCompareSkipsTraceOnlySide(t *testing.T) {
+	metrics := benchDoc("sim/cycles/base", map[string]uint64{"a": 1000})
+	traceOnly := []Experiment{{Name: "exp", Obs: obs.NewGridObs(
+		[]*obs.CellObs{{Cell: "a", TraceEvents: 12}}, false)}}
+	if traceOnly[0].Obs.Totals != nil {
+		t.Fatal("a trace-only payload must carry nil Totals")
 	}
-	grids, err := ParseBench([]byte(`[{"name":"exp","obs":{"cells":[],"totals":{}}}]`))
-	if err != nil || len(grids) != 1 || grids[0].Name != "exp" {
-		t.Fatalf("parse = %+v, %v", grids, err)
+	if got := Compare(traceOnly, metrics, RegressOpts{}); got != nil {
+		t.Fatalf("trace-only current = %+v, want nil", got)
+	}
+	if got := Compare(metrics, traceOnly, RegressOpts{}); got != nil {
+		t.Fatalf("trace-only baseline = %+v, want nil", got)
+	}
+	// Next to a comparable experiment, only the trace-only one drops out.
+	other := benchDoc("sim/cycles/base", map[string]uint64{"a": 1000})
+	other[0].Name = "other"
+	r := Compare(append(traceOnly, other...), append(metrics, other...), RegressOpts{})
+	if r == nil || len(r.Metrics) != 1 || r.Metrics[0].Experiment != "other" {
+		t.Fatalf("mixed compare = %+v, want only the other experiment", r)
 	}
 }

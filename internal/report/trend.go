@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -273,11 +274,11 @@ type CellDelta struct {
 // CellCycleDeltas compares per-cell total sim cycles across the union
 // of both grids' cells, sorted by cell name. Cells present on only
 // one side appear with the other side at 0.
-func CellCycleDeltas(cur, base *BenchObs) []CellDelta {
+func CellCycleDeltas(cur, base *obs.GridObs) []CellDelta {
 	if cur == nil && base == nil {
 		return nil
 	}
-	cycles := func(o *BenchObs) map[string]uint64 {
+	cycles := func(o *obs.GridObs) map[string]uint64 {
 		out := map[string]uint64{}
 		if o == nil {
 			return out

@@ -154,20 +154,19 @@ func TestSparkline(t *testing.T) {
 
 // mismatchedDoc builds a one-experiment document with the given cells,
 // all carrying one metric at the given per-cell values.
-func mismatchedDoc(cells map[string]uint64) []BenchGrid {
-	obsDoc := &BenchObs{Totals: obs.NewSnapshot()}
+func mismatchedDoc(cells map[string]uint64) []Experiment {
 	names := make([]string, 0, len(cells))
 	for n := range cells {
 		names = append(names, n)
 	}
 	// Insertion order must not matter; sort for test determinism only.
+	var cs []*obs.CellObs
 	for _, name := range sortedKeys(names) {
 		s := obs.NewSnapshot()
 		s.Add("sim/cycles/base", cells[name])
-		obsDoc.Cells = append(obsDoc.Cells, BenchCell{Cell: name, Metrics: s})
-		obsDoc.Totals.Add("sim/cycles/base", cells[name])
+		cs = append(cs, &obs.CellObs{Cell: name, Metrics: s})
 	}
-	return []BenchGrid{{Name: "exp", Obs: obsDoc}}
+	return []Experiment{experiment("exp", cs...)}
 }
 
 func sortedKeys(names []string) []string {
@@ -225,7 +224,7 @@ func TestCompareMismatchedCellSets(t *testing.T) {
 }
 
 func TestCellCycleDeltasUnionOfCells(t *testing.T) {
-	mk := func(cells map[string]uint64) *BenchObs {
+	mk := func(cells map[string]uint64) *obs.GridObs {
 		return mismatchedDoc(cells)[0].Obs
 	}
 	base := mk(map[string]uint64{"a": 100, "b": 200})

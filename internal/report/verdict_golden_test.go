@@ -7,19 +7,18 @@ import (
 	"repro/internal/obs"
 )
 
-// multiDoc builds a one-experiment bench document from per-metric,
+// multiDoc builds a one-experiment document from per-metric,
 // per-cell counter values (cells in the listed order).
-func multiDoc(cells []string, metrics map[string][]uint64) []BenchGrid {
-	o := &BenchObs{Totals: obs.NewSnapshot()}
+func multiDoc(cells []string, metrics map[string][]uint64) []Experiment {
+	var cs []*obs.CellObs
 	for i, cell := range cells {
 		s := obs.NewSnapshot()
 		for name, vals := range metrics {
 			s.Add(name, vals[i])
-			o.Totals.Add(name, vals[i])
 		}
-		o.Cells = append(o.Cells, BenchCell{Cell: cell, Metrics: s})
+		cs = append(cs, &obs.CellObs{Cell: cell, Metrics: s})
 	}
-	return []BenchGrid{{Name: "exp", Obs: o}}
+	return []Experiment{experiment("exp", cs...)}
 }
 
 // TestGoldenVerdictJSON pins the exact bytes of the verdict documents:

@@ -221,22 +221,14 @@ func compareGridPair(ja *Job, ga *terp.Grid, rawA []byte, jb *Job, gb *terp.Grid
 	body.IdenticalSpecs = body.SpecHashA == body.SpecHashB
 	body.IdenticalGrids = bytes.Equal(rawA, rawB)
 
-	// Metric deltas ride the existing baseline comparator: round-trip
-	// each grid through the bench-grid slice it marshals to.
-	benchA, errA := benchOf(ga)
-	benchB, errB := benchOf(gb)
-	if errA == nil && errB == nil {
-		body.Regression = report.Compare(benchB, benchA, report.RegressOpts{})
-		var oa, ob *report.BenchObs
-		if len(benchA) > 0 {
-			oa = benchA[0].Obs
-		}
-		if len(benchB) > 0 {
-			ob = benchB[0].Obs
-		}
-		if ga.Name == gb.Name {
-			body.Cells = report.CellCycleDeltas(ob, oa)
-		}
+	// Metric deltas ride the baseline comparator over the grids' own
+	// payloads; a side without metrics leaves Regression nil.
+	body.Regression = report.Compare(
+		[]report.Experiment{{Name: gb.Name, Obs: gb.Obs}},
+		[]report.Experiment{{Name: ga.Name, Obs: ga.Obs}},
+		report.RegressOpts{})
+	if ga.Name == gb.Name {
+		body.Cells = report.CellCycleDeltas(gb.Obs, ga.Obs)
 	}
 	body.Values = valueDeltas(
 		ledger.FromGrid("terpd", ja.Spec, ga).Values,
@@ -251,15 +243,6 @@ func compareGridPair(ja *Job, ga *terp.Grid, rawA []byte, jb *Job, gb *terp.Grid
 		body.Verdict = "differ"
 	}
 	return body
-}
-
-// benchOf converts a grid to the regression tracker's input form.
-func benchOf(g *terp.Grid) ([]report.BenchGrid, error) {
-	raw, err := g.JSON()
-	if err != nil {
-		return nil, err
-	}
-	return report.ParseBench(append([]byte("["), append(raw, ']')...))
 }
 
 // valueDeltas pairs the two sides' float rollups over the sorted

@@ -292,6 +292,33 @@ func TestCompareDetectsDifferingSpecs(t *testing.T) {
 	}
 }
 
+// TestCompareTraceOnlyJob: a trace-only job carries per-cell payloads
+// but no merged metrics, so next to a metrics job there is nothing to
+// gate on. Either way round, the endpoint answers 200 with no metric
+// deltas and the byte-equality verdict "differ".
+func TestCompareTraceOnlyJob(t *testing.T) {
+	_, base, _ := newLedgerServer(t, 2)
+	spec := terp.ExperimentSpec{Name: "table3", Opts: terp.ExpOpts{Ops: 200, Seed: 1}}
+	spec.Obs.Metrics = true
+	metrics := runJob(t, base, spec)
+	spec.Obs.Metrics, spec.Obs.Trace = false, true
+	traceOnly := runJob(t, base, spec)
+
+	for _, pair := range [][2]string{{metrics.ID, traceOnly.ID}, {traceOnly.ID, metrics.ID}} {
+		raw, code := fetch(t, base+"/v1/compare?a="+pair[0]+"&b="+pair[1])
+		if code != http.StatusOK {
+			t.Fatalf("compare %v: HTTP %d: %s", pair, code, raw)
+		}
+		var body compareBody
+		if err := json.Unmarshal(raw, &body); err != nil {
+			t.Fatal(err)
+		}
+		if body.Regression != nil || body.IdenticalGrids || body.Verdict != "differ" {
+			t.Fatalf("compare %v = %+v, want no regression and verdict differ", pair, body)
+		}
+	}
+}
+
 func TestGridETagConditionalFetch(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 2})
 	spec := terp.ExperimentSpec{Name: "table3", Opts: terp.ExpOpts{Ops: 200, Seed: 1}}

@@ -20,8 +20,6 @@ type Histogram struct {
 	Counts []uint64
 	// N is the total sample count.
 	N uint64
-
-	samples []float64
 }
 
 // NewHistogram creates a histogram with the given ascending bucket bounds.
@@ -36,7 +34,6 @@ func (h *Histogram) Add(v float64) {
 	i := sort.SearchFloat64s(h.Bounds, v)
 	h.Counts[i]++
 	h.N++
-	h.samples = append(h.samples, v)
 }
 
 // Fraction returns the share of samples in bucket i.
@@ -45,20 +42,6 @@ func (h *Histogram) Fraction(i int) float64 {
 		return 0
 	}
 	return float64(h.Counts[i]) / float64(h.N)
-}
-
-// FractionAtLeast returns the share of samples >= v.
-func (h *Histogram) FractionAtLeast(v float64) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	n := 0
-	for _, s := range h.samples {
-		if s >= v {
-			n++
-		}
-	}
-	return float64(n) / float64(h.N)
 }
 
 // BucketLabel renders the label of bucket i ("<=x" style).

@@ -24,18 +24,7 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Fraction(1) != 0.4 {
 		t.Fatalf("fraction = %f", h.Fraction(1))
 	}
-}
-
-func TestHistogramFractionAtLeast(t *testing.T) {
-	h := NewHistogram([]float64{10})
-	for _, v := range []float64{1, 2, 5, 10, 20} {
-		h.Add(v)
-	}
-	if got := h.FractionAtLeast(5); got != 0.6 {
-		t.Fatalf("P(>=5) = %f", got)
-	}
-	empty := NewHistogram([]float64{1})
-	if empty.FractionAtLeast(0) != 0 || empty.Fraction(0) != 0 {
+	if empty := NewHistogram([]float64{1}); empty.Fraction(0) != 0 {
 		t.Fatal("empty histogram fractions must be 0")
 	}
 }

@@ -50,25 +50,20 @@ func TestReportByteIdenticalAcrossParallel(t *testing.T) {
 
 	// The regression verdict from comparing the two sides must be a clean
 	// pass — and its JSON must render identically built from either side.
+	// As with `terpreport -baseline`, the current side is compared as run
+	// and the baseline as parsed back from its saved document.
 	verdict := func(cur, base []*Grid) []byte {
 		t.Helper()
-		cb, err := json.Marshal(cur)
-		if err != nil {
-			t.Fatal(err)
-		}
 		bb, err := json.Marshal(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		curG, err := report.ParseBench(cb)
+		saved, err := ParseGrids(bb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseG, err := report.ParseBench(bb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := report.Compare(curG, baseG, report.RegressOpts{})
+		reg := report.Compare(ReportInput("", cur).Experiments, ReportInput("", saved).Experiments,
+			report.RegressOpts{})
 		if reg == nil {
 			t.Fatal("no comparable experiments")
 		}
@@ -144,22 +139,22 @@ func TestAnalysisExperimentsCarryObs(t *testing.T) {
 		if len(c.Events) == 0 {
 			t.Errorf("%s: no trace events attached", tc.name)
 		}
-		e := g.ReportExperiment()
-		if e == nil || len(e.Cells) != 1 {
-			t.Fatalf("%s: ReportExperiment = %+v", tc.name, e)
+		in := ReportInput("t", []*Grid{g})
+		if len(in.Experiments) != 1 || in.Experiments[0].Obs != g.Obs || len(in.Experiments[0].Obs.Cells) != 1 {
+			t.Fatalf("%s: ReportInput = %+v", tc.name, in)
 		}
 	}
 }
 
-// TestReportExperimentNilWithoutObs: grids from uninstrumented runs are
-// skipped by ReportInput.
+// TestReportExperimentNilWithoutObs: grids from uninstrumented runs carry
+// no observability payload and are skipped by ReportInput.
 func TestReportExperimentNilWithoutObs(t *testing.T) {
 	g, err := Run(ExperimentSpec{Name: "table5", Opts: ExpOpts{Ops: 300, Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := g.ReportExperiment(); e != nil {
-		t.Fatalf("uninstrumented grid produced %+v", e)
+	if g.Obs != nil {
+		t.Fatalf("uninstrumented grid produced %+v", g.Obs)
 	}
 	in := ReportInput("t", []*Grid{g})
 	if len(in.Experiments) != 0 {

@@ -82,17 +82,7 @@ type Grid struct {
 	// Obs holds per-cell metrics and trace summaries when the spec
 	// enabled collection; nil (and absent from the JSON) otherwise, so
 	// disabled runs marshal exactly as before.
-	Obs *ObsGrid `json:"obs,omitempty"`
-}
-
-// ObsGrid is the experiment-level observability payload: one entry per
-// simulated cell in enumeration order, plus the deterministic merge of
-// every cell's metrics.
-type ObsGrid struct {
-	// Cells holds each cell's snapshot in enumeration order.
-	Cells []*obs.CellObs `json:"cells"`
-	// Totals merges all cell metrics (nil when metrics were off).
-	Totals *obs.Snapshot `json:"totals,omitempty"`
+	Obs *obs.GridObs `json:"obs,omitempty"`
 }
 
 // Traces returns the named per-cell event streams for the trace
@@ -113,38 +103,21 @@ func (g *Grid) Traces() []obs.CellTrace {
 // JSON renders the grid as indented JSON.
 func (g *Grid) JSON() ([]byte, error) { return json.MarshalIndent(g, "", "  ") }
 
-// ReportExperiment converts the grid's observability payload into the
-// report layer's input — the hook `terpreport` and `terpbench -report`
-// build run reports from. It returns nil when the run collected nothing.
-func (g *Grid) ReportExperiment() *report.Experiment {
-	if g.Obs == nil {
-		return nil
-	}
-	e := &report.Experiment{
-		Name: g.Name,
-		Opts: fmt.Sprintf("ops=%d scale=%d seed=%d", g.Opts.Ops, g.Opts.Scale, g.Opts.Seed),
-	}
-	e.Totals = g.Obs.Totals
-	for _, c := range g.Obs.Cells {
-		e.Cells = append(e.Cells, report.Cell{
-			Name:         c.Cell,
-			Metrics:      c.Metrics,
-			Events:       c.Events,
-			TraceEvents:  c.TraceEvents,
-			TraceDropped: c.TraceDropped,
-		})
-	}
-	return e
-}
-
 // ReportInput assembles the report input for a set of finished grids
-// (grids without observability payloads are skipped).
+// (grids without observability payloads are skipped) — the hook
+// `terpreport` and `terpbench -report` build run reports from, and the
+// form the -baseline gate compares.
 func ReportInput(title string, grids []*Grid) report.Input {
 	in := report.Input{Title: title}
 	for _, g := range grids {
-		if e := g.ReportExperiment(); e != nil {
-			in.Experiments = append(in.Experiments, *e)
+		if g.Obs == nil {
+			continue
 		}
+		in.Experiments = append(in.Experiments, report.Experiment{
+			Name: g.Name,
+			Opts: fmt.Sprintf("ops=%d scale=%d seed=%d", g.Opts.Ops, g.Opts.Scale, g.Opts.Seed),
+			Obs:  g.Obs,
+		})
 	}
 	return in
 }
@@ -359,21 +332,15 @@ func RunOn(ctx context.Context, pool *runner.Pool, spec ExperimentSpec) (*Grid, 
 	if err := e.assemble(spec, res, g); err != nil {
 		return nil, err
 	}
-	if spec.Obs.Enabled() && len(res) > 0 {
-		og := &ObsGrid{}
+	if spec.Obs.Enabled() {
+		var cells []*obs.CellObs
 		for _, r := range res {
 			if r.Obs != nil {
-				og.Cells = append(og.Cells, r.Obs)
+				cells = append(cells, r.Obs)
 			}
 		}
-		if spec.Obs.Metrics {
-			og.Totals = obs.NewSnapshot()
-			for _, c := range og.Cells {
-				og.Totals.Merge(c.Metrics)
-			}
-		}
-		if len(og.Cells) > 0 {
-			g.Obs = og
+		if len(cells) > 0 {
+			g.Obs = obs.NewGridObs(cells, spec.Obs.Metrics)
 		}
 	}
 	return g, nil

@@ -94,6 +94,19 @@ func TestRunStampsGridVersion(t *testing.T) {
 	}
 }
 
+// TestParseGridsRejectsGarbage: the grids parser that `terpreport -in`
+// and `-baseline` both read through rejects malformed JSON and accepts a
+// minimal document carrying an observability payload.
+func TestParseGridsRejectsGarbage(t *testing.T) {
+	if _, err := ParseGrids([]byte("{not json")); err == nil {
+		t.Fatal("expected a parse error")
+	}
+	grids, err := ParseGrids([]byte(`[{"name":"exp","obs":{"cells":[],"totals":{}}}]`))
+	if err != nil || len(grids) != 1 || grids[0].Name != "exp" || grids[0].Obs == nil || grids[0].Obs.Totals == nil {
+		t.Fatalf("parse = %+v, %v", grids, err)
+	}
+}
+
 func TestRunRejectsUnknownSpecVersion(t *testing.T) {
 	_, err := Run(ExperimentSpec{Version: 9, Name: "table3", Opts: ExpOpts{Ops: 100}})
 	if err == nil || !strings.Contains(err.Error(), "unsupported spec version 9") {
