@@ -21,11 +21,7 @@ var benchOpts = ExpOpts{Ops: 3000, Scale: 1, Seed: 1}
 func BenchmarkFigure8(b *testing.B) {
 	var last Figure8Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		last, err = Figure8(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		last = *runGrid(b, "fig8", benchOpts).DeadTime
 	}
 	b.ReportMetric(100*last.AtLeastTEW, "%dead>=2us")
 }
@@ -35,11 +31,7 @@ func BenchmarkFigure8(b *testing.B) {
 func BenchmarkTable3(b *testing.B) {
 	var rows []WhisperRow
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = Table3(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows = runGrid(b, "table3", benchOpts).Whisper
 	}
 	var mmEW, ttEW, tew, silent, ter float64
 	for _, r := range rows {
@@ -62,11 +54,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkFigure9(b *testing.B) {
 	var bars []OverheadBar
 	for i := 0; i < b.N; i++ {
-		var err error
-		bars, err = Figure9(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		bars = runGrid(b, "fig9", benchOpts).Bars
 	}
 	reportSchemeAverages(b, bars)
 }
@@ -75,11 +63,7 @@ func BenchmarkFigure9(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	var rows []Table4Row
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = Table4(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows = runGrid(b, "table4", benchOpts).Spec
 	}
 	var silent, ter, er float64
 	for _, r := range rows {
@@ -97,11 +81,7 @@ func BenchmarkTable4(b *testing.B) {
 func BenchmarkFigure10(b *testing.B) {
 	var bars []OverheadBar
 	for i := 0; i < b.N; i++ {
-		var err error
-		bars, err = Figure10(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		bars = runGrid(b, "fig10", benchOpts).Bars
 	}
 	reportSchemeAverages(b, bars)
 }
@@ -111,11 +91,7 @@ func BenchmarkFigure10(b *testing.B) {
 func BenchmarkFigure11(b *testing.B) {
 	var bars []OverheadBar
 	for i := 0; i < b.N; i++ {
-		var err error
-		bars, err = Figure11(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		bars = runGrid(b, "fig11", benchOpts).Bars
 	}
 	avg := map[string]float64{}
 	cnt := map[string]int{}
@@ -134,7 +110,7 @@ func BenchmarkFigure11(b *testing.B) {
 func BenchmarkTable5(b *testing.B) {
 	var rows []Table5Row
 	for i := 0; i < b.N; i++ {
-		rows = Table5(0)
+		rows = Table5()
 	}
 	b.ReportMetric(rows[0].MERRPct, "MERR-%@1us")
 	b.ReportMetric(rows[0].TERPPct, "TERP-%@1us")
@@ -145,11 +121,7 @@ func BenchmarkTable5(b *testing.B) {
 func BenchmarkTable6(b *testing.B) {
 	var res Table6Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = Table6(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = *runGrid(b, "table6", benchOpts).Scenarios
 	}
 	for _, r := range res.Rows {
 		b.ReportMetric(100*r.DisarmedTERP(), r.Suite+"-disarm-%")
@@ -232,11 +204,11 @@ func BenchmarkSemanticsStudy(b *testing.B) {
 func BenchmarkEWSweep(b *testing.B) {
 	var rows []EWSweepRow
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = EWSweep(ExpOpts{Ops: 1500}, []float64{40, 160})
+		g, err := Run(ExperimentSpec{Name: "ewsweep", Opts: ExpOpts{Ops: 1500}, EWMicros: []float64{40, 160}})
 		if err != nil {
 			b.Fatal(err)
 		}
+		rows = g.Frontier
 	}
 	for _, r := range rows {
 		b.ReportMetric(r.OverheadPct, fmt.Sprintf("ov%%@%.0fus", r.EWMicros))

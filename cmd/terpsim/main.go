@@ -4,28 +4,31 @@
 //	terpsim -suite whisper -workload redis -scheme TT -ew 40
 //	terpsim -suite spec -workload lbm -scheme TM -threads 4
 //
-// Schemes: base (unprotected), MM, TM, TT, basic, +cond, +cb. -trace N
+// Schemes: base (unprotected), MM, TM, TT, basic, +cond, +cb. The run is
+// one experiment cell (internal/runner), so it measures exactly what the
+// same cell measures inside a grid. -ew must be at least 2 us. -trace N
 // turns on the obs event recorder and prints the last N protection
 // events (attach, grant, revoke, fault, ...) as a timeline.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/params"
-	"repro/internal/speckit"
-	"repro/internal/whisper"
+	"repro/internal/runner"
 )
 
 func main() {
 	suite := flag.String("suite", "whisper", "workload suite: whisper or spec")
 	workload := flag.String("workload", "hashmap", "workload name")
 	scheme := flag.String("scheme", "TT", "protection scheme: base, MM, TM, TT, basic, +cond, +cb")
-	ew := flag.Float64("ew", 40, "exposure window target (us)")
+	ew := flag.Float64("ew", 40, "exposure window target (us, at least 2)")
 	ops := flag.Int("ops", 100_000, "operations (whisper)")
 	threads := flag.Int("threads", 1, "threads (spec)")
 	scale := flag.Int("scale", 1, "kernel scale (spec)")
@@ -37,57 +40,40 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cfg := params.NewConfig(s, *ew)
-	cfg.Seed = *seed
-
-	var res core.Result
-	var traced *core.Runtime
-	hook := func(rt *core.Runtime) {
-		if *trace > 0 {
-			rt.EnableObs(obs.Config{Trace: true})
-			traced = rt
-		}
+	if math.IsNaN(*ew) || *ew < params.MinEWMicros {
+		fail(fmt.Errorf("-ew %g is below the %g us minimum exposure window target", *ew, float64(params.MinEWMicros)))
 	}
+	cell := runner.Cell{Workload: *workload, Scheme: s, EWMicros: *ew, Seed: *seed}
 	switch *suite {
 	case "whisper":
-		mk, err := whisper.ByName(*workload)
-		if err != nil {
-			fail(err)
-		}
-		res, err = whisper.Run(cfg, mk, whisper.RunOpts{Ops: *ops, OnRuntime: hook})
-		if err != nil {
-			fail(err)
-		}
+		cell.Kind, cell.Ops = runner.Whisper, *ops
 	case "spec":
-		k, err := speckit.ByName(*workload)
-		if err != nil {
-			fail(err)
-		}
-		res, err = speckit.Run(cfg, k, speckit.RunOpts{Threads: *threads, Scale: *scale, OnRuntime: hook})
-		if err != nil {
-			fail(err)
-		}
+		cell.Kind, cell.Threads, cell.Scale = runner.Spec, *threads, *scale
 	default:
 		fail(fmt.Errorf("unknown suite %q", *suite))
 	}
-	printResult(*suite, *workload, cfg, res)
-	if traced != nil {
-		printProtectionEvents(traced.ObsRecorder(), *trace)
+	res, err := runner.RunCellCtx(context.Background(), cell, nil, obs.Config{Trace: *trace > 0})
+	if err != nil {
+		fail(err)
+	}
+	printResult(*suite, *workload, cell.Config(), res.Result)
+	if res.Obs != nil {
+		printProtectionEvents(res.Obs, *trace)
 	}
 }
 
-// printProtectionEvents prints the last n of the run's protection events
+// printProtectionEvents prints the last n of the cell's protection events
 // (the runtime's CatCore instants) in the recorder's time order, one
 // timeline line each. The count covers the events the trace rings kept;
 // the header says when they dropped older ones.
-func printProtectionEvents(rec *obs.Recorder, n int) {
-	events := obs.FilterInstants(obs.Instants(rec.Events()), obs.CatCore, "")
+func printProtectionEvents(c *obs.CellObs, n int) {
+	events := obs.FilterInstants(obs.Instants(c.Events), obs.CatCore, "")
 	total := len(events)
 	if total > n {
 		events = events[total-n:]
 	}
 	fmt.Printf("\nlast %d of %d protection events", len(events), total)
-	if d := rec.Dropped(); d > 0 {
+	if d := c.TraceDropped; d > 0 {
 		fmt.Printf(" (the trace rings dropped %d older events of all kinds)", d)
 	}
 	fmt.Println(":")

@@ -4,8 +4,7 @@ package terp
 // evaluation is enumerated as a list of independent runner.Cell specs,
 // executed on the internal/runner worker pool, and assembled into typed
 // rows in enumeration order — so results are bit-identical at any
-// worker count. The public entry point is Run (run.go); the per-table
-// helpers below are thin wrappers over it.
+// worker count. The public entry point is Run (run.go).
 
 import (
 	"fmt"
@@ -149,15 +148,6 @@ func assembleTable3(spec ExperimentSpec, res []runner.CellResult, g *Grid) error
 	return nil
 }
 
-// Table3 reproduces Table III: WHISPER exposure under MM vs TT.
-func Table3(o ExpOpts) ([]WhisperRow, error) {
-	g, err := Run(ExperimentSpec{Name: "table3", Opts: o})
-	if err != nil {
-		return nil, err
-	}
-	return g.Whisper, nil
-}
-
 // FormatTable3 renders Table III.
 func FormatTable3(rows []WhisperRow) string {
 	t := stats.NewTable("Prog", "MM EW avg/max(us)", "MM ER%", "Silent%",
@@ -275,34 +265,6 @@ func assembleBars(spec ExperimentSpec, res []runner.CellResult, g *Grid) error {
 	return nil
 }
 
-// Figure9 reproduces the WHISPER overhead breakdown.
-func Figure9(o ExpOpts) ([]OverheadBar, error) {
-	g, err := Run(ExperimentSpec{Name: "fig9", Opts: o})
-	if err != nil {
-		return nil, err
-	}
-	return g.Bars, nil
-}
-
-// Figure10 reproduces the single-thread SPEC overhead breakdown.
-func Figure10(o ExpOpts) ([]OverheadBar, error) {
-	g, err := Run(ExperimentSpec{Name: "fig10", Opts: o})
-	if err != nil {
-		return nil, err
-	}
-	return g.Bars, nil
-}
-
-// Figure11 reproduces the 4-thread ablation: Basic semantics, +Cond, and
-// the full design (+CB) at 40/80/160 us EWs.
-func Figure11(o ExpOpts) ([]OverheadBar, error) {
-	g, err := Run(ExperimentSpec{Name: "fig11", Opts: o})
-	if err != nil {
-		return nil, err
-	}
-	return g.Bars, nil
-}
-
 // FormatOverheads renders an overhead figure as grouped ASCII bars.
 func FormatOverheads(title string, bars []OverheadBar) string {
 	var b strings.Builder
@@ -384,15 +346,6 @@ func assembleTable4(spec ExperimentSpec, res []runner.CellResult, g *Grid) error
 	return nil
 }
 
-// Table4 reproduces Table IV (single-thread, multi-PMO SPEC kernels).
-func Table4(o ExpOpts) ([]Table4Row, error) {
-	g, err := Run(ExperimentSpec{Name: "table4", Opts: o})
-	if err != nil {
-		return nil, err
-	}
-	return g.Spec, nil
-}
-
 // FormatTable4 renders Table IV.
 func FormatTable4(rows []Table4Row) string {
 	t := stats.NewTable("Prog", "#PMOs", "MM EW avg/max(us)", "MM ER%",
@@ -417,15 +370,12 @@ type Table5Row struct {
 	MERRPct, TERPPct float64
 }
 
-// Table5 reproduces the Table V analysis. terpAccessFraction is the
-// measured TERP thread exposure rate; pass 0 to use the paper's 3.4%.
-func Table5(terpAccessFraction float64) []Table5Row {
-	if terpAccessFraction == 0 {
-		terpAccessFraction = attack.DefaultTERPAccessFraction
-	}
+// Table5 reproduces the Table V analysis at the paper's measured TERP
+// thread exposure rate (3.4%).
+func Table5() []Table5Row {
 	var rows []Table5Row
 	for _, x := range attack.AttackTimes() {
-		m, t := attack.TableVRow(x, terpAccessFraction)
+		m, t := attack.TableVRow(x, attack.DefaultTERPAccessFraction)
 		rows = append(rows, Table5Row{AttackMicros: x, MERRPct: m, TERPPct: t})
 	}
 	return rows
@@ -440,7 +390,7 @@ const (
 )
 
 func assembleTable5(spec ExperimentSpec, res []runner.CellResult, g *Grid) error {
-	g.Attack = Table5(0)
+	g.Attack = Table5()
 	if spec.Obs.Enabled() {
 		var rec *obs.Recorder
 		if spec.Obs.Trace {
@@ -525,16 +475,6 @@ func assembleTable6(spec ExperimentSpec, res []runner.CellResult, g *Grid) error
 	out.SpecCensus = census
 	g.Scenarios = &out
 	return nil
-}
-
-// Table6 reproduces Table VI by measuring exposure rates of both suites
-// and scanning the instrumented kernels for gadget coverage.
-func Table6(o ExpOpts) (Table6Result, error) {
-	g, err := Run(ExperimentSpec{Name: "table6", Opts: o})
-	if err != nil {
-		return Table6Result{}, err
-	}
-	return *g.Scenarios, nil
 }
 
 // FormatTable6 renders Table VI, including the full scenario matrix
@@ -625,15 +565,6 @@ func attachAnalysisObs(spec ExperimentSpec, g *Grid, cell string, rec *obs.Recor
 		c.Events = rec.Events()
 	}
 	g.Obs = obs.NewGridObs([]*obs.CellObs{c}, spec.Obs.Metrics)
-}
-
-// Figure8 reproduces the dead-time distribution study.
-func Figure8(o ExpOpts) (Figure8Result, error) {
-	g, err := Run(ExperimentSpec{Name: "fig8", Opts: o})
-	if err != nil {
-		return Figure8Result{}, err
-	}
-	return *g.DeadTime, nil
 }
 
 // FormatFigure8 renders the distribution.
@@ -764,18 +695,6 @@ func assembleEWSweep(spec ExperimentSpec, res []runner.CellResult, g *Grid) erro
 		})
 	}
 	return nil
-}
-
-// EWSweep measures the security/performance frontier across EW targets,
-// extending the paper's 40/80/160 us evaluation with the analytic attack
-// model at each point. The TERP probability uses each run's measured
-// thread exposure rate rather than the paper's fixed 3.4%.
-func EWSweep(o ExpOpts, ewMicros []float64) ([]EWSweepRow, error) {
-	g, err := Run(ExperimentSpec{Name: "ewsweep", Opts: o, EWMicros: ewMicros})
-	if err != nil {
-		return nil, err
-	}
-	return g.Frontier, nil
 }
 
 // FormatEWSweep renders the frontier.

@@ -56,11 +56,8 @@ type Spec struct {
 	// to every Every-th one (0 means every one).
 	Policy Policy
 	Every  int
-	// PointStart skips that many candidates and Points caps how many are
-	// injected (0 means all remaining) — together they let a runner fan
-	// one enumeration out over several cells.
-	PointStart int
-	Points     int
+	// Points caps how many candidates are injected (0 means all).
+	Points int
 	// Adversarial also drops a seeded subset of flushed-but-unfenced
 	// lines from each image (relaxed persist ordering).
 	Adversarial bool
@@ -70,8 +67,6 @@ type Spec struct {
 	// at the same instant. Points whose in-flight writeback set exceeds
 	// the enumeration cap are skipped (and counted), not failed.
 	CrossCheck bool
-	// LineSize overrides the persist-buffer line size (0 = default).
-	LineSize uint64
 }
 
 // PointResult records one injected crash and its verification.
@@ -101,8 +96,8 @@ type Report struct {
 	Adversarial bool   `json:"adversarial"`
 	Ops         int    `json:"ops"`
 	// Events and Fences count the full instrumented run's persist
-	// events; Candidates is how many matched the policy before the
-	// PointStart/Points window was applied.
+	// events; Candidates is how many matched the policy before Points
+	// capped them.
 	Events     uint64        `json:"events"`
 	Fences     uint64        `json:"fences"`
 	Candidates int           `json:"candidates"`
@@ -156,7 +151,7 @@ func (s Spec) instrumented(hook func(dev *nvm.Device, buf *nvm.PersistBuffer, w 
 	}
 	// Enable the buffer only now: the load phase is durable ground truth,
 	// and every measured op's persistence flows through the buffer.
-	buf := dev.EnablePersistBuffer(s.LineSize)
+	buf := dev.EnablePersistBuffer(nvm.DefaultLineSize)
 	if hook != nil {
 		buf.SetEventHook(func(e nvm.Event) { hook(dev, buf, w, e) })
 	}
@@ -280,7 +275,7 @@ func Run(s Spec) (*Report, error) {
 	if s.Policy == RandomPolicy {
 		// Seeded sample without replacement, kept in event order.
 		r := rand.New(rand.NewSource(s.Seed ^ 0x726e64))
-		want := s.Points + s.PointStart
+		want := s.Points
 		if want <= 0 || want > len(candidates) {
 			want = len(candidates)
 		}
@@ -293,12 +288,6 @@ func Run(s Spec) (*Report, error) {
 		candidates = sample
 	}
 	total := len(candidates)
-
-	// Apply the cell window.
-	if s.PointStart >= len(candidates) {
-		return nil, fmt.Errorf("crash: point start %d beyond %d candidates", s.PointStart, len(candidates))
-	}
-	candidates = candidates[s.PointStart:]
 	if s.Points > 0 && s.Points < len(candidates) {
 		candidates = candidates[:s.Points]
 	}

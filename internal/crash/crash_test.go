@@ -127,23 +127,6 @@ func TestRunIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestPointWindowSlicesTheEnumeration(t *testing.T) {
-	full, err := Run(Spec{Workload: "txnpairs", Ops: 20, Seed: 5, Policy: FencePolicy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := Run(Spec{Workload: "txnpairs", Ops: 20, Seed: 5, Policy: FencePolicy, PointStart: 2, Points: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(part.Points) != 3 {
-		t.Fatalf("window points = %d", len(part.Points))
-	}
-	if !reflect.DeepEqual(part.Points, full.Points[2:5]) {
-		t.Fatalf("window %+v is not the slice of the full enumeration %+v", part.Points, full.Points[2:5])
-	}
-}
-
 func TestUnknownWorkloadAndBadSpec(t *testing.T) {
 	if _, err := Run(Spec{Workload: "nope", Ops: 5, Policy: FencePolicy}); err == nil {
 		t.Fatal("unknown workload accepted")

@@ -91,6 +91,13 @@ const (
 	// DefaultTEWMicros is the default thread exposure window target
 	// (2 us).
 	DefaultTEWMicros = 2
+	// MinEWMicros is the shortest exposure window target a run accepts:
+	// the TEW target, which every TERP window must hold anyway. It lies
+	// just above the stall an expired window's randomization charges
+	// (RandomizeCost + TLBInvalidate, about 1.94 us). Under a shorter EW
+	// that stall already passes the next deadline, so a single-thread
+	// Compute sweeps again and again and never finishes.
+	MinEWMicros = DefaultTEWMicros
 )
 
 // Scheme identifies one protection configuration evaluated in the paper.

@@ -93,3 +93,12 @@ func TestTableIIConstants(t *testing.T) {
 		t.Fatal("circular buffer size drifted")
 	}
 }
+
+// TestMinEWOutlastsRandomizationStall: the shortest accepted EW target
+// is longer than the stall one expired window's randomization charges,
+// so a single-thread run's next deadline always lies ahead of its clock.
+func TestMinEWOutlastsRandomizationStall(t *testing.T) {
+	if stall := uint64(RandomizeCost + TLBInvalidate); Micros(MinEWMicros) <= stall {
+		t.Fatalf("MinEWMicros = %d cycles, not above the %d-cycle randomization stall", Micros(MinEWMicros), stall)
+	}
+}

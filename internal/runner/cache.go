@@ -40,9 +40,9 @@ type progEntry struct {
 	err    error
 }
 
-// DefaultCache is the shared process-wide cache used when Options.Cache
-// is nil, so repeated experiments (and `-exp all`) reuse compiles across
-// Execute calls.
+// DefaultCache is the shared process-wide cache every Pool uses (and
+// RunCell when passed nil), so repeated experiments (and `-exp all`)
+// reuse compiles across pools and jobs.
 var DefaultCache = NewProgCache()
 
 // NewProgCache returns an empty cache.

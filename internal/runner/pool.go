@@ -16,17 +16,16 @@ import (
 var ErrPoolClosed = errors.New("runner: pool closed")
 
 // Pool is a persistent worker set that executes cell jobs for many
-// concurrent callers. It generalizes Execute from one-shot batch to
-// streaming: callers submit whole cell lists with Run, and the shared
-// workers claim cells round-robin across every active job, so N
+// concurrent callers. Callers submit whole cell lists with Run, and the
+// shared workers claim cells round-robin across every active job, so N
 // concurrent jobs progress at cell granularity instead of head-of-line
-// blocking each other. Results keep the enumeration-order determinism
-// contract of Execute — a grid computed on a shared pool is
+// blocking each other. A grid computed on a shared pool is
 // byte-identical to a serial run, because cells share no mutable state
 // and results land at their enumeration index whatever order workers
 // finish in.
 type Pool struct {
 	workers int
+	cache   *ProgCache // compiled kernel programs for every job's Spec cells
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -77,7 +76,6 @@ func (p *Pool) Stats() PoolStats {
 type poolJob struct {
 	ctx      context.Context
 	cells    []Cell
-	cache    *ProgCache
 	ocfg     obs.Config
 	progress Progress
 
@@ -95,12 +93,17 @@ type poolJob struct {
 }
 
 // NewPool starts a pool of the given size; workers <= 0 selects
-// GOMAXPROCS. Callers own the pool and must Close it when done.
-func NewPool(workers int) *Pool {
+// GOMAXPROCS. Its Spec cells share DefaultCache. Callers own the pool
+// and must Close it when done.
+func NewPool(workers int) *Pool { return newPool(workers, DefaultCache) }
+
+// newPool is NewPool with the program cache every job's Spec cells use;
+// the package's tests pass a private one so each pool compiles cold.
+func newPool(workers int, cache *ProgCache) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: workers}
+	p := &Pool{workers: workers, cache: cache}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -113,27 +116,22 @@ func NewPool(workers int) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 // Run executes every cell on the shared workers and blocks until the
-// job completes or ctx is canceled. Results are in enumeration order;
-// the returned error joins every cell error (as Execute does). On
-// cancellation Run stops claiming the job's remaining cells, waits for
-// its in-flight cells to drain — so no pool goroutine touches the
-// job's state after Run returns — and returns ctx.Err().
-//
-// Options.Workers is ignored: the pool's size governs. Options.Cache,
-// Options.Obs and Options.Progress apply per job as in Execute.
+// job completes or ctx is canceled. Results are in enumeration order
+// (results[i] belongs to cells[i]); the returned error joins every cell
+// error with errors.Join, and each cell's error also stays in its
+// result. Cancelling ctx stops the job between cells and interrupts
+// long-running whisper cells at operation granularity: Run stops
+// claiming the job's remaining cells, waits for its in-flight cells to
+// drain — so no pool goroutine touches the job's state after Run
+// returns — and returns ctx.Err().
 func (p *Pool) Run(ctx context.Context, cells []Cell, opt Options) ([]CellResult, error) {
 	results := make([]CellResult, len(cells))
 	if len(cells) == 0 {
 		return results, ctx.Err()
 	}
-	cache := opt.Cache
-	if cache == nil {
-		cache = DefaultCache
-	}
 	j := &poolJob{
 		ctx:      ctx,
 		cells:    cells,
-		cache:    cache,
 		ocfg:     opt.Obs,
 		progress: opt.Progress,
 		results:  results,
@@ -251,16 +249,15 @@ func (p *Pool) worker() {
 		p.mu.Unlock()
 
 		p.busy.Add(1)
-		res, err := RunCellCtx(j.ctx, j.cells[i], j.cache, j.ocfg)
+		res, err := RunCellCtx(j.ctx, j.cells[i], p.cache, j.ocfg)
 		res.Err = err
 		p.busy.Add(-1)
 		p.completed.Add(1)
 
 		// Progress fires before the in-flight count drops: the job can
 		// only reach its terminal state (and release Run) once every
-		// callback has returned, matching Execute's serialization. A
-		// canceled job stops reporting — cells aborted by its context
-		// are not completions.
+		// callback has returned. A canceled job stops reporting — cells
+		// aborted by its context are not completions.
 		if j.progress != nil && j.ctx.Err() == nil {
 			j.pmu.Lock()
 			j.done++

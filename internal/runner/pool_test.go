@@ -13,22 +13,22 @@ import (
 )
 
 // TestPoolMatchesExecute: a grid run on a shared pool is identical —
-// results and order — to a one-shot Execute.
+// results and order — to a one-worker batch.
 func TestPoolMatchesExecute(t *testing.T) {
 	cells := smallCells(3)
-	want, err := Execute(cells, Options{Workers: 1, Cache: NewProgCache()})
+	want, err := runBatch(1, cells, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool(4)
+	p := newPool(4, NewProgCache())
 	defer p.Close()
-	got, err := p.Run(context.Background(), cells, Options{Cache: NewProgCache()})
+	got, err := p.Run(context.Background(), cells, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range cells {
 		if got[i].Result != want[i].Result {
-			t.Fatalf("cell %d (%s): pool result differs from Execute", i, cells[i].Name())
+			t.Fatalf("cell %d (%s): pool result differs from the one-worker batch", i, cells[i].Name())
 		}
 	}
 }
@@ -37,7 +37,7 @@ func TestPoolMatchesExecute(t *testing.T) {
 // each produce the same results as their serial run — cross-job
 // interleaving never leaks into cells.
 func TestPoolConcurrentJobsIdentical(t *testing.T) {
-	p := NewPool(4)
+	p := newPool(4, NewProgCache())
 	defer p.Close()
 	const jobs = 6
 	var wg sync.WaitGroup
@@ -48,12 +48,12 @@ func TestPoolConcurrentJobsIdentical(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			cells := smallCells(int64(j + 1))
-			want, err := Execute(cells, Options{Workers: 1, Cache: NewProgCache()})
+			want, err := runBatch(1, cells, Options{})
 			if err != nil {
 				errs[j] = err
 				return
 			}
-			got, err := p.Run(context.Background(), cells, Options{Cache: NewProgCache()})
+			got, err := p.Run(context.Background(), cells, Options{})
 			if err != nil {
 				errs[j] = err
 				return
@@ -79,7 +79,7 @@ func TestPoolConcurrentJobsIdentical(t *testing.T) {
 // goroutines stuck (the pool drains and closes cleanly under -race).
 func TestPoolCancelMidGrid(t *testing.T) {
 	before := runtime.NumGoroutine()
-	p := NewPool(2)
+	p := newPool(2, NewProgCache())
 
 	// A long grid: enough sizable cells that cancellation lands mid-run.
 	var cells []Cell
@@ -91,7 +91,7 @@ func TestPoolCancelMidGrid(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	fired := make(chan struct{})
-	opt := Options{Cache: NewProgCache(), Progress: func(done, total int, last Cell) {
+	opt := Options{Progress: func(done, total int, last Cell) {
 		if done == 2 {
 			close(fired)
 		}
@@ -110,7 +110,7 @@ func TestPoolCancelMidGrid(t *testing.T) {
 
 	// The pool stays usable after a cancelled job.
 	short := smallCells(1)[:2]
-	if _, err := p.Run(context.Background(), short, Options{Cache: NewProgCache()}); err != nil {
+	if _, err := p.Run(context.Background(), short, Options{}); err != nil {
 		t.Fatalf("Run after cancel: %v", err)
 	}
 	p.Close()
@@ -128,7 +128,7 @@ func TestPoolCancelMidGrid(t *testing.T) {
 // TestPoolCloseCancelsQueued: closing a pool with an unfinished job
 // fails that job with ErrPoolClosed rather than hanging its caller.
 func TestPoolCloseCancelsQueued(t *testing.T) {
-	p := NewPool(1)
+	p := newPool(1, NewProgCache())
 	var cells []Cell
 	for i := 0; i < 32; i++ {
 		cells = append(cells, Cell{
@@ -140,7 +140,6 @@ func TestPoolCloseCancelsQueued(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := p.Run(context.Background(), cells, Options{
-			Cache: NewProgCache(),
 			Progress: func(d, _ int, _ Cell) {
 				if d == 1 {
 					close(started)
@@ -168,7 +167,7 @@ func TestPoolCloseCancelsQueued(t *testing.T) {
 // runs complete, with claimed == completed == cells executed, and stays
 // consistent when sampled while a job is live (run under -race).
 func TestPoolStats(t *testing.T) {
-	p := NewPool(3)
+	p := newPool(3, NewProgCache())
 	defer p.Close()
 
 	if s := p.Stats(); s.Workers != 3 || s.BusyWorkers != 0 || s.ActiveJobs != 0 ||
@@ -196,7 +195,7 @@ func TestPoolStats(t *testing.T) {
 			}
 		}
 	}()
-	if _, err := p.Run(context.Background(), cells, Options{Cache: NewProgCache()}); err != nil {
+	if _, err := p.Run(context.Background(), cells, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
@@ -214,7 +213,7 @@ func TestPoolStats(t *testing.T) {
 // TestPoolStatsCancelDrainsQueue: cancelling a job returns its
 // unclaimed cells out of the queued gauge — occupancy settles to zero.
 func TestPoolStatsCancelDrainsQueue(t *testing.T) {
-	p := NewPool(1)
+	p := newPool(1, NewProgCache())
 	defer p.Close()
 	var cells []Cell
 	for i := 0; i < 48; i++ {
@@ -225,7 +224,7 @@ func TestPoolStatsCancelDrainsQueue(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	fired := make(chan struct{})
-	opt := Options{Cache: NewProgCache(), Progress: func(done, total int, last Cell) {
+	opt := Options{Progress: func(done, total int, last Cell) {
 		if done == 1 {
 			close(fired)
 		}
@@ -253,7 +252,7 @@ func TestPoolStatsCancelDrainsQueue(t *testing.T) {
 // completed cells alternate between the jobs — neither job head-of-line
 // blocks the other.
 func TestPoolRoundRobinFairness(t *testing.T) {
-	p := NewPool(1)
+	p := newPool(1, NewProgCache())
 	defer p.Close()
 
 	mkCells := func(n int, seed int64) []Cell {
@@ -285,7 +284,7 @@ func TestPoolRoundRobinFairness(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		opt := Options{Cache: NewProgCache(), Progress: func(d, tot int, c Cell) {
+		opt := Options{Progress: func(d, tot int, c Cell) {
 			once.Do(func() { close(aStarted) })
 			progress("A")(d, tot, c)
 		}}
@@ -296,7 +295,7 @@ func TestPoolRoundRobinFairness(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-aStarted
-		opt := Options{Cache: NewProgCache(), Progress: progress("B")}
+		opt := Options{Progress: progress("B")}
 		if _, err := p.Run(context.Background(), mkCells(8, 2), opt); err != nil {
 			t.Error(err)
 		}

@@ -1,9 +1,10 @@
 // Package runner is the parallel experiment engine behind the public
 // experiment API. Every table and figure of the evaluation decomposes
-// into independent cells — one (workload, scheme, EW/TEW target, seed,
-// scale) simulation each — and the engine executes a cell list across a
-// pool of OS workers while keeping the result order identical to the
-// enumeration order, so a parallel run is bit-identical to a serial one.
+// into independent cells — one (workload, scheme, EW target, seed,
+// scale) simulation each. Pool.Run executes a cell list across a pool of
+// OS workers while keeping the result order identical to the enumeration
+// order, so a parallel run is bit-identical to a serial one; RunCellCtx
+// executes one cell on the calling goroutine.
 //
 // Each cell builds its own simulated machine, NVM device and runtime, so
 // cells share no mutable state; the only cross-cell structure is the
@@ -15,7 +16,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/crash"
@@ -72,21 +72,18 @@ type Cell struct {
 	Scheme params.Scheme
 	// EWMicros is the exposure-window target in microseconds.
 	EWMicros float64
-	// TEWMicros overrides the thread exposure window target when > 0;
-	// zero keeps the scheme default (2 us for TERP schemes, none for MM).
-	TEWMicros float64
 	// Seed seeds the cell's deterministic randomness.
 	Seed int64
 	// Ops is the WHISPER operation count (Whisper cells).
 	Ops int
 	// Scale and Threads size the kernel and its worker count (Spec cells).
 	Scale, Threads int
-	// Policy, Every, PointStart, PointCount and Adversarial describe the
-	// fault-injection slice (Crash cells): the crash-point enumeration
-	// policy and the window of points this cell injects.
-	Policy                        string
-	Every, PointStart, PointCount int
-	Adversarial                   bool
+	// Policy, Every, PointCount and Adversarial describe the fault
+	// injection (Crash cells): the crash-point enumeration policy and how
+	// many of its points this cell injects.
+	Policy            string
+	Every, PointCount int
+	Adversarial       bool
 	// CrossCheck verifies each sampled crash image against the
 	// exhaustive enumerator (Crash cells only).
 	CrossCheck bool
@@ -96,9 +93,6 @@ type Cell struct {
 func (c Cell) Config() params.Config {
 	cfg := params.NewConfig(c.Scheme, c.EWMicros)
 	cfg.Seed = c.Seed
-	if c.TEWMicros > 0 && cfg.TEWTarget != 0 {
-		cfg.TEWTarget = params.Micros(c.TEWMicros)
-	}
 	return cfg
 }
 
@@ -133,54 +127,16 @@ type CellResult struct {
 
 // Progress is called after each cell completes. done counts finished
 // cells, total is the cell count, and last is the cell that just
-// finished. Calls are serialized by the engine but arrive in completion
+// finished. Calls are serialized per job but arrive in completion
 // order, which under parallelism is not the enumeration order.
 type Progress func(done, total int, last Cell)
 
-// Options configures an Execute call.
+// Options configures one Pool.Run job.
 type Options struct {
-	// Workers is the worker-pool size; <= 0 selects GOMAXPROCS.
-	Workers int
 	// Progress, when set, receives live completion events.
 	Progress Progress
-	// Cache overrides the compiled-program cache; nil uses the shared
-	// process-wide DefaultCache.
-	Cache *ProgCache
 	// Obs selects per-cell tracing/metrics collection.
 	Obs obs.Config
-}
-
-// Execute runs every cell across the worker pool and returns the results
-// in enumeration order (results[i] belongs to cells[i], whatever order
-// the workers finished in). The returned error joins every cell error
-// with errors.Join; the per-cell errors also remain in the result slice
-// so callers can attribute failures.
-func Execute(cells []Cell, opt Options) ([]CellResult, error) {
-	return ExecuteContext(context.Background(), cells, opt)
-}
-
-// ExecuteContext is Execute with cancellation: it spins up an ephemeral
-// Pool of Options.Workers workers for the batch and tears it down when
-// the batch completes. Cancelling ctx stops the batch between cells
-// (and interrupts long-running whisper cells at operation granularity);
-// ExecuteContext then returns ctx.Err() once in-flight cells drain.
-// Long-lived callers with many concurrent batches should own a shared
-// Pool instead.
-func ExecuteContext(ctx context.Context, cells []Cell, opt Options) ([]CellResult, error) {
-	results := make([]CellResult, len(cells))
-	if len(cells) == 0 {
-		return results, ctx.Err()
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	p := NewPool(workers)
-	defer p.Close()
-	return p.Run(ctx, cells, opt)
 }
 
 // RunCell executes one cell on the calling goroutine, returning the
@@ -266,7 +222,6 @@ func RunCellCtx(ctx context.Context, c Cell, cache *ProgCache, ocfg obs.Config) 
 			Seed:        c.Seed,
 			Policy:      crash.Policy(c.Policy),
 			Every:       c.Every,
-			PointStart:  c.PointStart,
 			Points:      c.PointCount,
 			Adversarial: c.Adversarial,
 			CrossCheck:  c.CrossCheck,

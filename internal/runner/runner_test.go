@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -33,13 +34,22 @@ func smallCells(seed int64) []Cell {
 	return cells
 }
 
+// runBatch runs cells as one job on a fresh pool of the given size with
+// a private program cache, so every batch compiles its kernels cold and
+// concurrently, and closes the pool when the job is done.
+func runBatch(workers int, cells []Cell, opt Options) ([]CellResult, error) {
+	p := newPool(workers, NewProgCache())
+	defer p.Close()
+	return p.Run(context.Background(), cells, opt)
+}
+
 func TestExecuteParallelMatchesSerial(t *testing.T) {
 	cells := smallCells(1)
-	serial, err := Execute(cells, Options{Workers: 1, Cache: NewProgCache()})
+	serial, err := runBatch(1, cells, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Execute(cells, Options{Workers: 4, Cache: NewProgCache()})
+	par, err := runBatch(4, cells, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +63,7 @@ func TestExecuteParallelMatchesSerial(t *testing.T) {
 
 func TestExecutePreservesEnumerationOrder(t *testing.T) {
 	cells := smallCells(7)
-	res, err := Execute(cells, Options{Workers: 4, Cache: NewProgCache()})
+	res, err := runBatch(4, cells, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +84,7 @@ func TestExecuteJoinsAllErrors(t *testing.T) {
 		{Exp: "t", Kind: Whisper, Workload: "echo", Scheme: params.TT, EWMicros: 40, Seed: 1, Ops: 10},
 		{Exp: "t", Kind: Spec, Workload: "missing", Scheme: params.TT, EWMicros: 40, Seed: 1},
 	}
-	res, err := Execute(cells, Options{Workers: 2, Cache: NewProgCache()})
+	res, err := runBatch(2, cells, Options{})
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -91,9 +101,7 @@ func TestProgressReachesTotal(t *testing.T) {
 	cells := smallCells(1)[:4]
 	var mu sync.Mutex
 	var calls []int
-	_, err := Execute(cells, Options{
-		Workers: 3,
-		Cache:   NewProgCache(),
+	_, err := runBatch(3, cells, Options{
 		Progress: func(done, total int, last Cell) {
 			mu.Lock()
 			defer mu.Unlock()

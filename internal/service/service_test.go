@@ -243,7 +243,9 @@ func TestCancelQueuedJob(t *testing.T) {
 }
 
 // TestBadSpecRejected: malformed, unknown-version and unknown-name
-// specs all bounce with 400 before touching the scheduler.
+// specs all bounce with 400 before touching the scheduler, and so does a
+// sweep point below the 2 us EW floor, whose cell would never finish and
+// would hold its worker for good.
 func TestBadSpecRejected(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1})
 	for _, body := range []string{
@@ -251,6 +253,7 @@ func TestBadSpecRejected(t *testing.T) {
 		`{"version": 7, "name": "table3"}`,
 		`{"name": "nope"}`,
 		`{"name": "table3", "bogus": 1}`,
+		`{"name": "ewsweep", "opts": {"ops": 50}, "ewMicros": [1]}`,
 	} {
 		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

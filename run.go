@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
+	"runtime"
 
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -29,12 +29,12 @@ type ExperimentSpec struct {
 	Opts ExpOpts `json:"opts"`
 	// Parallel is the worker-pool size for the experiment's cells:
 	// 1 forces a serial run, 0 (or negative) uses GOMAXPROCS. Results
-	// are bit-identical at every worker count. RunOn ignores it (the
-	// shared pool's size governs).
+	// are bit-identical at every worker count. RunOn on a shared pool
+	// ignores it (the pool's size governs).
 	Parallel int `json:"parallel,omitempty"`
 	// EWMicros lists the sweep points for the "ewsweep" experiment;
-	// nil selects the default 40/80/160/320 us. Other experiments
-	// ignore it.
+	// nil selects the default 40/80/160/320 us. Each point must be at
+	// least params.MinEWMicros (2 us). Other experiments ignore it.
 	EWMicros []float64 `json:"ewMicros,omitempty"`
 	// Progress, when set, receives live cell-completion events: done
 	// cells out of total, plus the finished cell's display name.
@@ -267,60 +267,35 @@ func Experiments() []string {
 }
 
 // Run executes one experiment: it enumerates the experiment's cells,
-// executes them across the worker pool (see ExperimentSpec.Parallel) and
-// assembles the structured Grid. The per-experiment helpers (Table3,
-// Figure9, ...) are thin wrappers over Run, and Run itself is a thin
-// wrapper over RunContext with a background context.
+// executes them on a pool of spec.Parallel workers and assembles the
+// structured Grid. It is RunOn with a background context and no shared
+// pool.
 func Run(spec ExperimentSpec) (*Grid, error) {
-	return RunContext(context.Background(), spec)
+	return RunOn(context.Background(), nil, spec)
 }
 
-// RunContext is Run with cancellation: cancelling ctx mid-grid stops
-// scheduling cells, interrupts the running ones at operation
-// granularity, and returns an error satisfying errors.Is(err,
-// ctx.Err()). A run that completes is byte-identical to Run's.
-func RunContext(ctx context.Context, spec ExperimentSpec) (*Grid, error) {
-	return RunOn(ctx, nil, spec)
-}
-
-// RunOn is RunContext on a caller-owned runner.Pool: the experiment's
-// cells execute on the shared persistent workers (spec.Parallel is
-// ignored — the pool's size governs), interleaved round-robin with any
-// other job on the pool. A nil pool falls back to an ephemeral per-call
-// pool of spec.Parallel workers. Grids are byte-identical however the
-// cells were scheduled, which is what lets terpd serve results
-// indistinguishable from offline runs.
+// RunOn is Run with cancellation on a caller-owned runner.Pool: the
+// experiment's cells execute on the shared persistent workers
+// (spec.Parallel is ignored — the pool's size governs), interleaved
+// round-robin with any other job on the pool. A nil pool runs the cells
+// on a one-off pool of spec.Parallel workers instead. A spec that fails
+// Validate is rejected before any cell runs. Cancelling ctx
+// mid-grid stops scheduling cells, interrupts the running ones at
+// operation granularity, and returns an error satisfying errors.Is(err,
+// ctx.Err()). Grids are byte-identical however the cells were scheduled,
+// which is what lets terpd serve results indistinguishable from offline
+// runs.
 func RunOn(ctx context.Context, pool *runner.Pool, spec ExperimentSpec) (*Grid, error) {
-	if spec.Version != 0 && spec.Version != WireVersion {
-		return nil, fmt.Errorf("terp: unsupported spec version %d (this build speaks version %d)",
-			spec.Version, WireVersion)
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
-	e, ok := findExperiment(spec.Name)
-	if !ok {
-		return nil, fmt.Errorf("terp: unknown experiment %q (valid: %s)",
-			spec.Name, strings.Join(Experiments(), ", "))
-	}
+	e, _ := findExperiment(spec.Name)
 	spec.Opts = spec.Opts.withDefaults()
 
 	var res []runner.CellResult
 	if e.cells != nil {
-		var progress runner.Progress
-		if spec.Progress != nil {
-			p := spec.Progress
-			progress = func(done, total int, last runner.Cell) { p(done, total, last.Name()) }
-		}
-		opt := runner.Options{
-			Workers:  spec.Parallel,
-			Progress: progress,
-			Obs:      spec.Obs,
-		}
 		var err error
-		if pool != nil {
-			res, err = pool.Run(ctx, e.cells(spec), opt)
-		} else {
-			res, err = runner.ExecuteContext(ctx, e.cells(spec), opt)
-		}
-		if err != nil {
+		if res, err = runCells(ctx, pool, spec, e.cells(spec)); err != nil {
 			return nil, err
 		}
 	} else if err := ctx.Err(); err != nil {
@@ -344,4 +319,23 @@ func RunOn(ctx context.Context, pool *runner.Pool, spec ExperimentSpec) (*Grid, 
 		}
 	}
 	return g, nil
+}
+
+// runCells executes the cells as one job on pool. A nil pool is replaced
+// by a one-off pool of spec.Parallel workers (GOMAXPROCS when <= 0, never
+// more than there are cells), closed once the job is done.
+func runCells(ctx context.Context, pool *runner.Pool, spec ExperimentSpec, cells []runner.Cell) ([]runner.CellResult, error) {
+	if pool == nil {
+		workers := spec.Parallel
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		pool = runner.NewPool(min(workers, len(cells)))
+		defer pool.Close()
+	}
+	var progress runner.Progress
+	if p := spec.Progress; p != nil {
+		progress = func(done, total int, last runner.Cell) { p(done, total, last.Name()) }
+	}
+	return pool.Run(ctx, cells, runner.Options{Progress: progress, Obs: spec.Obs})
 }

@@ -88,18 +88,15 @@ func TestRunProgressCoversEveryCell(t *testing.T) {
 	}
 }
 
+// TestRunGridFormatMatchesWrapperFormat: Grid.Format renders exactly
+// what the experiment's formatter makes of the payload of a second,
+// independent run.
 func TestRunGridFormatMatchesWrapperFormat(t *testing.T) {
 	o := ExpOpts{Ops: 200}
-	g, err := Run(ExperimentSpec{Name: "table3", Opts: o})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Table3(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := runGrid(t, "table3", o)
+	rows := runGrid(t, "table3", o).Whisper
 	if g.Format() != FormatTable3(rows) {
-		t.Fatal("Grid.Format differs from the wrapper's rendering")
+		t.Fatal("Grid.Format differs from FormatTable3's rendering")
 	}
 }
 
@@ -111,9 +108,10 @@ func TestOptionsValidate(t *testing.T) {
 		{EWMicros: nan()},
 		{TEWMicros: -2},
 		{TEWMicros: nan()},
-		{TEWMicros: 80},               // above the 40us EW default
-		{EWMicros: 10, TEWMicros: 20}, // TEW above explicit EW
-		{NVMBytes: 1 << 10},           // undersized device
+		{TEWMicros: 80},                           // above the 40us EW default
+		{EWMicros: 10, TEWMicros: 20},             // TEW above explicit EW
+		{NVMBytes: 1 << 10},                       // undersized device
+		{Scheme: TT, EWMicros: 1.9, TEWMicros: 1}, // EW shorter than a randomization stall
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -127,6 +125,7 @@ func TestOptionsValidate(t *testing.T) {
 		{},
 		{Scheme: MM},
 		{EWMicros: 80, TEWMicros: 4},
+		{EWMicros: 2, TEWMicros: 1}, // the shortest accepted EW
 		{NVMBytes: MinNVMBytes},
 	}
 	for i, o := range good {

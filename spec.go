@@ -14,6 +14,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/params"
 	"repro/internal/runner"
 )
 
@@ -26,8 +27,9 @@ const WireVersion = 1
 // ParseSpec decodes the JSON wire form of an ExperimentSpec and
 // validates it: the version must be absent (meaning current) or
 // WireVersion, the experiment must exist, the scaling knobs must be
-// sane, and unknown fields are rejected so schema drift surfaces as an
-// error rather than as silently ignored settings.
+// sane, every sweep point must be at least params.MinEWMicros, and
+// unknown fields are rejected so schema drift surfaces as an error
+// rather than as silently ignored settings.
 func ParseSpec(data []byte) (ExperimentSpec, error) {
 	var spec ExperimentSpec
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -59,8 +61,8 @@ func (s ExperimentSpec) Validate() error {
 		return fmt.Errorf("terp: negative scale %d", s.Opts.Scale)
 	}
 	for _, ew := range s.EWMicros {
-		if math.IsNaN(ew) || math.IsInf(ew, 0) || ew <= 0 {
-			return fmt.Errorf("terp: ewMicros sweep point %v is not a positive finite window", ew)
+		if math.IsNaN(ew) || math.IsInf(ew, 0) || ew < params.MinEWMicros {
+			return fmt.Errorf("terp: ewMicros sweep point %v is not a finite window of at least %g us", ew, float64(params.MinEWMicros))
 		}
 	}
 	return nil
@@ -90,10 +92,9 @@ func (s ExperimentSpec) Cells() ([]runner.Cell, error) {
 }
 
 // ParseGrids parses a grid document — the `terpbench -json` array form
-// that BENCH_*.json baselines, `terpreport -in` inputs and terpd
-// result fetches all share — rejecting grids from an unknown wire
-// version. Version 0 (absent) is accepted for documents written before
-// grids were stamped.
+// that BENCH_*.json baselines and `terpreport -in` inputs share —
+// rejecting grids from an unknown wire version. Version 0 (absent) is
+// accepted for documents written before grids were stamped.
 func ParseGrids(data []byte) ([]*Grid, error) {
 	var grids []*Grid
 	if err := json.Unmarshal(data, &grids); err != nil {
@@ -109,17 +110,4 @@ func ParseGrids(data []byte) ([]*Grid, error) {
 		}
 	}
 	return grids, nil
-}
-
-// ParseGrid parses a single grid in wire form (a terpd result fetch).
-func ParseGrid(data []byte) (*Grid, error) {
-	var g Grid
-	if err := json.Unmarshal(data, &g); err != nil {
-		return nil, fmt.Errorf("terp: parsing grid: %w", err)
-	}
-	if g.Version != 0 && g.Version != WireVersion {
-		return nil, fmt.Errorf("terp: grid %s: unsupported version %d (this build speaks version %d)",
-			g.Name, g.Version, WireVersion)
-	}
-	return &g, nil
 }

@@ -230,11 +230,18 @@ func TestOptionsDefaults(t *testing.T) {
 
 var tiny = ExpOpts{Ops: 400, Scale: 1, Seed: 1}
 
-func TestTable3Shape(t *testing.T) {
-	rows, err := Table3(tiny)
+// runGrid runs one experiment, failing the test or benchmark on error.
+func runGrid(tb testing.TB, name string, o ExpOpts) *Grid {
+	tb.Helper()
+	g, err := Run(ExperimentSpec{Name: name, Opts: o})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return g
+}
+
+func TestTable3Shape(t *testing.T) {
+	rows := runGrid(t, "table3", tiny).Whisper
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -262,10 +269,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	bars, err := Figure9(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bars := runGrid(t, "fig9", tiny).Bars
 	if len(bars) != 6*5 {
 		t.Fatalf("bars = %d", len(bars))
 	}
@@ -293,10 +297,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	rows, err := Table4(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runGrid(t, "table4", tiny).Spec
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -319,17 +320,11 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestFigure10And11Shape(t *testing.T) {
-	f10, err := Figure10(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f10 := runGrid(t, "fig10", tiny).Bars
 	if len(f10) != 5*5 {
 		t.Fatalf("figure10 bars = %d", len(f10))
 	}
-	f11, err := Figure11(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f11 := runGrid(t, "fig11", tiny).Bars
 	byKey := map[string]OverheadBar{}
 	for _, b := range f11 {
 		byKey[b.Prog+b.Label] = b
@@ -346,7 +341,7 @@ func TestFigure10And11Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	rows := Table5(0)
+	rows := Table5()
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -365,10 +360,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable6Shape(t *testing.T) {
-	res, err := Table6(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := *runGrid(t, "table6", tiny).Scenarios
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -389,10 +381,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestFigure8Shape(t *testing.T) {
-	res, err := Figure8(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := *runGrid(t, "fig8", tiny).DeadTime
 	if res.AtLeastTEW < 0.85 {
 		t.Fatalf("P(dead>=2us) = %.2f", res.AtLeastTEW)
 	}
@@ -489,10 +478,11 @@ func TestNamespacePermissionsEnforcedAtAttach(t *testing.T) {
 }
 
 func TestEWSweepFrontier(t *testing.T) {
-	rows, err := EWSweep(ExpOpts{Ops: 300}, []float64{40, 160})
+	g, err := Run(ExperimentSpec{Name: "ewsweep", Opts: ExpOpts{Ops: 300}, EWMicros: []float64{40, 160}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := g.Frontier
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
