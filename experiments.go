@@ -721,7 +721,8 @@ type CrashRow struct {
 	Policy      string `json:"policy"`
 	Adversarial bool   `json:"adversarial"`
 	// Ops is the instrumented run length; Events and Fences count its
-	// persist events; Candidates is the policy's full enumeration.
+	// persist events. Candidates is, for fence and nth, every matching
+	// event; for random, the sample size (crash.Report.Candidates).
 	Ops        int    `json:"ops"`
 	Events     uint64 `json:"events"`
 	Fences     uint64 `json:"fences"`
@@ -741,8 +742,8 @@ type CrashRow struct {
 }
 
 // crashOps derives the instrumented run length from the experiment op
-// count: every cell replays the workload twice and verifies each point
-// against a fresh device, so full-length runs buy nothing.
+// count: every cell verifies each point through recovery and a full
+// audit, so full-length runs buy nothing.
 func crashOps(ops int) int {
 	n := ops / 250
 	if n < 120 {

@@ -96,8 +96,9 @@ type Report struct {
 	Adversarial bool   `json:"adversarial"`
 	Ops         int    `json:"ops"`
 	// Events and Fences count the full instrumented run's persist
-	// events; Candidates is how many matched the policy before Points
-	// capped them.
+	// events. Candidates is, for fence and nth, how many events matched
+	// the policy before Points capped them; for random, the sample size
+	// after the cap (Points, or Events when Points is 0 or larger).
 	Events     uint64        `json:"events"`
 	Fences     uint64        `json:"fences"`
 	Candidates int           `json:"candidates"`
@@ -129,43 +130,53 @@ func makeWorkload(name string) (whisper.Recoverable, int, uint64, error) {
 	return w, whisper.LogCapacity, 2 << 30, nil
 }
 
+// A run is one instrumented execution of a spec's workload: the live
+// device and its persist buffer, and the workload with its log capacity.
+type run struct {
+	dev    *nvm.Device
+	buf    *nvm.PersistBuffer
+	w      whisper.Recoverable
+	logCap int
+}
+
 // instrumented runs the spec's workload over a persist buffer, invoking
-// hook at every persist event, and returns the machine pieces. The run is
-// fully determined by the spec, so calling it twice replays the same
-// event stream.
-func (s Spec) instrumented(hook func(dev *nvm.Device, buf *nvm.PersistBuffer, w whisper.Recoverable, e nvm.Event)) (*nvm.PersistBuffer, whisper.Recoverable, error) {
-	w, _, devSize, err := makeWorkload(s.Workload)
+// hook (when non-nil) at every persist event, and returns the run. It
+// stops before the next operation once stop (when non-nil) reports true.
+// The run is fully determined by the spec, so calling it twice replays
+// the same event stream.
+func (s Spec) instrumented(hook func(r *run, e nvm.Event), stop func() bool) (*run, error) {
+	w, logCap, devSize, err := makeWorkload(s.Workload)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	dev := nvm.NewDevice(nvm.NVM, devSize)
-	mgr := pmo.NewManager(dev)
+	r := &run{dev: nvm.NewDevice(nvm.NVM, devSize), w: w, logCap: logCap}
+	mgr := pmo.NewManager(r.dev)
 	rt := core.NewRuntime(params.NewConfig(params.Unprotected, params.DefaultEWMicros), mgr)
 	ctx := rt.NewThread(sim.SingleThread())
 	rng := rand.New(rand.NewSource(s.Seed))
 	if err := w.Setup(mgr, ctx, rng); err != nil {
-		return nil, nil, fmt.Errorf("crash: %s setup: %w", s.Workload, err)
+		return nil, fmt.Errorf("crash: %s setup: %w", s.Workload, err)
 	}
 	if err := ctx.Attach(w.PMO(), paging.ReadWrite); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Enable the buffer only now: the load phase is durable ground truth,
 	// and every measured op's persistence flows through the buffer.
-	buf := dev.EnablePersistBuffer(nvm.DefaultLineSize)
+	r.buf = r.dev.EnablePersistBuffer(nvm.DefaultLineSize)
 	if hook != nil {
-		buf.SetEventHook(func(e nvm.Event) { hook(dev, buf, w, e) })
+		r.buf.SetEventHook(func(e nvm.Event) { hook(r, e) })
 	}
-	for i := 0; i < s.Ops; i++ {
+	for i := 0; i < s.Ops && (stop == nil || !stop()); i++ {
 		if err := w.Op(ctx, rng); err != nil {
-			return nil, nil, fmt.Errorf("crash: %s op %d: %w", s.Workload, i, err)
+			return nil, fmt.Errorf("crash: %s op %d: %w", s.Workload, i, err)
 		}
 	}
-	return buf, w, nil
+	return r, nil
 }
 
 // dropper returns the adversarial line filter for a crash at event e: a
 // deterministic coin per flushed-but-unfenced line, seeded by (run seed,
-// event index). CrashImage consults it in ascending line order, so the
+// event index). CrashView consults it in ascending line order, so the
 // decisions replay identically. Returns nil (strict ordering: every
 // issued writeback survives) for non-adversarial specs.
 func (s Spec) dropper(e nvm.Event, dropped *int) func(uint64) bool {
@@ -182,13 +193,12 @@ func (s Spec) dropper(e nvm.Event, dropped *int) func(uint64) bool {
 	}
 }
 
-// imageInEnumeration reports whether img is one of the images the
-// exhaustive enumerator materializes at the current instant — the
-// cross-check that the sampling injector (dropper included) can never
-// produce a state outside the litmus engine's state space. The walk
-// stops at the first hash match; the error is the enumeration cap.
-func imageInEnumeration(buf *nvm.PersistBuffer, img map[uint64][]byte) (bool, error) {
-	want := nvm.ImageHash(img)
+// imageInEnumeration reports whether the image with hash want is one of
+// the images the exhaustive enumerator materializes at the current
+// instant — the cross-check that the sampling injector (dropper included)
+// can never produce a state outside the litmus engine's state space. The
+// walk stops at the first hash match; the error is the enumeration cap.
+func imageInEnumeration(buf *nvm.PersistBuffer, want [32]byte) (bool, error) {
 	found := false
 	err := buf.ForEachCrashImage(func(cand map[uint64][]byte) bool {
 		if nvm.ImageHash(cand) == want {
@@ -200,11 +210,10 @@ func imageInEnumeration(buf *nvm.PersistBuffer, img map[uint64][]byte) (bool, er
 	return found, err
 }
 
-// verify reopens the PMO from a post-crash image and checks every
-// recovery invariant, returning the rolled-back record count.
-func verify(img map[uint64][]byte, devSize uint64, w whisper.Recoverable, logCap int) (int, error) {
-	dev := nvm.NewDevice(nvm.NVM, devSize)
-	dev.Restore(img)
+// verify reopens the PMO on a post-crash image — a crash view, which
+// recovery writes to — and checks every recovery invariant, returning the
+// rolled-back record count.
+func verify(dev *nvm.Device, w whisper.Recoverable, logCap int) (int, error) {
 	mgr := pmo.NewManager(dev)
 	p, err := mgr.Open(w.PMO().Name)
 	if err != nil {
@@ -232,119 +241,141 @@ func verify(img map[uint64][]byte, devSize uint64, w whisper.Recoverable, logCap
 	return undone, nil
 }
 
-// Run executes the spec: an enumeration pass collects the candidate
-// events, then a replay pass captures a post-crash image at each selected
-// point and verifies recovery from it on the spot (images are never all
-// held at once).
+// inject crashes the run at event e: it verifies recovery on the crash
+// view of this instant, which the hook drops before the run resumes, and
+// records the point in rep.
+func (s Spec) inject(rep *Report, r *run, e nvm.Event) {
+	pr := PointResult{Event: e.Index, Kind: e.Kind.String()}
+	view := r.dev.CrashView(s.dropper(e, &pr.Dropped))
+	var img [32]byte
+	if s.CrossCheck {
+		img = nvm.ImageHash(view.Snapshot()) // before recovery writes to the view
+	}
+	undone, verr := verify(view, r.w, r.logCap)
+	pr.Undone = undone
+	if verr != nil {
+		pr.Err = verr.Error()
+	}
+	if s.CrossCheck {
+		if found, cerr := imageInEnumeration(r.buf, img); cerr != nil {
+			rep.CrossSkipped++
+		} else {
+			pr.Checked = true
+			rep.CrossChecked++
+			if !found {
+				if pr.Err != "" {
+					pr.Err += "; "
+				}
+				pr.Err += "sampled image not in exhaustive enumeration"
+			}
+		}
+	}
+	if pr.Err != "" {
+		rep.Failures++
+	}
+	rep.Undone += undone
+	rep.Points = append(rep.Points, pr)
+}
+
+// Run executes the spec, verifying recovery from each selected crash
+// point on the spot, on a copy-on-write view of the live device. Fence
+// and nth points are known as the event stream goes, so one instrumented
+// pass counts the candidates and verifies the first Points of them. A
+// random sample needs the event count first: a counting pass runs the
+// workload, then a replay verifies the sampled events and stops after the
+// last one.
 func Run(s Spec) (*Report, error) {
 	if s.Ops <= 0 {
 		return nil, fmt.Errorf("crash: ops must be positive")
 	}
-	every := uint64(1)
-	if s.Every > 1 {
-		every = uint64(s.Every)
-	}
-
-	// Pass 1: enumerate candidate events under the policy.
-	var candidates []uint64
-	var fenceSeen uint64
-	_, _, err := s.instrumented(func(_ *nvm.Device, _ *nvm.PersistBuffer, _ whisper.Recoverable, e nvm.Event) {
-		switch s.Policy {
-		case FencePolicy:
-			if e.Kind == nvm.FenceEvent {
-				if fenceSeen%every == 0 {
-					candidates = append(candidates, e.Index)
-				}
-				fenceSeen++
-			}
-		case NthPolicy:
-			if e.Index%every == 0 {
-				candidates = append(candidates, e.Index)
-			}
-		case RandomPolicy:
-			candidates = append(candidates, e.Index) // sampled below
-		default:
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(candidates) == 0 {
-		return nil, fmt.Errorf("crash: policy %q matched no events", s.Policy)
-	}
-	if s.Policy == RandomPolicy {
-		// Seeded sample without replacement, kept in event order.
-		r := rand.New(rand.NewSource(s.Seed ^ 0x726e64))
-		want := s.Points
-		if want <= 0 || want > len(candidates) {
-			want = len(candidates)
-		}
-		picked := r.Perm(len(candidates))[:want]
-		sort.Ints(picked)
-		sample := make([]uint64, len(picked))
-		for i, idx := range picked {
-			sample[i] = candidates[idx]
-		}
-		candidates = sample
-	}
-	total := len(candidates)
-	if s.Points > 0 && s.Points < len(candidates) {
-		candidates = candidates[:s.Points]
-	}
-
-	// Pass 2: replay, capture and verify each selected point in stream
-	// order.
 	rep := &Report{
 		Workload:    s.Workload,
 		Policy:      s.Policy,
 		Adversarial: s.Adversarial,
 		Ops:         s.Ops,
-		Candidates:  total,
 	}
-	_, logCap, devSize, err := makeWorkload(s.Workload)
+	var err error
+	if s.Policy == RandomPolicy {
+		err = s.runSample(rep)
+	} else {
+		err = s.runStream(rep)
+	}
 	if err != nil {
 		return nil, err
 	}
-	next := 0
-	buf, _, err := s.instrumented(func(dev *nvm.Device, buf *nvm.PersistBuffer, w whisper.Recoverable, e nvm.Event) {
-		if next >= len(candidates) || e.Index != candidates[next] {
-			return
-		}
-		next++
-		pr := PointResult{Event: e.Index, Kind: e.Kind.String()}
-		img := dev.CrashImage(s.dropper(e, &pr.Dropped))
-		undone, verr := verify(img, devSize, w, logCap)
-		pr.Undone = undone
-		if verr != nil {
-			pr.Err = verr.Error()
-		}
-		if s.CrossCheck {
-			if found, cerr := imageInEnumeration(buf, img); cerr != nil {
-				rep.CrossSkipped++
-			} else {
-				pr.Checked = true
-				rep.CrossChecked++
-				if !found {
-					if pr.Err != "" {
-						pr.Err += "; "
-					}
-					pr.Err += "sampled image not in exhaustive enumeration"
-				}
-			}
-		}
-		if pr.Err != "" {
-			rep.Failures++
-		}
-		rep.Undone += undone
-		rep.Points = append(rep.Points, pr)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if next != len(candidates) {
-		return nil, fmt.Errorf("crash: replay visited %d of %d points", next, len(candidates))
-	}
-	rep.Events = buf.Events()
-	rep.Fences = buf.Fences()
 	return rep, nil
+}
+
+// runStream crashes at fence or nth events (every Every-th one), in one
+// pass.
+func (s Spec) runStream(rep *Report) error {
+	every := uint64(max(s.Every, 1))
+	var fences uint64
+	r, err := s.instrumented(func(r *run, e nvm.Event) {
+		switch s.Policy {
+		case FencePolicy:
+			if e.Kind != nvm.FenceEvent {
+				return
+			}
+			fences++
+			if (fences-1)%every != 0 {
+				return
+			}
+		case NthPolicy:
+			if e.Index%every != 0 {
+				return
+			}
+		default:
+			return // an unknown policy matches no event
+		}
+		rep.Candidates++
+		if s.Points <= 0 || rep.Candidates <= s.Points {
+			s.inject(rep, r, e)
+		}
+	}, nil)
+	if err != nil {
+		return err
+	}
+	if rep.Candidates == 0 {
+		return fmt.Errorf("crash: policy %q matched no events", s.Policy)
+	}
+	rep.Events, rep.Fences = r.buf.Events(), r.buf.Fences()
+	return nil
+}
+
+// runSample crashes at a seeded sample of all persist events: a counting
+// pass, then a replay that stops after the last sampled event.
+func (s Spec) runSample(rep *Report) error {
+	count, err := s.instrumented(nil, nil)
+	if err != nil {
+		return err
+	}
+	rep.Events, rep.Fences = count.buf.Events(), count.buf.Fences()
+	n := int(rep.Events)
+	if n == 0 {
+		return fmt.Errorf("crash: policy %q matched no events", s.Policy)
+	}
+	// Seeded sample of event indices without replacement, kept in event
+	// order.
+	want := s.Points
+	if want <= 0 || want > n {
+		want = n
+	}
+	sample := rand.New(rand.NewSource(s.Seed ^ 0x726e64)).Perm(n)[:want]
+	sort.Ints(sample)
+	rep.Candidates = want
+	next := 0
+	_, err = s.instrumented(func(r *run, e nvm.Event) {
+		if next < len(sample) && e.Index == uint64(sample[next]) {
+			next++
+			s.inject(rep, r, e)
+		}
+	}, func() bool { return next == len(sample) })
+	if err != nil {
+		return err
+	}
+	if next != len(sample) {
+		return fmt.Errorf("crash: replay visited %d of %d points", next, len(sample))
+	}
+	return nil
 }

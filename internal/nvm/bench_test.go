@@ -128,8 +128,7 @@ func BenchmarkDeviceWrite8(b *testing.B) {
 }
 
 // BenchmarkNewDevice measures creating a 2 GB device and writing one
-// word: what crash recovery pays for every image it checks on a fresh
-// device.
+// word: what every whisper and crash cell pays for its machine's device.
 func BenchmarkNewDevice(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -8,13 +8,14 @@
 // reads/writes for the wear-related statistics. An optional persist buffer
 // (persist.go) models the volatile store path to persistent media: while
 // enabled, writes only become durable once their cache line is flushed and
-// a fence drains it, and CrashImage materializes the state a power failure
-// would leave.
+// a fence drains it, and CrashView presents the state a power failure would
+// leave as a copy-on-write view of the live device.
 package nvm
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // pageSize is the granularity of sparse storage allocation. It matches the
@@ -54,6 +55,10 @@ const leafPages = 1024 // pages per leaf: 8 KB of pointers
 // below its highest written byte (at most size/512 KB: 4 KB for 2 GB, 2 MB
 // for 1 TB), 8 KB per leaf touched and 4 KB per page touched, whatever its
 // capacity. NewDevice allocates nothing that depends on size.
+//
+// A crash view (CrashView) is a Device whose base is the live device: the
+// pages in its own directory are its copies, and every other page reads
+// through to base.
 type Device struct {
 	kind   Kind
 	size   uint64
@@ -66,6 +71,8 @@ type Device struct {
 
 	// Reads and Writes count byte-granularity accesses.
 	Reads, Writes uint64
+
+	base *Device // the device a crash view reads through to
 }
 
 // ErrOutOfRange is returned for accesses beyond the device size.
@@ -93,10 +100,21 @@ func (d *Device) lookup(pn uint64) *[pageSize]byte {
 	return nil
 }
 
-// materialize allocates the zeroed backing page of page pn (which must not
-// exist yet), growing the directory and allocating its leaf as needed.
-// Writers call it only on a lookup miss; keeping it out of line keeps
-// their page-hit path small.
+// borrowed returns the base page a crash view reads page pn through to:
+// nil on an ordinary device and for a page the base never wrote. Readers
+// call it only on a lookup miss.
+func (d *Device) borrowed(pn uint64) *[pageSize]byte {
+	if d.base == nil {
+		return nil
+	}
+	return d.base.lookup(pn)
+}
+
+// materialize allocates the backing page of page pn (which must not exist
+// yet), growing the directory and allocating its leaf as needed. The page
+// is zeroed, or on a crash view a copy of the page it borrowed. Writers
+// call it only on a lookup miss; keeping it out of line keeps their
+// page-hit path small.
 //
 //go:noinline
 func (d *Device) materialize(pn uint64) *[pageSize]byte {
@@ -112,7 +130,12 @@ func (d *Device) materialize(pn uint64) *[pageSize]byte {
 		l = new(leaf)
 		d.dir[i] = l
 	}
-	p := new([pageSize]byte)
+	var p *[pageSize]byte
+	if src := d.borrowed(pn); src != nil {
+		p = (*[pageSize]byte)(slices.Clone(src[:])) // not zeroed first
+	} else {
+		p = new([pageSize]byte)
+	}
 	l[pn%leafPages] = p
 	d.npages++
 	return p
@@ -145,6 +168,8 @@ func (d *Device) readRaw(b []byte, off uint64) {
 			n = uint64(len(b))
 		}
 		if p := d.lookup(off / pageSize); p != nil {
+			copy(b[:n], p[in:in+n])
+		} else if p = d.borrowed(off / pageSize); p != nil {
 			copy(b[:n], p[in:in+n])
 		} else {
 			clear(b[:n])
@@ -192,7 +217,9 @@ func (d *Device) Read8(off uint64) (uint64, error) {
 		d.Reads += 8
 		p := d.lookup(off / pageSize)
 		if p == nil {
-			return 0, nil
+			if p = d.borrowed(off / pageSize); p == nil {
+				return 0, nil
+			}
 		}
 		return le64(p[in : in+8]), nil
 	}
@@ -201,6 +228,42 @@ func (d *Device) Read8(off uint64) (uint64, error) {
 		return 0, err
 	}
 	return le64(b[:]), nil
+}
+
+// ReadWords reads len(dst) consecutive little-endian 64-bit words starting
+// at off. It is Read8 over a range, with one range check and one page
+// lookup per page (512 words) instead of one per word, and it counts the
+// same 8 read bytes per word.
+func (d *Device) ReadWords(dst []uint64, off uint64) error {
+	if err := d.check(off, 8*len(dst)); err != nil {
+		return err
+	}
+	d.Reads += 8 * uint64(len(dst))
+	for len(dst) > 0 {
+		in := off % pageSize
+		if in > pageSize-8 { // a word straddling two pages
+			var b [8]byte
+			d.readRaw(b[:], off)
+			dst[0] = le64(b[:])
+			dst, off = dst[1:], off+8
+			continue
+		}
+		n := min(int((pageSize-in)/8), len(dst))
+		p := d.lookup(off / pageSize)
+		if p == nil {
+			p = d.borrowed(off / pageSize)
+		}
+		if p == nil {
+			clear(dst[:n])
+		} else {
+			words := p[in : in+uint64(n)*8]
+			for i := range dst[:n] {
+				dst[i] = le64(words[i*8 : i*8+8])
+			}
+		}
+		dst, off = dst[n:], off+uint64(n)*8
+	}
+	return nil
 }
 
 // Write8 writes a little-endian 64-bit word at off. Like Read8 it writes
@@ -225,6 +288,8 @@ func (d *Device) Write8(off uint64, v uint64) error {
 }
 
 // Zero clears n bytes starting at off, dropping whole pages when possible.
+// A crash view clears its own copy of a whole page its base holds instead:
+// a dropped page would read through to the base.
 func (d *Device) Zero(off uint64, n uint64) error {
 	if err := d.check(off, int(n)); err != nil {
 		return err
@@ -242,10 +307,12 @@ func (d *Device) Zero(off uint64, n uint64) error {
 			}
 			d.buf.dirty(off, zeros[:m])
 		}
-		if in == 0 && m == pageSize {
+		if in == 0 && m == pageSize && d.borrowed(off/pageSize) == nil {
 			d.dropPage(off / pageSize)
 		} else if p := d.lookup(off / pageSize); p != nil {
 			clear(p[in : in+m])
+		} else if d.borrowed(off/pageSize) != nil {
+			clear(d.materialize(off / pageSize)[in : in+m])
 		}
 		off += m
 		n -= m
@@ -261,30 +328,46 @@ func (d *Device) dropPage(pn uint64) {
 	}
 }
 
-// Snapshot captures the full device contents. Used to emulate the state
-// that survives a crash (for NVM) in crash-consistency tests.
-func (d *Device) Snapshot() map[uint64][]byte {
-	s := make(map[uint64][]byte, d.npages)
+// eachPage calls fn with every page of the device's image: its own pages,
+// then, for a crash view, the base pages it reads through to.
+func (d *Device) eachPage(fn func(pn uint64, p *[pageSize]byte)) {
 	for i, l := range d.dir {
 		if l == nil {
 			continue
 		}
 		for j, p := range l {
 			if p != nil {
-				s[uint64(i)*leafPages+uint64(j)] = append([]byte(nil), p[:]...)
+				fn(uint64(i)*leafPages+uint64(j), p)
 			}
 		}
 	}
+	if d.base != nil {
+		d.base.eachPage(func(pn uint64, p *[pageSize]byte) {
+			if d.lookup(pn) == nil {
+				fn(pn, p)
+			}
+		})
+	}
+}
+
+// Snapshot captures the full device contents. Used to emulate the state
+// that survives a crash (for NVM) in crash-consistency tests.
+func (d *Device) Snapshot() map[uint64][]byte {
+	s := make(map[uint64][]byte, d.npages)
+	d.eachPage(func(pn uint64, p *[pageSize]byte) {
+		s[pn] = append([]byte(nil), p[:]...)
+	})
 	return s
 }
 
 // Restore replaces the device contents with a snapshot. It models a
 // power cycle, so an enabled persist buffer empties: the restored bytes
-// are durable and no volatile lines survive. A snapshot page past the
-// device's last page panics.
+// are durable and no volatile lines survive. A crash view stops reading
+// through to its base. A snapshot page past the device's last page
+// panics.
 func (d *Device) Restore(s map[uint64][]byte) {
 	pages := (d.size + pageSize - 1) / pageSize
-	d.dir, d.npages = nil, 0
+	d.dir, d.npages, d.base = nil, 0, nil
 	for pn, p := range s {
 		if pn >= pages {
 			panic(fmt.Sprintf("nvm: snapshot page %d is outside the device's %d pages", pn, pages))
@@ -296,8 +379,16 @@ func (d *Device) Restore(s map[uint64][]byte) {
 	}
 }
 
-// FootprintPages returns the number of materialized pages.
-func (d *Device) FootprintPages() int { return d.npages }
+// FootprintPages returns the number of materialized pages; for a crash
+// view, the pages of its image.
+func (d *Device) FootprintPages() int {
+	if d.base == nil {
+		return d.npages
+	}
+	n := 0
+	d.eachPage(func(uint64, *[pageSize]byte) { n++ })
+	return n
+}
 
 func le64(b []byte) uint64 {
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |

@@ -145,8 +145,9 @@ func TestDeviceCounters(t *testing.T) {
 		d.Write8(0, 1)
 		d.Read8(0)
 		d.Read8(0)
-		if d.Writes != 8 || d.Reads != 16 {
-			t.Fatalf("counters = %d writes %d reads, want 8/16", d.Writes, d.Reads)
+		d.ReadWords(make([]uint64, 3), 0)
+		if d.Writes != 8 || d.Reads != 40 {
+			t.Fatalf("counters = %d writes %d reads, want 8/40", d.Writes, d.Reads)
 		}
 	})
 }
@@ -220,10 +221,13 @@ func TestDeviceCostIndependentOfCapacity(t *testing.T) {
 }
 
 // byteModel is the reference the device is checked against: the nonzero
-// bytes by offset and the set of pages a write has materialized.
+// bytes by offset and the set of pages a write has materialized. kept,
+// when set, names the pages zeroing does not drop: those a crash view's
+// base holds.
 type byteModel struct {
 	bytes map[uint64]byte
 	pages map[uint64]bool
+	kept  func(pn uint64) bool
 }
 
 func (m *byteModel) write(off uint64, b []byte) {
@@ -246,7 +250,9 @@ func (m *byteModel) zero(off, n uint64) {
 		delete(m.bytes, a)
 	}
 	for pn := (off + pageSize - 1) / pageSize; (pn+1)*pageSize <= off+n; pn++ {
-		delete(m.pages, pn) // only pages the range covers whole are dropped
+		if m.kept == nil || !m.kept(pn) {
+			delete(m.pages, pn) // only pages the range covers whole are dropped
+		}
 	}
 }
 
@@ -259,7 +265,9 @@ func (m *byteModel) read(off, n uint64) []byte {
 }
 
 // check compares the whole device with the model through a snapshot, and
-// checks that Snapshot -> Restore -> Snapshot preserves the image.
+// checks that Snapshot -> Restore -> Snapshot preserves the image. A
+// device with a persist buffer or a crash view is restored into a fresh
+// device instead: restoring it would empty its buffer or end the view.
 func (m *byteModel) check(t *testing.T, d *Device, step int) {
 	t.Helper()
 	if d.FootprintPages() != len(m.pages) {
@@ -285,102 +293,177 @@ func (m *byteModel) check(t *testing.T, d *Device, step int) {
 			step, len(snap), nonzero, len(m.pages), len(m.bytes))
 	}
 	want := ImageHash(snap)
-	d.Restore(snap)
-	if got := ImageHash(d.Snapshot()); got != want || d.FootprintPages() != len(m.pages) {
+	r := d
+	if d.buf != nil || d.base != nil {
+		r = NewDevice(d.kind, d.size)
+	}
+	r.Restore(snap)
+	if got := ImageHash(r.Snapshot()); got != want || r.FootprintPages() != len(m.pages) {
 		t.Fatalf("step %d: Snapshot -> Restore -> Snapshot changed the image", step)
 	}
+}
+
+// modelOf returns the byte model of an image: its pages and nonzero bytes.
+func modelOf(img map[uint64][]byte) *byteModel {
+	m := &byteModel{bytes: map[uint64]byte{}, pages: map[uint64]bool{}}
+	for pn, p := range img {
+		m.pages[pn] = true
+		for i, v := range p {
+			if v != 0 {
+				m.bytes[pn*pageSize+uint64(i)] = v
+			}
+		}
+	}
+	return m
 }
 
 // TestDeviceMatchesByteMapModel drives a device and a byte-map model with
 // the same seeded random accesses, clustered where the page directory has
 // edges: page boundaries, the first leaf boundary (pages 1023-1025) and
 // the device's last page and end. Out-of-range accesses must fail and
-// change nothing.
+// change nothing. The "view" input is a crash view over a populated
+// device with buffered and in-flight lines, checked against the model of
+// its crash image; the accesses must leave the device it views as it
+// was.
 func TestDeviceMatchesByteMapModel(t *testing.T) {
 	small := uint64(leafPages+2)*pageSize + 1000 // ends inside page 1026
 	for i, size := range []uint64{small, bigDevice} {
 		t.Run(fmt.Sprint(size), func(t *testing.T) {
-			r := rand.New(rand.NewSource(int64(i + 1)))
 			d := NewDevice(NVM, size)
-			m := &byteModel{bytes: map[uint64]byte{}, pages: map[uint64]bool{}}
-			anchors := []uint64{0, pageSize, (leafPages - 1) * pageSize, leafPages * pageSize,
-				(leafPages + 1) * pageSize, (size - 1) / pageSize * pageSize, size}
-			offset := func() uint64 {
-				a := anchors[r.Intn(len(anchors))]
-				if r.Intn(4) == 0 {
-					return a + uint64(r.Intn(pageSize)) // anywhere in the page
-				}
-				if a += uint64(r.Intn(81)); a >= 40 {
-					return a - 40 // within 40 bytes of the boundary
-				}
-				return 0
-			}
-			length := func() uint64 {
-				switch r.Intn(4) {
-				case 0:
-					return uint64(r.Intn(3 * pageSize))
-				case 1:
-					return uint64(1+r.Intn(2)) * pageSize
-				default:
-					return uint64(r.Intn(24))
-				}
-			}
-			for step := 0; step < 600; step++ {
-				off := offset()
-				var n uint64
-				var err error
-				switch r.Intn(6) {
-				case 0: // WriteAt
-					n = length()
-					b := make([]byte, n)
-					for j := range b {
-						if r.Intn(3) > 0 {
-							b[j] = byte(1 + r.Intn(255))
-						}
-					}
-					if err = d.WriteAt(b, off); err == nil {
-						m.write(off, b)
-					}
-				case 1: // Write8
-					n = 8
-					v := r.Uint64()
-					if r.Intn(4) == 0 {
-						v = 0
-					}
-					var b [8]byte
-					put64(b[:], v)
-					if err = d.Write8(off, v); err == nil {
-						m.write(off, b[:])
-					}
-				case 2: // ReadAt
-					n = length()
-					b := make([]byte, n)
-					if err = d.ReadAt(b, off); err == nil && !bytes.Equal(b, m.read(off, n)) {
-						t.Fatalf("step %d: ReadAt(%d, %d) differs from the model", step, off, n)
-					}
-				case 3: // Read8
-					n = 8
-					var v uint64
-					if v, err = d.Read8(off); err == nil && v != le64(m.read(off, 8)) {
-						t.Fatalf("step %d: Read8(%d) = %#x, model %#x", step, off, v, le64(m.read(off, 8)))
-					}
-				case 4: // Zero, whole pages
-					off = off / pageSize * pageSize
-					n = uint64(1+r.Intn(2)) * pageSize
-					if err = d.Zero(off, n); err == nil {
-						m.zero(off, n)
-					}
-				case 5: // Zero, partial
-					n = length()
-					if err = d.Zero(off, n); err == nil {
-						m.zero(off, n)
-					}
-				}
-				if inRange := off+n <= size; inRange != (err == nil) || (err != nil && !errors.Is(err, ErrOutOfRange)) {
-					t.Fatalf("step %d: access [%d, %d) on a %d-byte device: err %v", step, off, off+n, size, err)
-				}
-				m.check(t, d, step)
-			}
+			driveModel(t, rand.New(rand.NewSource(int64(i+1))), d, modelOf(nil), 600)
 		})
+	}
+	t.Run("view", func(t *testing.T) {
+		r := rand.New(rand.NewSource(3))
+		base := NewDevice(NVM, small)
+		m := modelOf(nil)
+		driveModel(t, r, base, m, 300)
+		buf := base.EnablePersistBuffer(0)
+		driveModel(t, r, base, m, 300)
+		// Drain the buffer, then leave two lines buffered, one of them in
+		// flight, so the view holds two pages and borrows the others.
+		base.Flush(0, small)
+		base.Fence()
+		base.Write8(leafPages*pageSize+8, 0x1111)
+		base.Flush(leafPages*pageSize, 8)
+		base.Write8(8, 0x2222)
+		if buf.PendingLines() != 2 || len(buf.UnfencedFlushedLines()) != 1 || base.FootprintPages() < 4 {
+			t.Fatalf("%d buffered lines, %d in flight, %d pages: want 2, 1 and at least 4",
+				buf.PendingLines(), len(buf.UnfencedFlushedLines()), base.FootprintPages())
+		}
+		// A view soon holds every page it touches, so six fresh views
+		// take 100 steps each.
+		image, pending := ImageHash(base.Snapshot()), buf.PendingLines()
+		for _, drop := range []func(uint64) bool{nil, func(uint64) bool { return true }} {
+			for range 3 {
+				m := modelOf(refCrashImage(base, drop))
+				m.kept = func(pn uint64) bool { return base.lookup(pn) != nil }
+				driveModel(t, r, base.CrashView(drop), m, 100)
+			}
+		}
+		if ImageHash(base.Snapshot()) != image || buf.PendingLines() != pending {
+			t.Fatal("accesses through the crash views changed the device they view")
+		}
+	})
+}
+
+// driveModel runs steps seeded random accesses on d and m and checks d
+// against m after each.
+func driveModel(t *testing.T, r *rand.Rand, d *Device, m *byteModel, steps int) {
+	t.Helper()
+	size := d.Size()
+	anchors := []uint64{0, pageSize, (leafPages - 1) * pageSize, leafPages * pageSize,
+		(leafPages + 1) * pageSize, (size - 1) / pageSize * pageSize, size}
+	offset := func() uint64 {
+		a := anchors[r.Intn(len(anchors))]
+		if r.Intn(4) == 0 {
+			return a + uint64(r.Intn(pageSize)) // anywhere in the page
+		}
+		if a += uint64(r.Intn(81)); a >= 40 {
+			return a - 40 // within 40 bytes of the boundary
+		}
+		return 0
+	}
+	length := func() uint64 {
+		switch r.Intn(4) {
+		case 0:
+			return uint64(r.Intn(3 * pageSize))
+		case 1:
+			return uint64(1+r.Intn(2)) * pageSize
+		default:
+			return uint64(r.Intn(24))
+		}
+	}
+	for step := 0; step < steps; step++ {
+		off := offset()
+		var n uint64
+		var err error
+		switch r.Intn(9) {
+		case 0: // WriteAt
+			n = length()
+			b := make([]byte, n)
+			for j := range b {
+				if r.Intn(3) > 0 {
+					b[j] = byte(1 + r.Intn(255))
+				}
+			}
+			if err = d.WriteAt(b, off); err == nil {
+				m.write(off, b)
+			}
+		case 1: // Write8
+			n = 8
+			v := r.Uint64()
+			if r.Intn(4) == 0 {
+				v = 0
+			}
+			var b [8]byte
+			put64(b[:], v)
+			if err = d.Write8(off, v); err == nil {
+				m.write(off, b[:])
+			}
+		case 2: // ReadAt
+			n = length()
+			b := make([]byte, n)
+			if err = d.ReadAt(b, off); err == nil && !bytes.Equal(b, m.read(off, n)) {
+				t.Fatalf("step %d: ReadAt(%d, %d) differs from the model", step, off, n)
+			}
+		case 3: // Read8
+			n = 8
+			var v uint64
+			if v, err = d.Read8(off); err == nil && v != le64(m.read(off, 8)) {
+				t.Fatalf("step %d: Read8(%d) = %#x, model %#x", step, off, v, le64(m.read(off, 8)))
+			}
+		case 4: // ReadWords
+			words := make([]uint64, r.Intn(3*pageSize/8))
+			n = 8 * uint64(len(words))
+			if err = d.ReadWords(words, off); err == nil {
+				for j, v := range words {
+					if want := le64(m.read(off+uint64(j)*8, 8)); v != want {
+						t.Fatalf("step %d: ReadWords(%d) word %d = %#x, model %#x", step, off, j, v, want)
+					}
+				}
+			}
+		case 5: // Zero, whole pages
+			off = off / pageSize * pageSize
+			n = uint64(1+r.Intn(2)) * pageSize
+			if err = d.Zero(off, n); err == nil {
+				m.zero(off, n)
+			}
+		case 6: // Zero, partial
+			n = length()
+			if err = d.Zero(off, n); err == nil {
+				m.zero(off, n)
+			}
+		case 7: // Flush: changes no byte and takes any range
+			d.Flush(off, length())
+			off = 0
+		case 8: // Fence: changes no byte
+			d.Fence()
+			off = 0
+		}
+		if inRange := off+n <= size; inRange != (err == nil) || (err != nil && !errors.Is(err, ErrOutOfRange)) {
+			t.Fatalf("step %d: access [%d, %d) on a %d-byte device: err %v", step, off, off+n, size, err)
+		}
+		m.check(t, d, step)
 	}
 }

@@ -12,8 +12,9 @@ import (
 // stateless-model-checker-style litmus engine (internal/litmus) walks a
 // program's persist events and unions these per-instant sets into the
 // exact reachable-state set; the sampling injector (internal/crash) uses
-// the same call to check that every image it samples is a member. Both
-// go through CrashImage itself, so enumeration and sampling share one
+// the same call to check that every image it samples is a member.
+// CrashImage and the injector's CrashView patch buffered lines through
+// one step (patchLines), so enumeration and sampling share one
 // materialization path and cannot drift.
 
 // MaxEnumLines caps the in-flight writeback count ForEachCrashImage will
@@ -39,7 +40,7 @@ func (b *PersistBuffer) ForEachCrashImage(fn func(img map[uint64][]byte) bool) e
 		pos[ln] = uint(i)
 	}
 	for mask := uint64(0); mask < 1<<len(lines); mask++ {
-		img := b.CrashImage(func(ln uint64) bool { return mask>>pos[ln]&1 == 1 })
+		img := b.dev.CrashImage(func(ln uint64) bool { return mask>>pos[ln]&1 == 1 })
 		if !fn(img) {
 			return nil
 		}

@@ -2,7 +2,7 @@ package nvm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -65,7 +65,7 @@ type lineState struct {
 // Device. While enabled, writes land in the device's pages (the cache
 // view, which loads observe) but are NOT considered durable until a
 // writeback of their line (Flush) drains at an ordering fence (Fence).
-// CrashImage materializes the durable state at any instant: the cache
+// Device.CrashView presents the durable state at any instant: the cache
 // view with every dirty line reverted to its last-durable content, and —
 // under relaxed persist ordering — an adversarial subset of
 // flushed-but-unfenced lines reverted as well.
@@ -133,14 +133,84 @@ func (d *Device) Fence() {
 	}
 }
 
-// CrashImage returns the durable contents at this instant (see
-// PersistBuffer.CrashImage). Without a buffer every write is durable and
-// the image equals Snapshot.
-func (d *Device) CrashImage(dropFlushed func(line uint64) bool) map[uint64][]byte {
-	if d.buf == nil {
-		return d.Snapshot()
+// CrashView returns the durable state a power failure at this instant
+// would leave, as a copy-on-write view of d: the device's current pages
+// with every dirty, unflushed line reverted to its durable content.
+// dropFlushed, when non-nil, is consulted (in ascending line order, so
+// seeded decisions are deterministic) for each line with an in-flight
+// writeback; returning true reverts that line to its durable content,
+// modeling relaxed persist ordering where the writeback had not drained
+// when power failed, while returning false lands the bytes the flush
+// captured (which may be older than the cache copy if the line was
+// re-dirtied after the flush). A nil dropFlushed retains every in-flight
+// writeback (strict drain-on-flush ordering). Without a buffer every
+// write is durable and the view shows d as it is.
+//
+// The view owns a copy of each page that holds a buffered line and reads
+// every other page through to d. It copies a borrowed page on its first
+// write, so writes to the view (crash recovery's) never reach d, and it
+// has no persist buffer. A view is valid only while d is not written: a
+// crash taken inside a persist-event hook must be done with its view
+// before the hook returns. d must not itself be a view.
+func (d *Device) CrashView(dropFlushed func(line uint64) bool) *Device {
+	if d.base != nil {
+		panic("nvm: crash view of a crash view")
 	}
-	return d.buf.CrashImage(dropFlushed)
+	v := &Device{kind: d.kind, size: d.size, base: d}
+	if d.buf != nil {
+		d.buf.patchLines(dropFlushed, func(pn uint64) []byte {
+			p := v.lookup(pn)
+			if p == nil {
+				p = v.materialize(pn)
+			}
+			return p[:]
+		})
+	}
+	return v
+}
+
+// CrashImage returns the durable contents at this instant, the image
+// CrashView presents, as a map from page number to page bytes: a
+// snapshot of d with every buffered line patched in place, so each page
+// is copied once.
+func (d *Device) CrashImage(dropFlushed func(line uint64) bool) map[uint64][]byte {
+	img := d.Snapshot()
+	if d.buf != nil {
+		d.buf.patchLines(dropFlushed, func(pn uint64) []byte {
+			p := img[pn]
+			if p == nil {
+				p = make([]byte, pageSize)
+				img[pn] = p
+			}
+			return p
+		})
+	}
+	return img
+}
+
+// patchLines writes the crash content of every buffered line (see
+// CrashView) into page(pn), the page the line lies in, in ascending line
+// order, consulting dropFlushed once per line with an in-flight
+// writeback. It is the single materialization path: the sampling injector
+// (internal/crash) verifies recovery on CrashView, and the exhaustive
+// enumerator (ForEachCrashImage, internal/litmus) walks CrashImage, so
+// the two cannot drift.
+func (b *PersistBuffer) patchLines(dropFlushed func(line uint64) bool, page func(pn uint64) []byte) {
+	lines := make([]uint64, 0, len(b.pending))
+	for ln := range b.pending {
+		lines = append(lines, ln)
+	}
+	slices.Sort(lines)
+	for _, ln := range lines {
+		st := b.pending[ln]
+		content := st.durable
+		if st.wb != nil && (dropFlushed == nil || !dropFlushed(ln)) {
+			content = st.wb
+		}
+		off := ln * b.line
+		in := off % pageSize
+		copy(page(off / pageSize)[in:in+b.line], content)
+	}
 }
 
 // SetEventHook registers h to observe every persist event. The hook runs
@@ -178,7 +248,7 @@ func (b *PersistBuffer) UnfencedFlushedLines() []uint64 {
 // (flushed, not yet fenced) to dst in ascending order and returns the
 // extended slice. Passing a reused dst[:0] makes repeated calls
 // allocation-stable, which the exhaustive enumerator relies on inside
-// its per-event loop; the order is the same order CrashImage consults
+// its per-event loop; the order is the same order patchLines consults
 // the drop callback in, so a bitmask over this slice addresses drop
 // decisions deterministically.
 func (b *PersistBuffer) AppendUnfenced(dst []uint64) []uint64 {
@@ -308,46 +378,6 @@ func (b *PersistBuffer) now() uint64 {
 // reset empties the buffer (a power cycle loses the volatile lines).
 func (b *PersistBuffer) reset() {
 	b.pending = make(map[uint64]*lineState)
-}
-
-// CrashImage materializes the post-crash durable state: the device's
-// current pages with every dirty, unflushed line reverted to its durable
-// content. dropFlushed, when non-nil, is consulted (in ascending line
-// order, so seeded decisions are deterministic) for each line with an
-// in-flight writeback; returning true reverts that line to its durable
-// content, modeling relaxed persist ordering where the writeback had not
-// drained when power failed, while returning false lands the bytes the
-// flush captured (which may be older than the cache copy if the line
-// was re-dirtied after the flush). A nil dropFlushed retains every
-// in-flight writeback (strict drain-on-flush ordering).
-//
-// This is the single materialization path: the sampling injector
-// (internal/crash) and the exhaustive enumerator (ForEachCrashImage,
-// internal/litmus) both land here, so the two cannot drift.
-func (b *PersistBuffer) CrashImage(dropFlushed func(line uint64) bool) map[uint64][]byte {
-	img := b.dev.Snapshot()
-	lines := make([]uint64, 0, len(b.pending))
-	for ln := range b.pending {
-		lines = append(lines, ln)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, ln := range lines {
-		st := b.pending[ln]
-		content := st.durable
-		if st.wb != nil && (dropFlushed == nil || !dropFlushed(ln)) {
-			content = st.wb
-		}
-		off := ln * b.line
-		pn := off / pageSize
-		p := img[pn]
-		if p == nil {
-			p = make([]byte, pageSize)
-			img[pn] = p
-		}
-		in := off % pageSize
-		copy(p[in:in+b.line], content)
-	}
-	return img
 }
 
 func bytesEqual(a, b []byte) bool {

@@ -1,6 +1,8 @@
 package nvm
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -369,5 +371,177 @@ func TestPersistBufferComparisonsAllocateNothing(t *testing.T) {
 	}
 	if v := img8(t, d.CrashImage(nil), 64); v != 101 {
 		t.Fatalf("fenced word = %d, want 101", v)
+	}
+}
+
+// refCrashImage is the snapshot-then-patch materialization the crash view
+// replaced, kept as its reference: a snapshot of the device with each
+// buffered line, in ascending order, patched with its durable content or,
+// unless drop says so, its in-flight writeback.
+func refCrashImage(d *Device, drop func(line uint64) bool) map[uint64][]byte {
+	img := d.Snapshot()
+	lines := make([]uint64, 0, len(d.buf.pending))
+	for ln := range d.buf.pending {
+		lines = append(lines, ln)
+	}
+	slices.Sort(lines)
+	for _, ln := range lines {
+		st := d.buf.pending[ln]
+		content := st.durable
+		if st.wb != nil && (drop == nil || !drop(ln)) {
+			content = st.wb
+		}
+		off := ln * d.buf.line
+		p := img[off/pageSize]
+		if p == nil {
+			p = make([]byte, pageSize)
+			img[off/pageSize] = p
+		}
+		copy(p[off%pageSize:], content)
+	}
+	return img
+}
+
+// TestCrashViewMatchesSnapshotThenPatch is the view's property check: over
+// seeded streams of writes, whole- and part-page zeroing, flushes and
+// fences, at every step with at most 4 lines in flight and under every
+// drop mask over them, a crash view's image, its page count, the lines
+// it consults the drop callback for, and CrashImage all match the
+// snapshot-then-patch reference.
+func TestCrashViewMatchesSnapshotThenPatch(t *testing.T) {
+	const pages = 6
+	checked := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		d := NewDevice(NVM, pages*pageSize)
+		for i := 0; i < 8; i++ { // durable content before the buffer
+			d.Write8(uint64(r.Intn(pages*pageSize/8))*8, r.Uint64())
+		}
+		b := d.EnablePersistBuffer(0)
+		for step := 0; step < 60; step++ {
+			off := uint64(r.Intn(pages * pageSize))
+			switch k := r.Intn(10); {
+			case k < 4:
+				n := 1 + r.Intn(min(200, pages*pageSize-int(off)))
+				data := make([]byte, n)
+				r.Read(data)
+				d.WriteAt(data, off)
+			case k == 4:
+				d.Zero(off/pageSize*pageSize, pageSize)
+			case k == 5:
+				d.Zero(off, uint64(min(300, pages*pageSize-int(off))))
+			case k < 9:
+				d.Flush(off, uint64(1+r.Intn(128)))
+			default:
+				d.Fence()
+			}
+			inflight := b.UnfencedFlushedLines()
+			if len(inflight) > 4 {
+				continue
+			}
+			for mask := 0; mask < 1<<len(inflight); mask++ {
+				var asked [2][]uint64
+				drop := func(i int) func(uint64) bool {
+					return func(ln uint64) bool {
+						asked[i] = append(asked[i], ln)
+						return mask>>slices.Index(inflight, ln)&1 == 1
+					}
+				}
+				want := refCrashImage(d, drop(0))
+				v := d.CrashView(drop(1))
+				if got := ImageHash(v.Snapshot()); got != ImageHash(want) || v.FootprintPages() != len(want) {
+					t.Fatalf("seed %d step %d mask %b: view image %x (%d pages), reference %x (%d pages)",
+						seed, step, mask, got, v.FootprintPages(), ImageHash(want), len(want))
+				}
+				if !slices.Equal(asked[0], asked[1]) {
+					t.Fatalf("seed %d step %d: view consulted lines %v, reference %v", seed, step, asked[1], asked[0])
+				}
+				if ImageHash(d.CrashImage(drop(1))) != ImageHash(want) {
+					t.Fatalf("seed %d step %d mask %b: CrashImage differs from the reference", seed, step, mask)
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 2000 {
+		t.Fatalf("only %d images checked", checked)
+	}
+}
+
+// TestCrashViewCostsWhatTheCrashChanged: a view copies the pages that
+// hold buffered lines, not the device. Over 515 written pages with one
+// buffered line it makes the same few allocations as over one page.
+func TestCrashViewCostsWhatTheCrashChanged(t *testing.T) {
+	allocs := func(pages uint64) float64 {
+		d := NewDevice(NVM, 2<<30)
+		for pn := uint64(0); pn < pages; pn++ {
+			d.Write8(pn*pageSize, pn+1)
+		}
+		d.EnablePersistBuffer(0)
+		d.Write8(8, 7)
+		return testing.AllocsPerRun(20, func() { d.CrashView(nil) })
+	}
+	one, many := allocs(1), allocs(515)
+	if many != one || many > 5 {
+		t.Fatalf("CrashView allocations: %v over 515 pages, %v over one page; want the same, at most 5", many, one)
+	}
+}
+
+// TestCrashViewIsolation: writes to a view, whole-page zeroing included,
+// reach neither the device it views nor a sibling view, and a view reads
+// the device's later writes only until it is dropped — which is why a
+// view must not outlive the instant it was taken at.
+func TestCrashViewIsolation(t *testing.T) {
+	d := NewDevice(NVM, 1<<20)
+	d.Write8(0, 1)
+	d.Write8(pageSize, 2)
+	d.EnablePersistBuffer(0)
+	d.Write8(16, 3) // buffered: the views show the durable 0
+	a, b := d.CrashView(nil), d.CrashView(nil)
+	a.Write8(pageSize+8, 4)
+	a.Zero(0, pageSize)
+	b.Zero(pageSize, 8)
+	if v, _ := a.Read8(0); v != 0 {
+		t.Fatalf("zeroed page reads %d through to the device", v)
+	}
+	if v, _ := a.Read8(pageSize + 8); v != 4 {
+		t.Fatalf("view lost its own write: %d", v)
+	}
+	for _, c := range []struct {
+		name string
+		dev  *Device
+		want [4]uint64 // words 0, 2, 512 and 513
+	}{{"device", d, [4]uint64{1, 3, 2, 0}}, {"view", a, [4]uint64{0, 0, 2, 4}}, {"sibling", b, [4]uint64{1, 0, 0, 0}}} {
+		var got [4]uint64
+		for i, off := range []uint64{0, 16, pageSize, pageSize + 8} {
+			var w [8]byte
+			c.dev.ReadAt(w[:], off)
+			got[i] = le64(w[:])
+		}
+		if got != c.want {
+			t.Errorf("%s: ReadAt words %v, want %v", c.name, got, c.want)
+		}
+		all := make([]uint64, 2*pageSize/8)
+		c.dev.ReadWords(all, 0)
+		if got := [4]uint64{all[0], all[2], all[pageSize/8], all[pageSize/8+1]}; got != c.want {
+			t.Errorf("%s: ReadWords words %v, want %v", c.name, got, c.want)
+		}
+	}
+	if a.FootprintPages() != 2 || b.FootprintPages() != 2 || d.FootprintPages() != 2 {
+		t.Errorf("pages: view %d, sibling %d, device %d; want 2 each",
+			a.FootprintPages(), b.FootprintPages(), d.FootprintPages())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a crash view of a crash view did not panic")
+			}
+		}()
+		a.CrashView(nil)
+	}()
+	// Restoring a view replaces its whole image: it stops reading through.
+	b.Restore(map[uint64][]byte{2: make([]byte, pageSize)})
+	if v, _ := b.Read8(0); v != 0 || b.FootprintPages() != 1 {
+		t.Errorf("restored view reads word 0 = %d over %d pages, want 0 over 1", v, b.FootprintPages())
 	}
 }

@@ -386,6 +386,15 @@ func (p *PMO) Read8(off uint64) (uint64, error) {
 	return p.mgr.dev.Read8(p.DevOff + off)
 }
 
+// ReadWords reads len(dst) consecutive 64-bit words starting at the PMO
+// offset: Read8 over a range, checked once and looked up once per page.
+func (p *PMO) ReadWords(dst []uint64, off uint64) error {
+	if off+8*uint64(len(dst)) > p.Size {
+		return fmt.Errorf("%w: read of %d words at %#x", ErrBadOID, len(dst), off)
+	}
+	return p.mgr.dev.ReadWords(dst, p.DevOff+off)
+}
+
 // Write8 writes a 64-bit word at the PMO offset.
 func (p *PMO) Write8(off uint64, v uint64) error {
 	if off+8 > p.Size {

@@ -29,6 +29,8 @@ type Hash struct {
 	base uint64 // offset of slot array
 	cap  uint64 // number of slots (power of two)
 	log  *txn.Log
+
+	slots []uint64 // Audit's copy of the slot array, kept across audits
 }
 
 // NewHash allocates a hash table with the given power-of-two capacity.
@@ -124,14 +126,14 @@ func (h *Hash) Put(ctx *core.ThreadCtx, key, value uint64) error {
 // occupied slot holds a key in [1, maxKey] that is reachable by linear
 // probing from its home slot (no holes torn into probe chains, no
 // duplicates). val, when non-nil, additionally validates each occupied
-// slot's value.
+// slot's value. It reads the slot array once, in bulk.
 func (h *Hash) Audit(p *pmo.PMO, maxKey uint64, val func(key, v uint64) error) error {
+	slots, err := readWords(p, &h.slots, h.base, 2*h.cap)
+	if err != nil {
+		return err
+	}
 	for s := uint64(0); s < h.cap; s++ {
-		off := h.base + s*16
-		k, err := p.Read8(off)
-		if err != nil {
-			return err
-		}
+		k := slots[2*s]
 		if k == 0 {
 			continue
 		}
@@ -139,11 +141,7 @@ func (h *Hash) Audit(p *pmo.PMO, maxKey uint64, val func(key, v uint64) error) e
 			return fmt.Errorf("whisper: hash slot %d key %d out of range", s, k)
 		}
 		if val != nil {
-			v, err := p.Read8(off + 8)
-			if err != nil {
-				return err
-			}
-			if err := val(k, v); err != nil {
+			if err := val(k, slots[2*s+1]); err != nil {
 				return err
 			}
 		}
@@ -154,10 +152,7 @@ func (h *Hash) Audit(p *pmo.PMO, maxKey uint64, val func(key, v uint64) error) e
 				reachable = true
 				break
 			}
-			kk, err := p.Read8(h.base + i*16)
-			if err != nil {
-				return err
-			}
+			kk := slots[2*i]
 			if kk == 0 {
 				return fmt.Errorf("whisper: hash key %d at slot %d hidden behind empty slot %d", k, s, i)
 			}
@@ -170,6 +165,17 @@ func (h *Hash) Audit(p *pmo.PMO, maxKey uint64, val func(key, v uint64) error) e
 		}
 	}
 	return nil
+}
+
+// readWords reads n words at PMO offset off into *buf, growing it when it
+// is too short, and returns them. Audits read each array they check once
+// this way, into a buffer their workload keeps across audits.
+func readWords(p *pmo.PMO, buf *[]uint64, off, n uint64) ([]uint64, error) {
+	if uint64(cap(*buf)) < n {
+		*buf = make([]uint64, n)
+	}
+	words := (*buf)[:n]
+	return words, p.ReadWords(words, off)
 }
 
 // Tree is a persistent unbalanced binary search tree (the paper's ctree

@@ -237,6 +237,7 @@ type Echo struct {
 	logOff pmo.OID // append-only record area cursor cell
 	logOID pmo.OID
 	keys   uint64
+	recs   []uint64 // CheckInvariants' copy of the record area
 }
 
 // NewEcho returns the benchmark.
@@ -299,23 +300,19 @@ func (w *Echo) CheckInvariants(p *pmo.PMO) error {
 		return err
 	}
 	nrecs := uint64(w.keys) * 8 * 8 / 24
+	recs, err := readWords(p, &w.recs, area, nrecs*3)
+	if err != nil {
+		return err
+	}
 	for r := uint64(0); r < nrecs; r++ {
-		off := area + r*24
-		key, err := p.Read8(off)
-		if err != nil {
-			return err
-		}
+		key := recs[3*r]
 		if key == 0 {
 			continue
 		}
 		if key > w.keys {
 			return fmt.Errorf("whisper: echo record %d key %d out of range", r, key)
 		}
-		rv, err := p.Read8(off + 8)
-		if err != nil {
-			return err
-		}
-		if rv > ver+1 {
+		if rv := recs[3*r+1]; rv > ver+1 {
 			return fmt.Errorf("whisper: echo record %d version %d ahead of counter %d", r, rv, ver)
 		}
 	}
@@ -513,6 +510,7 @@ type TPCC struct {
 	orders    pmo.OID // ring of order records
 	lines     pmo.OID // ring of order lines
 	nOrders   uint64
+	audit     []uint64 // CheckInvariants' copy of the array it checks
 }
 
 // NewTPCC returns the benchmark.
@@ -556,29 +554,24 @@ func (w *TPCC) LogOID() pmo.OID { return w.logOID }
 // leave the counter pointing at a slot whose fields never held such
 // values.
 func (w *TPCC) CheckInvariants(p *pmo.PMO) error {
+	orders, err := readWords(p, &w.audit, w.orders.Offset(), w.nOrders*3)
+	if err != nil {
+		return err
+	}
 	for i := uint64(0); i < w.nOrders; i++ {
-		off := w.orders.Offset() + i*24
-		district, err := p.Read8(off + 8)
-		if err != nil {
-			return err
-		}
-		if district >= 10 {
+		if district := orders[3*i+1]; district >= 10 {
 			return fmt.Errorf("whisper: tpcc order %d district %d out of range", i, district)
 		}
-		cust, err := p.Read8(off + 16)
-		if err != nil {
-			return err
-		}
-		if cust >= 3000 {
+		if cust := orders[3*i+2]; cust >= 3000 {
 			return fmt.Errorf("whisper: tpcc order %d customer %d out of range", i, cust)
 		}
 	}
+	lines, err := readWords(p, &w.audit, w.lines.Offset(), w.nOrders*15*2)
+	if err != nil {
+		return err
+	}
 	for j := uint64(0); j < w.nOrders*15; j++ {
-		lineNo, err := p.Read8(w.lines.Offset() + j*16 + 8)
-		if err != nil {
-			return err
-		}
-		if lineNo >= 15 {
+		if lineNo := lines[2*j+1]; lineNo >= 15 {
 			return fmt.Errorf("whisper: tpcc line %d number %d out of range", j, lineNo)
 		}
 	}
