@@ -13,19 +13,19 @@ import (
 // the *specification* allows. The spec is the Px86 discipline of Raad et
 // al. restricted to a single thread:
 //
-//   1. Per-line prefix order. Stores to one cache line persist in the
-//      order they were issued, and each store persists atomically, so a
-//      line's durable content is always the content after some prefix
-//      of its stores — including prefixes the program never flushed
-//      (hardware may evict a dirty line at any time).
+//  1. Per-line prefix order. Stores to one cache line persist in the
+//     order they were issued, and each store persists atomically, so a
+//     line's durable content is always the content after some prefix
+//     of its stores — including prefixes the program never flushed
+//     (hardware may evict a dirty line at any time).
 //
-//   2. Fence ordering. A flush captures its line's content; a fence
-//      orders every earlier flush before every later persist. So if any
-//      store issued after the fence is durable in the crash image, every
-//      line flushed before the fence must be durable at least at its
-//      captured content. Nothing else is guaranteed: a fence by itself
-//      does not make data durable (a crash can lose everything), it only
-//      constrains which *combinations* survive.
+//  2. Fence ordering. A flush captures its line's content; a fence
+//     orders every earlier flush before every later persist. So if any
+//     store issued after the fence is durable in the crash image, every
+//     line flushed before the fence must be durable at least at its
+//     captured content. Nothing else is guaranteed: a fence by itself
+//     does not make data durable (a crash can lose everything), it only
+//     constrains which *combinations* survive.
 //
 // The oracle computes two image sets. images() is the full spec: every
 // per-line version assignment satisfying both rules, eviction persists

@@ -9,7 +9,9 @@
 // (persist.go) models the volatile store path to persistent media: while
 // enabled, writes only become durable once their cache line is flushed and
 // a fence drains it, and CrashView presents the state a power failure would
-// leave as a copy-on-write view of the live device.
+// leave as a copy-on-write view of the live device. An Image (image.go) is
+// an immutable device range that any number of devices map and read in
+// place, copying a page only on their first write to it.
 package nvm
 
 import (
@@ -56,9 +58,12 @@ const leafPages = 1024 // pages per leaf: 8 KB of pointers
 // for 1 TB), 8 KB per leaf touched and 4 KB per page touched, whatever its
 // capacity. NewDevice allocates nothing that depends on size.
 //
-// A crash view (CrashView) is a Device whose base is the live device: the
-// pages in its own directory are its copies, and every other page reads
-// through to base.
+// A device with a base reads every page it does not hold through to the
+// base, and copies that page on its first write to it, so nothing it does
+// reaches the base. A crash view's base is the live device (CrashView); a
+// device that mapped an image reads through to the image's private device
+// (MapImage). Bases chain: a crash view of a device that mapped an image
+// reads through both.
 type Device struct {
 	kind   Kind
 	size   uint64
@@ -72,7 +77,8 @@ type Device struct {
 	// Reads and Writes count byte-granularity accesses.
 	Reads, Writes uint64
 
-	base *Device // the device a crash view reads through to
+	base *Device // the device this one reads through to, nil for none
+	view bool    // a crash view
 }
 
 // ErrOutOfRange is returned for accesses beyond the device size.
@@ -100,21 +106,23 @@ func (d *Device) lookup(pn uint64) *[pageSize]byte {
 	return nil
 }
 
-// borrowed returns the base page a crash view reads page pn through to:
-// nil on an ordinary device and for a page the base never wrote. Readers
-// call it only on a lookup miss.
+// borrowed returns the page pn reads through to: the first base along the
+// chain that holds it, or nil when none does (always, on a device with no
+// base). Readers call it only on a lookup miss.
 func (d *Device) borrowed(pn uint64) *[pageSize]byte {
-	if d.base == nil {
-		return nil
+	for b := d.base; b != nil; b = b.base {
+		if p := b.lookup(pn); p != nil {
+			return p
+		}
 	}
-	return d.base.lookup(pn)
+	return nil
 }
 
 // materialize allocates the backing page of page pn (which must not exist
 // yet), growing the directory and allocating its leaf as needed. The page
-// is zeroed, or on a crash view a copy of the page it borrowed. Writers
-// call it only on a lookup miss; keeping it out of line keeps their
-// page-hit path small.
+// is zeroed, or a copy of the page it reads through to. Writers call it
+// only on a lookup miss; keeping it out of line keeps their page-hit path
+// small.
 //
 //go:noinline
 func (d *Device) materialize(pn uint64) *[pageSize]byte {
@@ -288,8 +296,8 @@ func (d *Device) Write8(off uint64, v uint64) error {
 }
 
 // Zero clears n bytes starting at off, dropping whole pages when possible.
-// A crash view clears its own copy of a whole page its base holds instead:
-// a dropped page would read through to the base.
+// A device with a base clears its own copy of a whole page the base holds
+// instead: a dropped page would read through to the base.
 func (d *Device) Zero(off uint64, n uint64) error {
 	if err := d.check(off, int(n)); err != nil {
 		return err
@@ -329,7 +337,7 @@ func (d *Device) dropPage(pn uint64) {
 }
 
 // eachPage calls fn with every page of the device's image: its own pages,
-// then, for a crash view, the base pages it reads through to.
+// then the pages it reads through to along its base chain.
 func (d *Device) eachPage(fn func(pn uint64, p *[pageSize]byte)) {
 	for i, l := range d.dir {
 		if l == nil {
@@ -362,12 +370,12 @@ func (d *Device) Snapshot() map[uint64][]byte {
 
 // Restore replaces the device contents with a snapshot. It models a
 // power cycle, so an enabled persist buffer empties: the restored bytes
-// are durable and no volatile lines survive. A crash view stops reading
-// through to its base. A snapshot page past the device's last page
-// panics.
+// are durable and no volatile lines survive. A device with a base stops
+// reading through to it, and a crash view becomes a device of its own. A
+// snapshot page past the device's last page panics.
 func (d *Device) Restore(s map[uint64][]byte) {
 	pages := (d.size + pageSize - 1) / pageSize
-	d.dir, d.npages, d.base = nil, 0, nil
+	d.dir, d.npages, d.base, d.view = nil, 0, nil, false
 	for pn, p := range s {
 		if pn >= pages {
 			panic(fmt.Sprintf("nvm: snapshot page %d is outside the device's %d pages", pn, pages))
@@ -379,8 +387,8 @@ func (d *Device) Restore(s map[uint64][]byte) {
 	}
 }
 
-// FootprintPages returns the number of materialized pages; for a crash
-// view, the pages of its image.
+// FootprintPages returns the number of materialized pages; for a device
+// with a base, the pages of its image, those it reads through to included.
 func (d *Device) FootprintPages() int {
 	if d.base == nil {
 		return d.npages

@@ -222,8 +222,8 @@ func TestDeviceCostIndependentOfCapacity(t *testing.T) {
 
 // byteModel is the reference the device is checked against: the nonzero
 // bytes by offset and the set of pages a write has materialized. kept,
-// when set, names the pages zeroing does not drop: those a crash view's
-// base holds.
+// when set, names the pages zeroing does not drop: those the device reads
+// through to.
 type byteModel struct {
 	bytes map[uint64]byte
 	pages map[uint64]bool
@@ -264,8 +264,10 @@ func (m *byteModel) read(off, n uint64) []byte {
 	return b
 }
 
-// check compares the whole device with the model through a snapshot, and
-// checks that Snapshot -> Restore -> Snapshot preserves the image. A
+// check compares the whole device with the model through a snapshot, reads
+// every page back (reaching the pages a device reads through to on its own
+// read path, which a snapshot does not take), and checks that
+// Snapshot -> Restore -> Snapshot preserves the image. A
 // device with a persist buffer or a crash view is restored into a fresh
 // device instead: restoring it would empty its buffer or end the view.
 func (m *byteModel) check(t *testing.T, d *Device, step int) {
@@ -291,6 +293,13 @@ func (m *byteModel) check(t *testing.T, d *Device, step int) {
 	if len(snap) != len(m.pages) || nonzero != len(m.bytes) {
 		t.Fatalf("step %d: snapshot has %d pages and %d nonzero bytes, model %d and %d",
 			step, len(snap), nonzero, len(m.pages), len(m.bytes))
+	}
+	b := make([]byte, pageSize)
+	for pn, p := range snap {
+		n := min(pageSize, d.size-pn*pageSize)
+		if err := d.ReadAt(b[:n], pn*pageSize); err != nil || !bytes.Equal(b[:n], p[:n]) {
+			t.Fatalf("step %d: page %d reads differently from its snapshot (err %v)", step, pn, err)
+		}
 	}
 	want := ImageHash(snap)
 	r := d
@@ -321,10 +330,12 @@ func modelOf(img map[uint64][]byte) *byteModel {
 // the same seeded random accesses, clustered where the page directory has
 // edges: page boundaries, the first leaf boundary (pages 1023-1025) and
 // the device's last page and end. Out-of-range accesses must fail and
-// change nothing. The "view" input is a crash view over a populated
-// device with buffered and in-flight lines, checked against the model of
-// its crash image; the accesses must leave the device it views as it
-// was.
+// change nothing. The "image" input is a device that mapped an image
+// while holding one of its boundary pages, checked against the model
+// seeded with the image. The "view" and "image-view" inputs are crash
+// views over such devices, populated, with buffered and in-flight lines,
+// checked against the model of their crash image; the accesses must leave
+// the device they view as it was.
 func TestDeviceMatchesByteMapModel(t *testing.T) {
 	small := uint64(leafPages+2)*pageSize + 1000 // ends inside page 1026
 	for i, size := range []uint64{small, bigDevice} {
@@ -333,38 +344,55 @@ func TestDeviceMatchesByteMapModel(t *testing.T) {
 			driveModel(t, rand.New(rand.NewSource(int64(i+1))), d, modelOf(nil), 600)
 		})
 	}
-	t.Run("view", func(t *testing.T) {
-		r := rand.New(rand.NewSource(3))
-		base := NewDevice(NVM, small)
-		m := modelOf(nil)
-		driveModel(t, r, base, m, 300)
-		buf := base.EnablePersistBuffer(0)
-		driveModel(t, r, base, m, 300)
-		// Drain the buffer, then leave two lines buffered, one of them in
-		// flight, so the view holds two pages and borrows the others.
-		base.Flush(0, small)
-		base.Fence()
-		base.Write8(leafPages*pageSize+8, 0x1111)
-		base.Flush(leafPages*pageSize, 8)
-		base.Write8(8, 0x2222)
-		if buf.PendingLines() != 2 || len(buf.UnfencedFlushedLines()) != 1 || base.FootprintPages() < 4 {
-			t.Fatalf("%d buffered lines, %d in flight, %d pages: want 2, 1 and at least 4",
-				buf.PendingLines(), len(buf.UnfencedFlushedLines()), base.FootprintPages())
-		}
-		// A view soon holds every page it touches, so six fresh views
-		// take 100 steps each.
-		image, pending := ImageHash(base.Snapshot()), buf.PendingLines()
-		for _, drop := range []func(uint64) bool{nil, func(uint64) bool { return true }} {
-			for range 3 {
-				m := modelOf(refCrashImage(base, drop))
-				m.kept = func(pn uint64) bool { return base.lookup(pn) != nil }
-				driveModel(t, r, base.CrashView(drop), m, 100)
-			}
-		}
-		if ImageHash(base.Snapshot()) != image || buf.PendingLines() != pending {
-			t.Fatal("accesses through the crash views changed the device they view")
-		}
+	t.Run("image", func(t *testing.T) {
+		r := rand.New(rand.NewSource(4))
+		d, m := mappedDevice(t, testImage(r), small)
+		driveModel(t, r, d, m, 600)
 	})
+	t.Run("view", func(t *testing.T) {
+		driveViews(t, rand.New(rand.NewSource(3)), NewDevice(NVM, small), modelOf(nil))
+	})
+	t.Run("image-view", func(t *testing.T) {
+		r := rand.New(rand.NewSource(5))
+		d, m := mappedDevice(t, testImage(r), small)
+		driveViews(t, r, d, m)
+	})
+}
+
+// driveViews populates base, modelled by m, first directly and then
+// through a persist buffer, leaves two lines buffered, one of them in
+// flight, and drives six crash views of it against the model of their
+// crash image. The views must leave base as it was.
+func driveViews(t *testing.T, r *rand.Rand, base *Device, m *byteModel) {
+	t.Helper()
+	size := base.Size()
+	driveModel(t, r, base, m, 300)
+	buf := base.EnablePersistBuffer(0)
+	driveModel(t, r, base, m, 300)
+	// Drain the buffer, then leave two lines buffered, one of them in
+	// flight, so the view holds two pages and borrows the others.
+	base.Flush(0, size)
+	base.Fence()
+	base.Write8(leafPages*pageSize+8, 0x1111)
+	base.Flush(leafPages*pageSize, 8)
+	base.Write8(8, 0x2222)
+	if buf.PendingLines() != 2 || len(buf.UnfencedFlushedLines()) != 1 || base.FootprintPages() < 4 {
+		t.Fatalf("%d buffered lines, %d in flight, %d pages: want 2, 1 and at least 4",
+			buf.PendingLines(), len(buf.UnfencedFlushedLines()), base.FootprintPages())
+	}
+	// A view soon holds every page it touches, so six fresh views take
+	// 100 steps each.
+	image, pending := ImageHash(base.Snapshot()), buf.PendingLines()
+	for _, drop := range []func(uint64) bool{nil, func(uint64) bool { return true }} {
+		for range 3 {
+			m := modelOf(refCrashImage(base, drop))
+			m.kept = func(pn uint64) bool { return base.lookup(pn) != nil || base.borrowed(pn) != nil }
+			driveModel(t, r, base.CrashView(drop), m, 100)
+		}
+	}
+	if ImageHash(base.Snapshot()) != image || buf.PendingLines() != pending {
+		t.Fatal("accesses through the crash views changed the device they view")
+	}
 }
 
 // driveModel runs steps seeded random accesses on d and m and checks d

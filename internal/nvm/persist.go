@@ -151,12 +151,13 @@ func (d *Device) Fence() {
 // write, so writes to the view (crash recovery's) never reach d, and it
 // has no persist buffer. A view is valid only while d is not written: a
 // crash taken inside a persist-event hook must be done with its view
-// before the hook returns. d must not itself be a view.
+// before the hook returns. d must not itself be a view; it may have
+// mapped an image, which the view then reads through as well.
 func (d *Device) CrashView(dropFlushed func(line uint64) bool) *Device {
-	if d.base != nil {
+	if d.view {
 		panic("nvm: crash view of a crash view")
 	}
-	v := &Device{kind: d.kind, size: d.size, base: d}
+	v := &Device{kind: d.kind, size: d.size, base: d, view: true}
 	if d.buf != nil {
 		d.buf.patchLines(dropFlushed, func(pn uint64) []byte {
 			p := v.lookup(pn)

@@ -255,8 +255,8 @@ func TestChromeTraceSchema(t *testing.T) {
 	}
 
 	allowed := map[string]bool{"B": true, "E": true, "b": true, "e": true, "i": true, "M": true}
-	depth := map[string]int{}          // per (pid,tid) sync-span nesting
-	async := map[string]int{}          // per (name,id) open async spans
+	depth := map[string]int{} // per (pid,tid) sync-span nesting
+	async := map[string]int{} // per (name,id) open async spans
 	sawProcName, sawThreadName := false, false
 	lastTS := map[string]float64{}
 	for i, e := range doc.TraceEvents {

@@ -395,6 +395,17 @@ func (p *PMO) ReadWords(dst []uint64, off uint64) error {
 	return p.mgr.dev.ReadWords(dst, p.DevOff+off)
 }
 
+// MapImage maps img into the PMO's device (nvm.Device.MapImage): the
+// device reads the image's range in place and copies a page only when it
+// first writes it. The range must lie inside the PMO, and the device must
+// meet MapImage's contract: no persist buffer, no image mapped before.
+func (p *PMO) MapImage(img *nvm.Image) error {
+	if lo, hi := img.Range(); lo < p.DevOff || hi > p.DevOff+p.Size {
+		return fmt.Errorf("%w: image of device range [%#x, %#x) outside the PMO", ErrBadOID, lo, hi)
+	}
+	return p.mgr.dev.MapImage(img)
+}
+
 // Write8 writes a 64-bit word at the PMO offset.
 func (p *PMO) Write8(off uint64, v uint64) error {
 	if off+8 > p.Size {

@@ -206,6 +206,26 @@ func TestReadWriteBounds(t *testing.T) {
 	}
 }
 
+// TestMapImageBounds: an image maps into a PMO only inside it; one that
+// starts before the PMO or runs past its end is a bad OID and maps nothing.
+func TestMapImageBounds(t *testing.T) {
+	m := newMgr()
+	p, _ := m.Create("a", 64<<10, ModeWrite)
+	for _, lo := range []uint64{p.DevOff - 8, p.DevOff + p.Size - 8} {
+		if err := p.MapImage(nvm.NewImage([]uint64{1, 2}, lo)); !errors.Is(err, ErrBadOID) {
+			t.Fatalf("image at device offset %#x across the PMO's edge: %v, want ErrBadOID", lo, err)
+		}
+	}
+	off := p.Size - 16
+	if err := p.MapImage(nvm.NewImage([]uint64{1, 2}, p.DevOff+off)); err != nil {
+		t.Fatal(err)
+	}
+	words := make([]uint64, 2)
+	if err := p.ReadWords(words, off); err != nil || words[0] != 1 || words[1] != 2 {
+		t.Fatalf("mapped words read %v, %v; want [1 2]", words, err)
+	}
+}
+
 func TestAllocCountTracking(t *testing.T) {
 	m := newMgr()
 	p, _ := m.Create("a", 1<<20, ModeWrite)

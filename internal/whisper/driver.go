@@ -62,8 +62,11 @@ func Run(cfg params.Config, mk func() Workload, opts RunOpts) (core.Result, erro
 	if err := w.Setup(mgr, ctx, rng); err != nil {
 		return core.Result{}, fmt.Errorf("whisper %s setup: %w", w.Name(), err)
 	}
-	// Setup must not count: reset the clock's costs by measuring from a
-	// fresh thread context.
+	// The load phase is not measured: Result.Cycles counts from here.
+	// Nothing is reset, though. Setup ran on this thread context, so what
+	// it charged stays in the thread's costs: ctree's load-phase undo log
+	// charges 12,779,520 Base cycles at every seed, which Result.Costs,
+	// the sim/cycles/base metric and the charge hook all include.
 	start := ctx.Now()
 
 	prof := w.Profile()

@@ -14,9 +14,12 @@
 package whisper
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
+	"repro/internal/nvm"
 	"repro/internal/pmo"
 	"repro/internal/txn"
 )
@@ -119,7 +122,77 @@ func (h *Hash) Put(ctx *core.ThreadCtx, key, value uint64) error {
 			return h.log.Commit()
 		}
 	}
-	return fmt.Errorf("whisper: hash full")
+	return errHashFull
+}
+
+// errHashFull is the error of a Put or Preload that finds no free slot.
+var errHashFull = errors.New("whisper: hash full")
+
+// Preload fills the table with keys 1..n, key k holding mul*k: the slot
+// array inserting them in key order into an empty table by linear probing
+// leaves, which replaces the table's contents. It is the unmeasured load
+// phase of the hash workloads, so it goes through neither the runtime nor
+// the log. The array is built once per process for each table placement
+// and key set, and mapped copy-on-write (nvm.Device.MapImage): every cell
+// with the same table reads it in place and copies only the pages it
+// writes. A device maps one image, so a machine preloads one table.
+func (h *Hash) Preload(n, mul uint64) error {
+	img, err := preloadImage(preloadKey{off: h.p.DevOff + h.base, capacity: h.cap, n: n, mul: mul})
+	if err != nil {
+		return err
+	}
+	return h.p.MapImage(img)
+}
+
+// preloadKey is everything a preloaded slot array depends on: its device
+// offset, its capacity, the key count and the value multiplier.
+type preloadKey struct{ off, capacity, n, mul uint64 }
+
+// preloads memoizes Preload's slot arrays. An entry is immutable once
+// built, so concurrent cells share it; the hash workloads use three
+// (about 6 MB), and a process that runs none builds none. It is a cache
+// of a pure function, not a knob: nothing resets or toggles it.
+var preloads = struct {
+	sync.Mutex
+	m map[preloadKey]*nvm.Image
+}{m: make(map[preloadKey]*nvm.Image)}
+
+// preloadImage returns the memoized slot array of k, building it on first
+// use.
+func preloadImage(k preloadKey) (*nvm.Image, error) {
+	preloads.Lock()
+	defer preloads.Unlock()
+	if img := preloads.m[k]; img != nil {
+		return img, nil
+	}
+	img, err := buildPreload(k)
+	if err != nil {
+		return nil, err
+	}
+	preloads.m[k] = img
+	return img, nil
+}
+
+// buildPreload inserts keys 1..k.n, key holding k.mul*key, into an empty
+// slot array of k.capacity slots in key order by linear probing, as Put
+// probes, and returns it as an image at device offset k.off. The keys are
+// distinct, so each takes the first empty slot of its probe sequence.
+// Like Put, it gives up after probing every slot.
+func buildPreload(k preloadKey) (*nvm.Image, error) {
+	slots := make([]uint64, 2*k.capacity)
+	for key := uint64(1); key <= k.n; key++ {
+		for probe := uint64(0); ; probe++ {
+			if probe == k.capacity {
+				return nil, errHashFull
+			}
+			s := 2 * ((mix(key) + probe) & (k.capacity - 1))
+			if slots[s] == 0 {
+				slots[s], slots[s+1] = key, k.mul*key
+				break
+			}
+		}
+	}
+	return nvm.NewImage(slots, k.off), nil
 }
 
 // Audit validates the table's durable state in a reopened PMO p: every

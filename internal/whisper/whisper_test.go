@@ -3,6 +3,7 @@ package whisper
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -527,17 +528,19 @@ func TestTreeAuditDetectsCorruption(t *testing.T) {
 }
 
 // TestSetupStatePinned pins each workload's state after Setup at seed 1
-// on the machine Run builds: the device image, the measured thread's
-// clock and cost accounts, and the workload rng's next draw. The load
-// phase is not timed, so none of these may change with how it runs.
+// on the machine Run builds: the device image, its page count (ImageHash
+// skips all-zero pages, so an added or missing zero page shows only
+// here), the measured thread's clock and cost accounts, and the workload
+// rng's next draw. The load phase is not timed, so none of these may
+// change with how it runs.
 func TestSetupStatePinned(t *testing.T) {
 	want := map[string]string{
-		"echo":    "image 5c32036dcc4b972ebc9afdcfd77d091352a9966c6667e4d4ce85317db935e687 clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
-		"ycsb":    "image 890121fab95714fbecd11f05ed6829794a2db40be3cf8072307d3b13e695e7e7 clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
-		"tpcc":    "image e86bf1bbb4b0d25fc826ddeee1b0ed2586e3471ca37791b5b4b92816328ef3cf clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
-		"ctree":   "image 45d7280d081aaf91cd7a7412816c58835e43fd78522ea1dba8b8da70d75d1188 clock 12779520 costs [12779520 0 0 0 0 0] next 0xa422cbfd828d02da",
-		"hashmap": "image 988928ea9632ebafc01c637f13f6b43a03869b50470cc68c5222d7b86f4c2176 clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
-		"redis":   "image 3345fe8d1a2f7d4fddeedc4a34701a2dc209b61aa9d8b84f65e561c49dbfdb1c clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
+		"echo":    "image 5c32036dcc4b972ebc9afdcfd77d091352a9966c6667e4d4ce85317db935e687 pages 5 clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
+		"ycsb":    "image 890121fab95714fbecd11f05ed6829794a2db40be3cf8072307d3b13e695e7e7 pages 515 clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
+		"tpcc":    "image e86bf1bbb4b0d25fc826ddeee1b0ed2586e3471ca37791b5b4b92816328ef3cf pages 4 clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
+		"ctree":   "image 45d7280d081aaf91cd7a7412816c58835e43fd78522ea1dba8b8da70d75d1188 pages 83 clock 12779520 costs [12779520 0 0 0 0 0] next 0xa422cbfd828d02da",
+		"hashmap": "image 988928ea9632ebafc01c637f13f6b43a03869b50470cc68c5222d7b86f4c2176 pages 515 clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
+		"redis":   "image 3345fe8d1a2f7d4fddeedc4a34701a2dc209b61aa9d8b84f65e561c49dbfdb1c pages 515 clock 0 costs [0 0 0 0 0 0] next 0x4d65822107fcfd52",
 	}
 	for _, mk := range All() {
 		w := mk()
@@ -547,12 +550,90 @@ func TestSetupStatePinned(t *testing.T) {
 			if err := w.Setup(mgr, ctx, rng); err != nil {
 				t.Fatal(err)
 			}
-			got := fmt.Sprintf("image %x clock %d costs %v next %#x",
-				nvm.ImageHash(dev.Snapshot()), ctx.Now(), ctx.Thread().Costs, rng.Uint64())
+			got := fmt.Sprintf("image %x pages %d clock %d costs %v next %#x",
+				nvm.ImageHash(dev.Snapshot()), dev.FootprintPages(), ctx.Now(), ctx.Thread().Costs, rng.Uint64())
 			if got != want[w.Name()] {
 				t.Errorf("post-Setup state\n got %s\nwant %s", got, want[w.Name()])
 			}
 		})
+	}
+}
+
+// TestPreloadSameAtEverySeed checks the premise Hash.Preload's memo
+// rests on: hashmap, redis and ycsb leave the same device image and page
+// count after Setup at every seed. The twelve Setups run at once, so the
+// memo's first builds race each other.
+func TestPreloadSameAtEverySeed(t *testing.T) {
+	type state struct {
+		image [32]byte
+		pages int
+	}
+	mks := []func() Workload{
+		func() Workload { return NewHashmap() },
+		func() Workload { return NewRedis() },
+		func() Workload { return NewYCSB() },
+	}
+	got := make([][4]state, len(mks))
+	var wg sync.WaitGroup
+	for i, mk := range mks {
+		for seed := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dev, mgr, ctx := newMeasured()
+				if err := mk().Setup(mgr, ctx, rand.New(rand.NewSource(int64(seed+1)))); err != nil {
+					t.Error(err)
+					return
+				}
+				got[i][seed] = state{nvm.ImageHash(dev.Snapshot()), dev.FootprintPages()}
+			}()
+		}
+	}
+	wg.Wait()
+	for i, mk := range mks {
+		for seed := 1; seed < 4; seed++ {
+			if got[i][seed] != got[i][0] {
+				t.Errorf("%s: seed %d leaves image %x over %d pages, seed 1 %x over %d",
+					mk().Name(), seed+1, got[i][seed].image, got[i][seed].pages, got[i][0].image, got[i][0].pages)
+			}
+		}
+	}
+}
+
+// TestPreloadStopsWhenFull: like Put, Preload gives up once it has probed
+// every slot. Four keys fill a 4-slot table; a fifth returns the error
+// Put returns instead of probing forever.
+func TestPreloadStopsWhenFull(t *testing.T) {
+	table := func() (*Hash, *core.ThreadCtx) {
+		_, mgr, ctx := newMeasured()
+		p, log, _, err := setupCommon(mgr, "t", ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.Attach(p, paging.ReadWrite); err != nil {
+			t.Fatal(err)
+		}
+		h, err := NewHash(p, 4, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h, ctx
+	}
+	h, ctx := table()
+	if err := h.Preload(4, 5); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 4; k++ {
+		if v, ok, err := h.Get(ctx, k); err != nil || !ok || v != 5*k {
+			t.Fatalf("key %d after the preload: %d, %v, %v; want %d", k, v, ok, err, 5*k)
+		}
+	}
+	if err := h.Put(ctx, 9, 1); err == nil || err.Error() != "whisper: hash full" {
+		t.Fatalf("Put into the full table: %v, want whisper: hash full", err)
+	}
+	h, _ = table()
+	if err := h.Preload(5, 5); err == nil || err.Error() != "whisper: hash full" {
+		t.Fatalf("Preload of 5 keys into 4 slots: %v, want whisper: hash full", err)
 	}
 }
 

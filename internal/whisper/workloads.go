@@ -113,31 +113,8 @@ func (w *Hashmap) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) e
 	if err != nil {
 		return err
 	}
-	// Preload half the keys directly (unmeasured load phase).
-	for k := uint64(1); k <= w.keys/2; k++ {
-		if err := w.preload(k, k*3); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// preload inserts without the runtime (load phase).
-func (w *Hashmap) preload(key, val uint64) error {
-	i := mix(key)
-	for probe := uint64(0); ; probe++ {
-		so := w.h.slot(i + probe)
-		k, err := w.p.Read8(so.Offset())
-		if err != nil {
-			return err
-		}
-		if k == 0 || k == key {
-			if err := w.p.Write8(so.Offset(), key); err != nil {
-				return err
-			}
-			return w.p.Write8(so.Offset()+8, val)
-		}
-	}
+	// Preload half the keys (unmeasured load phase).
+	return w.h.Preload(w.keys/2, 3)
 }
 
 // LogOID implements Recoverable.
@@ -406,13 +383,7 @@ func (w *Redis) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) err
 	if err != nil {
 		return err
 	}
-	for k := uint64(1); k <= w.keys/4; k++ {
-		hm := &Hashmap{p: p, h: w.h}
-		if err := hm.preload(k, k); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.h.Preload(w.keys/4, 1)
 }
 
 // LogOID implements Recoverable.
@@ -470,13 +441,7 @@ func (w *YCSB) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) erro
 		return err
 	}
 	w.zipf = rand.NewZipf(rng, 1.1, 1, w.keys-1)
-	for k := uint64(1); k <= w.keys/2; k++ {
-		hm := &Hashmap{p: p, h: w.h}
-		if err := hm.preload(k, k); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.h.Preload(w.keys/2, 1)
 }
 
 // LogOID implements Recoverable.
