@@ -8,11 +8,51 @@ package terp
 import (
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/params"
 	"repro/internal/speckit"
 	"repro/internal/terpc"
 	"repro/internal/whisper"
 )
+
+// ablationOverhead runs cfg and the unprotected baseline at cfg's seed
+// through run, and returns cfg's relative execution-time overhead and its
+// result.
+func ablationOverhead(b *testing.B, cfg params.Config, run func(params.Config) (core.Result, error)) (float64, core.Result) {
+	base := params.NewConfig(params.Unprotected, params.DefaultEWMicros)
+	base.Seed = cfg.Seed
+	baseRes, err := run(base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prot, err := run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return float64(prot.Cycles)/float64(baseRes.Cycles) - 1, prot
+}
+
+// kernel returns a run of kernel k that applies the insertion pass with
+// opt to every protected configuration; a nil opt keeps the scheme's own
+// options (speckit.InsertOptions).
+func kernel(k speckit.Kernel, opt *terpc.Options) func(params.Config) (core.Result, error) {
+	return func(cfg params.Config) (core.Result, error) {
+		o, insert := speckit.InsertOptions(cfg)
+		if opt != nil {
+			o = *opt
+		}
+		prog, err := speckit.Build(k, 1, insert, o)
+		if err != nil {
+			return core.Result{}, err
+		}
+		l, err := ir.Link(prog)
+		if err != nil {
+			return core.Result{}, err
+		}
+		return speckit.RunLinked(cfg, k, l, speckit.RunOpts{})
+	}
+}
 
 // BenchmarkAblationCostModel varies the insertion pass's conservative
 // per-memory-access estimate. A lower (more accurate) estimate grows the
@@ -26,15 +66,11 @@ func BenchmarkAblationCostModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, mem := range []uint64{8, 40, 200} {
 			cfg := params.NewConfig(params.TT, params.DefaultEWMicros)
-			opts := speckit.RunOpts{InsertOverride: &terpc.Options{
+			ov, prot := ablationOverhead(b, cfg, kernel(k, &terpc.Options{
 				EWThreshold:  cfg.EWTarget,
 				TEWThreshold: cfg.TEWTarget,
 				MemCost:      mem,
-			}}
-			ov, prot, _, err := speckit.Overhead(cfg, k, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
+			}))
 			label := map[uint64]string{8: "accurate", 40: "default", 200: "paranoid"}[mem]
 			b.ReportMetric(100*ov, label+"-ov%")
 			b.ReportMetric(params.ToMicros(uint64(prot.Exposure.AvgTEW)), label+"-TEW-us")
@@ -46,15 +82,18 @@ func BenchmarkAblationCostModel(b *testing.B) {
 // cost it adds and the re-randomizations it buys (the security side of
 // Theorem 6's synergy).
 func BenchmarkAblationRandomization(b *testing.B) {
-	mk := func() whisper.Workload { return whisper.NewRedis() }
+	mk, err := whisper.ByName("redis")
+	if err != nil {
+		b.Fatal(err)
+	}
+	redis := func(cfg params.Config) (core.Result, error) {
+		return whisper.Run(cfg, mk, whisper.RunOpts{Ops: 3000})
+	}
 	for i := 0; i < b.N; i++ {
 		for _, randomize := range []bool{true, false} {
 			cfg := params.NewConfig(params.TT, params.DefaultEWMicros)
 			cfg.Randomize = randomize
-			ov, prot, _, err := whisper.Overhead(cfg, mk, whisper.RunOpts{Ops: 3000})
-			if err != nil {
-				b.Fatal(err)
-			}
+			ov, prot := ablationOverhead(b, cfg, redis)
 			label := "rand-on"
 			if !randomize {
 				label = "rand-off"
@@ -77,10 +116,7 @@ func BenchmarkAblationTEWTarget(b *testing.B) {
 		for _, tewUS := range []float64{0.5, 2, 8} {
 			cfg := params.NewConfig(params.TT, params.DefaultEWMicros)
 			cfg.TEWTarget = params.Micros(tewUS)
-			ov, prot, _, err := speckit.Overhead(cfg, k, speckit.RunOpts{})
-			if err != nil {
-				b.Fatal(err)
-			}
+			ov, prot := ablationOverhead(b, cfg, kernel(k, nil))
 			label := map[float64]string{0.5: "tew0.5us", 2: "tew2us", 8: "tew8us"}[tewUS]
 			b.ReportMetric(100*ov, label+"-ov%")
 			b.ReportMetric(100*prot.Exposure.TER, label+"-TER%")

@@ -95,7 +95,7 @@ func runReference(c runner.Cell) (core.Result, *obs.Snapshot, error) {
 		if err != nil {
 			return res, nil, err
 		}
-		ropts := speckit.RunOpts{Threads: c.Threads, Scale: c.Scale, OnRuntime: onRuntime}
+		ropts := speckit.RunOpts{Threads: c.Threads, OnRuntime: onRuntime}
 		if res, err = speckit.RunProgram(cfg, k, prog, ropts); err != nil {
 			return res, nil, err
 		}

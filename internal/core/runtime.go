@@ -64,7 +64,6 @@ type Runtime struct {
 	cb      *terphw.Buffer
 	policy  semantics.Policy
 	states  map[uint32]*semantics.State
-	perms   map[uint32]paging.Perm // requested process perm per PMO
 	tracker *expo.Tracker
 	l2      *nvm.Cache
 	rng     *rand.Rand
@@ -93,7 +92,6 @@ func NewRuntime(cfg params.Config, mgr *pmo.Manager) *Runtime {
 		matrix:   merr.NewMatrix(),
 		domains:  mpk.NewAllocator(),
 		states:   make(map[uint32]*semantics.State),
-		perms:    make(map[uint32]paging.Perm),
 		tracker:  expo.NewTracker(),
 		l2:       nvm.NewCache(params.L2Size, params.L2Ways, params.LineSize),
 		rng:      rng,
@@ -281,7 +279,6 @@ func (r *Runtime) realAttach(p *pmo.PMO, perm paging.Perm, now uint64) error {
 	if _, err := r.domains.Assign(p.ID); err != nil {
 		return err
 	}
-	r.perms[p.ID] = perm
 	r.tracker.EWOpen(p.ID, now)
 	r.emit(now, -1, p.ID, TraceRealAttach)
 	return nil

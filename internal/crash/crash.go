@@ -114,8 +114,8 @@ type Report struct {
 	CrossSkipped int `json:"crossSkipped,omitempty"`
 }
 
-// makeWorkload builds the named workload; every one must be Recoverable.
-func makeWorkload(name string) (whisper.Recoverable, int, uint64, error) {
+// makeWorkload builds the named workload, its log capacity and device size.
+func makeWorkload(name string) (whisper.Workload, int, uint64, error) {
 	if name == "txnpairs" {
 		return NewTxnPairs(), 16, 1 << 24, nil
 	}
@@ -123,11 +123,7 @@ func makeWorkload(name string) (whisper.Recoverable, int, uint64, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	w, ok := mk().(whisper.Recoverable)
-	if !ok {
-		return nil, 0, 0, fmt.Errorf("crash: workload %q is not recoverable", name)
-	}
-	return w, whisper.LogCapacity, 2 << 30, nil
+	return mk(), whisper.LogCapacity, 2 << 30, nil
 }
 
 // A run is one instrumented execution of a spec's workload: the live
@@ -135,7 +131,7 @@ func makeWorkload(name string) (whisper.Recoverable, int, uint64, error) {
 type run struct {
 	dev    *nvm.Device
 	buf    *nvm.PersistBuffer
-	w      whisper.Recoverable
+	w      whisper.Workload
 	logCap int
 }
 
@@ -213,7 +209,7 @@ func imageInEnumeration(buf *nvm.PersistBuffer, want [32]byte) (bool, error) {
 // verify reopens the PMO on a post-crash image — a crash view, which
 // recovery writes to — and checks every recovery invariant, returning the
 // rolled-back record count.
-func verify(dev *nvm.Device, w whisper.Recoverable, logCap int) (int, error) {
+func verify(dev *nvm.Device, w whisper.Workload, logCap int) (int, error) {
 	mgr := pmo.NewManager(dev)
 	p, err := mgr.Open(w.PMO().Name)
 	if err != nil {

@@ -23,7 +23,7 @@ const pairCount = 64
 // TxnPairs is a micro-workload built for fault injection: each operation
 // transactionally rewrites one pair (A[i], B[i]) kept in two separate
 // allocations (so the halves live on different cache lines and a relaxed
-// crash can genuinely tear them). It implements whisper.Recoverable and
+// crash can genuinely tear them). It implements whisper.Workload and
 // complements the WHISPER workloads with the smallest possible invariant.
 type TxnPairs struct {
 	p      *pmo.PMO
@@ -47,7 +47,7 @@ func (w *TxnPairs) Profile() whisper.Profile {
 	return whisper.Profile{Parse: 100, IdleBase: 100, IdleSpread: 0, EstOpCycles: 5000}
 }
 
-// LogOID implements whisper.Recoverable.
+// LogOID implements whisper.Workload.
 func (w *TxnPairs) LogOID() pmo.OID { return w.logOID }
 
 // Setup implements whisper.Workload.
@@ -109,7 +109,7 @@ func (w *TxnPairs) Op(ctx *core.ThreadCtx, rng *rand.Rand) error {
 	return w.log.Commit()
 }
 
-// CheckInvariants implements whisper.Recoverable: every pair must agree.
+// CheckInvariants implements whisper.Workload: every pair must agree.
 func (w *TxnPairs) CheckInvariants(p *pmo.PMO) error {
 	for i := uint64(0); i < pairCount; i++ {
 		av, err := p.Read8(w.a.Offset() + i*8)

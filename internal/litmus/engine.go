@@ -104,7 +104,7 @@ type Report struct {
 
 // RunProgram executes one litmus program, exhaustively enumerates the
 // model's reachable post-crash images, computes the oracle's allowed
-// set from the recorded trace, and diffs the two.
+// set from the program itself, and diffs the two.
 //
 // Model enumeration visits the persist-buffer state just before every
 // persist event (the event hook runs pre-effect) plus the final state,
@@ -133,7 +133,6 @@ func RunProgram(p Program, allow Allowlist) (Result, error) {
 
 	dev := nvm.NewDevice(nvm.NVM, devSize)
 	buf := dev.EnablePersistBuffer(LineSize)
-	buf.EnableTrace()
 
 	model := make(map[string]bool)
 	var enumErr error
@@ -168,7 +167,7 @@ func RunProgram(p Program, allow Allowlist) (Result, error) {
 	}
 	res.Events = int(buf.Events())
 
-	o := newOracle(buf.TraceOps(), p.Lines)
+	o := newOracle(p.Ops, p.Lines)
 	spec := o.images()
 	noEvict, err := o.noEvictImages()
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
-
-	"repro/internal/nvm"
 )
 
 // TestNamedExpectCounts runs every hand-written litmus shape and checks
@@ -41,30 +39,12 @@ func TestNamedExpectCounts(t *testing.T) {
 }
 
 // TestOracleForbidsBrokenPublication pins the oracle's teeth directly:
-// for the redirty-flush trace, the image with the flag durable but line
+// for the redirty-flush program, the image with the flag durable but line
 // A still initial violates fence ordering and must be outside the spec
 // set. (The pre-fix persist buffer produced exactly this image by
 // cancelling the in-flight writeback on re-dirty.)
 func TestOracleForbidsBrokenPublication(t *testing.T) {
-	dev := nvm.NewDevice(nvm.NVM, devSize)
-	buf := dev.EnablePersistBuffer(LineSize)
-	buf.EnableTrace()
-	for _, op := range []Op{St(0, 1), Fl(0), St(0, 2), Sf(), St(1, 3), Fl(1), Sf()} {
-		switch op.Kind {
-		case OpStore:
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], op.Val)
-			if err := dev.WriteAt(b[:op.Len], op.Off); err != nil {
-				t.Fatal(err)
-			}
-		case OpFlush:
-			dev.Flush(op.Off, op.Len)
-		case OpFence:
-			dev.Fence()
-		}
-	}
-	o := newOracle(buf.TraceOps(), 2)
-	spec := o.images()
+	spec := newOracle([]Op{St(0, 1), Fl(0), St(0, 2), Sf(), St(1, 3), Fl(1), Sf()}, 2).images()
 
 	forbidden := make([]byte, 2*LineSize)
 	binary.LittleEndian.PutUint64(forbidden[LineSize:], 3) // flag durable, A initial

@@ -1,17 +1,15 @@
 package litmus
 
 import (
+	"encoding/binary"
 	"fmt"
-
-	"repro/internal/nvm"
 )
 
 // The declarative Px86-style persistency oracle. It never consults the
-// persist-buffer model's internals: its only input is the replayable
-// persist-op trace (stores with their bytes, flushes, fences) recorded
-// by internal/nvm, from which it computes the sets of post-crash images
-// the *specification* allows. The spec is the Px86 discipline of Raad et
-// al. restricted to a single thread:
+// persist-buffer model: its only input is the litmus program itself (its
+// stores with their bytes, flushes and fences), from which it computes
+// the sets of post-crash images the *specification* allows. The spec is
+// the Px86 discipline of Raad et al. restricted to a single thread:
 //
 //  1. Per-line prefix order. Stores to one cache line persist in the
 //     order they were issued, and each store persists atomically, so a
@@ -43,7 +41,7 @@ type oracle struct {
 	// initial (all-zero) content, versions[l][k] the content after its
 	// k-th store.
 	versions [][][]byte
-	// flushes records every flush in trace order.
+	// flushes records every flush in program order.
 	flushes []flushRec
 	// rules are the fence-ordering implications of rule 2.
 	rules []rule
@@ -62,9 +60,10 @@ type rule struct {
 	s, sv int
 }
 
-// newOracle replays the trace, building every line's version history,
-// the flush records and the fence-ordering rules.
-func newOracle(trace []nvm.TraceOp, lines int) *oracle {
+// newOracle replays the program's ops (validated by RunProgram), building
+// every line's version history, the flush records and the fence-ordering
+// rules.
+func newOracle(ops []Op, lines int) *oracle {
 	o := &oracle{lines: lines}
 	cur := make([][]byte, lines)
 	o.versions = make([][][]byte, lines)
@@ -74,9 +73,11 @@ func newOracle(trace []nvm.TraceOp, lines int) *oracle {
 	}
 
 	fences := 0
-	for _, op := range trace {
+	var data [8]byte
+	for _, op := range ops {
 		switch op.Kind {
-		case nvm.StoreEvent:
+		case OpStore:
+			binary.LittleEndian.PutUint64(data[:], op.Val)
 			first := op.Off / LineSize
 			last := (op.Off + op.Len - 1) / LineSize
 			for ln := first; ln <= last; ln++ {
@@ -88,7 +89,7 @@ func newOracle(trace []nvm.TraceOp, lines int) *oracle {
 				if op.Off+op.Len < hi {
 					hi = op.Off + op.Len
 				}
-				copy(cur[l][lo-ln*LineSize:], op.Data[lo-op.Off:hi-op.Off])
+				copy(cur[l][lo-ln*LineSize:], data[lo-op.Off:hi-op.Off])
 				o.versions[l] = append(o.versions[l], append([]byte(nil), cur[l]...))
 				sv := len(o.versions[l]) - 1
 				// Rule 2, RHS side: this store is "after" every flush from
@@ -103,14 +104,14 @@ func newOracle(trace []nvm.TraceOp, lines int) *oracle {
 					o.rules = append(o.rules, rule{f: f.line, fv: f.ver, s: l, sv: sv})
 				}
 			}
-		case nvm.FlushEvent:
+		case OpFlush:
 			first := op.Off / LineSize
 			last := (op.Off + op.Len - 1) / LineSize
 			for ln := first; ln <= last; ln++ {
 				l := int(ln)
 				o.flushes = append(o.flushes, flushRec{line: l, ver: len(o.versions[l]) - 1, epoch: fences})
 			}
-		case nvm.FenceEvent:
+		case OpFence:
 			fences++
 		}
 	}

@@ -3,7 +3,7 @@
 // exhaustively materializes every reachable post-crash image (a
 // stateless-model-checker-style enumeration, not a sample), and diffs
 // that set against the image set a declarative Px86-style persistency
-// specification allows for the same persist-event trace.
+// specification allows for the same program, computed from its ops alone.
 //
 // The diff is directional. A state the model reaches but the spec
 // forbids is a model bug — the simulated persist path is weaker than

@@ -1,7 +1,6 @@
 package nvm
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
@@ -171,43 +170,5 @@ func TestImageHashNormalizesZeroPages(t *testing.T) {
 	q[6] = 1
 	if ImageHash(map[uint64][]byte{1: p}) == ImageHash(map[uint64][]byte{1: q}) {
 		t.Fatal("page content not part of the hash")
-	}
-}
-
-// TestTraceRecordsReplayableOps checks the persist-op log: stores carry
-// their bytes, flushes/fences carry their persist ordinals, and entries
-// appear in program order.
-func TestTraceRecordsReplayableOps(t *testing.T) {
-	d := NewDevice(NVM, 1<<20)
-	b := d.EnablePersistBuffer(64)
-	b.EnableTrace()
-	d.Write8(0, 0x0102030405060708)
-	d.Flush(0, 8)
-	d.Fence()
-	d.Write8(64, 1)
-
-	ops := b.TraceOps()
-	if len(ops) != 4 {
-		t.Fatalf("trace length = %d, want 4 (%v)", len(ops), ops)
-	}
-	if ops[0].Kind != StoreEvent || ops[0].Off != 0 || ops[0].Len != 8 {
-		t.Fatalf("store op = %+v", ops[0])
-	}
-	if !bytes.Equal(ops[0].Data, []byte{8, 7, 6, 5, 4, 3, 2, 1}) {
-		t.Fatalf("store bytes = %v", ops[0].Data)
-	}
-	if ops[1].Kind != FlushEvent || ops[1].Index != 0 {
-		t.Fatalf("flush op = %+v", ops[1])
-	}
-	if ops[2].Kind != FenceEvent || ops[2].Index != 1 {
-		t.Fatalf("fence op = %+v", ops[2])
-	}
-	if ops[3].Kind != StoreEvent || ops[3].Off != 64 {
-		t.Fatalf("second store op = %+v", ops[3])
-	}
-	// The trace data is a copy, not an alias of the caller's buffer.
-	ops[0].Data[0] = 0xff
-	if v, _ := d.Read8(0); v != 0x0102030405060708 {
-		t.Fatal("trace aliases device bytes")
 	}
 }

@@ -24,14 +24,10 @@ const (
 
 // String names the event kind.
 func (k EventKind) String() string {
-	switch k {
-	case FlushEvent:
+	if k == FlushEvent {
 		return "flush"
-	case FenceEvent:
-		return "fence"
-	default:
-		return "store" // StoreEvent (trace-only, see trace.go)
 	}
+	return "fence"
 }
 
 // Event is one persist operation issued against the device. Index is the
@@ -87,7 +83,6 @@ type PersistBuffer struct {
 	fences  uint64
 	drained uint64
 	hook    func(Event)
-	trace   []TraceOp // replayable persist-op log (nil = off; trace.go)
 
 	// Obs, when set, records flush/fence/drain events as instants; NowFn
 	// supplies the issuing thread's simulated clock. Occupancy, when set,
@@ -284,7 +279,6 @@ func (b *PersistBuffer) dirty(off uint64, data []byte) {
 	if n == 0 {
 		return
 	}
-	b.traceStore(off, data)
 	first := off / b.line
 	last := (off + n - 1) / b.line
 	for ln := first; ln <= last; ln++ {
@@ -314,7 +308,6 @@ func (b *PersistBuffer) dirty(off uint64, data []byte) {
 // replaces its in-flight capture with the newer content.
 func (b *PersistBuffer) flush(off, n uint64) {
 	b.emit(FlushEvent)
-	b.traceOp(FlushEvent, off, n)
 	b.flushes++
 	first := off / b.line
 	last := (off + n - 1) / b.line
@@ -335,7 +328,6 @@ func (b *PersistBuffer) flush(off, n uint64) {
 // barrier completes it, whatever stores came later.
 func (b *PersistBuffer) fence() {
 	b.emit(FenceEvent)
-	b.traceOp(FenceEvent, 0, 0)
 	b.fences++
 	var n uint64
 	for ln, st := range b.pending {

@@ -207,11 +207,7 @@ func RunCellCtx(ctx context.Context, c Cell, cache *ProgCache, ocfg obs.Config) 
 		if err != nil {
 			return out, err
 		}
-		res, err := speckit.RunLinked(cfg, k, linked, speckit.RunOpts{
-			Threads:   c.Threads,
-			Scale:     c.Scale,
-			OnRuntime: onRuntime,
-		})
+		res, err := speckit.RunLinked(cfg, k, linked, speckit.RunOpts{Threads: c.Threads, OnRuntime: onRuntime})
 		out.Result = res
 		snapshot()
 		return out, err

@@ -59,10 +59,6 @@ var (
 	ErrDoubleAttach = errors.New("semantics: attach on already-attached PMO")
 	// ErrDetachUnattached is a detach with no preceding attach.
 	ErrDetachUnattached = errors.New("semantics: detach on unattached PMO")
-	// ErrThreadOverlap is kept for callers that want to treat
-	// intra-thread nesting as an error; the EW-conscious policy itself
-	// silences nested pairs (Figure 3: "valid=silent").
-	ErrThreadOverlap = errors.New("semantics: overlapping attach-detach pair within thread")
 )
 
 // State is the per-PMO attachment state a policy decides over. The

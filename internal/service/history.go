@@ -103,14 +103,18 @@ func (s *Server) handleHistoryTrend(w http.ResponseWriter, r *http.Request) {
 	}
 	opt := report.TrendOpts{}
 	q := r.URL.Query()
-	for name, dst := range map[string]*int{"window": &opt.Window, "min": &opt.MinRuns} {
-		if v := q.Get(name); v != "" {
+	// Checked in this order, so a 400 for two bad values names window.
+	for _, param := range []struct {
+		name string
+		dst  *int
+	}{{"window", &opt.Window}, {"min", &opt.MinRuns}} {
+		if v := q.Get(param.name); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n <= 0 {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad %s %q", name, v))
+				writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad %s %q", param.name, v))
 				return
 			}
-			*dst = n
+			*param.dst = n
 		}
 	}
 	series := ledger.Series(recs)

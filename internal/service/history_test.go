@@ -186,6 +186,15 @@ func TestHistoryEndpoint(t *testing.T) {
 	if _, code := fetch(t, base+"/v1/history/trend?window=0"); code != http.StatusBadRequest {
 		t.Fatalf("bad window: HTTP %d, want 400", code)
 	}
+	// With both bad, every 400 names window: the parameters are checked
+	// in a fixed order.
+	for i := 0; i < 40; i++ {
+		raw, code := fetch(t, base+"/v1/history/trend?window=0&min=0")
+		var e apiError
+		if code != http.StatusBadRequest || json.Unmarshal(raw, &e) != nil || e.Error != `service: bad window "0"` {
+			t.Fatalf("request %d with both bad: HTTP %d %s, want 400 naming window", i, code, raw)
+		}
+	}
 
 	// The dashboard panel gains a history section once records exist.
 	panel, code := fetch(t, base+"/dashboard/panel")

@@ -18,28 +18,14 @@ import (
 // deviceSize is the NVM device every kernel run gets (1 GB).
 const deviceSize = 1 << 30
 
-// RunOpts configures one kernel run.
+// RunOpts configures one kernel run. The kernel's scale is fixed when
+// it is built (see Build).
 type RunOpts struct {
-	// Threads is the worker count (1 or the paper's 4).
+	// Threads is the worker count (1 or the paper's 4); 0 means 1.
 	Threads int
-	// Scale multiplies the kernel's array sizes.
-	Scale int
-	// InsertOverride replaces the insertion pass options (used by the
-	// compiler cost-model ablation); nil selects the scheme defaults.
-	InsertOverride *terpc.Options
 	// OnRuntime, when set, is called with the freshly built runtime
 	// before the run (tracing, inspection).
 	OnRuntime func(*core.Runtime)
-}
-
-func (o RunOpts) withDefaults() RunOpts {
-	if o.Threads == 0 {
-		o.Threads = 1
-	}
-	if o.Scale == 0 {
-		o.Scale = 1
-	}
-	return o
 }
 
 // InsertOptions returns the insertion pass options the configuration's
@@ -78,25 +64,6 @@ func Build(k Kernel, scale int, insert bool, opt terpc.Options) (*ir.Program, er
 	return prog, nil
 }
 
-// Run compiles the kernel, applies the configuration's insertion strategy,
-// links the result and executes it on a fresh simulated machine.
-func Run(cfg params.Config, k Kernel, opts RunOpts) (core.Result, error) {
-	opts = opts.withDefaults()
-	o, insert := InsertOptions(cfg)
-	if opts.InsertOverride != nil {
-		o = *opts.InsertOverride
-	}
-	prog, err := Build(k, opts.Scale, insert, o)
-	if err != nil {
-		return core.Result{}, err
-	}
-	l, err := ir.Link(prog)
-	if err != nil {
-		return core.Result{}, fmt.Errorf("speckit %s: %w", k.Name, err)
-	}
-	return RunLinked(cfg, k, l, opts)
-}
-
 // RunProgram executes an already compiled (and, scheme permitting,
 // instrumented) kernel program on a fresh simulated machine through the
 // block interpreter (interp.New). It is the reference RunLinked is
@@ -122,7 +89,9 @@ func RunLinked(cfg params.Config, k Kernel, l *ir.Linked, opts RunOpts) (core.Re
 // executes the kernel with interpreters supplied by newMachine — the one
 // place the single- and multi-thread drive logic lives.
 func runWith(cfg params.Config, k Kernel, pmoNames []string, opts RunOpts, newMachine func(*core.ThreadCtx) (*interp.Machine, error)) (core.Result, error) {
-	opts = opts.withDefaults()
+	if opts.Threads == 0 {
+		opts.Threads = 1
+	}
 	mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, deviceSize))
 	rt := core.NewRuntime(cfg, mgr)
 	if opts.OnRuntime != nil {
@@ -196,21 +165,4 @@ func preAttach(ctx *core.ThreadCtx, m *interp.Machine, names []string) error {
 		}
 	}
 	return nil
-}
-
-// Overhead runs the kernel under cfg and the unprotected baseline and
-// returns the relative execution-time overhead plus both results.
-func Overhead(cfg params.Config, k Kernel, opts RunOpts) (float64, core.Result, core.Result, error) {
-	baseCfg := params.NewConfig(params.Unprotected, params.DefaultEWMicros)
-	baseCfg.Seed = cfg.Seed
-	base, err := Run(baseCfg, k, opts)
-	if err != nil {
-		return 0, core.Result{}, core.Result{}, err
-	}
-	prot, err := Run(cfg, k, opts)
-	if err != nil {
-		return 0, core.Result{}, core.Result{}, err
-	}
-	ov := float64(prot.Cycles)/float64(base.Cycles) - 1
-	return ov, prot, base, nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/params"
 	"repro/internal/terpc"
@@ -44,17 +45,33 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// run builds the kernel at scale with cfg's insertion strategy, links it
+// and runs it on threads workers, as a runner cell does.
+func run(t *testing.T, cfg params.Config, k Kernel, scale, threads int) core.Result {
+	t.Helper()
+	opt, insert := InsertOptions(cfg)
+	prog, err := Build(k, scale, insert, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := ir.Link(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunLinked(cfg, k, l, RunOpts{Threads: threads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func runKernel(t *testing.T, name string, scheme params.Scheme, threads int) core.Result {
 	t.Helper()
 	k, err := ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(params.NewConfig(scheme, params.DefaultEWMicros), k, RunOpts{Threads: threads})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return run(t, params.NewConfig(scheme, params.DefaultEWMicros), k, 1, threads)
 }
 
 func TestAllKernelsRunSingleThreadTT(t *testing.T) {
@@ -109,14 +126,9 @@ func TestSilentFractionHighUnderTT(t *testing.T) {
 
 func TestOverheadOrderingTMvsTT(t *testing.T) {
 	k, _ := ByName("nab")
-	ovTT, _, _, err := Overhead(params.NewConfig(params.TT, 40), k, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ovTM, _, _, err := Overhead(params.NewConfig(params.TM, 40), k, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := float64(run(t, params.NewConfig(params.Unprotected, params.DefaultEWMicros), k, 1, 1).Cycles)
+	ovTT := float64(run(t, params.NewConfig(params.TT, 40), k, 1, 1).Cycles)/base - 1
+	ovTM := float64(run(t, params.NewConfig(params.TM, 40), k, 1, 1).Cycles)/base - 1
 	if ovTT >= ovTM {
 		t.Fatalf("TT (%.3f) not cheaper than TM (%.3f)", ovTT, ovTM)
 	}
@@ -127,14 +139,8 @@ func TestOverheadOrderingTMvsTT(t *testing.T) {
 
 func TestBasicSemanticsWorstInParallel(t *testing.T) {
 	k, _ := ByName("imagick")
-	basic, err := Run(params.NewConfig(params.BasicSem, 40), k, RunOpts{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt, err := Run(params.NewConfig(params.TT, 40), k, RunOpts{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	basic := run(t, params.NewConfig(params.BasicSem, 40), k, 1, 4)
+	tt := run(t, params.NewConfig(params.TT, 40), k, 1, 4)
 	if basic.Cycles <= tt.Cycles {
 		t.Fatalf("basic semantics (%d) should be slower than TT (%d)", basic.Cycles, tt.Cycles)
 	}
@@ -145,16 +151,12 @@ func TestBasicSemanticsWorstInParallel(t *testing.T) {
 
 func TestPlusCondBetweenBasicAndCB(t *testing.T) {
 	k, _ := ByName("lbm")
-	run := func(s params.Scheme) uint64 {
-		res, err := Run(params.NewConfig(s, 40), k, RunOpts{Threads: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Cycles
+	cycles := func(s params.Scheme) uint64 {
+		return run(t, params.NewConfig(s, 40), k, 1, 4).Cycles
 	}
-	basic := run(params.BasicSem)
-	cond := run(params.PlusCond)
-	cb := run(params.PlusCB)
+	basic := cycles(params.BasicSem)
+	cond := cycles(params.PlusCond)
+	cb := cycles(params.PlusCB)
 	if !(cb <= cond && cond < basic) {
 		t.Fatalf("ablation ordering violated: basic=%d +cond=%d +cb=%d", basic, cond, cb)
 	}
@@ -180,14 +182,8 @@ func TestMMInsertionRuns(t *testing.T) {
 
 func TestScaleGrowsWork(t *testing.T) {
 	k, _ := ByName("lbm")
-	small, err := Run(params.NewConfig(params.Unprotected, 40), k, RunOpts{Scale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := Run(params.NewConfig(params.Unprotected, 40), k, RunOpts{Scale: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := run(t, params.NewConfig(params.Unprotected, 40), k, 1, 1)
+	big := run(t, params.NewConfig(params.Unprotected, 40), k, 2, 1)
 	if big.Cycles <= small.Cycles {
 		t.Fatalf("scale 2 (%d) not slower than scale 1 (%d)", big.Cycles, small.Cycles)
 	}
@@ -198,16 +194,10 @@ func TestThreadCountPreservesResults(t *testing.T) {
 	// threads write disjoint indices), so the worker's return value —
 	// a grid probe — must match between 1 and 4 threads.
 	k, _ := ByName("lbm")
-	run := func(threads int) core.Result {
-		res, err := Run(params.NewConfig(params.Unprotected, 40), k, RunOpts{Threads: threads})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
 	// Compare via the simulated device contents: rerun both and check
 	// the deterministic cycle counts differ while faults stay zero.
-	r1, r4 := run(1), run(4)
+	cfg := params.NewConfig(params.Unprotected, 40)
+	r1, r4 := run(t, cfg, k, 1, 1), run(t, cfg, k, 1, 4)
 	if r1.Counts.Faults != 0 || r4.Counts.Faults != 0 {
 		t.Fatal("faults in unprotected runs")
 	}

@@ -181,7 +181,7 @@ func (b *Buffer) CondAttach(pmo uint32, now uint64) Case {
 		return CaseSubsequentAttach
 	}
 	// Case 1: allocate an entry.
-	slot := b.freeSlot(now)
+	slot := b.freeSlot()
 	if slot < 0 {
 		b.Obs.Instant(now, obs.CatHW, "condat-overflow", int64(pmo))
 		return CaseOverflow
@@ -191,10 +191,10 @@ func (b *Buffer) CondAttach(pmo uint32, now uint64) Case {
 	return CaseFirstAttach
 }
 
-// freeSlot returns an invalid slot, reclaiming a delayed-detach idle entry
-// if the buffer is full (the runtime detaches it via the sweep path first;
-// returning -1 signals genuine overflow).
-func (b *Buffer) freeSlot(now uint64) int {
+// freeSlot returns the first invalid slot, or -1 when every entry is valid
+// (overflow). A delayed-detach entry stays valid, and so is not reclaimed
+// here, until a sweep self-detaches it.
+func (b *Buffer) freeSlot() int {
 	for i := range b.entries {
 		if !b.entries[i].valid {
 			return i
@@ -232,15 +232,6 @@ func (b *Buffer) CondDetach(pmo uint32, now uint64) Case {
 	e.DD = true
 	b.Obs.Instant(now, obs.CatHW, "conddt-delay", int64(pmo))
 	return CaseDelayedDetach
-}
-
-// Drop removes the PMO's entry without any action (used when the runtime
-// detaches through a non-conditional path).
-func (b *Buffer) Drop(pmo uint32) {
-	b.dlDirty = true
-	if e := b.find(pmo); e != nil {
-		e.valid = false
-	}
 }
 
 // Sweep advances the timer to now and returns the actions for every entry

@@ -204,16 +204,6 @@ func TestBufferOverflow(t *testing.T) {
 	}
 }
 
-func TestDrop(t *testing.T) {
-	b := NewBuffer(maxEW)
-	b.CondAttach(1, 0)
-	b.Drop(1)
-	if _, ok := b.Lookup(1); ok {
-		t.Fatal("drop left entry")
-	}
-	b.Drop(2) // dropping a missing entry is a no-op
-}
-
 func TestWindowCombiningSequence(t *testing.T) {
 	// Full combining (Figure 6a): attach, early detach (delayed),
 	// re-attach (silent), detach after EW -> one full detach total.

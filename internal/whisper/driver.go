@@ -74,28 +74,8 @@ func Run(cfg params.Config, mk func() Workload, opts RunOpts) (core.Result, erro
 	idle := func() {
 		ctx.Compute(prof.IdleBase + uint64(rng.Int63n(int64(prof.IdleSpread+1))))
 	}
-	interrupted := func(i int) error {
-		if opts.Interrupt == nil || i%interruptStride != 0 {
-			return nil
-		}
-		return opts.Interrupt()
-	}
 
 	switch cfg.Scheme {
-	case params.Unprotected:
-		if err := ctx.Attach(p, paging.ReadWrite); err != nil {
-			return core.Result{}, err
-		}
-		for i := 0; i < opts.Ops; i++ {
-			if err := interrupted(i); err != nil {
-				return core.Result{}, err
-			}
-			ctx.Compute(prof.Parse)
-			if err := w.Op(ctx, rng); err != nil {
-				return core.Result{}, fmt.Errorf("%s op %d: %w", w.Name(), i, err)
-			}
-			idle()
-		}
 	case params.MM:
 		batch := int(cfg.EWTarget / prof.EstOpCycles)
 		if batch < 1 {
@@ -125,21 +105,34 @@ func Run(cfg params.Config, mk func() Workload, opts RunOpts) (core.Result, erro
 			}
 		}
 	default:
-		// TERP insertion: conditional attach/detach around each op's
-		// PM section; parse and idle run outside the window.
-		for i := 0; i < opts.Ops; i++ {
-			if err := interrupted(i); err != nil {
-				return core.Result{}, err
-			}
-			ctx.Compute(prof.Parse)
+		// Unprotected attaches once, before the first op. TERP insertion
+		// brackets each op's PM section with a conditional attach/detach
+		// pair; parse and idle run outside the window.
+		terp := cfg.Scheme != params.Unprotected
+		if !terp {
 			if err := ctx.Attach(p, paging.ReadWrite); err != nil {
 				return core.Result{}, err
+			}
+		}
+		for i := 0; i < opts.Ops; i++ {
+			if opts.Interrupt != nil && i%interruptStride == 0 {
+				if err := opts.Interrupt(); err != nil {
+					return core.Result{}, err
+				}
+			}
+			ctx.Compute(prof.Parse)
+			if terp {
+				if err := ctx.Attach(p, paging.ReadWrite); err != nil {
+					return core.Result{}, err
+				}
 			}
 			if err := w.Op(ctx, rng); err != nil {
 				return core.Result{}, fmt.Errorf("%s op %d: %w", w.Name(), i, err)
 			}
-			if err := ctx.Detach(p); err != nil {
-				return core.Result{}, err
+			if terp {
+				if err := ctx.Detach(p); err != nil {
+					return core.Result{}, err
+				}
 			}
 			idle()
 		}
@@ -147,20 +140,4 @@ func Run(cfg params.Config, mk func() Workload, opts RunOpts) (core.Result, erro
 	res := rt.Finish(ctx.Now())
 	res.Cycles = ctx.Now() - start
 	return res, nil
-}
-
-// Overhead runs the workload under cfg and under the unprotected baseline
-// with identical op streams and returns the relative execution-time
-// overhead plus both results.
-func Overhead(cfg params.Config, mk func() Workload, opts RunOpts) (float64, core.Result, core.Result, error) {
-	base, err := Run(params.Config{Scheme: params.Unprotected, Seed: cfg.Seed, EWTarget: cfg.EWTarget}, mk, opts)
-	if err != nil {
-		return 0, core.Result{}, core.Result{}, err
-	}
-	prot, err := Run(cfg, mk, opts)
-	if err != nil {
-		return 0, core.Result{}, core.Result{}, err
-	}
-	ov := float64(prot.Cycles)/float64(base.Cycles) - 1
-	return ov, prot, base, nil
 }

@@ -1,11 +1,13 @@
 // Package whisper implements the six WHISPER-style persistent-memory
 // workloads of the paper's single-PMO evaluation (Section VI): the
 // key-value stores Echo and Redis, the YCSB database workload, the TPCC
-// transaction benchmark, and the ctree and hashmap data structures. Each
-// workload keeps its data in one PMO, accesses it through the protected
-// runtime (so every load/store passes the TLB, permission matrix and
-// thread-permission checks and is charged its cycle costs), and uses the
-// undo log of internal/txn for crash-consistent updates.
+// transaction benchmark, and the ctree and hashmap data structures
+// (hashmap, Redis and YCSB share one type, KV, over the same persistent
+// hash table). Each workload keeps its data in one PMO, accesses it
+// through the protected runtime (so every load/store passes the TLB,
+// permission matrix and thread-permission checks and is charged its cycle
+// costs), and uses the undo log of internal/txn for crash-consistent
+// updates.
 //
 // The package also provides the measurement driver that applies the
 // paper's insertion strategies: manual MERR-style bracketing at exposure

@@ -53,14 +53,14 @@ func TestAllWorkloadsRunUnderTT(t *testing.T) {
 }
 
 func TestTTSilentFractionHigh(t *testing.T) {
-	res := runOne(t, params.TT, func() Workload { return NewHashmap() })
+	res := runOne(t, params.TT, func() Workload { return &KV{row: hashmapRow} })
 	if res.Counts.SilentPercent() < 70 {
 		t.Fatalf("silent%% = %.1f, want most ops silent", res.Counts.SilentPercent())
 	}
 }
 
 func TestTTExposureWindowNearTarget(t *testing.T) {
-	res := runOne(t, params.TT, func() Workload { return NewRedis() })
+	res := runOne(t, params.TT, func() Workload { return &KV{row: redisRow} })
 	target := params.ToMicros(params.Micros(params.DefaultEWMicros))
 	avg := params.ToMicros(uint64(res.Exposure.AvgEW))
 	max := params.ToMicros(uint64(res.Exposure.MaxEW))
@@ -75,7 +75,7 @@ func TestTTExposureWindowNearTarget(t *testing.T) {
 }
 
 func TestTTThreadExposureTiny(t *testing.T) {
-	res := runOne(t, params.TT, func() Workload { return NewHashmap() })
+	res := runOne(t, params.TT, func() Workload { return &KV{row: hashmapRow} })
 	if res.Exposure.TEWCount == 0 {
 		t.Fatal("no TEWs")
 	}
@@ -89,7 +89,7 @@ func TestTTThreadExposureTiny(t *testing.T) {
 }
 
 func TestMMWindowsUnstableAndBelowTarget(t *testing.T) {
-	res := runOne(t, params.MM, func() Workload { return NewHashmap() })
+	res := runOne(t, params.MM, func() Workload { return &KV{row: hashmapRow} })
 	target := float64(params.Micros(params.DefaultEWMicros))
 	if res.Exposure.AvgEW >= target {
 		t.Fatalf("MM avg EW %.0f should sit below target %.0f", res.Exposure.AvgEW, target)
@@ -102,20 +102,27 @@ func TestMMWindowsUnstableAndBelowTarget(t *testing.T) {
 	}
 }
 
+// overhead runs the workload under cfg and under the unprotected
+// baseline with identical op streams and returns the relative
+// execution-time overhead.
+func overhead(t *testing.T, cfg params.Config, mk func() Workload) float64 {
+	t.Helper()
+	cycles := func(cfg params.Config) float64 {
+		res, err := Run(cfg, mk, RunOpts{Ops: testOps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(res.Cycles)
+	}
+	base := cycles(params.Config{Scheme: params.Unprotected, Seed: cfg.Seed, EWTarget: cfg.EWTarget})
+	return cycles(cfg)/base - 1
+}
+
 func TestOverheadOrderingTTvsMMvsTM(t *testing.T) {
-	mk := func() Workload { return NewHashmap() }
-	ovTT, _, _, err := Overhead(params.NewConfig(params.TT, 40), mk, RunOpts{Ops: testOps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ovMM, _, _, err := Overhead(params.NewConfig(params.MM, 40), mk, RunOpts{Ops: testOps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ovTM, _, _, err := Overhead(params.NewConfig(params.TM, 40), mk, RunOpts{Ops: testOps})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mk := func() Workload { return &KV{row: hashmapRow} }
+	ovTT := overhead(t, params.NewConfig(params.TT, 40), mk)
+	ovMM := overhead(t, params.NewConfig(params.MM, 40), mk)
+	ovTM := overhead(t, params.NewConfig(params.TM, 40), mk)
 	if !(ovTT < ovMM && ovMM < ovTM) {
 		t.Fatalf("overhead ordering TT(%.3f) < MM(%.3f) < TM(%.3f) violated", ovTT, ovMM, ovTM)
 	}
@@ -125,15 +132,9 @@ func TestOverheadOrderingTTvsMMvsTM(t *testing.T) {
 }
 
 func TestLargerEWLowersOverhead(t *testing.T) {
-	mk := func() Workload { return NewYCSB() }
-	ov40, _, _, err := Overhead(params.NewConfig(params.TT, 40), mk, RunOpts{Ops: testOps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov160, _, _, err := Overhead(params.NewConfig(params.TT, 160), mk, RunOpts{Ops: testOps})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mk := func() Workload { return &KV{row: ycsbRow} }
+	ov40 := overhead(t, params.NewConfig(params.TT, 40), mk)
+	ov160 := overhead(t, params.NewConfig(params.TT, 160), mk)
 	if ov160 > ov40+0.005 {
 		t.Fatalf("overhead did not drop with larger EW: 40us=%.4f 160us=%.4f", ov40, ov160)
 	}
@@ -173,10 +174,11 @@ func TestHashCorrectness(t *testing.T) {
 	mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, 2*pmoSize))
 	rt := core.NewRuntime(unprotCfg(), mgr)
 	ctx := rt.NewThread(sim.SingleThread())
-	p, log, _, err := setupCommon(mgr, "t", ctx)
-	if err != nil {
+	var st store
+	if err := st.open(mgr, "t", ctx); err != nil {
 		t.Fatal(err)
 	}
+	p, log := st.p, st.log
 	if err := ctx.Attach(p, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +211,11 @@ func TestTreeCorrectness(t *testing.T) {
 	mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, 2*pmoSize))
 	rt := core.NewRuntime(unprotCfg(), mgr)
 	ctx := rt.NewThread(sim.SingleThread())
-	p, log, _, err := setupCommon(mgr, "t", ctx)
-	if err != nil {
+	var st store
+	if err := st.open(mgr, "t", ctx); err != nil {
 		t.Fatal(err)
 	}
+	p, log := st.p, st.log
 	if err := ctx.Attach(p, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -245,10 +248,11 @@ func TestHashRejectsBadCapacity(t *testing.T) {
 	mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, 2*pmoSize))
 	rt := core.NewRuntime(unprotCfg(), mgr)
 	ctx := rt.NewThread(sim.SingleThread())
-	p, log, _, err := setupCommon(mgr, "t", ctx)
-	if err != nil {
+	var st store
+	if err := st.open(mgr, "t", ctx); err != nil {
 		t.Fatal(err)
 	}
+	p, log := st.p, st.log
 	if _, err := NewHash(p, 100, log); err == nil {
 		t.Fatal("non-power-of-two capacity accepted")
 	}
@@ -355,7 +359,7 @@ func TestWorkloadCharacterDifferences(t *testing.T) {
 
 // setupWorkload runs a workload's Setup on a fresh machine and returns
 // the pieces the audit tests need.
-func setupWorkload(t *testing.T, mk func() Workload) (Recoverable, *pmo.Manager) {
+func setupWorkload(t *testing.T, mk func() Workload) (Workload, *pmo.Manager) {
 	t.Helper()
 	mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, 2*pmoSize))
 	ctx := core.NewRuntime(unprotCfg(), mgr).NewThread(sim.SingleThread())
@@ -363,11 +367,7 @@ func setupWorkload(t *testing.T, mk func() Workload) (Recoverable, *pmo.Manager)
 	if err := w.Setup(mgr, ctx, rand.New(rand.NewSource(9))); err != nil {
 		t.Fatal(err)
 	}
-	r, ok := w.(Recoverable)
-	if !ok {
-		t.Fatalf("%s does not implement Recoverable", w.Name())
-	}
-	return r, mgr
+	return w, mgr
 }
 
 func TestAllWorkloadsAreRecoverable(t *testing.T) {
@@ -418,7 +418,7 @@ func TestAuditReportsFirstViolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hashmap := func() Workload { return NewHashmap() }
+	hashmap := func() Workload { return &KV{row: hashmapRow} }
 	tpcc := func() Workload { return NewTPCC() }
 	echo := func() Workload { return NewEcho() }
 	// echoArea returns the record area's offset and version counter.
@@ -430,59 +430,59 @@ func TestAuditReportsFirstViolation(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		mk    func() Workload
-		plant func(w Recoverable)
+		plant func(w Workload)
 		want  string
 	}{
-		{"hash/key-out-of-range", hashmap, func(w Recoverable) {
-			hm := w.(*Hashmap)
-			put(hm.p, hm.h.base+firstEmpty(hm.p, hm.h, 0)*16, hm.keys+999)
+		{"hash/key-out-of-range", hashmap, func(w Workload) {
+			hm := w.(*KV)
+			put(hm.p, hm.h.base+firstEmpty(hm.p, hm.h, 0)*16, kvKeys+999)
 		}, "whisper: hash slot 0 key 66535 out of range"},
-		{"hash/hole-before-displaced-key", hashmap, func(w Recoverable) {
-			hm := w.(*Hashmap)
+		{"hash/hole-before-displaced-key", hashmap, func(w Workload) {
+			hm := w.(*KV)
 			_, k := firstKey(hm.p, hm.h, true)
 			put(hm.p, hm.h.base+(mix(k)&(hm.h.cap-1))*16, 0)
 		}, "whisper: hash key 6434 at slot 88 hidden behind empty slot 87"},
-		{"hash/duplicate-key", hashmap, func(w Recoverable) {
-			hm := w.(*Hashmap)
+		{"hash/duplicate-key", hashmap, func(w Workload) {
+			hm := w.(*KV)
 			s, k := firstKey(hm.p, hm.h, false)
 			put(hm.p, hm.h.base+firstEmpty(hm.p, hm.h, s)*16, k)
 		}, "whisper: hash key 29045 duplicated at slots 8 and 9"},
-		{"tpcc/district-out-of-range", tpcc, func(w Recoverable) {
+		{"tpcc/district-out-of-range", tpcc, func(w Workload) {
 			tp := w.(*TPCC)
 			put(tp.p, tp.orders.Offset()+3*24+8, 10)
 		}, "whisper: tpcc order 3 district 10 out of range"},
-		{"tpcc/customer-out-of-range", tpcc, func(w Recoverable) {
+		{"tpcc/customer-out-of-range", tpcc, func(w Workload) {
 			tp := w.(*TPCC)
 			put(tp.p, tp.orders.Offset()+5*24+16, 3000)
 		}, "whisper: tpcc order 5 customer 3000 out of range"},
-		{"tpcc/line-number-out-of-range", tpcc, func(w Recoverable) {
+		{"tpcc/line-number-out-of-range", tpcc, func(w Workload) {
 			tp := w.(*TPCC)
 			put(tp.p, tp.lines.Offset()+7*16+8, 15)
 		}, "whisper: tpcc line 7 number 15 out of range"},
-		{"tpcc/orders-before-lines", tpcc, func(w Recoverable) {
+		{"tpcc/orders-before-lines", tpcc, func(w Workload) {
 			tp := w.(*TPCC)
 			put(tp.p, tp.lines.Offset()+8, 99)
 			put(tp.p, tp.orders.Offset()+(tp.nOrders-1)*24+16, 4000)
 		}, "whisper: tpcc order 16383 customer 4000 out of range"},
-		{"echo/record-key-out-of-range", echo, func(w Recoverable) {
+		{"echo/record-key-out-of-range", echo, func(w Workload) {
 			ec := w.(*Echo)
 			area, _ := echoArea(ec)
 			put(ec.p, area+2*24, ec.keys+1)
 		}, "whisper: echo record 2 key 32769 out of range"},
-		{"echo/version-ahead-of-counter", echo, func(w Recoverable) {
+		{"echo/version-ahead-of-counter", echo, func(w Workload) {
 			ec := w.(*Echo)
 			area, ver := echoArea(ec)
 			put(ec.p, area+4*24, 1)
 			put(ec.p, area+4*24+8, ver+2)
 		}, "whisper: echo record 4 version 2 ahead of counter 0"},
-		{"echo/index-at-misaligned-record", echo, func(w Recoverable) {
+		{"echo/index-at-misaligned-record", echo, func(w Workload) {
 			ec := w.(*Echo)
 			area, _ := echoArea(ec)
 			slot := ec.h.base + (mix(5)&(ec.h.cap-1))*16
 			put(ec.p, slot, 5)
 			put(ec.p, slot+8, uint64(pmo.MakeOID(ec.p.ID, area+3*24+4)))
 		}, "whisper: echo index key 5 points at bad record offset 1053812"},
-		{"echo/records-before-index", echo, func(w Recoverable) {
+		{"echo/records-before-index", echo, func(w Workload) {
 			ec := w.(*Echo)
 			area, ver := echoArea(ec)
 			slot := ec.h.base + (mix(7)&(ec.h.cap-1))*16
@@ -569,9 +569,9 @@ func TestPreloadSameAtEverySeed(t *testing.T) {
 		pages int
 	}
 	mks := []func() Workload{
-		func() Workload { return NewHashmap() },
-		func() Workload { return NewRedis() },
-		func() Workload { return NewYCSB() },
+		func() Workload { return &KV{row: hashmapRow} },
+		func() Workload { return &KV{row: redisRow} },
+		func() Workload { return &KV{row: ycsbRow} },
 	}
 	got := make([][4]state, len(mks))
 	var wg sync.WaitGroup
@@ -606,10 +606,11 @@ func TestPreloadSameAtEverySeed(t *testing.T) {
 func TestPreloadStopsWhenFull(t *testing.T) {
 	table := func() (*Hash, *core.ThreadCtx) {
 		_, mgr, ctx := newMeasured()
-		p, log, _, err := setupCommon(mgr, "t", ctx)
-		if err != nil {
+		var st store
+		if err := st.open(mgr, "t", ctx); err != nil {
 			t.Fatal(err)
 		}
+		p, log := st.p, st.log
 		if err := ctx.Attach(p, paging.ReadWrite); err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,9 @@ import (
 // operations the driver measures under a protection scheme. Setup runs
 // unprotected (the load phase is not measured); Op performs one
 // transaction's PM accesses through the context and assumes the driver
-// attached the PMO.
+// attached the PMO. Every workload can be crash-tested: it says where its
+// undo log lives and audits its durable structures in a reopened
+// (possibly crash-recovered) PMO.
 type Workload interface {
 	// Name is the benchmark name used in the tables.
 	Name() string
@@ -23,8 +25,14 @@ type Workload interface {
 	Op(ctx *core.ThreadCtx, rng *rand.Rand) error
 	// PMO returns the workload's (single) PMO.
 	PMO() *pmo.PMO
+	// LogOID returns the OID of the workload's undo log inside its PMO.
+	LogOID() pmo.OID
 	// Profile returns the workload's timing profile.
 	Profile() Profile
+	// CheckInvariants audits the workload's structures in p — a PMO
+	// reopened from a post-crash image after log recovery — returning an
+	// error describing the first violated invariant.
+	CheckInvariants(p *pmo.PMO) error
 }
 
 // Profile describes an operation's non-PM work, which shapes exposure
@@ -42,19 +50,6 @@ type Profile struct {
 	EstOpCycles uint64
 }
 
-// Recoverable is implemented by workloads that can be crash-tested: they
-// expose where their undo log lives and can audit their durable
-// structures in a reopened (possibly crash-recovered) PMO.
-type Recoverable interface {
-	Workload
-	// LogOID returns the OID of the workload's undo log inside its PMO.
-	LogOID() pmo.OID
-	// CheckInvariants audits the workload's structures in p — a PMO
-	// reopened from a post-crash image after log recovery — returning an
-	// error describing the first violated invariant.
-	CheckInvariants(p *pmo.PMO) error
-}
-
 // pmoSize is the default PMO size; the paper uses 1 GB.
 const pmoSize = 1 << 30
 
@@ -62,75 +57,120 @@ const pmoSize = 1 << 30
 // transaction touches at most a handful of words).
 const LogCapacity = 64
 
-// setupCommon creates the PMO and an undo log inside it, returning the
-// log's OID so crash recovery can find it again.
-func setupCommon(mgr *pmo.Manager, name string, ctx *core.ThreadCtx) (*pmo.PMO, *txn.Log, pmo.OID, error) {
+// store is the PMO and undo log every workload keeps its data in.
+type store struct {
+	p      *pmo.PMO
+	log    *txn.Log
+	logOID pmo.OID
+}
+
+// PMO implements Workload.
+func (s *store) PMO() *pmo.PMO { return s.p }
+
+// LogOID implements Workload.
+func (s *store) LogOID() pmo.OID { return s.logOID }
+
+// open creates the PMO and an undo log inside it whose costs ctx is
+// charged, recording the log's OID so crash recovery can find it again.
+func (s *store) open(mgr *pmo.Manager, name string, ctx *core.ThreadCtx) error {
 	p, err := mgr.Create(name, pmoSize, pmo.ModeRead|pmo.ModeWrite)
 	if err != nil {
-		return nil, nil, pmo.NilOID, err
+		return err
 	}
 	log, logOID, err := txn.NewLog(p, LogCapacity)
 	if err != nil {
-		return nil, nil, pmo.NilOID, err
+		return err
 	}
 	log.SetSink(ctx)
-	return p, log, logOID, nil
+	s.p, s.log, s.logOID = p, log, logOID
+	return nil
 }
 
-// --- hashmap ---------------------------------------------------------------
+// --- hashmap, redis, ycsb --------------------------------------------------
 
-// Hashmap is the WHISPER hashmap benchmark: uniform 50/50 get/put over a
-// persistent open-addressing table.
-type Hashmap struct {
-	p      *pmo.PMO
-	h      *Hash
-	logOID pmo.OID
-	keys   uint64
+// kvKeys is the key range of the hash-table workloads, and kvSlots their
+// table capacity.
+const (
+	kvKeys  = 1 << 16
+	kvSlots = 1 << 17
+)
+
+// kvRow is what one hash-table benchmark sets: its preload, its get share,
+// its key distribution and its timing.
+type kvRow struct {
+	name string
+	// Keys 1..preload are loaded before the run, key k holding mul*k.
+	preload, mul uint64
+	// An op is a get when rng.Intn(readOf) < reads, else a put.
+	reads, readOf int
+	// zipf draws keys from a Zipf skew instead of uniformly.
+	zipf bool
+	prof Profile
 }
 
-// NewHashmap returns the benchmark with the default key range.
-func NewHashmap() *Hashmap { return &Hashmap{keys: 1 << 16} }
+// The three hash-table benchmarks.
+var (
+	// hashmap: uniform 50/50 get/put.
+	hashmapRow = kvRow{name: "hashmap", preload: kvKeys / 2, mul: 3, reads: 1, readOf: 2,
+		prof: Profile{Parse: 4000, IdleBase: 11000, IdleSpread: 7000, EstOpCycles: 25000}}
+	// redis: GET-heavy traffic. Its ops are light and frequent: short
+	// idle gaps keep the PMO window busy (the paper reports Redis with
+	// the highest ER).
+	redisRow = kvRow{name: "redis", preload: kvKeys / 4, mul: 1, reads: 80, readOf: 100,
+		prof: Profile{Parse: 1500, IdleBase: 3500, IdleSpread: 2500, EstOpCycles: 12000}}
+	// ycsb: workload B, 95% reads and 5% updates with a Zipf-like skew.
+	ycsbRow = kvRow{name: "ycsb", preload: kvKeys / 2, mul: 1, reads: 95, readOf: 100, zipf: true,
+		prof: Profile{Parse: 4000, IdleBase: 11000, IdleSpread: 7000, EstOpCycles: 25000}}
+)
+
+// KV is a key-value benchmark over a persistent open-addressing hash
+// table: gets and transactional puts of random values. Its row picks
+// which of hashmap, redis and ycsb it is.
+type KV struct {
+	store
+	row  kvRow
+	h    *Hash
+	zipf *rand.Zipf
+}
 
 // Name implements Workload.
-func (w *Hashmap) Name() string { return "hashmap" }
-
-// PMO implements Workload.
-func (w *Hashmap) PMO() *pmo.PMO { return w.p }
+func (w *KV) Name() string { return w.row.name }
 
 // Profile implements Workload.
-func (w *Hashmap) Profile() Profile {
-	return Profile{Parse: 4000, IdleBase: 11000, IdleSpread: 7000, EstOpCycles: 25000}
-}
+func (w *KV) Profile() Profile { return w.row.prof }
 
 // Setup implements Workload.
-func (w *Hashmap) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) error {
-	p, log, logOID, err := setupCommon(mgr, "whisper."+w.Name(), ctx)
-	if err != nil {
+func (w *KV) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) error {
+	if err := w.open(mgr, "whisper."+w.Name(), ctx); err != nil {
 		return err
 	}
-	w.p, w.logOID = p, logOID
-	w.h, err = NewHash(p, 1<<17, log)
-	if err != nil {
+	var err error
+	if w.h, err = NewHash(w.p, kvSlots, w.log); err != nil {
 		return err
 	}
-	// Preload half the keys (unmeasured load phase).
-	return w.h.Preload(w.keys/2, 3)
+	if w.row.zipf {
+		w.zipf = rand.NewZipf(rng, 1.1, 1, kvKeys-1)
+	}
+	// The load phase is not measured.
+	return w.h.Preload(w.row.preload, w.row.mul)
 }
 
-// LogOID implements Recoverable.
-func (w *Hashmap) LogOID() pmo.OID { return w.logOID }
-
-// CheckInvariants implements Recoverable: every occupied slot holds an
+// CheckInvariants implements Workload: every occupied slot holds an
 // in-range key, reachable by probing from its home slot, with no
-// duplicates; empty slots carry no value.
-func (w *Hashmap) CheckInvariants(p *pmo.PMO) error {
-	return w.h.Audit(p, w.keys, nil)
+// duplicates.
+func (w *KV) CheckInvariants(p *pmo.PMO) error {
+	return w.h.Audit(p, kvKeys, nil)
 }
 
 // Op implements Workload.
-func (w *Hashmap) Op(ctx *core.ThreadCtx, rng *rand.Rand) error {
-	key := uint64(rng.Int63n(int64(w.keys))) + 1
-	if rng.Intn(2) == 0 {
+func (w *KV) Op(ctx *core.ThreadCtx, rng *rand.Rand) error {
+	var key uint64
+	if w.zipf != nil {
+		key = w.zipf.Uint64() + 1
+	} else {
+		key = uint64(rng.Int63n(kvKeys)) + 1
+	}
+	if rng.Intn(w.row.readOf) < w.row.reads {
 		_, _, err := w.h.Get(ctx, key)
 		return err
 	}
@@ -142,10 +182,9 @@ func (w *Hashmap) Op(ctx *core.ThreadCtx, rng *rand.Rand) error {
 // Ctree is the WHISPER crit-bit tree benchmark analog: mixed
 // insert/lookup over a persistent binary search tree.
 type Ctree struct {
-	p      *pmo.PMO
-	t      *Tree
-	logOID pmo.OID
-	keys   uint64
+	store
+	t    *Tree
+	keys uint64
 }
 
 // NewCtree returns the benchmark.
@@ -154,9 +193,6 @@ func NewCtree() *Ctree { return &Ctree{keys: 1 << 14} }
 // Name implements Workload.
 func (w *Ctree) Name() string { return "ctree" }
 
-// PMO implements Workload.
-func (w *Ctree) PMO() *pmo.PMO { return w.p }
-
 // Profile implements Workload.
 func (w *Ctree) Profile() Profile {
 	return Profile{Parse: 4500, IdleBase: 12000, IdleSpread: 7000, EstOpCycles: 28000}
@@ -164,13 +200,11 @@ func (w *Ctree) Profile() Profile {
 
 // Setup implements Workload.
 func (w *Ctree) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) error {
-	p, log, logOID, err := setupCommon(mgr, "whisper."+w.Name(), ctx)
-	if err != nil {
+	if err := w.open(mgr, "whisper."+w.Name(), ctx); err != nil {
 		return err
 	}
-	w.p, w.logOID = p, logOID
-	w.t, err = NewTree(p, log)
-	if err != nil {
+	var err error
+	if w.t, err = NewTree(w.p, w.log); err != nil {
 		return err
 	}
 	// Preload keys in shuffled order so the tree is reasonably balanced.
@@ -178,17 +212,14 @@ func (w *Ctree) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) err
 	// undo log still charges ctx, as it does for every transaction.
 	perm := rng.Perm(int(w.keys / 2))
 	for _, k := range perm {
-		if err := w.t.Insert(untimed{p}, uint64(k)+1, uint64(k)); err != nil {
+		if err := w.t.Insert(untimed{w.p}, uint64(k)+1, uint64(k)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// LogOID implements Recoverable.
-func (w *Ctree) LogOID() pmo.OID { return w.logOID }
-
-// CheckInvariants implements Recoverable: the tree is a well-formed BST
+// CheckInvariants implements Workload: the tree is a well-formed BST
 // over in-range keys with no cycles.
 func (w *Ctree) CheckInvariants(p *pmo.PMO) error {
 	return w.t.Audit(p, w.keys)
@@ -209,10 +240,9 @@ func (w *Ctree) Op(ctx *core.ThreadCtx, rng *rand.Rand) error {
 // Echo models the Echo versioned key-value store: puts append a record to
 // a persistent log and update the index; gets read through the index.
 type Echo struct {
-	p      *pmo.PMO
+	store
 	h      *Hash
 	logOff pmo.OID // append-only record area cursor cell
-	logOID pmo.OID
 	keys   uint64
 	recs   []uint64 // CheckInvariants' copy of the record area
 }
@@ -223,9 +253,6 @@ func NewEcho() *Echo { return &Echo{keys: 1 << 15} }
 // Name implements Workload.
 func (w *Echo) Name() string { return "echo" }
 
-// PMO implements Workload.
-func (w *Echo) PMO() *pmo.PMO { return w.p }
-
 // Profile implements Workload.
 func (w *Echo) Profile() Profile {
 	return Profile{Parse: 5000, IdleBase: 14000, IdleSpread: 9000, EstOpCycles: 30000}
@@ -233,13 +260,12 @@ func (w *Echo) Profile() Profile {
 
 // Setup implements Workload.
 func (w *Echo) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) error {
-	p, log, logOID, err := setupCommon(mgr, "whisper."+w.Name(), ctx)
-	if err != nil {
+	if err := w.open(mgr, "whisper."+w.Name(), ctx); err != nil {
 		return err
 	}
-	w.p, w.logOID = p, logOID
-	w.h, err = NewHash(p, 1<<16, log)
-	if err != nil {
+	p := w.p
+	var err error
+	if w.h, err = NewHash(p, 1<<16, w.log); err != nil {
 		return err
 	}
 	area, err := p.Alloc(uint64(w.keys) * 8 * 8)
@@ -260,10 +286,7 @@ func (w *Echo) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) erro
 	return nil
 }
 
-// LogOID implements Recoverable.
-func (w *Echo) LogOID() pmo.OID { return w.logOID }
-
-// CheckInvariants implements Recoverable: records carry in-range keys and
+// CheckInvariants implements Workload: records carry in-range keys and
 // versions no newer than the counter plus the one op that may have been
 // in flight; the index maps keys to aligned record slots.
 func (w *Echo) CheckInvariants(p *pmo.PMO) error {
@@ -345,132 +368,13 @@ func (w *Echo) Op(ctx *core.ThreadCtx, rng *rand.Rand) error {
 	return w.h.Put(ctx, key, uint64(rec))
 }
 
-// --- redis -----------------------------------------------------------------
-
-// Redis models a Redis-like store: GET-heavy traffic with SET and
-// list-push updates.
-type Redis struct {
-	p      *pmo.PMO
-	h      *Hash
-	logOID pmo.OID
-	keys   uint64
-}
-
-// NewRedis returns the benchmark.
-func NewRedis() *Redis { return &Redis{keys: 1 << 16} }
-
-// Name implements Workload.
-func (w *Redis) Name() string { return "redis" }
-
-// PMO implements Workload.
-func (w *Redis) PMO() *pmo.PMO { return w.p }
-
-// Profile implements Workload.
-func (w *Redis) Profile() Profile {
-	// Redis ops are light and frequent: short idle gaps keep the PMO
-	// window busy (the paper reports Redis with the highest ER).
-	return Profile{Parse: 1500, IdleBase: 3500, IdleSpread: 2500, EstOpCycles: 12000}
-}
-
-// Setup implements Workload.
-func (w *Redis) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) error {
-	p, log, logOID, err := setupCommon(mgr, "whisper."+w.Name(), ctx)
-	if err != nil {
-		return err
-	}
-	w.p, w.logOID = p, logOID
-	w.h, err = NewHash(p, 1<<17, log)
-	if err != nil {
-		return err
-	}
-	return w.h.Preload(w.keys/4, 1)
-}
-
-// LogOID implements Recoverable.
-func (w *Redis) LogOID() pmo.OID { return w.logOID }
-
-// CheckInvariants implements Recoverable.
-func (w *Redis) CheckInvariants(p *pmo.PMO) error {
-	return w.h.Audit(p, w.keys, nil)
-}
-
-// Op implements Workload.
-func (w *Redis) Op(ctx *core.ThreadCtx, rng *rand.Rand) error {
-	key := uint64(rng.Int63n(int64(w.keys))) + 1
-	if rng.Intn(100) < 80 {
-		_, _, err := w.h.Get(ctx, key)
-		return err
-	}
-	return w.h.Put(ctx, key, rng.Uint64())
-}
-
-// --- ycsb ------------------------------------------------------------------
-
-// YCSB models workload B (95% reads, 5% updates) with a Zipf-like skew.
-type YCSB struct {
-	p      *pmo.PMO
-	h      *Hash
-	zipf   *rand.Zipf
-	logOID pmo.OID
-	keys   uint64
-}
-
-// NewYCSB returns the benchmark.
-func NewYCSB() *YCSB { return &YCSB{keys: 1 << 16} }
-
-// Name implements Workload.
-func (w *YCSB) Name() string { return "ycsb" }
-
-// PMO implements Workload.
-func (w *YCSB) PMO() *pmo.PMO { return w.p }
-
-// Profile implements Workload.
-func (w *YCSB) Profile() Profile {
-	return Profile{Parse: 4000, IdleBase: 11000, IdleSpread: 7000, EstOpCycles: 25000}
-}
-
-// Setup implements Workload.
-func (w *YCSB) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) error {
-	p, log, logOID, err := setupCommon(mgr, "whisper."+w.Name(), ctx)
-	if err != nil {
-		return err
-	}
-	w.p, w.logOID = p, logOID
-	w.h, err = NewHash(p, 1<<17, log)
-	if err != nil {
-		return err
-	}
-	w.zipf = rand.NewZipf(rng, 1.1, 1, w.keys-1)
-	return w.h.Preload(w.keys/2, 1)
-}
-
-// LogOID implements Recoverable.
-func (w *YCSB) LogOID() pmo.OID { return w.logOID }
-
-// CheckInvariants implements Recoverable.
-func (w *YCSB) CheckInvariants(p *pmo.PMO) error {
-	return w.h.Audit(p, w.keys, nil)
-}
-
-// Op implements Workload.
-func (w *YCSB) Op(ctx *core.ThreadCtx, rng *rand.Rand) error {
-	key := w.zipf.Uint64() + 1
-	if rng.Intn(100) < 95 {
-		_, _, err := w.h.Get(ctx, key)
-		return err
-	}
-	return w.h.Put(ctx, key, rng.Uint64())
-}
-
 // --- tpcc ------------------------------------------------------------------
 
 // TPCC models the new-order transaction: read a district row, advance its
 // order counter, insert an order and its order lines — all under one undo
 // transaction.
 type TPCC struct {
-	p         *pmo.PMO
-	log       *txn.Log
-	logOID    pmo.OID
+	store
 	districts pmo.OID // [nextOID x 10]
 	orders    pmo.OID // ring of order records
 	lines     pmo.OID // ring of order lines
@@ -484,9 +388,6 @@ func NewTPCC() *TPCC { return &TPCC{nOrders: 1 << 14} }
 // Name implements Workload.
 func (w *TPCC) Name() string { return "tpcc" }
 
-// PMO implements Workload.
-func (w *TPCC) PMO() *pmo.PMO { return w.p }
-
 // Profile implements Workload.
 func (w *TPCC) Profile() Profile {
 	return Profile{Parse: 6000, IdleBase: 12000, IdleSpread: 8000, EstOpCycles: 35000}
@@ -494,11 +395,11 @@ func (w *TPCC) Profile() Profile {
 
 // Setup implements Workload.
 func (w *TPCC) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) error {
-	p, log, logOID, err := setupCommon(mgr, "whisper."+w.Name(), ctx)
-	if err != nil {
+	if err := w.open(mgr, "whisper."+w.Name(), ctx); err != nil {
 		return err
 	}
-	w.p, w.log, w.logOID = p, log, logOID
+	p := w.p
+	var err error
 	if w.districts, err = p.Alloc(10 * 8); err != nil {
 		return err
 	}
@@ -511,10 +412,7 @@ func (w *TPCC) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) erro
 	return nil
 }
 
-// LogOID implements Recoverable.
-func (w *TPCC) LogOID() pmo.OID { return w.logOID }
-
-// CheckInvariants implements Recoverable: every order record and order
+// CheckInvariants implements Workload: every order record and order
 // line stays inside its write domain — a torn multi-word insert would
 // leave the counter pointing at a slot whose fields never held such
 // values.
@@ -599,11 +497,11 @@ func (w *TPCC) Op(ctx *core.ThreadCtx, rng *rand.Rand) error {
 func All() []func() Workload {
 	return []func() Workload{
 		func() Workload { return NewEcho() },
-		func() Workload { return NewYCSB() },
+		func() Workload { return &KV{row: ycsbRow} },
 		func() Workload { return NewTPCC() },
 		func() Workload { return NewCtree() },
-		func() Workload { return NewHashmap() },
-		func() Workload { return NewRedis() },
+		func() Workload { return &KV{row: hashmapRow} },
+		func() Workload { return &KV{row: redisRow} },
 	}
 }
 
