@@ -6,9 +6,10 @@
 //
 // Schemes: base (unprotected), MM, TM, TT, basic, +cond, +cb. The run is
 // one experiment cell (internal/runner), so it measures exactly what the
-// same cell measures inside a grid. -ew must be at least 2 us. -trace N
-// turns on the obs event recorder and prints the last N protection
-// events (attach, grant, revoke, fault, ...) as a timeline.
+// same cell measures inside a grid. -ew must be at least 2 us and
+// -threads at least 1. -trace N turns on the obs event recorder and
+// prints the last N protection events (attach, grant, revoke, fault, ...)
+// as a timeline.
 package main
 
 import (
@@ -42,6 +43,9 @@ func main() {
 	}
 	if math.IsNaN(*ew) || *ew < params.MinEWMicros {
 		fail(fmt.Errorf("-ew %g is below the %g us minimum exposure window target", *ew, float64(params.MinEWMicros)))
+	}
+	if *threads < 1 {
+		fail(fmt.Errorf("-threads %d is below 1", *threads))
 	}
 	cell := runner.Cell{Workload: *workload, Scheme: s, EWMicros: *ew, Seed: *seed}
 	switch *suite {

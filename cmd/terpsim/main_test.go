@@ -90,6 +90,7 @@ func TestErrorExits(t *testing.T) {
 	}{
 		{[]string{"-suite", "bogus"}, `unknown suite "bogus"`},
 		{[]string{"-suite", "whisper", "-workload", "echo", "-scheme", "TT", "-ew", "1", "-ops", "50"}, "below the 2 us minimum"},
+		{[]string{"-suite", "spec", "-workload", "lbm", "-threads", "-1"}, "-threads -1 is below 1"},
 	} {
 		code, stdout, stderr := runTerpsim(t, bin, tc.args...)
 		if code != 1 || stdout != "" || !strings.Contains(stderr, tc.message) {

@@ -51,19 +51,13 @@ func (c Counters) SilentPercent() float64 {
 type Runtime struct {
 	Cfg params.Config
 
-	// fastPath enables the per-thread last-translation cache. Only tests
-	// clear it, to run the uncached access path the cache is checked
-	// against (both charge identical cycles and produce identical
-	// counters and events).
-	fastPath bool
-
 	mgr     *pmo.Manager
 	as      *paging.AddressSpace
-	matrix  *merr.Matrix
+	matrix  merr.Matrix
 	domains *mpk.Allocator
 	cb      *terphw.Buffer
 	policy  semantics.Policy
-	states  map[uint32]*semantics.State
+	states  []*semantics.State // indexed by PMO ID
 	tracker *expo.Tracker
 	l2      *nvm.Cache
 	rng     *rand.Rand
@@ -85,16 +79,13 @@ type Runtime struct {
 func NewRuntime(cfg params.Config, mgr *pmo.Manager) *Runtime {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	r := &Runtime{
-		Cfg:      cfg,
-		fastPath: true,
-		mgr:      mgr,
-		as:       paging.NewAddressSpace(rng),
-		matrix:   merr.NewMatrix(),
-		domains:  mpk.NewAllocator(),
-		states:   make(map[uint32]*semantics.State),
-		tracker:  expo.NewTracker(),
-		l2:       nvm.NewCache(params.L2Size, params.L2Ways, params.LineSize),
-		rng:      rng,
+		Cfg:     cfg,
+		mgr:     mgr,
+		as:      paging.NewAddressSpace(rng),
+		domains: mpk.NewAllocator(),
+		tracker: expo.NewTracker(),
+		l2:      nvm.NewCache(params.L2Size, params.L2Ways, params.LineSize),
+		rng:     rng,
 	}
 	switch cfg.Scheme {
 	case params.BasicSem:
@@ -168,12 +159,13 @@ func (r *Runtime) Tracker() *expo.Tracker { return r.tracker }
 
 // state returns the semantics state for a PMO, creating it lazily.
 func (r *Runtime) state(id uint32) *semantics.State {
-	s := r.states[id]
-	if s == nil {
-		s = semantics.NewState()
-		r.states[id] = s
+	for int(id) >= len(r.states) {
+		r.states = append(r.states, nil)
 	}
-	return s
+	if r.states[id] == nil {
+		r.states[id] = &semantics.State{}
+	}
+	return r.states[id]
 }
 
 // NewThread creates an execution context bound to a simulated thread.
@@ -192,32 +184,12 @@ func (r *Runtime) NewThread(t *sim.Thread) *ThreadCtx {
 // ThreadCtx is one simulated thread executing under the runtime: its MPK
 // permission registers, private TLB and L1 cache, and its clock.
 type ThreadCtx struct {
-	rt    *Runtime
-	th    *sim.Thread
-	regs  mpk.Registers
-	tlb   *paging.TLB
-	l1    *nvm.Cache
-	obs   *obs.Track // nil when tracing is off
-	trans transCache
-}
-
-// transCache is the per-thread last-translation cache: the resolved state
-// of the most recent access, valid only while the address-space epoch is
-// unchanged (every attach, detach and randomization bumps it — and every
-// matrix or domain mutation co-occurs with one of those). The cached
-// permission state is re-verified on every hit (merr.CheckFast for the
-// process matrix, mpk.Registers.Allows for the thread domain), so a hit
-// only skips the map lookups and the matrix search, never a check, a
-// cycle charge, a counter or an event.
-type transCache struct {
-	valid bool
-	epoch uint64
-	pool  uint32
-	p     *pmo.PMO
-	m     *paging.Mapping
-	e     *merr.MatrixEntry
-	d     mpk.Domain
-	dok   bool
+	rt   *Runtime
+	th   *sim.Thread
+	regs mpk.Registers
+	tlb  *paging.TLB
+	l1   *nvm.Cache
+	obs  *obs.Track // nil when tracing is off
 }
 
 // Thread returns the underlying simulated thread.
@@ -266,17 +238,18 @@ func (c *ThreadCtx) Now() uint64 { return c.th.Clock }
 
 // --- attach / detach -----------------------------------------------------
 
-// realAttach maps the PMO, installs the permission matrix entry, assigns a
-// protection domain and opens the exposure window. The syscall cost is
-// charged by the caller (schemes differ in what they charge).
+// realAttach assigns a protection domain where threads get permission,
+// maps the PMO (its mapping is its permission matrix row) and opens the
+// exposure window. The domain comes first, so running out of them leaves
+// nothing mapped. The syscall cost is charged by the caller (schemes
+// differ in what they charge).
 func (r *Runtime) realAttach(p *pmo.PMO, perm paging.Perm, now uint64) error {
-	_, err := r.as.Attach(p.ID, p.Size, r.mgr.Device(), p.DevOff, perm)
-	if err != nil {
-		return err
+	if r.Cfg.TEWTarget != 0 {
+		if _, err := r.domains.Assign(p.ID); err != nil {
+			return err
+		}
 	}
-	m, _ := r.as.Mapping(p.ID)
-	r.matrix.Add(p.ID, m.Base, m.Size, perm)
-	if _, err := r.domains.Assign(p.ID); err != nil {
+	if _, err := r.as.Attach(p.ID, p.Size, r.mgr.Device(), p.DevOff, perm); err != nil {
 		return err
 	}
 	r.tracker.EWOpen(p.ID, now)
@@ -284,13 +257,12 @@ func (r *Runtime) realAttach(p *pmo.PMO, perm paging.Perm, now uint64) error {
 	return nil
 }
 
-// realDetach unmaps the PMO and tears down its entries. TLB shootdown
-// cost is charged by the caller.
+// realDetach unmaps the PMO, which removes its matrix row, and releases
+// its domain. TLB shootdown cost is charged by the caller.
 func (r *Runtime) realDetach(p *pmo.PMO, now uint64) error {
 	if err := r.as.Detach(p.ID); err != nil {
 		return err
 	}
-	_ = r.matrix.Remove(p.ID)
 	r.domains.Release(p.ID)
 	r.tracker.EWClose(p.ID, now)
 	r.emit(now, -1, p.ID, TraceRealDetach)
@@ -303,11 +275,9 @@ func (r *Runtime) realDetach(p *pmo.PMO, now uint64) error {
 // randomize moves an attached PMO to a fresh random base, suspending all
 // threads for the page-table update and TLB shootdown (Section V-B).
 func (r *Runtime) randomize(id uint32, initiator *sim.Thread) {
-	m, err := r.as.Randomize(id)
-	if err != nil {
+	if _, err := r.as.Randomize(id); err != nil {
 		return
 	}
-	_ = r.matrix.Relocate(id, m.Base)
 	r.tracker.EWRandomized(id, initiatorClock(initiator, r))
 	r.emit(initiatorClock(initiator, r), -1, id, TraceRandomize)
 	r.Counts.Randomizations++
@@ -650,13 +620,15 @@ func (c *ThreadCtx) condDetach(p *pmo.PMO) error {
 }
 
 // grantThread opens the calling thread's TEW on the PMO and widens the
-// process-wide matrix entry if this grant requests rights the original
+// process-wide matrix row if this grant requests rights the original
 // attach did not.
 func (c *ThreadCtx) grantThread(p *pmo.PMO, perm paging.Perm) {
 	if c.rt.Cfg.TEWTarget == 0 {
 		return
 	}
-	_ = c.rt.matrix.Upgrade(p.ID, perm)
+	if m, ok := c.rt.as.Mapping(p.ID); ok {
+		m.Perm |= perm
+	}
 	if d, ok := c.rt.domains.DomainOf(p.ID); ok {
 		_ = c.regs.Grant(d, perm)
 		c.rt.tracker.TEWOpen(c.th.ID, p.ID, c.th.Clock)
@@ -678,51 +650,23 @@ func (c *ThreadCtx) revokeThread(p *pmo.PMO, at uint64) {
 
 // --- loads and stores ----------------------------------------------------
 
-// access runs the full protection and timing path for one PMO access.
-//
-// When the fast path is enabled, the map lookups of the resolution stage
-// (PMO by pool, mapping by PMO, matrix row search, protection domain by
-// PMO) are served from the thread's last-translation cache whenever the
-// access hits the same PMO as the previous one and no attach, detach or
-// randomization happened in between (address-space epoch check). Every
-// simulated-cost element still executes on a hit — the TLB lookup, the
-// matrix-check cycle and the re-verification of both permission layers,
-// the cache-hierarchy walk — so the fast and uncached paths charge the same
-// cycles, bump the same counters and emit the same events.
-func (c *ThreadCtx) access(o pmo.OID, want paging.Perm, n int) (p *pmo.PMO, va uint64, err error) {
+// access runs the full protection and timing path for one PMO access:
+// the PMO by pool ID, its mapping (the permission matrix row) and its
+// domain are slice lookups, and the TLB, matrix and thread-permission
+// checks and the cache walk are charged on every access.
+func (c *ThreadCtx) access(o pmo.OID, want paging.Perm, n int) (*pmo.PMO, uint64, error) {
 	r := c.rt
-	var m *paging.Mapping
-	var e *merr.MatrixEntry
-	var d mpk.Domain
-	var dok bool
-	tc := &c.trans
-	if r.fastPath && tc.valid && tc.pool == o.Pool() && tc.epoch == r.as.Epoch() {
-		p, m, e, d, dok = tc.p, tc.m, tc.e, tc.d, tc.dok
-		if o.Offset() >= p.Size {
-			r.Counts.Faults++
-			r.emit(c.th.Clock, c.th.ID, p.ID, TraceFault)
-			return nil, 0, &Fault{Kind: SegFault, OID: o, Want: want, Thread: c.th.ID}
-		}
-	} else {
-		p, err = r.mgr.Lookup(o.Pool())
-		if err != nil {
-			return nil, 0, err
-		}
-		var ok bool
-		m, ok = r.as.Mapping(p.ID)
-		if !ok || o.Offset() >= p.Size {
-			r.Counts.Faults++
-			r.emit(c.th.Clock, c.th.ID, p.ID, TraceFault)
-			return nil, 0, &Fault{Kind: SegFault, OID: o, Want: want, Thread: c.th.ID}
-		}
-		d, dok = r.domains.DomainOf(p.ID)
-		if r.fastPath {
-			e, _ = r.matrix.Entry(p.ID)
-			*tc = transCache{valid: true, epoch: r.as.Epoch(), pool: o.Pool(),
-				p: p, m: m, e: e, d: d, dok: dok}
-		}
+	p, err := r.mgr.Lookup(o.Pool())
+	if err != nil {
+		return nil, 0, err
 	}
-	va = m.Base + o.Offset()
+	m, ok := r.as.Mapping(p.ID)
+	if !ok || o.Offset() >= p.Size {
+		r.Counts.Faults++
+		r.emit(c.th.Clock, c.th.ID, p.ID, TraceFault)
+		return nil, 0, &Fault{Kind: SegFault, OID: o, Want: want, Thread: c.th.ID}
+	}
+	va := m.Base + o.Offset()
 
 	// The access is atomic with respect to the cooperative scheduler
 	// (DirectCharge, with one yield at the end): a randomization cannot
@@ -734,20 +678,16 @@ func (c *ThreadCtx) access(o pmo.OID, want paging.Perm, n int) (p *pmo.PMO, va u
 	c.th.DirectCharge(sim.Base, c.tlb.Lookup(va))
 
 	if r.Cfg.Scheme != params.Unprotected {
-		// Permission matrix check (1 cycle, after TLB). CheckFast verifies
-		// the cached row; on any mismatch CheckAt redoes the full search
-		// with identical counter and event effects.
+		// Permission matrix check (1 cycle, after TLB).
 		c.th.DirectCharge(sim.Other, params.PermMatrixCheck)
-		if !r.fastPath || !r.matrix.CheckFast(e, va, want) {
-			if _, ok := r.matrix.CheckAt(va, want, c.th.Clock); !ok {
-				r.Counts.Faults++
-				r.emit(c.th.Clock, c.th.ID, p.ID, TraceFault)
-				return nil, 0, &Fault{Kind: PermFault, OID: o, Want: want, Thread: c.th.ID}
-			}
+		if !r.matrix.CheckAt(m, want, c.th.Clock) {
+			r.Counts.Faults++
+			r.emit(c.th.Clock, c.th.ID, p.ID, TraceFault)
+			return nil, 0, &Fault{Kind: PermFault, OID: o, Want: want, Thread: c.th.ID}
 		}
 		// Thread permission check (TEW schemes only).
 		if r.Cfg.TEWTarget != 0 {
-			if !dok || !c.regs.Allows(d, want) {
+			if d, ok := r.domains.DomainOf(p.ID); !ok || !c.regs.Allows(d, want) {
 				r.Counts.Faults++
 				r.emit(c.th.Clock, c.th.ID, p.ID, TraceFault)
 				return nil, 0, &Fault{Kind: ThreadPermFault, OID: o, Want: want, Thread: c.th.ID}
@@ -910,7 +850,7 @@ func (c *ThreadCtx) resolveVA(va uint64, want paging.Perm) (*pmo.PMO, uint64, er
 	c.th.Charge(sim.Base, c.tlb.Lookup(va))
 	if r.Cfg.Scheme != params.Unprotected {
 		c.th.Charge(sim.Other, params.PermMatrixCheck)
-		if _, ok := r.matrix.CheckAt(va, want, c.th.Clock); !ok {
+		if !r.matrix.CheckAt(m, want, c.th.Clock) {
 			r.Counts.Faults++
 			return nil, 0, &Fault{Kind: PermFault, Want: want, Thread: c.th.ID}
 		}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
+	"repro/internal/mpk"
 	"repro/internal/nvm"
 	"repro/internal/paging"
 	"repro/internal/params"
@@ -392,6 +395,50 @@ func TestAccessUnknownPool(t *testing.T) {
 	_, ctx, _ := newEnv(t, params.TT)
 	if _, err := ctx.Load(pmo.MakeOID(999, 64)); err == nil {
 		t.Fatal("load from unknown pool accepted")
+	}
+}
+
+// TestProtectionKeysOnlyForThreadWindows: an attach takes a protection
+// key only under schemes that grant thread permission, and takes it
+// before mapping the PMO. Base and MM attach more PMOs than MPK has
+// keys; under TT the attach that finds no key fails whole and leaves
+// nothing mapped.
+func TestProtectionKeysOnlyForThreadWindows(t *testing.T) {
+	for _, scheme := range []params.Scheme{params.Unprotected, params.MM, params.TT} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, 1<<30))
+			rt := NewRuntime(params.NewConfig(scheme, params.DefaultEWMicros), mgr)
+			ctx := rt.NewThread(sim.SingleThread())
+			for i := 0; i < mpk.NumDomains; i++ {
+				p, err := mgr.Create(fmt.Sprintf("p%d", i), 1<<16, pmo.ModeRead|pmo.ModeWrite)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o, err := p.Alloc(8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = ctx.Attach(p, paging.ReadWrite)
+				if scheme == params.TT && i == mpk.NumDomains-1 {
+					if !errors.Is(err, mpk.ErrNoDomains) {
+						t.Fatalf("attach %d: %v, want %v", i, err, mpk.ErrNoDomains)
+					}
+					if rt.as.Attached(p.ID) {
+						t.Fatal("the failed attach left the PMO mapped")
+					}
+					if err := ctx.Store(o, 1); !IsFault(err, SegFault) {
+						t.Fatalf("store after the failed attach: %v, want a segfault", err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("attach %d: %v", i, err)
+				}
+				if err := ctx.Store(o, uint64(i)); err != nil {
+					t.Fatalf("store to PMO %d: %v", i, err)
+				}
+			}
+		})
 	}
 }
 

@@ -6,11 +6,14 @@
 // rate ER = Time(exposed)/Time(all), average TEW and thread exposure rate
 // TER. A randomization ends the current EW and starts a new one, because
 // the location learned by an attacker becomes useless (Theorem 6).
+//
+// Per-PMO state lives in slices indexed by PMO ID, so summaries and the
+// end-of-run closes walk the PMOs in ID order and come out the same on
+// every run.
 package expo
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
 )
@@ -41,18 +44,18 @@ func (s *Series) Avg() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// tewKey identifies one thread's hold on one PMO.
-type tewKey struct {
-	thread int
-	pmo    uint32
+// window is one PMO's open window: its start, meaningful while open.
+type window struct {
+	start uint64
+	open  bool
 }
 
 // Tracker records exposure windows for every PMO and thread of one run.
 type Tracker struct {
-	ews     map[uint32]*Series
-	ewOpen  map[uint32]uint64 // PMO -> open time
-	tews    map[uint32]*Series
-	tewOpen map[tewKey]uint64
+	ews     []Series   // closed EWs by PMO; Count 0 = never exposed
+	ewOpen  []window   // by PMO
+	tews    []Series   // closed TEWs by PMO
+	tewOpen [][]window // by thread, then PMO
 
 	// Obs, when set, records every window transition as async span
 	// events: EWs on the hardware track, TEWs on the owning thread's
@@ -68,32 +71,35 @@ func tewArg(th int, pmo uint32) int64 {
 }
 
 // NewTracker creates an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{
-		ews:     make(map[uint32]*Series),
-		ewOpen:  make(map[uint32]uint64),
-		tews:    make(map[uint32]*Series),
-		tewOpen: make(map[tewKey]uint64),
+func NewTracker() *Tracker { return &Tracker{} }
+
+// slot returns &(*s)[i], growing *s so that index i exists.
+func slot[T any](s *[]T, i int) *T {
+	for i >= len(*s) {
+		var zero T
+		*s = append(*s, zero)
 	}
+	return &(*s)[i]
 }
 
 // EWOpen records a real attach of the PMO at time now.
 func (t *Tracker) EWOpen(pmo uint32, now uint64) {
-	if _, open := t.ewOpen[pmo]; open {
+	w := slot(&t.ewOpen, int(pmo))
+	if w.open {
 		return // already open; idempotent
 	}
-	t.ewOpen[pmo] = now
+	*w = window{now, true}
 	t.Obs.Track(obs.HWThread).AsyncBegin(now, obs.CatExpo, "ew", int64(pmo))
 }
 
 // EWClose records a real detach of the PMO at time now.
 func (t *Tracker) EWClose(pmo uint32, now uint64) {
-	start, open := t.ewOpen[pmo]
-	if !open {
+	w := slot(&t.ewOpen, int(pmo))
+	if !w.open {
 		return
 	}
-	delete(t.ewOpen, pmo)
-	t.series(t.ews, pmo).add(now - start)
+	w.open = false
+	slot(&t.ews, int(pmo)).add(now - w.start)
 	t.Obs.Track(obs.HWThread).AsyncEnd(now, obs.CatExpo, "ew", int64(pmo))
 }
 
@@ -101,12 +107,12 @@ func (t *Tracker) EWClose(pmo uint32, now uint64) {
 // the current window closes (the old location is dead) and a new one
 // opens immediately at the new location.
 func (t *Tracker) EWRandomized(pmo uint32, now uint64) {
-	start, open := t.ewOpen[pmo]
-	if !open {
+	w := slot(&t.ewOpen, int(pmo))
+	if !w.open {
 		return
 	}
-	t.series(t.ews, pmo).add(now - start)
-	t.ewOpen[pmo] = now
+	slot(&t.ews, int(pmo)).add(now - w.start)
+	w.start = now
 	// The window restarts at the new location: one async span ends and
 	// another begins at the same cycle.
 	hw := t.Obs.Track(obs.HWThread)
@@ -116,54 +122,36 @@ func (t *Tracker) EWRandomized(pmo uint32, now uint64) {
 
 // TEWOpen records thread th gaining access permission to the PMO.
 func (t *Tracker) TEWOpen(th int, pmo uint32, now uint64) {
-	k := tewKey{th, pmo}
-	if _, open := t.tewOpen[k]; open {
+	w := slot(slot(&t.tewOpen, th), int(pmo))
+	if w.open {
 		return
 	}
-	t.tewOpen[k] = now
+	*w = window{now, true}
 	t.Obs.Track(th).AsyncBegin(now, obs.CatExpo, "tew", tewArg(th, pmo))
 }
 
 // TEWClose records thread th losing access permission to the PMO.
 func (t *Tracker) TEWClose(th int, pmo uint32, now uint64) {
-	k := tewKey{th, pmo}
-	start, open := t.tewOpen[k]
-	if !open {
+	w := slot(slot(&t.tewOpen, th), int(pmo))
+	if !w.open {
 		return
 	}
-	delete(t.tewOpen, k)
-	t.series(t.tews, pmo).add(now - start)
+	w.open = false
+	slot(&t.tews, int(pmo)).add(now - w.start)
 	t.Obs.Track(th).AsyncEnd(now, obs.CatExpo, "tew", tewArg(th, pmo))
 }
 
-// Finish closes every window still open at end-of-run time now. Open
-// windows are drained in sorted key order so the emitted close events
-// are deterministic (map iteration order is not).
+// Finish closes every window still open at end-of-run time now: EWs in
+// PMO order, then TEWs by thread and PMO, so the close events come in
+// the same order on every run.
 func (t *Tracker) Finish(now uint64) {
-	ewKeys := make([]uint32, 0, len(t.ewOpen))
 	for pmo := range t.ewOpen {
-		ewKeys = append(ewKeys, pmo)
+		t.EWClose(uint32(pmo), now)
 	}
-	sort.Slice(ewKeys, func(i, j int) bool { return ewKeys[i] < ewKeys[j] })
-	for _, pmo := range ewKeys {
-		t.series(t.ews, pmo).add(now - t.ewOpen[pmo])
-		delete(t.ewOpen, pmo)
-		t.Obs.Track(obs.HWThread).AsyncEnd(now, obs.CatExpo, "ew", int64(pmo))
-	}
-	tewKeys := make([]tewKey, 0, len(t.tewOpen))
-	for k := range t.tewOpen {
-		tewKeys = append(tewKeys, k)
-	}
-	sort.Slice(tewKeys, func(i, j int) bool {
-		if tewKeys[i].thread != tewKeys[j].thread {
-			return tewKeys[i].thread < tewKeys[j].thread
+	for th, open := range t.tewOpen {
+		for pmo := range open {
+			t.TEWClose(th, uint32(pmo), now)
 		}
-		return tewKeys[i].pmo < tewKeys[j].pmo
-	})
-	for _, k := range tewKeys {
-		t.series(t.tews, k.pmo).add(now - t.tewOpen[k])
-		delete(t.tewOpen, k)
-		t.Obs.Track(k.thread).AsyncEnd(now, obs.CatExpo, "tew", tewArg(k.thread, k.pmo))
 	}
 }
 
@@ -177,15 +165,6 @@ func (t *Tracker) Counts() (ew, tew uint64) {
 		tew += s.Count
 	}
 	return
-}
-
-func (t *Tracker) series(m map[uint32]*Series, pmo uint32) *Series {
-	s := m[pmo]
-	if s == nil {
-		s = &Series{}
-		m[pmo] = s
-	}
-	return s
 }
 
 // Stats is the per-run exposure summary reported in Tables III and IV.
@@ -214,16 +193,18 @@ func (s Stats) String() string {
 
 // Collect computes the exposure summary for a run of the given total
 // duration in cycles. Call Finish first. Per the paper, EW/ER values are
-// averaged over all PMOs, and ER/TER divide exposed time by total time.
-// PMOs are accumulated in id order so the float sums are reproducible
-// bit for bit across runs (map iteration order is not).
+// averaged over all PMOs ever exposed, and ER/TER divide exposed time by
+// total time. PMOs are accumulated in ID order, so the float sums are
+// reproducible bit for bit.
 func (t *Tracker) Collect(total uint64) Stats {
 	var st Stats
 	if total == 0 {
 		return st
 	}
-	for _, pmo := range sortedKeys(t.ews) {
-		s := t.ews[pmo]
+	for _, s := range t.ews {
+		if s.Count == 0 {
+			continue
+		}
 		st.PMOs++
 		st.AvgEW += s.Avg()
 		if float64(s.Max) > st.MaxEW {
@@ -237,8 +218,10 @@ func (t *Tracker) Collect(total uint64) Stats {
 		st.ER /= float64(st.PMOs)
 	}
 	n := 0
-	for _, pmo := range sortedKeys(t.tews) {
-		s := t.tews[pmo]
+	for _, s := range t.tews {
+		if s.Count == 0 {
+			continue
+		}
 		n++
 		st.AvgTEW += s.Avg()
 		if float64(s.Max) > st.MaxTEW {
@@ -252,39 +235,4 @@ func (t *Tracker) Collect(total uint64) Stats {
 		st.TER /= float64(n)
 	}
 	return st
-}
-
-func sortedKeys(m map[uint32]*Series) []uint32 {
-	keys := make([]uint32, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-// PMOStats returns the per-PMO exposure summary for a run of the given
-// total duration — the per-PMO values Tables III/IV average.
-func (t *Tracker) PMOStats(total uint64) map[uint32]Stats {
-	out := make(map[uint32]Stats, len(t.ews))
-	if total == 0 {
-		return out
-	}
-	for pmo, s := range t.ews {
-		st := Stats{
-			PMOs:    1,
-			AvgEW:   s.Avg(),
-			MaxEW:   float64(s.Max),
-			ER:      float64(s.Sum) / float64(total),
-			EWCount: s.Count,
-		}
-		if ts, ok := t.tews[pmo]; ok {
-			st.AvgTEW = ts.Avg()
-			st.MaxTEW = float64(ts.Max)
-			st.TER = float64(ts.Sum) / float64(total)
-			st.TEWCount = ts.Count
-		}
-		out[pmo] = st
-	}
-	return out
 }

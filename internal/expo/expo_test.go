@@ -1,8 +1,11 @@
 package expo
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/obs"
 )
 
 func TestSingleWindow(t *testing.T) {
@@ -73,6 +76,44 @@ func TestFinishClosesOpenWindows(t *testing.T) {
 	}
 	if st.ER != 1.0 {
 		t.Fatalf("ER = %f", st.ER)
+	}
+}
+
+// TestFinishClosesInIDOrder pins the order of the close events Finish
+// emits for windows still open at the end of a run with several PMOs
+// and threads: the hardware track's EW ends come in PMO order, and each
+// thread's TEW ends come in PMO order, whatever order the windows
+// opened in.
+func TestFinishClosesInIDOrder(t *testing.T) {
+	tr := NewTracker()
+	tr.Obs = obs.NewRecorder(0)
+	for _, pmo := range []uint32{9, 2, 5} {
+		tr.EWOpen(pmo, 10)
+	}
+	for _, h := range []struct {
+		th  int
+		pmo uint32
+	}{{2, 5}, {0, 9}, {1, 2}, {0, 2}} {
+		tr.TEWOpen(h.th, h.pmo, 20)
+	}
+	tr.Finish(100)
+	ends := map[int][]int64{}
+	for _, e := range tr.Obs.Events() {
+		if e.Type == obs.AsyncEnd {
+			ends[e.Thread] = append(ends[e.Thread], e.Arg)
+		}
+	}
+	want := map[int][]int64{
+		obs.HWThread: {2, 5, 9},
+		0:            {tewArg(0, 2), tewArg(0, 9)},
+		1:            {tewArg(1, 2)},
+		2:            {tewArg(2, 5)},
+	}
+	if !reflect.DeepEqual(ends, want) {
+		t.Fatalf("close events by track = %v, want %v", ends, want)
+	}
+	if st := tr.Collect(100); st.EWCount != 3 || st.TEWCount != 4 {
+		t.Fatalf("finish closed %d EWs and %d TEWs, want 3 and 4", st.EWCount, st.TEWCount)
 	}
 }
 
@@ -155,28 +196,5 @@ func TestWindowProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPerPMOStats(t *testing.T) {
-	tr := NewTracker()
-	tr.EWOpen(1, 0)
-	tr.EWClose(1, 100)
-	tr.EWOpen(2, 0)
-	tr.TEWOpen(0, 2, 10)
-	tr.TEWClose(0, 2, 60)
-	tr.EWClose(2, 300)
-	per := tr.PMOStats(1000)
-	if len(per) != 2 {
-		t.Fatalf("pmos = %d", len(per))
-	}
-	if per[1].ER != 0.1 || per[2].ER != 0.3 {
-		t.Fatalf("ERs = %f, %f", per[1].ER, per[2].ER)
-	}
-	if per[2].TER != 0.05 || per[1].TER != 0 {
-		t.Fatalf("TERs = %f, %f", per[2].TER, per[1].TER)
-	}
-	if len(tr.PMOStats(0)) != 0 {
-		t.Fatal("zero total must be empty")
 	}
 }

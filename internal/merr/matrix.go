@@ -3,37 +3,21 @@
 // on every load/store after the TLB lookup (Figure 1b), combined with the
 // constant-cost attach/detach enabled by the embedded page-table subtree
 // and PMO space-layout randomization (both modeled in internal/paging).
+//
+// A matrix row is the attached PMO's paging.Mapping: attach installs it,
+// detach removes it, randomization moves it and a thread grant widens its
+// Perm. The Matrix itself holds only the check's counters.
 package merr
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/paging"
 )
 
-// ErrNoEntry is returned when removing or updating a missing entry.
-var ErrNoEntry = errors.New("merr: no permission matrix entry")
-
-// MatrixEntry is one row of the permission matrix: a virtual address range
-// mapped to the process-wide permission for one attached PMO.
-type MatrixEntry struct {
-	// PMOID identifies the PMO the entry protects.
-	PMOID uint32
-	// Base and Size delimit the VA range of the attached PMO.
-	Base, Size uint64
-	// Perm is the process-wide permission requested at attach.
-	Perm paging.Perm
-}
-
-// Matrix is the per-process permission matrix. A ld/st checks its address
-// and requested access against the matrix (1 cycle, charged by the
-// runtime); attach adds an entry, detach removes it, randomization updates
-// the VA range in place.
+// Matrix is the per-process permission matrix's check unit. A ld/st
+// checks its requested access against the row of the mapping its address
+// translated through (1 cycle, charged by the runtime).
 type Matrix struct {
-	entries map[uint32]*MatrixEntry
-
 	// Checks and Denials count permission matrix lookups.
 	Checks, Denials uint64
 
@@ -42,94 +26,14 @@ type Matrix struct {
 	Obs *obs.Track
 }
 
-// NewMatrix creates an empty permission matrix.
-func NewMatrix() *Matrix {
-	return &Matrix{entries: make(map[uint32]*MatrixEntry)}
-}
-
-// Add installs the entry for an attached PMO (attach side of Figure 1b).
-func (m *Matrix) Add(pmoID uint32, base, size uint64, perm paging.Perm) {
-	m.entries[pmoID] = &MatrixEntry{PMOID: pmoID, Base: base, Size: size, Perm: perm}
-}
-
-// Remove deletes the PMO's entry (detach side).
-func (m *Matrix) Remove(pmoID uint32) error {
-	if _, ok := m.entries[pmoID]; !ok {
-		return fmt.Errorf("%w: pmo %d", ErrNoEntry, pmoID)
+// CheckAt reports whether row m allows the access rights want, counting
+// the check and recording a denial at simulated cycle now.
+func (x *Matrix) CheckAt(m *paging.Mapping, want paging.Perm, now uint64) bool {
+	x.Checks++
+	if m.Perm.Allows(want) {
+		return true
 	}
-	delete(m.entries, pmoID)
-	return nil
+	x.Denials++
+	x.Obs.Instant(now, obs.CatMERR, "perm-denied", int64(m.PMOID))
+	return false
 }
-
-// Upgrade widens the permission of an existing entry. Conditional
-// attaches that lower to thread grants while the PMO stays mapped may
-// request wider rights than the original attach; the hardware widens the
-// process-wide entry so the matrix never blocks a granted thread.
-func (m *Matrix) Upgrade(pmoID uint32, perm paging.Perm) error {
-	e, ok := m.entries[pmoID]
-	if !ok {
-		return fmt.Errorf("%w: pmo %d", ErrNoEntry, pmoID)
-	}
-	e.Perm |= perm
-	return nil
-}
-
-// Relocate updates the VA range of a PMO entry after randomization.
-func (m *Matrix) Relocate(pmoID uint32, base uint64) error {
-	e, ok := m.entries[pmoID]
-	if !ok {
-		return fmt.Errorf("%w: pmo %d", ErrNoEntry, pmoID)
-	}
-	e.Base = base
-	return nil
-}
-
-// Check verifies that the access [va, va+len) with rights want is allowed
-// by some matrix entry, returning the matching entry when it is. Denials
-// are not timestamped; use CheckAt when an event time is available.
-func (m *Matrix) Check(va uint64, want paging.Perm) (*MatrixEntry, bool) {
-	return m.CheckAt(va, want, 0)
-}
-
-// CheckAt is Check with the current simulated cycle, so denials can be
-// recorded as trace events at the right point on the timeline.
-func (m *Matrix) CheckAt(va uint64, want paging.Perm, now uint64) (*MatrixEntry, bool) {
-	m.Checks++
-	for _, e := range m.entries {
-		if va >= e.Base && va < e.Base+e.Size {
-			if e.Perm.Allows(want) {
-				return e, true
-			}
-			m.Denials++
-			m.Obs.Instant(now, obs.CatMERR, "perm-denied", int64(e.PMOID))
-			return e, false
-		}
-	}
-	m.Denials++
-	m.Obs.Instant(now, obs.CatMERR, "perm-denied", -1)
-	return nil, false
-}
-
-// CheckFast verifies the access against a single candidate entry (a
-// cached translation's matrix row) without searching the matrix. On a hit
-// it counts the check — exactly what CheckAt would have counted — and
-// returns true. On any miss (nil entry, address outside the entry's
-// range, insufficient permission) it counts nothing and returns false so
-// the caller can fall back to CheckAt, which then performs the full
-// search with identical counter and event effects.
-func (m *Matrix) CheckFast(e *MatrixEntry, va uint64, want paging.Perm) bool {
-	if e == nil || va < e.Base || va-e.Base >= e.Size || !e.Perm.Allows(want) {
-		return false
-	}
-	m.Checks++
-	return true
-}
-
-// Entry returns the matrix entry for a PMO, if present.
-func (m *Matrix) Entry(pmoID uint32) (*MatrixEntry, bool) {
-	e, ok := m.entries[pmoID]
-	return e, ok
-}
-
-// Len returns the number of installed entries.
-func (m *Matrix) Len() int { return len(m.entries) }

@@ -1,87 +1,110 @@
 package merr
 
 import (
-	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/paging"
 )
 
-func TestMatrixAddCheckRemove(t *testing.T) {
-	m := NewMatrix()
-	m.Add(1, 0x1000, 0x1000, paging.ReadWrite)
-	if e, ok := m.Check(0x1800, paging.PermWrite); !ok || e.PMOID != 1 {
-		t.Fatal("in-range write denied")
-	}
-	if _, ok := m.Check(0x2000, paging.PermRead); ok {
-		t.Fatal("out-of-range access allowed")
-	}
-	if err := m.Remove(1); err != nil {
+func newAS() *paging.AddressSpace { return paging.NewAddressSpace(rand.New(rand.NewSource(1))) }
+
+func attach(t *testing.T, as *paging.AddressSpace, id uint32, perm paging.Perm) *paging.Mapping {
+	t.Helper()
+	m, err := as.Attach(id, 1<<20, nil, 0, perm)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.Check(0x1800, paging.PermRead); ok {
-		t.Fatal("access allowed after removal")
+	return m
+}
+
+// check translates va and checks the access as the runtime does: an
+// address outside every mapping has no row and is denied before the
+// matrix is consulted.
+func check(x *Matrix, as *paging.AddressSpace, va uint64, want paging.Perm) (*paging.Mapping, bool) {
+	m, err := as.Lookup(va)
+	if err != nil {
+		return nil, false
 	}
-	if err := m.Remove(1); !errors.Is(err, ErrNoEntry) {
-		t.Fatalf("double remove: %v", err)
+	return m, x.CheckAt(m, want, 0)
+}
+
+// TestMatrixAddCheckRemove: attach installs the PMO's row and detach
+// removes it.
+func TestMatrixAddCheckRemove(t *testing.T) {
+	var x Matrix
+	as := newAS()
+	m := attach(t, as, 1, paging.ReadWrite)
+	if r, ok := check(&x, as, m.Base+0x800, paging.PermWrite); !ok || r.PMOID != 1 {
+		t.Fatal("in-range write denied")
+	}
+	if _, ok := check(&x, as, m.Base+m.Size, paging.PermRead); ok {
+		t.Fatal("out-of-range access allowed")
+	}
+	if err := as.Detach(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := check(&x, as, m.Base+0x800, paging.PermRead); ok {
+		t.Fatal("access allowed after detach")
 	}
 }
 
 func TestMatrixPermissionEnforced(t *testing.T) {
-	m := NewMatrix()
-	m.Add(2, 0x4000, 0x1000, paging.PermRead)
-	if _, ok := m.Check(0x4000, paging.PermRead); !ok {
-		t.Fatal("read denied on read-only entry")
+	var x Matrix
+	m := &paging.Mapping{PMOID: 2, Perm: paging.PermRead}
+	if !x.CheckAt(m, paging.PermRead, 0) {
+		t.Fatal("read denied on read-only row")
 	}
-	if e, ok := m.Check(0x4000, paging.PermWrite); ok || e == nil {
-		t.Fatal("write allowed on read-only entry (or entry not reported)")
+	if x.CheckAt(m, paging.PermWrite, 0) {
+		t.Fatal("write allowed on read-only row")
 	}
-	if m.Denials == 0 {
-		t.Fatal("denial not counted")
+	if x.Denials != 1 {
+		t.Fatalf("denials = %d, want 1", x.Denials)
 	}
 }
 
+// TestMatrixRelocate: randomization moves the row itself, so rights a
+// thread grant widened stay with it and the old range is gone.
 func TestMatrixRelocate(t *testing.T) {
-	m := NewMatrix()
-	m.Add(3, 0x8000, 0x1000, paging.ReadWrite)
-	if err := m.Relocate(3, 0x20000); err != nil {
+	var x Matrix
+	as := newAS()
+	m := attach(t, as, 3, paging.PermRead)
+	m.Perm |= paging.PermWrite // a grant widens the row
+	old := m.Base
+	moved, err := as.Randomize(3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.Check(0x8000, paging.PermRead); ok {
-		t.Fatal("old range still allowed after relocate")
+	if moved.Base == old {
+		t.Fatal("randomization kept the base")
 	}
-	if _, ok := m.Check(0x20000, paging.PermRead); !ok {
-		t.Fatal("new range denied after relocate")
+	if _, ok := check(&x, as, old, paging.PermRead); ok {
+		t.Fatal("old range still allowed after randomization")
 	}
-	if err := m.Relocate(9, 0); !errors.Is(err, ErrNoEntry) {
-		t.Fatalf("relocate missing: %v", err)
+	if _, ok := check(&x, as, moved.Base, paging.PermWrite); !ok {
+		t.Fatal("widened rights lost by randomization")
 	}
 }
 
 func TestMatrixMultipleEntries(t *testing.T) {
-	m := NewMatrix()
-	m.Add(1, 0x1000, 0x1000, paging.PermRead)
-	m.Add(2, 0x10000, 0x1000, paging.ReadWrite)
-	if m.Len() != 2 {
-		t.Fatalf("len = %d", m.Len())
+	var x Matrix
+	as := newAS()
+	ro := attach(t, as, 1, paging.PermRead)
+	rw := attach(t, as, 2, paging.ReadWrite)
+	if r, ok := check(&x, as, rw.Base+0x10, paging.PermWrite); !ok || r.PMOID != 2 {
+		t.Fatal("wrong row matched")
 	}
-	if e, ok := m.Check(0x10010, paging.PermWrite); !ok || e.PMOID != 2 {
-		t.Fatal("wrong entry matched")
-	}
-	if e, ok := m.Entry(1); !ok || e.Base != 0x1000 {
-		t.Fatal("Entry accessor failed")
-	}
-	if _, ok := m.Entry(7); ok {
-		t.Fatal("Entry for missing PMO reported ok")
+	if r, ok := check(&x, as, ro.Base+0x10, paging.PermWrite); ok || r.PMOID != 1 {
+		t.Fatal("write allowed through the read-only row")
 	}
 }
 
 func TestMatrixCheckCounting(t *testing.T) {
-	m := NewMatrix()
-	m.Add(1, 0, 0x1000, paging.PermRead)
-	m.Check(0, paging.PermRead)
-	m.Check(0x2000, paging.PermRead)
-	if m.Checks != 2 || m.Denials != 1 {
-		t.Fatalf("checks=%d denials=%d", m.Checks, m.Denials)
+	var x Matrix
+	m := &paging.Mapping{PMOID: 1, Perm: paging.PermRead}
+	x.CheckAt(m, paging.PermRead, 0)
+	x.CheckAt(m, paging.PermWrite, 0)
+	if x.Checks != 2 || x.Denials != 1 {
+		t.Fatalf("checks=%d denials=%d", x.Checks, x.Denials)
 	}
 }

@@ -34,26 +34,31 @@ var (
 // Allocator hands out protection domains to attached PMOs, one per PMO,
 // and recycles them on detach (Section V-B: "each attached PMO is assigned
 // its own protection domain").
+//
+// Domain 0 is reserved (like MPK's default key) and never handed out, so
+// the zero Allocator is empty and a zero entry of byPMO means no domain.
 type Allocator struct {
 	owner [NumDomains]uint32 // PMO ID or 0
-	byPMO map[uint32]Domain
+	byPMO []Domain           // indexed by PMO ID
+	inUse int
 }
 
-// NewAllocator creates an empty domain allocator. Domain 0 is reserved
-// (like MPK's default key) and never handed out.
-func NewAllocator() *Allocator {
-	return &Allocator{byPMO: make(map[uint32]Domain)}
-}
+// NewAllocator creates an empty domain allocator.
+func NewAllocator() *Allocator { return &Allocator{} }
 
 // Assign allocates a domain for the PMO, or returns its existing one.
 func (a *Allocator) Assign(pmoID uint32) (Domain, error) {
-	if d, ok := a.byPMO[pmoID]; ok {
+	if d, ok := a.DomainOf(pmoID); ok {
 		return d, nil
 	}
 	for d := 1; d < NumDomains; d++ {
 		if a.owner[d] == 0 {
 			a.owner[d] = pmoID
+			for int(pmoID) >= len(a.byPMO) {
+				a.byPMO = append(a.byPMO, 0)
+			}
 			a.byPMO[pmoID] = Domain(d)
+			a.inUse++
 			return Domain(d), nil
 		}
 	}
@@ -62,20 +67,23 @@ func (a *Allocator) Assign(pmoID uint32) (Domain, error) {
 
 // Release returns the PMO's domain to the free pool (on full detach).
 func (a *Allocator) Release(pmoID uint32) {
-	if d, ok := a.byPMO[pmoID]; ok {
+	if d, ok := a.DomainOf(pmoID); ok {
 		a.owner[d] = 0
-		delete(a.byPMO, pmoID)
+		a.byPMO[pmoID] = 0
+		a.inUse--
 	}
 }
 
 // DomainOf returns the domain currently assigned to the PMO.
 func (a *Allocator) DomainOf(pmoID uint32) (Domain, bool) {
-	d, ok := a.byPMO[pmoID]
-	return d, ok
+	if int(pmoID) >= len(a.byPMO) || a.byPMO[pmoID] == 0 {
+		return NoDomain, false
+	}
+	return a.byPMO[pmoID], true
 }
 
 // InUse returns the number of allocated domains.
-func (a *Allocator) InUse() int { return len(a.byPMO) }
+func (a *Allocator) InUse() int { return a.inUse }
 
 // Registers is one thread's permission register file: the access rights
 // the thread holds for each protection domain. The zero value denies

@@ -91,9 +91,9 @@ type Mapping struct {
 	Dev *nvm.Device
 	// DevOff is the offset of the PMO within the device.
 	DevOff uint64
-	// Perm is the process-wide permission of the mapping (the MERR
-	// permission matrix entry; thread-level permissions are layered on
-	// top by the MPK model).
+	// Perm is the process-wide permission of the mapping: the PMO's row
+	// of the MERR permission matrix (internal/merr checks it; thread
+	// permissions are layered on top by the MPK model).
 	Perm Perm
 }
 
@@ -106,12 +106,7 @@ func (m *Mapping) Contains(va uint64) bool {
 type AddressSpace struct {
 	rng  *rand.Rand
 	maps []*Mapping // sorted by Base
-	byID map[uint32]*Mapping
-
-	// epoch counts mapping mutations (attach, detach, randomize). Any
-	// cached translation is valid only while the epoch is unchanged; the
-	// per-thread last-translation cache in core keys on it.
-	epoch uint64
+	byID []*Mapping // indexed by PMO ID; nil when detached
 
 	// Walks counts page-table walks (both-level TLB misses).
 	Walks uint64
@@ -119,14 +114,10 @@ type AddressSpace struct {
 	Shootdowns uint64
 }
 
-// Epoch returns the mutation epoch: it changes whenever any mapping is
-// installed, removed or moved, invalidating cached translations.
-func (s *AddressSpace) Epoch() uint64 { return s.epoch }
-
 // NewAddressSpace creates an empty address space with a deterministic
 // randomization source.
 func NewAddressSpace(rng *rand.Rand) *AddressSpace {
-	return &AddressSpace{rng: rng, byID: make(map[uint32]*Mapping)}
+	return &AddressSpace{rng: rng}
 }
 
 // RandomBase picks a randomized, attachAlign-aligned base for a mapping of
@@ -162,7 +153,7 @@ func (s *AddressSpace) overlaps(base, size uint64) bool {
 // Attach installs a mapping for the PMO at a randomized base and returns
 // it. It fails if the PMO is already attached.
 func (s *AddressSpace) Attach(pmoID uint32, size uint64, dev *nvm.Device, devOff uint64, perm Perm) (*Mapping, error) {
-	if _, ok := s.byID[pmoID]; ok {
+	if s.Attached(pmoID) {
 		return nil, fmt.Errorf("%w: pmo %d", ErrAlreadyMapped, pmoID)
 	}
 	base, err := s.RandomBase(size)
@@ -171,8 +162,10 @@ func (s *AddressSpace) Attach(pmoID uint32, size uint64, dev *nvm.Device, devOff
 	}
 	m := &Mapping{PMOID: pmoID, Base: base, Size: size, Dev: dev, DevOff: devOff, Perm: perm}
 	s.insert(m)
+	for int(pmoID) >= len(s.byID) {
+		s.byID = append(s.byID, nil)
+	}
 	s.byID[pmoID] = m
-	s.epoch++
 	return m, nil
 }
 
@@ -186,18 +179,17 @@ func (s *AddressSpace) insert(m *Mapping) {
 // Detach removes the PMO's mapping. The caller is responsible for
 // charging the TLB shootdown cost and flushing TLB entries.
 func (s *AddressSpace) Detach(pmoID uint32) error {
-	m, ok := s.byID[pmoID]
+	m, ok := s.Mapping(pmoID)
 	if !ok {
 		return fmt.Errorf("%w: detach pmo %d", ErrNotMapped, pmoID)
 	}
-	delete(s.byID, pmoID)
+	s.byID[pmoID] = nil
 	for i, mm := range s.maps {
 		if mm == m {
 			s.maps = append(s.maps[:i], s.maps[i+1:]...)
 			break
 		}
 	}
-	s.epoch++
 	s.Shootdowns++
 	return nil
 }
@@ -206,7 +198,7 @@ func (s *AddressSpace) Detach(pmoID uint32) error {
 // layout randomization) and returns the new mapping. The old TLB entries
 // must be shot down by the caller.
 func (s *AddressSpace) Randomize(pmoID uint32) (*Mapping, error) {
-	m, ok := s.byID[pmoID]
+	m, ok := s.Mapping(pmoID)
 	if !ok {
 		return nil, fmt.Errorf("%w: randomize pmo %d", ErrNotMapped, pmoID)
 	}
@@ -225,7 +217,6 @@ func (s *AddressSpace) Randomize(pmoID uint32) (*Mapping, error) {
 	}
 	m.Base = base
 	s.insert(m)
-	s.epoch++
 	s.Shootdowns++
 	return m, nil
 }
@@ -241,13 +232,15 @@ func (s *AddressSpace) Lookup(va uint64) (*Mapping, error) {
 
 // Mapping returns the current mapping of a PMO, if attached.
 func (s *AddressSpace) Mapping(pmoID uint32) (*Mapping, bool) {
-	m, ok := s.byID[pmoID]
-	return m, ok
+	if int(pmoID) >= len(s.byID) || s.byID[pmoID] == nil {
+		return nil, false
+	}
+	return s.byID[pmoID], true
 }
 
 // Attached reports whether the PMO is currently mapped.
 func (s *AddressSpace) Attached(pmoID uint32) bool {
-	_, ok := s.byID[pmoID]
+	_, ok := s.Mapping(pmoID)
 	return ok
 }
 

@@ -116,18 +116,21 @@ func (m *Manager) Destroy(who Principal, name string) error {
 		return err
 	}
 	delete(m.byName, name)
-	delete(m.byID, p.ID)
+	m.byID[p.ID] = nil
 	p.closed = true
 	return m.rewriteSuper()
 }
 
 // rewriteSuper rewrites the whole superblock from the in-memory namespace
-// (used after Destroy, which removes entries).
+// in pool ID order (used after Destroy, which removes entries).
 func (m *Manager) rewriteSuper() error {
 	if err := m.dev.Write8(superOffCount, 0); err != nil {
 		return err
 	}
 	for _, p := range m.byID {
+		if p == nil {
+			continue
+		}
 		if err := m.persistEntry(p); err != nil {
 			return err
 		}

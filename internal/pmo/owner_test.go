@@ -2,6 +2,7 @@ package pmo
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/nvm"
@@ -130,6 +131,28 @@ func TestDestroy(t *testing.T) {
 	// The name is reusable.
 	if _, err := m.CreateAs("carol", "doomed", 1<<16, ModeRead); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDestroyRewritesSuperblockInIDOrder: the superblock Destroy
+// rewrites is the same bytes on every run, so a device image after a
+// destroy is reproducible.
+func TestDestroyRewritesSuperblockInIDOrder(t *testing.T) {
+	hashes := map[[32]byte]bool{}
+	for run := 0; run < 20; run++ {
+		m := newMgr()
+		for i := 0; i < 6; i++ {
+			if _, err := m.Create(fmt.Sprintf("p%d", i), 1<<16, ModeRead|ModeWrite); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Destroy(Root, "p2"); err != nil {
+			t.Fatal(err)
+		}
+		hashes[nvm.ImageHash(m.Device().Snapshot())] = true
+	}
+	if len(hashes) != 1 {
+		t.Fatalf("20 identical runs left %d different device images", len(hashes))
 	}
 }
 

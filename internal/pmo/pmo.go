@@ -144,7 +144,7 @@ const (
 type Manager struct {
 	dev    *nvm.Device
 	byName map[string]*PMO
-	byID   map[uint32]*PMO
+	byID   []*PMO // indexed by pool ID; nil once destroyed
 	nextID uint32
 	brk    uint64 // device-space bump pointer
 }
@@ -155,7 +155,6 @@ func NewManager(dev *nvm.Device) *Manager {
 	m := &Manager{
 		dev:    dev,
 		byName: make(map[string]*PMO),
-		byID:   make(map[uint32]*PMO),
 		nextID: 1,
 		brk:    superSize,
 	}
@@ -202,8 +201,7 @@ func (m *Manager) loadSuper() {
 			owner:  Principal(ownerBuf[:ownerLen]),
 			mgr:    m,
 		}
-		m.byName[p.Name] = p
-		m.byID[p.ID] = p
+		m.add(p)
 		if p.ID >= m.nextID {
 			m.nextID = p.ID + 1
 		}
@@ -283,8 +281,7 @@ func (m *Manager) Create(name string, size uint64, mode Mode) (*PMO, error) {
 	}
 	m.nextID++
 	m.brk += size
-	m.byName[name] = p
-	m.byID[p.ID] = p
+	m.add(p)
 	if err := m.persistEntry(p); err != nil {
 		return nil, err
 	}
@@ -313,20 +310,19 @@ func (m *Manager) Open(name string) (*PMO, error) {
 
 // Lookup returns the PMO with the given pool ID.
 func (m *Manager) Lookup(id uint32) (*PMO, error) {
-	p, ok := m.byID[id]
-	if !ok {
+	if int(id) >= len(m.byID) || m.byID[id] == nil {
 		return nil, fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
-	return p, nil
+	return m.byID[id], nil
 }
 
-// Names returns all PMO names (for tooling).
-func (m *Manager) Names() []string {
-	out := make([]string, 0, len(m.byName))
-	for n := range m.byName {
-		out = append(out, n)
+// add enters p in the namespace under its name and pool ID.
+func (m *Manager) add(p *PMO) {
+	m.byName[p.Name] = p
+	for int(p.ID) >= len(m.byID) {
+		m.byID = append(m.byID, nil)
 	}
-	return out
+	m.byID[p.ID] = p
 }
 
 // Close closes a handle (Table I: PMO_close). Contents persist.

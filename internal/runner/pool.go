@@ -269,6 +269,12 @@ func (p *Pool) worker() {
 		j.results[i] = res
 		j.inflight--
 		p.inflight.Add(-1)
+		if err := j.ctx.Err(); err != nil {
+			// Stop claiming a canceled job's cells here too: they would
+			// only fail at once, and could finish the job as completed
+			// before Run sees the cancel.
+			p.cancelLocked(j, err)
+		}
 		if j.next >= len(j.cells) && j.inflight == 0 {
 			p.finishLocked(j)
 		}

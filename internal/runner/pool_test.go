@@ -125,6 +125,34 @@ func TestPoolCancelMidGrid(t *testing.T) {
 	}
 }
 
+// TestPoolCancelStopsClaiming: once a job's context is canceled, its
+// worker claims none of its remaining cells, so Run reports the cancel
+// even when it sees the job end before it sees the context end (on one
+// CPU the worker finishes the job before Run next runs).
+func TestPoolCancelStopsClaiming(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := newPool(1, NewProgCache())
+	defer p.Close()
+	cells := make([]Cell, 8)
+	for i := range cells {
+		cells[i] = Cell{Exp: "t", Kind: Whisper, Workload: "echo", Scheme: params.TT,
+			EWMicros: 40, Seed: int64(i + 1), Ops: 50}
+	}
+	for run := 0; run < 20; run++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		opt := Options{Progress: func(done, total int, last Cell) {
+			if done == 1 {
+				cancel()
+			}
+		}}
+		res, err := p.Run(ctx, cells, opt)
+		cancel()
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("run %d: Run returned %d results and %v, want none and context.Canceled", run, len(res), err)
+		}
+	}
+}
+
 // TestPoolCloseCancelsQueued: closing a pool with an unfinished job
 // fails that job with ErrPoolClosed rather than hanging its caller.
 func TestPoolCloseCancelsQueued(t *testing.T) {

@@ -62,46 +62,67 @@ var (
 )
 
 // State is the per-PMO attachment state a policy decides over. The
-// runtime owns one State per PMO and mutates it as directed.
+// runtime owns one State per PMO and mutates it as directed. The zero
+// State is detached.
 type State struct {
 	// Attached reports whether the PMO is mapped into the process.
 	Attached bool
 	// LastRealAttach is the time of the most recent real attach.
 	LastRealAttach uint64
-	// Holders is the set of threads currently holding thread-level
-	// permission (their TEW is open).
-	Holders map[int]bool
 	// Depth is the process-wide nesting depth (Outermost/FCFS).
 	Depth int
-	// NestDepth tracks per-thread nesting of attach-detach pairs under
-	// EW-conscious semantics (inner pairs are silenced).
-	NestDepth map[int]int
 	// DetachDone marks that FCFS already performed its one real detach
 	// for the current outermost window.
 	DetachDone bool
+
+	// threads is each thread's slot, indexed by thread ID (dense from
+	// 0), and holders counts the slots that hold permission.
+	threads []holder
+	holders int
 }
 
-// NewState returns an initialized detached state.
-func NewState() *State {
-	return &State{Holders: make(map[int]bool), NestDepth: make(map[int]int)}
+// holder is one thread's hold on the PMO.
+type holder struct {
+	// holds reports whether the thread holds thread-level permission
+	// (its TEW is open).
+	holds bool
+	// nest is the thread's nesting depth of attach-detach pairs under
+	// EW-conscious semantics (inner pairs are silenced).
+	nest int
 }
+
+// Holds reports whether thread t holds thread-level permission.
+func (s *State) Holds(t int) bool { return t < len(s.threads) && s.threads[t].holds }
 
 // HolderCount returns the number of threads with open TEWs.
-func (s *State) HolderCount() int { return len(s.Holders) }
+func (s *State) HolderCount() int { return s.holders }
 
 // OtherHolders reports whether any thread besides t holds permission.
-// Holders only ever stores true values (membership is deletion-based),
-// so the answer follows from the size and t's own membership — no map
-// iteration on this per-detach path.
 func (s *State) OtherHolders(t int) bool {
-	n := len(s.Holders)
-	if n == 0 {
-		return false
+	return s.holders > 1 || s.holders == 1 && !s.Holds(t)
+}
+
+// slot returns thread t's slot, growing the table to reach it.
+func (s *State) slot(t int) *holder {
+	for t >= len(s.threads) {
+		s.threads = append(s.threads, holder{})
 	}
-	if s.Holders[t] {
-		return n > 1
+	return &s.threads[t]
+}
+
+// grant and revoke set and clear thread t's hold.
+func (s *State) grant(t int) {
+	if h := s.slot(t); !h.holds {
+		h.holds = true
+		s.holders++
 	}
-	return true
+}
+
+func (s *State) revoke(t int) {
+	if s.Holds(t) {
+		s.threads[t].holds = false
+		s.holders--
+	}
 }
 
 // Policy is one attach/detach semantics (Section IV). Attach and Detach
@@ -228,7 +249,7 @@ func (EWConscious) Name() string { return "ew-conscious" }
 
 // Attach implements Policy.
 func (e EWConscious) Attach(s *State, t int, now uint64) (Action, error) {
-	if s.Holders[t] {
+	if s.Holds(t) {
 		// Nested pair within the thread: silence it.
 		return ActSilent, nil
 	}
@@ -240,10 +261,10 @@ func (e EWConscious) Attach(s *State, t int, now uint64) (Action, error) {
 
 // Detach implements Policy.
 func (e EWConscious) Detach(s *State, t int, now uint64) (Action, error) {
-	if !s.Holders[t] {
+	if !s.Holds(t) {
 		return ActInvalid, ErrDetachUnattached
 	}
-	if s.NestDepth[t] > 0 {
+	if s.threads[t].nest > 0 {
 		// Inner detach of a nested pair: silence it.
 		return ActSilent, nil
 	}
@@ -259,16 +280,16 @@ func CommitAttach(s *State, t int, now uint64, a Action) {
 	case ActRealAttach:
 		s.Attached = true
 		s.LastRealAttach = now
-		s.Holders[t] = true
+		s.grant(t)
 		s.Depth++
 		s.DetachDone = false
 	case ActThreadGrant:
-		s.Holders[t] = true
+		s.grant(t)
 		s.Depth++
 	case ActSilent:
 		s.Depth++
-		if s.Holders[t] {
-			s.NestDepth[t]++
+		if s.Holds(t) {
+			s.threads[t].nest++
 		}
 	}
 }
@@ -278,13 +299,13 @@ func CommitDetach(s *State, t int, now uint64, a Action) {
 	switch a {
 	case ActRealDetach:
 		s.Attached = false
-		delete(s.Holders, t)
+		s.revoke(t)
 		if s.Depth > 0 {
 			s.Depth--
 		}
 		s.DetachDone = true
 	case ActThreadRevoke:
-		delete(s.Holders, t)
+		s.revoke(t)
 		if s.Depth > 0 {
 			s.Depth--
 		}
@@ -292,8 +313,8 @@ func CommitDetach(s *State, t int, now uint64, a Action) {
 		if s.Depth > 0 {
 			s.Depth--
 		}
-		if s.NestDepth[t] > 0 {
-			s.NestDepth[t]--
+		if t < len(s.threads) && s.threads[t].nest > 0 {
+			s.threads[t].nest--
 		} else {
 			s.DetachDone = true
 		}

@@ -30,7 +30,7 @@ func detach(t *testing.T, p Policy, s *State, th int, now uint64) Action {
 // semantics: attach/detach (valid), attach (valid), attach (error).
 func TestBasicFigure3(t *testing.T) {
 	p := Basic{}
-	s := NewState()
+	s := &State{}
 	if a := attach(t, p, s, 0, 0); a != ActRealAttach {
 		t.Fatalf("line1 attach = %v", a)
 	}
@@ -49,7 +49,7 @@ func TestBasicFigure3(t *testing.T) {
 
 func TestBasicDetachWithoutAttach(t *testing.T) {
 	p := Basic{}
-	s := NewState()
+	s := &State{}
 	if a, err := p.Detach(s, 0, 0); a != ActInvalid || !errors.Is(err, ErrDetachUnattached) {
 		t.Fatalf("detach unattached = %v, %v", a, err)
 	}
@@ -57,7 +57,7 @@ func TestBasicDetachWithoutAttach(t *testing.T) {
 
 func TestBasicBlocksUnderConcurrency(t *testing.T) {
 	p := Basic{BlockOnConflict: true}
-	s := NewState()
+	s := &State{}
 	attach(t, p, s, 0, 0)
 	a, err := p.Attach(s, 1, 5)
 	if err != nil || a != ActBlock {
@@ -70,7 +70,7 @@ func TestBasicBlocksUnderConcurrency(t *testing.T) {
 // bound (the semantic weakness the paper points out).
 func TestOutermostFigure3(t *testing.T) {
 	p := Outermost{}
-	s := NewState()
+	s := &State{}
 	if a := attach(t, p, s, 0, 0); a != ActRealAttach {
 		t.Fatalf("outer attach = %v", a)
 	}
@@ -93,7 +93,7 @@ func TestOutermostFigure3(t *testing.T) {
 
 func TestFCFSFirstDetachWins(t *testing.T) {
 	p := FCFS{}
-	s := NewState()
+	s := &State{}
 	if a := attach(t, p, s, 0, 0); a != ActRealAttach {
 		t.Fatalf("outer attach = %v", a)
 	}
@@ -117,7 +117,7 @@ func TestFCFSFirstDetachWins(t *testing.T) {
 func TestEWConsciousFigure4(t *testing.T) {
 	const L = 1000
 	p := EWConscious{L: L}
-	s := NewState()
+	s := &State{}
 
 	// Thread 1 attaches (PMO unmapped -> real attach).
 	if a := attach(t, p, s, 1, 0); a != ActRealAttach {
@@ -150,7 +150,7 @@ func TestEWConsciousFigure4(t *testing.T) {
 func TestEWConsciousEarlyDetachLowers(t *testing.T) {
 	const L = 1000
 	p := EWConscious{L: L}
-	s := NewState()
+	s := &State{}
 	attach(t, p, s, 1, 0)
 	// Detach before L elapsed: lowered even with no other holders
 	// (condition (i) fails), enabling window combining.
@@ -170,7 +170,7 @@ func TestEWConsciousIntraThreadNestingSilenced(t *testing.T) {
 	// Figure 3's EW-conscious column: the nested attach is
 	// "valid=silent", and the matching inner detach is silent too.
 	p := EWConscious{L: 100}
-	s := NewState()
+	s := &State{}
 	attach(t, p, s, 1, 0)
 	if a := attach(t, p, s, 1, 10); a != ActSilent {
 		t.Fatalf("nested attach = %v, want silent", a)
@@ -180,7 +180,7 @@ func TestEWConsciousIntraThreadNestingSilenced(t *testing.T) {
 	}
 	// The outer detach still works and the thread still holds access
 	// until then.
-	if !s.Holders[1] {
+	if !s.Holds(1) {
 		t.Fatal("nest dropped the thread's hold")
 	}
 	if a := detach(t, p, s, 1, 500); a != ActRealDetach {
@@ -193,7 +193,7 @@ func TestEWConsciousThreadComposability(t *testing.T) {
 	// an error regardless of interleaving — the thread composability
 	// property of Section IV-C.
 	p := EWConscious{L: 50}
-	s := NewState()
+	s := &State{}
 	now := uint64(0)
 	for round := 0; round < 20; round++ {
 		for th := 0; th < 4; th++ {
@@ -211,7 +211,7 @@ func TestEWConsciousThreadComposability(t *testing.T) {
 }
 
 func TestCommitDepthNeverNegative(t *testing.T) {
-	s := NewState()
+	s := &State{}
 	CommitDetach(s, 0, 0, ActSilent)
 	CommitDetach(s, 0, 0, ActThreadRevoke)
 	CommitDetach(s, 0, 0, ActRealDetach)
@@ -249,13 +249,21 @@ func TestActionStrings(t *testing.T) {
 }
 
 func TestOtherHolders(t *testing.T) {
-	s := NewState()
-	s.Holders[1] = true
+	s := &State{}
+	CommitAttach(s, 1, 0, ActThreadGrant)
 	if s.OtherHolders(1) {
 		t.Fatal("sole holder reported others")
 	}
-	s.Holders[2] = true
+	if !s.OtherHolders(2) {
+		t.Fatal("the sole holder not seen by another thread")
+	}
+	CommitAttach(s, 2, 0, ActThreadGrant)
 	if !s.OtherHolders(1) {
 		t.Fatal("second holder not seen")
+	}
+	CommitDetach(s, 2, 0, ActThreadRevoke)
+	CommitDetach(s, 2, 0, ActThreadRevoke)
+	if s.OtherHolders(1) || s.HolderCount() != 1 {
+		t.Fatalf("a repeated revoke miscounted holders: %d", s.HolderCount())
 	}
 }

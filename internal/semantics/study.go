@@ -69,7 +69,7 @@ func (r StudyResult) ExposureRate(total uint64) float64 {
 // or misbehaved; the study keeps going to count everything).
 func RunStudy(p Policy, trace []Event) StudyResult {
 	res := StudyResult{Policy: p.Name()}
-	st := NewState()
+	st := &State{}
 	var openAt uint64
 	open := false
 
@@ -148,7 +148,7 @@ func RunStudy(p Policy, trace []Event) StudyResult {
 // accessible decides whether thread t can touch the PMO under the policy.
 func accessible(p Policy, st *State, t int) bool {
 	if _, ok := p.(EWConscious); ok {
-		return st.Attached && st.Holders[t]
+		return st.Attached && st.Holds(t)
 	}
 	return st.Attached
 }
