@@ -6,8 +6,9 @@
 //
 // Schemes: base (unprotected), MM, TM, TT, basic, +cond, +cb. The run is
 // one experiment cell (internal/runner), so it measures exactly what the
-// same cell measures inside a grid. -ew must be at least 2 us and
-// -threads at least 1. -trace N turns on the obs event recorder and
+// same cell measures inside a grid. -ew must be at least 2 us, -threads
+// at least 1, and -ops and -scale not negative (0 selects the default).
+// -trace N turns on the obs event recorder and
 // prints the last N protection events (attach, grant, revoke, fault, ...)
 // as a timeline.
 package main
@@ -46,6 +47,12 @@ func main() {
 	}
 	if *threads < 1 {
 		fail(fmt.Errorf("-threads %d is below 1", *threads))
+	}
+	if *ops < 0 {
+		fail(fmt.Errorf("-ops %d is negative", *ops))
+	}
+	if *scale < 0 {
+		fail(fmt.Errorf("-scale %d is negative", *scale))
 	}
 	cell := runner.Cell{Workload: *workload, Scheme: s, EWMicros: *ew, Seed: *seed}
 	switch *suite {

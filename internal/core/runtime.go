@@ -481,6 +481,9 @@ func (c *ThreadCtx) condAttach(p *pmo.PMO, perm paging.Perm) error {
 			c.syscall(sim.Attach, params.AttachSyscall, "attach-sys")
 			if !r.as.Attached(p.ID) {
 				if err := r.realAttach(p, perm, c.th.Clock); err != nil {
+					if hwCase == terphw.CaseFirstAttach {
+						r.cb.Drop(p.ID)
+					}
 					return err
 				}
 			}

@@ -442,6 +442,48 @@ func TestProtectionKeysOnlyForThreadWindows(t *testing.T) {
 	}
 }
 
+// TestFailedFirstAttachLeavesNoBufferEntry: under the circular-buffer
+// schemes, an attach whose system call fails (no protection key is left
+// for a 16th held PMO) leaves no buffer entry behind. Its retry is a
+// first attach again and fails the same way, instead of finding the
+// entry, taking the silent path and mapping nothing.
+func TestFailedFirstAttachLeavesNoBufferEntry(t *testing.T) {
+	for _, scheme := range []params.Scheme{params.TT, params.PlusCB} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, 1<<30))
+			rt := NewRuntime(params.NewConfig(scheme, params.DefaultEWMicros), mgr)
+			ctx := rt.NewThread(sim.SingleThread())
+			var p *pmo.PMO
+			for i := 0; i < mpk.NumDomains; i++ {
+				var err error
+				if p, err = mgr.Create(fmt.Sprintf("p%d", i), 1<<16, pmo.ModeRead|pmo.ModeWrite); err != nil {
+					t.Fatal(err)
+				}
+				err = ctx.Attach(p, paging.ReadWrite)
+				if i < mpk.NumDomains-1 && err != nil {
+					t.Fatalf("attach %d: %v", i, err)
+				}
+				if i == mpk.NumDomains-1 && !errors.Is(err, mpk.ErrNoDomains) {
+					t.Fatalf("attach %d: %v, want %v", i, err, mpk.ErrNoDomains)
+				}
+			}
+			if live := rt.cb.Live(); live != mpk.NumDomains-1 {
+				t.Fatalf("%d live buffer entries after the failed attach, want %d", live, mpk.NumDomains-1)
+			}
+			if err := ctx.Attach(p, paging.ReadWrite); !errors.Is(err, mpk.ErrNoDomains) {
+				t.Fatalf("retried attach: %v, want %v", err, mpk.ErrNoDomains)
+			}
+			o, err := p.Alloc(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ctx.Store(o, 1); !IsFault(err, SegFault) {
+				t.Fatalf("store after the retried attach: %v, want a segfault", err)
+			}
+		})
+	}
+}
+
 func TestOutOfRangeOffsetSegfaults(t *testing.T) {
 	_, ctx, p := newEnv(t, params.TT)
 	if err := ctx.Attach(p, paging.ReadWrite); err != nil {

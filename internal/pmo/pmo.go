@@ -428,11 +428,7 @@ func (p *PMO) Alloc(size uint64) (OID, error) {
 	if p.closed {
 		return NilOID, ErrClosed
 	}
-	if size == 0 {
-		size = 8
-	}
-	size = (size + 7) &^ 7 // 8-byte alignment
-	need := size + blockHeader
+	need := blockSize(size)
 
 	// First-fit scan of the free list.
 	var prev uint64
@@ -464,7 +460,7 @@ func (p *PMO) Alloc(size uint64) (OID, error) {
 	// Bump allocation at the end of used space.
 	brk := p.read8(offBrk)
 	if brk+need > p.Size {
-		return NilOID, fmt.Errorf("%w: pmo %q alloc %d", ErrNoMemory, p.Name, size)
+		return NilOID, fmt.Errorf("%w: pmo %q alloc %d", ErrNoMemory, p.Name, need-blockHeader)
 	}
 	p.write8(brk, need)
 	p.Flush(brk, blockHeader)
@@ -472,6 +468,48 @@ func (p *PMO) Alloc(size uint64) (OID, error) {
 	p.write8(offAllocs, p.read8(offAllocs)+1)
 	p.Flush(0, HeaderSize)
 	return MakeOID(p.ID, brk+blockHeader), nil
+}
+
+// blockSize returns the bytes an allocation of size bytes takes: the
+// size, at least 8 and rounded up to 8-byte alignment, plus its header.
+func blockSize(size uint64) uint64 {
+	if size == 0 {
+		size = 8
+	}
+	return (size+7)&^7 + blockHeader
+}
+
+// AllocRun allocates n blocks of size bytes at the end of used space and
+// returns the OID of the first and the stride between them: block i is at
+// offset first.Offset()+i*stride. It leaves the block headers, bump
+// pointer and allocation count that n Alloc calls leave on a PMO whose
+// free list is empty, at the cost of one header write per block. It
+// issues none of their flushes, so it refuses a device with a persist
+// buffer, and it refuses a non-empty free list, from which Alloc would
+// reuse blocks. It is for load phases, which run before a persist buffer
+// is enabled (as nvm.Device.MapImage requires too). When the n blocks do
+// not fit it allocates none, where n Allocs would allocate those that fit.
+func (p *PMO) AllocRun(n, size uint64) (first OID, stride uint64, err error) {
+	if p.closed {
+		return NilOID, 0, ErrClosed
+	}
+	if p.mgr.dev.PersistBuffer() != nil {
+		return NilOID, 0, fmt.Errorf("pmo: AllocRun in %q, whose device has a persist buffer", p.Name)
+	}
+	if p.read8(offFreeHead) != 0 {
+		return NilOID, 0, fmt.Errorf("pmo: AllocRun in %q, whose free list is not empty", p.Name)
+	}
+	need := blockSize(size)
+	brk := p.read8(offBrk)
+	if n > (p.Size-brk)/need {
+		return NilOID, 0, fmt.Errorf("%w: pmo %q alloc of %d blocks of %d", ErrNoMemory, p.Name, n, need-blockHeader)
+	}
+	for i := uint64(0); i < n; i++ {
+		p.write8(brk+i*need, need)
+	}
+	p.write8(offBrk, brk+n*need)
+	p.write8(offAllocs, p.read8(offAllocs)+n)
+	return MakeOID(p.ID, brk+blockHeader), need, nil
 }
 
 func (p *PMO) relinkFree(prev, next uint64) {

@@ -374,3 +374,100 @@ func TestCheckConsistencyDetectsCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocRunMatchesAllocs: AllocRun(n, size) on a fresh PMO leaves the
+// device image, allocation count and allocator state that n Allocs leave,
+// places block i where the i-th Alloc placed it, and the next Alloc after
+// either returns the same OID.
+func TestAllocRunMatchesAllocs(t *testing.T) {
+	fresh := func() (*nvm.Device, *PMO) {
+		dev := nvm.NewDevice(nvm.NVM, 1<<24)
+		p, err := NewManager(dev).Create("run", 1<<20, ModeRead|ModeWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Alloc(40); err != nil { // something allocated before
+			t.Fatal(err)
+		}
+		return dev, p
+	}
+	for _, n := range []uint64{0, 1, 2, 7, 100} {
+		for _, size := range []uint64{0, 5, 8, 32} {
+			devA, a := fresh()
+			var want []OID
+			for i := uint64(0); i < n; i++ {
+				o, err := a.Alloc(size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, o)
+			}
+			devB, b := fresh()
+			first, stride, err := b.AllocRun(n, size)
+			if err != nil {
+				t.Fatalf("AllocRun(%d, %d): %v", n, size, err)
+			}
+			for i, o := range want {
+				if got := MakeOID(b.ID, first.Offset()+uint64(i)*stride); got != o {
+					t.Fatalf("AllocRun(%d, %d) block %d at %v, Alloc put it at %v", n, size, i, got, o)
+				}
+			}
+			if ha, hb := nvm.ImageHash(devA.Snapshot()), nvm.ImageHash(devB.Snapshot()); ha != hb {
+				t.Errorf("AllocRun(%d, %d) image %x, %d Allocs %x", n, size, hb, n, ha)
+			}
+			if a.AllocCount() != b.AllocCount() {
+				t.Errorf("AllocRun(%d, %d) count %d, %d Allocs %d", n, size, b.AllocCount(), n, a.AllocCount())
+			}
+			if err := b.CheckConsistency(); err != nil {
+				t.Errorf("AllocRun(%d, %d): %v", n, size, err)
+			}
+			na, errA := a.Alloc(24)
+			nb, errB := b.Alloc(24)
+			if na != nb || errA != nil || errB != nil {
+				t.Errorf("AllocRun(%d, %d): next Alloc %v, %v; after %d Allocs %v, %v", n, size, nb, errB, n, na, errA)
+			}
+		}
+	}
+}
+
+// TestAllocRunRefusals: AllocRun refuses a PMO with a non-empty free
+// list, a device with a persist buffer, a closed handle and a run that
+// does not fit, and each refusal leaves the device as it was.
+func TestAllocRunRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		ready func(*nvm.Device, *PMO)
+		is    error
+	}{
+		{"free list", func(_ *nvm.Device, p *PMO) {
+			o, _ := p.Alloc(64)
+			p.Alloc(8)
+			p.Free(o)
+		}, nil},
+		{"persist buffer", func(d *nvm.Device, _ *PMO) { d.EnablePersistBuffer(0) }, nil},
+		{"closed", func(_ *nvm.Device, p *PMO) { p.Close() }, ErrClosed},
+		{"no room", func(*nvm.Device, *PMO) {}, ErrNoMemory},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := nvm.NewDevice(nvm.NVM, 1<<24)
+			p, err := NewManager(dev).Create("run", 1<<16, ModeRead|ModeWrite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.ready(dev, p)
+			before := nvm.ImageHash(dev.Snapshot())
+			// 2,000 blocks of 32 bytes take 80,000 bytes, more than the
+			// 64 KB PMO holds.
+			n := uint64(10)
+			if tc.is == ErrNoMemory {
+				n = 2000
+			}
+			if _, _, err := p.AllocRun(n, 32); err == nil || (tc.is != nil && !errors.Is(err, tc.is)) {
+				t.Fatalf("AllocRun: %v, want a refusal (%v)", err, tc.is)
+			}
+			if after := nvm.ImageHash(dev.Snapshot()); after != before {
+				t.Fatal("the refused AllocRun changed the device")
+			}
+		})
+	}
+}

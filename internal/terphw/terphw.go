@@ -191,6 +191,16 @@ func (b *Buffer) CondAttach(pmo uint32, now uint64) Case {
 	return CaseFirstAttach
 }
 
+// Drop frees the PMO's entry, if it has one. The runtime calls it when
+// the attach system call of a CaseFirstAttach fails, so that no entry
+// outlives the attach it recorded: a retry is then a first attach again.
+func (b *Buffer) Drop(pmo uint32) {
+	if e := b.find(pmo); e != nil {
+		e.valid = false
+		b.dlDirty = true
+	}
+}
+
 // freeSlot returns the first invalid slot, or -1 when every entry is valid
 // (overflow). A delayed-detach entry stays valid, and so is not reclaimed
 // here, until a sweep self-detaches it.

@@ -198,6 +198,22 @@ func (l *Log) Commit() error {
 	return nil
 }
 
+// ChargeCommits charges the sink what n committed transactions of one
+// Write each charge: the Compute calls of n Begin, Write, Commit
+// sequences, one call at a time and in their order. It touches neither
+// the log nor the PMO. A load phase that builds its structure without the
+// log calls it for the transactions it did not run, so the sink sees the
+// same charges as if it had.
+func (l *Log) ChargeCommits(n int) {
+	for range n {
+		l.sink.Compute(FlushCost + FenceCost) // Write: the record
+		l.sink.Compute(FlushCost + FenceCost) // Write: the count
+		l.sink.Compute(FlushCost)             // Write: the data
+		l.sink.Compute(FenceCost)             // Commit: drain the data
+		l.sink.Compute(FlushCost + FenceCost) // Commit: the truncation
+	}
+}
+
 // Abort rolls the transaction back in place (undo) and truncates the log.
 func (l *Log) Abort() error {
 	if !l.active {

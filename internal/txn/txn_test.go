@@ -366,3 +366,47 @@ func TestRecoverCorruptCountErrors(t *testing.T) {
 		}
 	}
 }
+
+// recordSink records every charge, one entry per Compute call.
+type recordSink []uint64
+
+func (r *recordSink) Compute(n uint64) { *r = append(*r, n) }
+
+// TestChargeCommitsMatchesTransactions: ChargeCommits(n) makes the same
+// Compute calls, in the same order, as n committed one-Write transactions,
+// and leaves the log as it found it.
+func TestChargeCommitsMatchesTransactions(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 50} {
+		_, p, l, _ := setup(t)
+		o, _ := p.Alloc(8)
+		var want recordSink
+		l.SetSink(&want)
+		for i := 0; i < n; i++ {
+			if err := l.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Write(o, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dev, _, l2, _ := setup(t)
+		before := nvm.ImageHash(dev.Snapshot())
+		var got recordSink
+		l2.SetSink(&got)
+		l2.ChargeCommits(n)
+		if len(got) != len(want) {
+			t.Fatalf("ChargeCommits(%d) made %d charges, %d transactions %d", n, len(got), n, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("ChargeCommits(%d) charge %d is %d, the transactions' %d", n, i, got[i], want[i])
+			}
+		}
+		if nvm.ImageHash(dev.Snapshot()) != before || l2.Active() {
+			t.Fatalf("ChargeCommits(%d) changed the log", n)
+		}
+	}
+}

@@ -3,6 +3,8 @@ package whisper
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/params"
 )
 
 // BenchmarkSetup measures what each workload costs before its first
@@ -13,7 +15,7 @@ func BenchmarkSetup(b *testing.B) {
 		b.Run(mk().Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, mgr, ctx := newMeasured()
+				_, mgr, ctx := newMeasured(params.TT)
 				if err := mk().Setup(mgr, ctx, rand.New(rand.NewSource(1))); err != nil {
 					b.Fatal(err)
 				}

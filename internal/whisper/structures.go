@@ -16,8 +16,10 @@
 package whisper
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 
 	"repro/internal/core"
@@ -381,6 +383,123 @@ func (t *Tree) Insert(ctx Accessor, key, value uint64) error {
 		default:
 			link = field(n, nodeRight)
 		}
+	}
+}
+
+// Preload fills the empty tree with keys 1..n, key k holding k-1,
+// inserted in the order rng.Perm(n) draws. It leaves the PMO, its
+// allocator, the undo log, the log's sink and rng as
+//
+//	for _, k := range rng.Perm(n) { t.Insert(untimed{t.p}, uint64(k)+1, uint64(k)) }
+//
+// leaves them. The PMO must meet AllocRun's terms: an empty free list and
+// no persist buffer.
+//
+// Inserting keys in that order builds their Cartesian tree: a binary
+// search tree on the keys that is a min-heap on insertion index. Preload
+// builds it on the host, but for the last key, in one sweep over the keys
+// in ascending order with a stack holding the tree's right spine. A node's
+// right child is final once the node leaves the stack, so each node is
+// written then, once, into the block the loop would have allocated for it.
+// The log's sink is charged what the loop's transactions would have
+// charged. The last key goes through Insert, so the log's record and the
+// final allocation are the real ones.
+func (t *Tree) Preload(rng *rand.Rand, n int) error {
+	if root, err := t.p.Read8(t.root.Offset()); err != nil {
+		return err
+	} else if root != 0 {
+		return errors.New("whisper: preload into a tree that is not empty")
+	}
+	perm := rng.Perm(n)
+	if n == 0 {
+		return nil
+	}
+	last := perm[n-1]
+	invertPerm(perm)
+	// perm[k] is now key k+1's insertion index, and index i's node lies
+	// at first+i*stride.
+	first, stride, err := t.p.AllocRun(uint64(n-1), nodeSize)
+	if err != nil {
+		return err
+	}
+	node := func(k int) uint64 {
+		if k < 0 {
+			return uint64(pmo.NilOID)
+		}
+		return uint64(first) + uint64(perm[k])*stride
+	}
+	var buf [nodeSize]byte
+	write := func(k, left, right int) error {
+		binary.LittleEndian.PutUint64(buf[nodeKey:], uint64(k)+1)
+		binary.LittleEndian.PutUint64(buf[nodeVal:], uint64(k))
+		binary.LittleEndian.PutUint64(buf[nodeLeft:], node(left))
+		binary.LittleEndian.PutUint64(buf[nodeRight:], node(right))
+		return t.p.WriteAt(buf[:], pmo.OID(node(k)).Offset())
+	}
+	// spine is the right spine of the tree of the keys swept so far, root
+	// first; each entry carries its node's final left child (-1 for none).
+	// A random order's spine stays short (about ln n on average), so it
+	// starts in a stack array rather than growing on the heap.
+	type pending struct{ key, left int }
+	spine := make([]pending, 0, 64)
+	// pop writes the spine's nodes from the top down to index i, each with
+	// the node above it as its right child, and returns the lowest one.
+	pop := func(i int) (int, error) {
+		right := -1
+		for j := len(spine) - 1; j >= i; j-- {
+			if err := write(spine[j].key, spine[j].left, right); err != nil {
+				return 0, err
+			}
+			right = spine[j].key
+		}
+		spine = spine[:i]
+		return right, nil
+	}
+	for k := range perm {
+		if k == last {
+			continue
+		}
+		i := len(spine)
+		for i > 0 && perm[spine[i-1].key] > perm[k] {
+			i--
+		}
+		left, err := pop(i)
+		if err != nil {
+			return err
+		}
+		spine = append(spine, pending{k, left})
+	}
+	root, err := pop(0)
+	if err != nil {
+		return err
+	}
+	if root >= 0 {
+		if err := t.p.Write8(t.root.Offset(), node(root)); err != nil {
+			return err
+		}
+	}
+	t.log.ChargeCommits(n - 1)
+	return t.Insert(untimed{t.p}, uint64(last)+1, uint64(last))
+}
+
+// invertPerm replaces perm, a permutation of 0..len(perm)-1, with its
+// inverse, following each cycle once. Until the last pass an entry already
+// inverted holds its value complemented.
+func invertPerm(perm []int) {
+	for i := range perm {
+		if perm[i] < 0 {
+			continue // on a cycle inverted already
+		}
+		prev, cur := i, perm[i]
+		for cur != i {
+			next := perm[cur]
+			perm[cur] = ^prev
+			prev, cur = cur, next
+		}
+		perm[i] = ^prev
+	}
+	for i := range perm {
+		perm[i] = ^perm[i]
 	}
 }
 

@@ -3,6 +3,7 @@ package whisper
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -545,7 +546,7 @@ func TestSetupStatePinned(t *testing.T) {
 	for _, mk := range All() {
 		w := mk()
 		t.Run(w.Name(), func(t *testing.T) {
-			dev, mgr, ctx := newMeasured()
+			dev, mgr, ctx := newMeasured(params.TT)
 			rng := rand.New(rand.NewSource(1))
 			if err := w.Setup(mgr, ctx, rng); err != nil {
 				t.Fatal(err)
@@ -556,6 +557,106 @@ func TestSetupStatePinned(t *testing.T) {
 				t.Errorf("post-Setup state\n got %s\nwant %s", got, want[w.Name()])
 			}
 		})
+	}
+}
+
+// TestTreePreloadMatchesInserts: Tree.Preload(perm) leaves what the
+// insert loop it replaces leaves, on the machine Run builds under base,
+// MM, TM and TT: the device image and its page count, the measured
+// thread's clock, cost accounts and every charge in order (the charge
+// hook sees each Compute call), and the rng's next draw. The tree it
+// builds passes Audit. TestSetupStatePinned pins one seed and the sums;
+// this covers eight seeds, each charge, and trees of 0 to 3 keys, where
+// the host builds none or few of the nodes.
+func TestTreePreloadMatchesInserts(t *testing.T) {
+	type state struct {
+		image   [32]byte
+		pages   int
+		clock   uint64
+		costs   sim.Accounts
+		charges []uint64
+		next    uint64
+	}
+	// build builds a tree of n keys in a fresh ctree PMO with preload, and
+	// returns the machine's state and the tree.
+	build := func(scheme params.Scheme, seed int64, n int, preload func(*Tree, *rand.Rand, int) error) (state, *Tree, *pmo.PMO) {
+		dev, mgr, ctx := newMeasured(scheme)
+		var charges []uint64
+		ctx.Thread().ChargeHook = func(a sim.Account, c uint64) {
+			charges = append(charges, uint64(a)<<56|c)
+		}
+		var st store
+		if err := st.open(mgr, "whisper.ctree", ctx); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := NewTree(st.p, st.log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		if err := preload(tr, rng, n); err != nil {
+			t.Fatal(err)
+		}
+		return state{nvm.ImageHash(dev.Snapshot()), dev.FootprintPages(), ctx.Now(),
+			ctx.Thread().Costs, charges, rng.Uint64()}, tr, st.p
+	}
+	loop := func(tr *Tree, rng *rand.Rand, n int) error {
+		for _, k := range rng.Perm(n) {
+			if err := tr.Insert(untimed{tr.p}, uint64(k)+1, uint64(k)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, scheme := range []params.Scheme{params.Unprotected, params.MM, params.TM, params.TT} {
+		for _, n := range []int{0, 1, 2, 3, 100, 8192} {
+			for seed := int64(1); seed <= 8; seed++ {
+				want, _, _ := build(scheme, seed, n, loop)
+				if len(want.charges) != 5*n {
+					t.Fatalf("%s: the insert loop of %d keys made %d charges, want 5 a key", scheme, n, len(want.charges))
+				}
+				got, tr, p := build(scheme, seed, n, (*Tree).Preload)
+				if got.image != want.image || got.pages != want.pages || got.clock != want.clock ||
+					got.costs != want.costs || got.next != want.next {
+					t.Errorf("%s, %d keys, seed %d: Preload leaves image %x pages %d clock %d costs %v next %#x;"+
+						" the insert loop image %x pages %d clock %d costs %v next %#x",
+						scheme, n, seed, got.image, got.pages, got.clock, got.costs, got.next,
+						want.image, want.pages, want.clock, want.costs, want.next)
+				}
+				if !slices.Equal(got.charges, want.charges) {
+					t.Errorf("%s, %d keys, seed %d: Preload made %d charges, the insert loop %d, or in another order",
+						scheme, n, seed, len(got.charges), len(want.charges))
+				}
+				if err := tr.Audit(p, uint64(n)); err != nil {
+					t.Errorf("%s, %d keys, seed %d: %v", scheme, n, seed, err)
+				}
+			}
+		}
+	}
+}
+
+// TestTreePreloadRefusesNonEmptyTree: Preload into a tree that holds a key
+// fails before it writes anything.
+func TestTreePreloadRefusesNonEmptyTree(t *testing.T) {
+	dev, mgr, ctx := newMeasured(params.TT)
+	var st store
+	if err := st.open(mgr, "whisper.ctree", ctx); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTree(st.p, st.log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Insert(untimed{st.p}, 7, 7); err != nil {
+		t.Fatal(err)
+	}
+	before := nvm.ImageHash(dev.Snapshot())
+	want := "whisper: preload into a tree that is not empty"
+	if err := tr.Preload(rand.New(rand.NewSource(1)), 3); err == nil || err.Error() != want {
+		t.Fatalf("Preload into a tree holding a key: %v, want %q", err, want)
+	}
+	if nvm.ImageHash(dev.Snapshot()) != before {
+		t.Fatal("the refused Preload changed the device")
 	}
 }
 
@@ -580,7 +681,7 @@ func TestPreloadSameAtEverySeed(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				dev, mgr, ctx := newMeasured()
+				dev, mgr, ctx := newMeasured(params.TT)
 				if err := mk().Setup(mgr, ctx, rand.New(rand.NewSource(int64(seed+1)))); err != nil {
 					t.Error(err)
 					return
@@ -605,7 +706,7 @@ func TestPreloadSameAtEverySeed(t *testing.T) {
 // Put returns instead of probing forever.
 func TestPreloadStopsWhenFull(t *testing.T) {
 	table := func() (*Hash, *core.ThreadCtx) {
-		_, mgr, ctx := newMeasured()
+		_, mgr, ctx := newMeasured(params.TT)
 		var st store
 		if err := st.open(mgr, "t", ctx); err != nil {
 			t.Fatal(err)
@@ -638,12 +739,12 @@ func TestPreloadStopsWhenFull(t *testing.T) {
 	}
 }
 
-// newMeasured builds the machine Run builds for a TT run at the default
-// exposure window: a 2 GB NVM device, its manager and the measured
-// thread.
-func newMeasured() (*nvm.Device, *pmo.Manager, *core.ThreadCtx) {
+// newMeasured builds the machine Run builds for a run of the scheme at
+// the default exposure window: a 2 GB NVM device, its manager and the
+// measured thread.
+func newMeasured(scheme params.Scheme) (*nvm.Device, *pmo.Manager, *core.ThreadCtx) {
 	dev := nvm.NewDevice(nvm.NVM, 2*pmoSize)
 	mgr := pmo.NewManager(dev)
-	rt := core.NewRuntime(params.NewConfig(params.TT, params.DefaultEWMicros), mgr)
+	rt := core.NewRuntime(params.NewConfig(scheme, params.DefaultEWMicros), mgr)
 	return dev, mgr, rt.NewThread(sim.SingleThread())
 }

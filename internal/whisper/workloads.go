@@ -208,15 +208,9 @@ func (w *Ctree) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) err
 		return err
 	}
 	// Preload keys in shuffled order so the tree is reasonably balanced.
-	// The load phase is not measured, so its accesses are untimed; the
-	// undo log still charges ctx, as it does for every transaction.
-	perm := rng.Perm(int(w.keys / 2))
-	for _, k := range perm {
-		if err := w.t.Insert(untimed{w.p}, uint64(k)+1, uint64(k)); err != nil {
-			return err
-		}
-	}
-	return nil
+	// The load phase is not measured, so the tree is built untimed; the
+	// undo log still charges ctx what the inserts' transactions charge.
+	return w.t.Preload(rng, int(w.keys/2))
 }
 
 // CheckInvariants implements Workload: the tree is a well-formed BST
