@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/interp"
@@ -69,8 +70,13 @@ func main() {
 	}
 
 	fmt.Println("=== insertion report ===")
-	for name, let := range rep.FuncLET {
-		fmt.Printf("  %-10s estimated LET %.2f us\n", name, params.ToMicros(let))
+	names := make([]string, 0, len(rep.FuncLET))
+	for name := range rep.FuncLET {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Printf("  %-10s estimated LET %.2f us\n", name, params.ToMicros(rep.FuncLET[name]))
 	}
 	for _, fr := range rep.Funcs {
 		fmt.Printf("  %-10s %d graph(s), %d attach + %d detach inserted\n",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -338,288 +339,197 @@ func (r *Runtime) sweep(now uint64, t *sim.Thread) {
 	}
 }
 
+// step is how an attach or detach instruction executes. decideAttach and
+// decideDetach pick it together with the semantics action to commit.
+type step int
+
+const (
+	// stepSyscall is a system call that maps the PMO, or for a real
+	// detach unmaps it.
+	stepSyscall step = iota
+	// stepSyscallOnly is a system call that changes no mapping (TM's
+	// lowered grant or revoke).
+	stepSyscallOnly
+	// stepLowered is a fast-path thread permission change.
+	stepLowered
+	// stepNested is the inner pair of a same-thread nest: the fast path,
+	// with no grant or revoke.
+	stepNested
+)
+
 // Attach performs the scheme's attach operation for the calling thread.
 // Under MM it is the manually inserted process-wide attach; under the
 // TERP schemes it is the compiler-inserted conditional attach (CONDAT).
+// decideAttach picks what it does; Attach charges and performs it.
 func (c *ThreadCtx) Attach(p *pmo.PMO, perm paging.Perm) error {
 	r := c.rt
 	if err := r.checkMode(p, perm); err != nil {
 		return err
 	}
-	switch r.Cfg.Scheme {
-	case params.Unprotected:
+	if r.Cfg.Scheme == params.Unprotected {
 		// Baseline: map once, free of charge, stay mapped.
-		if !r.as.Attached(p.ID) {
+		if r.as.Attached(p.ID) {
+			return nil
+		}
+		return r.realAttach(p, perm, c.th.Clock)
+	}
+	if r.Cfg.Scheme != params.MM {
+		r.Counts.CondOps++
+	}
+	st := r.state(p.ID)
+	act, how, err := c.decideAttach(p, st)
+	if err != nil {
+		return fmt.Errorf("%v attach %q: %w", r.Cfg.Scheme, p.Name, err)
+	}
+	switch how {
+	case stepSyscall, stepSyscallOnly:
+		c.syscall(sim.Attach, params.AttachSyscall, "attach-sys")
+		if how == stepSyscall && !r.as.Attached(p.ID) {
 			if err := r.realAttach(p, perm, c.th.Clock); err != nil {
+				// No buffer entry outlives the attach it recorded.
+				if r.cb != nil {
+					r.cb.Drop(p.ID)
+				}
 				return err
 			}
 		}
-		return nil
-	case params.MM:
-		return c.attachMM(p, perm)
-	default:
-		return c.condAttach(p, perm)
-	}
-}
-
-// Detach performs the scheme's detach operation for the calling thread.
-func (c *ThreadCtx) Detach(p *pmo.PMO) error {
-	r := c.rt
-	switch r.Cfg.Scheme {
-	case params.Unprotected:
-		return nil
-	case params.MM:
-		return c.detachMM(p)
-	default:
-		return c.condDetach(p)
-	}
-}
-
-// attachMM is MERR's attach: a full system call that maps the PMO at a
-// randomized base, under process-wide Basic semantics.
-func (c *ThreadCtx) attachMM(p *pmo.PMO, perm paging.Perm) error {
-	r := c.rt
-	st := r.state(p.ID)
-	act, err := r.policy.Attach(st, c.th.ID, c.th.Clock)
-	if err != nil {
-		return fmt.Errorf("MM attach %q: %w", p.Name, err)
-	}
-	if act != semantics.ActRealAttach {
-		return fmt.Errorf("MM attach %q: unexpected action %v", p.Name, act)
-	}
-	c.syscall(sim.Attach, params.AttachSyscall, "attach-sys")
-	if err := r.realAttach(p, perm, c.th.Clock); err != nil {
-		return err
-	}
-	r.Counts.AttachSyscalls++
-	semantics.CommitAttach(st, c.th.ID, c.th.Clock, act)
-	c.th.Yield()
-	return nil
-}
-
-// detachMM is MERR's detach: a full system call plus TLB shootdown.
-func (c *ThreadCtx) detachMM(p *pmo.PMO) error {
-	r := c.rt
-	st := r.state(p.ID)
-	act, err := r.policy.Detach(st, c.th.ID, c.th.Clock)
-	if err != nil {
-		return fmt.Errorf("MM detach %q: %w", p.Name, err)
-	}
-	c.syscall(sim.Detach, params.DetachSyscall+params.TLBInvalidate, "detach-sys")
-	if err := r.realDetach(p, c.th.Clock); err != nil {
-		return err
-	}
-	r.Counts.DetachSyscalls++
-	semantics.CommitDetach(st, c.th.ID, c.th.Clock, act)
-	c.th.Yield()
-	return nil
-}
-
-// condAttach is the TERP conditional attach. Under TT it consults the
-// circular buffer (Figure 7b); under TM and the Basic ablation every call
-// is a full system call; under +Cond the EW-conscious lowering applies but
-// without window combining.
-func (c *ThreadCtx) condAttach(p *pmo.PMO, perm paging.Perm) error {
-	r := c.rt
-	r.Counts.CondOps++
-	st := r.state(p.ID)
-
-	// Basic-semantics ablation: block while another thread holds it.
-	if r.Cfg.Scheme == params.BasicSem {
-		for try := 0; ; try++ {
-			act, err := r.policy.Attach(st, c.th.ID, c.th.Clock)
-			if err != nil {
-				return fmt.Errorf("basic attach %q: %w", p.Name, err)
-			}
-			if act == semantics.ActRealAttach {
-				break
-			}
-			if try > 1<<22 {
-				return fmt.Errorf("basic attach %q: deadlocked waiting for detach", p.Name)
-			}
-			// Blocked: wait a quantum and retry.
-			r.Counts.Blocks++
-			c.th.Charge(sim.Other, 200)
-			c.th.Yield()
-		}
-		c.syscall(sim.Attach, params.AttachSyscall, "attach-sys")
-		if err := r.realAttach(p, perm, c.th.Clock); err != nil {
-			return err
-		}
 		r.Counts.AttachSyscalls++
-		semantics.CommitAttach(st, c.th.ID, c.th.Clock, semantics.ActRealAttach)
-		c.grantThread(p, perm)
-		c.th.Yield()
-		return nil
-	}
-
-	act, err := r.policy.Attach(st, c.th.ID, c.th.Clock)
-	if err != nil {
-		return fmt.Errorf("cond attach %q: %w", p.Name, err)
-	}
-	if act == semantics.ActSilent {
-		// A nested pair within the thread: nothing reaches the
-		// hardware; the instruction retires in the fast path.
+	default:
 		c.th.DirectCharge(sim.Cond, params.SilentCondCost)
 		r.Counts.SilentOps++
-		r.emit(c.th.Clock, c.th.ID, p.ID, TraceSilentNest)
-		semantics.CommitAttach(st, c.th.ID, c.th.Clock, act)
-		c.th.Yield()
-		return nil
-	}
-
-	if r.cb != nil {
-		// TT: the hardware decides; run the sweep first so expired
-		// windows are closed before the new op (single-thread runs
-		// have no machine tick).
-		if r.machine == nil {
-			r.sweep(c.th.Clock, c.th)
-		}
-		hwCase := r.cb.CondAttach(p.ID, c.th.Clock)
-		switch hwCase {
-		case terphw.CaseFirstAttach, terphw.CaseOverflow:
-			c.syscall(sim.Attach, params.AttachSyscall, "attach-sys")
-			if !r.as.Attached(p.ID) {
-				if err := r.realAttach(p, perm, c.th.Clock); err != nil {
-					if hwCase == terphw.CaseFirstAttach {
-						r.cb.Drop(p.ID)
-					}
-					return err
-				}
-			}
-			r.Counts.AttachSyscalls++
-		case terphw.CaseSubsequentAttach, terphw.CaseSilentAttach:
-			c.th.DirectCharge(sim.Cond, params.SilentCondCost)
-			r.Counts.SilentOps++
-		}
-		semantics.CommitAttach(st, c.th.ID, c.th.Clock, act)
-		c.grantThread(p, perm)
-		c.th.Yield()
-		return nil
-	}
-
-	// TM / +Cond: software path.
-	switch act {
-	case semantics.ActRealAttach:
-		c.syscall(sim.Attach, params.AttachSyscall, "attach-sys")
-		if err := r.realAttach(p, perm, c.th.Clock); err != nil {
-			return err
-		}
-		r.Counts.AttachSyscalls++
-	case semantics.ActThreadGrant:
-		if r.Cfg.CondIsSyscall() {
-			// TM: the lowering itself is a system call.
-			c.syscall(sim.Attach, params.AttachSyscall, "attach-sys")
-			r.Counts.AttachSyscalls++
-		} else {
-			c.th.DirectCharge(sim.Cond, params.SilentCondCost)
-			r.Counts.SilentOps++
-		}
 	}
 	semantics.CommitAttach(st, c.th.ID, c.th.Clock, act)
-	c.grantThread(p, perm)
+	if how == stepNested {
+		r.emit(c.th.Clock, c.th.ID, p.ID, TraceSilentNest)
+	} else {
+		c.grantThread(p, perm)
+	}
 	c.th.Yield()
 	return nil
 }
 
-// condDetach is the TERP conditional detach (Figure 7c under TT).
-func (c *ThreadCtx) condDetach(p *pmo.PMO) error {
+// decideAttach returns the semantics action an attach commits and the
+// step that executes it. The policy decides first. A Basic-ablation
+// conflict waits for the holder to detach. Under TT the buffer case
+// (Figure 7b) then picks the step: Case 1 and overflow make the system
+// call, Cases 2 and 3 take the fast path.
+func (c *ThreadCtx) decideAttach(p *pmo.PMO, st *semantics.State) (semantics.Action, step, error) {
 	r := c.rt
-	r.Counts.CondOps++
-	st := r.state(p.ID)
+	act, err := r.policy.Attach(st, c.th.ID, c.th.Clock)
+	for try := 0; act == semantics.ActBlock; try++ {
+		if try > 1<<22 {
+			return act, 0, errors.New("deadlocked waiting for detach")
+		}
+		// Blocked: wait a quantum and retry.
+		r.Counts.Blocks++
+		c.th.Charge(sim.Other, 200)
+		c.th.Yield()
+		act, err = r.policy.Attach(st, c.th.ID, c.th.Clock)
+	}
+	switch {
+	case err != nil:
+		return act, 0, err
+	case act == semantics.ActSilent:
+		return act, stepNested, nil
+	case r.cb != nil:
+		if r.machine == nil {
+			// Single-thread runs have no machine tick: close expired
+			// windows before the new op.
+			r.sweep(c.th.Clock, c.th)
+		}
+		switch r.cb.CondAttach(p.ID, c.th.Clock) {
+		case terphw.CaseSubsequentAttach, terphw.CaseSilentAttach:
+			return act, stepLowered, nil
+		}
+		return act, stepSyscall, nil
+	case act == semantics.ActRealAttach:
+		return act, stepSyscall, nil
+	case r.Cfg.CondIsSyscall():
+		return act, stepSyscallOnly, nil
+	}
+	return act, stepLowered, nil
+}
+
+// Detach performs the scheme's detach operation for the calling thread
+// (Figure 7c under TT). decideDetach picks what it does; Detach charges
+// and performs it.
+func (c *ThreadCtx) Detach(p *pmo.PMO) error {
+	r := c.rt
+	if r.Cfg.Scheme == params.Unprotected {
+		return nil
+	}
+	if r.Cfg.Scheme != params.MM {
+		r.Counts.CondOps++
+	}
 	// The thread's window ends when the CONDDT begins executing; the
 	// instruction's own cost is not exposure time.
 	tewEnd := c.th.Clock
-
-	if r.Cfg.Scheme == params.BasicSem {
-		act, err := r.policy.Detach(st, c.th.ID, c.th.Clock)
-		if err != nil {
-			return fmt.Errorf("basic detach %q: %w", p.Name, err)
-		}
+	st := r.state(p.ID)
+	act, how, err := c.decideDetach(p, st)
+	if err != nil {
+		return fmt.Errorf("%v detach %q: %w", r.Cfg.Scheme, p.Name, err)
+	}
+	switch how {
+	case stepSyscall:
 		c.syscall(sim.Detach, params.DetachSyscall+params.TLBInvalidate, "detach-sys")
-		if err := r.realDetach(p, c.th.Clock); err != nil {
-			return err
+		if act == semantics.ActRealDetach && r.as.Attached(p.ID) {
+			if err := r.realDetach(p, c.th.Clock); err != nil {
+				return err
+			}
 		}
 		r.Counts.DetachSyscalls++
-		semantics.CommitDetach(st, c.th.ID, c.th.Clock, act)
-		c.revokeThread(p, tewEnd)
-		c.th.Yield()
-		return nil
-	}
-
-	act, err := r.policy.Detach(st, c.th.ID, c.th.Clock)
-	if err != nil {
-		return fmt.Errorf("cond detach %q: %w", p.Name, err)
-	}
-	if act == semantics.ActSilent {
+	case stepSyscallOnly:
+		c.syscall(sim.Detach, params.DetachSyscall, "detach-sys")
+		r.Counts.DetachSyscalls++
+	default:
 		c.th.DirectCharge(sim.Cond, params.SilentCondCost)
 		r.Counts.SilentOps++
-		semantics.CommitDetach(st, c.th.ID, c.th.Clock, act)
-		c.th.Yield()
-		return nil
 	}
+	semantics.CommitDetach(st, c.th.ID, c.th.Clock, act)
+	if how != stepNested {
+		c.revokeThread(p, tewEnd)
+	}
+	c.th.Yield()
+	return nil
+}
 
-	if r.cb != nil {
+// decideDetach returns the semantics action a detach commits and the step
+// that executes it. Under TT the buffer case (Figure 7c) overrides the
+// policy's action: Case 5 detaches for real, Cases 4 and 6 revoke on the
+// fast path, and an overflow makes the system call, detaching for real
+// only a mapped PMO that no other thread holds.
+func (c *ThreadCtx) decideDetach(p *pmo.PMO, st *semantics.State) (semantics.Action, step, error) {
+	r := c.rt
+	act, err := r.policy.Detach(st, c.th.ID, c.th.Clock)
+	switch {
+	case err != nil:
+		return act, 0, err
+	case act == semantics.ActSilent:
+		return act, stepNested, nil
+	case r.cb != nil:
 		if r.machine == nil {
 			r.sweep(c.th.Clock, c.th)
 		}
-		hwCase := r.cb.CondDetach(p.ID, c.th.Clock)
-		switch hwCase {
+		switch r.cb.CondDetach(p.ID, c.th.Clock) {
 		case terphw.CaseFullDetach:
-			c.syscall(sim.Detach, params.DetachSyscall+params.TLBInvalidate, "detach-sys")
-			if r.as.Attached(p.ID) {
-				if err := r.realDetach(p, c.th.Clock); err != nil {
-					return err
-				}
-			}
-			r.Counts.DetachSyscalls++
-			semantics.CommitDetach(st, c.th.ID, c.th.Clock, semantics.ActRealDetach)
-		case terphw.CasePartialDetach, terphw.CaseDelayedDetach:
-			c.th.DirectCharge(sim.Cond, params.SilentCondCost)
-			r.Counts.SilentOps++
-			semantics.CommitDetach(st, c.th.ID, c.th.Clock, semantics.ActThreadRevoke)
+			return semantics.ActRealDetach, stepSyscall, nil
 		case terphw.CaseOverflow:
-			c.syscall(sim.Detach, params.DetachSyscall+params.TLBInvalidate, "detach-sys")
 			if r.as.Attached(p.ID) && !st.OtherHolders(c.th.ID) {
-				if err := r.realDetach(p, c.th.Clock); err != nil {
-					return err
-				}
-				semantics.CommitDetach(st, c.th.ID, c.th.Clock, semantics.ActRealDetach)
-			} else {
-				semantics.CommitDetach(st, c.th.ID, c.th.Clock, semantics.ActThreadRevoke)
+				return semantics.ActRealDetach, stepSyscall, nil
 			}
-			r.Counts.DetachSyscalls++
+			return semantics.ActThreadRevoke, stepSyscall, nil
 		}
-		c.revokeThread(p, tewEnd)
-		c.th.Yield()
-		return nil
+		return semantics.ActThreadRevoke, stepLowered, nil
+	case act == semantics.ActRealDetach:
+		return act, stepSyscall, nil
+	case r.Cfg.CondIsSyscall():
+		return act, stepSyscallOnly, nil
+	case !st.OtherHolders(c.th.ID):
+		// +Cond has no window combining: a last-holder detach is
+		// performed for real even before L.
+		return semantics.ActRealDetach, stepSyscall, nil
 	}
-
-	// TM / +Cond software path. +Cond has no window combining: a
-	// last-holder detach is performed for real even before L.
-	if r.Cfg.Scheme == params.PlusCond && act == semantics.ActThreadRevoke && !st.OtherHolders(c.th.ID) {
-		act = semantics.ActRealDetach
-	}
-	switch act {
-	case semantics.ActRealDetach:
-		c.syscall(sim.Detach, params.DetachSyscall+params.TLBInvalidate, "detach-sys")
-		if err := r.realDetach(p, c.th.Clock); err != nil {
-			return err
-		}
-		r.Counts.DetachSyscalls++
-	case semantics.ActThreadRevoke:
-		if r.Cfg.CondIsSyscall() {
-			c.syscall(sim.Detach, params.DetachSyscall, "detach-sys")
-			r.Counts.DetachSyscalls++
-		} else {
-			c.th.DirectCharge(sim.Cond, params.SilentCondCost)
-			r.Counts.SilentOps++
-		}
-	}
-	semantics.CommitDetach(st, c.th.ID, c.th.Clock, act)
-	c.revokeThread(p, tewEnd)
-	c.th.Yield()
-	return nil
+	return act, stepLowered, nil
 }
 
 // grantThread opens the calling thread's TEW on the PMO and widens the
@@ -657,17 +567,17 @@ func (c *ThreadCtx) revokeThread(p *pmo.PMO, at uint64) {
 // the PMO by pool ID, its mapping (the permission matrix row) and its
 // domain are slice lookups, and the TLB, matrix and thread-permission
 // checks and the cache walk are charged on every access.
-func (c *ThreadCtx) access(o pmo.OID, want paging.Perm, n int) (*pmo.PMO, uint64, error) {
+func (c *ThreadCtx) access(o pmo.OID, want paging.Perm, n int) (*pmo.PMO, error) {
 	r := c.rt
 	p, err := r.mgr.Lookup(o.Pool())
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	m, ok := r.as.Mapping(p.ID)
 	if !ok || o.Offset() >= p.Size {
 		r.Counts.Faults++
 		r.emit(c.th.Clock, c.th.ID, p.ID, TraceFault)
-		return nil, 0, &Fault{Kind: SegFault, OID: o, Want: want, Thread: c.th.ID}
+		return nil, &Fault{Kind: SegFault, OID: o, Want: want, Thread: c.th.ID}
 	}
 	va := m.Base + o.Offset()
 
@@ -686,14 +596,14 @@ func (c *ThreadCtx) access(o pmo.OID, want paging.Perm, n int) (*pmo.PMO, uint64
 		if !r.matrix.CheckAt(m, want, c.th.Clock) {
 			r.Counts.Faults++
 			r.emit(c.th.Clock, c.th.ID, p.ID, TraceFault)
-			return nil, 0, &Fault{Kind: PermFault, OID: o, Want: want, Thread: c.th.ID}
+			return nil, &Fault{Kind: PermFault, OID: o, Want: want, Thread: c.th.ID}
 		}
 		// Thread permission check (TEW schemes only).
 		if r.Cfg.TEWTarget != 0 {
 			if d, ok := r.domains.DomainOf(p.ID); !ok || !c.regs.Allows(d, want) {
 				r.Counts.Faults++
 				r.emit(c.th.Clock, c.th.ID, p.ID, TraceFault)
-				return nil, 0, &Fault{Kind: ThreadPermFault, OID: o, Want: want, Thread: c.th.ID}
+				return nil, &Fault{Kind: ThreadPermFault, OID: o, Want: want, Thread: c.th.ID}
 			}
 		}
 	}
@@ -711,7 +621,7 @@ func (c *ThreadCtx) access(o pmo.OID, want paging.Perm, n int) (*pmo.PMO, uint64
 			c.th.DirectCharge(sim.Base, params.L1Latency+params.L2Latency+latency(m.Dev))
 		}
 	}
-	return p, va, nil
+	return p, nil
 }
 
 func latency(d *nvm.Device) uint64 {
@@ -721,9 +631,42 @@ func latency(d *nvm.Device) uint64 {
 	return params.DRAMLatency
 }
 
+// LoadVA performs a load at an absolute virtual address — the attacker's
+// view of memory in the security case studies. It turns the address into
+// the object mapped there and loads that through Load, so a stale address
+// learned before a randomization faults (or reads the wrong object)
+// exactly as on the simulated hardware.
+func (c *ThreadCtx) LoadVA(va uint64) (uint64, error) {
+	o, err := c.oidAt(va, paging.PermRead)
+	if err != nil {
+		return 0, err
+	}
+	return c.Load(o)
+}
+
+// StoreVA performs a store at an absolute virtual address (see LoadVA).
+func (c *ThreadCtx) StoreVA(va uint64, v uint64) error {
+	o, err := c.oidAt(va, paging.PermWrite)
+	if err != nil {
+		return err
+	}
+	return c.Store(o, v)
+}
+
+// oidAt returns the object at an absolute address. An unmapped address is
+// a segmentation fault.
+func (c *ThreadCtx) oidAt(va uint64, want paging.Perm) (pmo.OID, error) {
+	m, err := c.rt.as.Lookup(va)
+	if err != nil {
+		c.rt.Counts.Faults++
+		return 0, &Fault{Kind: SegFault, Want: want, Thread: c.th.ID}
+	}
+	return pmo.MakeOID(m.PMOID, va-m.Base), nil
+}
+
 // Load reads an 8-byte word from the PMO object.
 func (c *ThreadCtx) Load(o pmo.OID) (uint64, error) {
-	p, _, err := c.access(o, paging.PermRead, 8)
+	p, err := c.access(o, paging.PermRead, 8)
 	if err != nil {
 		return 0, err
 	}
@@ -732,7 +675,7 @@ func (c *ThreadCtx) Load(o pmo.OID) (uint64, error) {
 
 // Store writes an 8-byte word to the PMO object.
 func (c *ThreadCtx) Store(o pmo.OID, v uint64) error {
-	p, _, err := c.access(o, paging.PermWrite, 8)
+	p, err := c.access(o, paging.PermWrite, 8)
 	if err != nil {
 		return err
 	}
@@ -741,7 +684,7 @@ func (c *ThreadCtx) Store(o pmo.OID, v uint64) error {
 
 // LoadBytes reads n bytes starting at the object into b.
 func (c *ThreadCtx) LoadBytes(o pmo.OID, b []byte) error {
-	p, _, err := c.access(o, paging.PermRead, len(b))
+	p, err := c.access(o, paging.PermRead, len(b))
 	if err != nil {
 		return err
 	}
@@ -750,7 +693,7 @@ func (c *ThreadCtx) LoadBytes(o pmo.OID, b []byte) error {
 
 // StoreBytes writes b starting at the object.
 func (c *ThreadCtx) StoreBytes(o pmo.OID, b []byte) error {
-	p, _, err := c.access(o, paging.PermWrite, len(b))
+	p, err := c.access(o, paging.PermWrite, len(b))
 	if err != nil {
 		return err
 	}
@@ -817,67 +760,6 @@ func (r *Runtime) Finish(end uint64) Result {
 		Exposure: r.tracker.Collect(end),
 		Counts:   r.Counts,
 	}
-}
-
-// LoadVA performs a load at an absolute virtual address — the attacker's
-// view of memory in the security case studies. It walks the same
-// protection path as Load but resolves the mapping from the address
-// instead of an ObjectID, so a stale address learned before a
-// randomization faults (or reads the wrong object) exactly as on the
-// simulated hardware.
-func (c *ThreadCtx) LoadVA(va uint64) (uint64, error) {
-	p, off, err := c.resolveVA(va, paging.PermRead)
-	if err != nil {
-		return 0, err
-	}
-	return p.Read8(off)
-}
-
-// StoreVA performs a store at an absolute virtual address (see LoadVA).
-func (c *ThreadCtx) StoreVA(va uint64, v uint64) error {
-	p, off, err := c.resolveVA(va, paging.PermWrite)
-	if err != nil {
-		return err
-	}
-	return p.Write8(off, v)
-}
-
-// resolveVA translates and protection-checks an absolute address.
-func (c *ThreadCtx) resolveVA(va uint64, want paging.Perm) (*pmo.PMO, uint64, error) {
-	r := c.rt
-	m, err := r.as.Lookup(va)
-	if err != nil {
-		r.Counts.Faults++
-		return nil, 0, &Fault{Kind: SegFault, Want: want, Thread: c.th.ID}
-	}
-	c.th.Charge(sim.Base, c.tlb.Lookup(va))
-	if r.Cfg.Scheme != params.Unprotected {
-		c.th.Charge(sim.Other, params.PermMatrixCheck)
-		if !r.matrix.CheckAt(m, want, c.th.Clock) {
-			r.Counts.Faults++
-			return nil, 0, &Fault{Kind: PermFault, Want: want, Thread: c.th.ID}
-		}
-		if r.Cfg.TEWTarget != 0 {
-			d, ok := r.domains.DomainOf(m.PMOID)
-			if !ok || !c.regs.Allows(d, want) {
-				r.Counts.Faults++
-				return nil, 0, &Fault{Kind: ThreadPermFault, Want: want, Thread: c.th.ID}
-			}
-		}
-	}
-	switch {
-	case c.l1.Access(va):
-		c.th.Charge(sim.Base, params.L1Latency)
-	case r.l2.Access(va):
-		c.th.Charge(sim.Base, params.L1Latency+params.L2Latency)
-	default:
-		c.th.Charge(sim.Base, params.L1Latency+params.L2Latency+latency(m.Dev))
-	}
-	p, err := r.mgr.Lookup(m.PMOID)
-	if err != nil {
-		return nil, 0, err
-	}
-	return p, va - m.Base, nil
 }
 
 // MappingBase returns the current virtual base of an attached PMO — the

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mpk"
 	"repro/internal/nvm"
+	"repro/internal/obs"
 	"repro/internal/paging"
 	"repro/internal/params"
 	"repro/internal/pmo"
@@ -680,5 +681,134 @@ func TestTraceKindStringsComplete(t *testing.T) {
 		if k.String() == "" {
 			t.Fatalf("kind %d empty", k)
 		}
+	}
+}
+
+// TestNestedPairRetiresOnTheFastPath: an inner attach/detach pair inside
+// the thread's own window is silenced under EW-conscious semantics (Figure
+// 3): it reaches no system call, grants and revokes nothing, leaves the
+// outer window open for the store after it, and records one silent event.
+func TestNestedPairRetiresOnTheFastPath(t *testing.T) {
+	for _, scheme := range []params.Scheme{params.TT, params.TM, params.PlusCond, params.PlusCB} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			rt, ctx, p := newObsEnv(t, scheme, obs.Config{Trace: true})
+			o, err := p.Alloc(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ctx.Attach(p, paging.ReadWrite); err != nil {
+				t.Fatal(err)
+			}
+			before, cond := rt.Counts, ctx.th.Costs[sim.Cond]
+			if err := ctx.Attach(p, paging.ReadWrite); err != nil {
+				t.Fatalf("inner attach: %v", err)
+			}
+			if err := ctx.Store(o, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := ctx.Detach(p); err != nil {
+				t.Fatalf("inner detach: %v", err)
+			}
+			got := rt.Counts
+			if got.CondOps-before.CondOps != 2 || got.SilentOps-before.SilentOps != 2 {
+				t.Fatalf("inner pair: %d cond ops, %d fast path; want 2 and 2",
+					got.CondOps-before.CondOps, got.SilentOps-before.SilentOps)
+			}
+			if got.AttachSyscalls != before.AttachSyscalls || got.DetachSyscalls != before.DetachSyscalls {
+				t.Fatalf("inner pair made system calls: %+v -> %+v", before, got)
+			}
+			if d := ctx.th.Costs[sim.Cond] - cond; d != 2*params.SilentCondCost {
+				t.Fatalf("inner pair charged %d Cond cycles, want %d", d, 2*params.SilentCondCost)
+			}
+			if err := ctx.Store(o, 2); err != nil {
+				t.Fatalf("store after the inner detach: %v", err)
+			}
+			if err := ctx.Detach(p); err != nil {
+				t.Fatalf("outer detach: %v", err)
+			}
+			if res := rt.Finish(ctx.Now()); res.Exposure.TEWCount != 1 {
+				t.Fatalf("%d TEWs closed, want 1", res.Exposure.TEWCount)
+			}
+			events := obs.Instants(rt.ObsRecorder().Events())
+			if n := len(obs.FilterInstants(events, obs.CatCore, TraceSilentNest.String())); n != 1 {
+				t.Fatalf("%d silent instants, want 1", n)
+			}
+		})
+	}
+}
+
+// TestBufferOverflowFallsBackToSystemCalls: with the thread window off
+// (TEWTarget 0, which terp.Options reaches by rounding a tiny TEW down),
+// no protection key limits how many PMOs are held, so the 32-entry
+// circular buffer fills. CONDAT and CONDDT on a PMO with no entry then
+// fall back to system calls, and a real detach happens only for a PMO
+// that is still mapped.
+func TestBufferOverflowFallsBackToSystemCalls(t *testing.T) {
+	mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, 1<<30))
+	cfg := params.NewConfig(params.TT, params.DefaultEWMicros)
+	cfg.TEWTarget = 0
+	rt := NewRuntime(cfg, mgr)
+	ctx := rt.NewThread(sim.SingleThread())
+	const n = params.CircularBufferEntries + 2
+	ps := make([]*pmo.PMO, n)
+	mapped := func() int {
+		k := 0
+		for _, p := range ps {
+			if rt.as.Attached(p.ID) {
+				k++
+			}
+		}
+		return k
+	}
+	for i := range ps {
+		p, err := mgr.Create(fmt.Sprintf("p%d", i), 1<<16, pmo.ModeRead|pmo.ModeWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps[i] = p
+		if err := ctx.Attach(p, paging.ReadWrite); err != nil {
+			t.Fatalf("attach %d: %v", i, err)
+		}
+	}
+	if c := rt.Counts; c.AttachSyscalls != n || rt.cb.Live() != params.CircularBufferEntries || mapped() != n {
+		t.Fatalf("after the attaches: %d attach syscalls, %d live entries, %d mapped; want %d, %d, %d",
+			c.AttachSyscalls, rt.cb.Live(), mapped(), n, params.CircularBufferEntries, n)
+	}
+	if ctx.Now() != 632_632 {
+		t.Fatalf("clock after the attaches = %d, want 632632", ctx.Now())
+	}
+	for i, p := range ps {
+		if err := ctx.Detach(p); err != nil {
+			t.Fatalf("detach %d: %v", i, err)
+		}
+	}
+	if c := rt.Counts; c.DetachSyscalls != 26 || c.SilentOps != 24 {
+		t.Fatalf("after the detaches: %d detach syscalls, %d fast path; want 26 and 24",
+			c.DetachSyscalls, c.SilentOps)
+	}
+	// The rest are delayed detaches that the sweep has not reached yet.
+	if rt.cb.Live() != 8 || mapped() != 8 {
+		t.Fatalf("%d live entries, %d mapped; want 8 and 8", rt.cb.Live(), mapped())
+	}
+	if ctx.Now() != 1_529_472 {
+		t.Fatalf("clock after the detaches = %d, want 1529472", ctx.Now())
+	}
+}
+
+// TestBasicAttachGivesUp: under the Basic ablation a thread that attaches
+// a PMO it already holds waits for a detach that never comes; after 2^22
+// retries, each charging Other 200 cycles, the attach fails instead of
+// spinning forever.
+func TestBasicAttachGivesUp(t *testing.T) {
+	rt, ctx, p := newEnv(t, params.BasicSem)
+	if err := ctx.Attach(p, paging.ReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.Attach(p, paging.ReadWrite); err == nil {
+		t.Fatal("a self-deadlocked Basic attach succeeded")
+	}
+	if rt.Counts.Blocks != 1<<22+1 || ctx.Now() != 838_865_422 {
+		t.Fatalf("gave up after %d waits at clock %d; want %d at 838865422",
+			rt.Counts.Blocks, ctx.Now(), 1<<22+1)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -41,6 +42,7 @@ type Pool struct {
 	inflight   atomic.Int64  // cells claimed, not yet recorded
 	claimed    atomic.Uint64 // cells ever claimed (monotonic)
 	completed  atomic.Uint64 // cells ever finished (monotonic)
+	panics     atomic.Uint64 // cells that panicked (monotonic)
 }
 
 // PoolStats is a point-in-time occupancy snapshot, readable lock-free
@@ -55,6 +57,7 @@ type PoolStats struct {
 	InFlightCells  int    `json:"inflightCells"`
 	ClaimedCells   uint64 `json:"claimedCells"`
 	CompletedCells uint64 `json:"completedCells"`
+	CellPanics     uint64 `json:"cellPanics"`
 }
 
 // Stats snapshots the pool's occupancy without taking the pool mutex,
@@ -68,6 +71,7 @@ func (p *Pool) Stats() PoolStats {
 		InFlightCells:  int(p.inflight.Load()),
 		ClaimedCells:   p.claimed.Load(),
 		CompletedCells: p.completed.Load(),
+		CellPanics:     p.panics.Load(),
 	}
 }
 
@@ -249,7 +253,7 @@ func (p *Pool) worker() {
 		p.mu.Unlock()
 
 		p.busy.Add(1)
-		res, err := RunCellCtx(j.ctx, j.cells[i], p.cache, j.ocfg)
+		res, err := p.runCell(j, i)
 		res.Err = err
 		p.busy.Add(-1)
 		p.completed.Add(1)
@@ -280,6 +284,20 @@ func (p *Pool) worker() {
 		}
 		p.mu.Unlock()
 	}
+}
+
+// runCell runs cell i of job j. A panic inside the cell becomes the
+// cell's error, naming the cell and carrying the panic value and stack,
+// so one bad cell fails its own job instead of the whole process.
+func (p *Pool) runCell(j *poolJob, i int) (res CellResult, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			p.panics.Add(1)
+			res = CellResult{Cell: j.cells[i]}
+			err = fmt.Errorf("cell %s panicked: %v\n%s", j.cells[i].Name(), v, debug.Stack())
+		}
+	}()
+	return RunCellCtx(j.ctx, j.cells[i], p.cache, j.ocfg)
 }
 
 // Close shuts the pool down: jobs still queued are canceled with

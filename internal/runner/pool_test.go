@@ -354,3 +354,50 @@ func TestPoolRoundRobinFairness(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolCellPanicFailsOnlyItsJob: a cell that panics (a SPEC cell with a
+// negative thread count overflows a slice length) fails its own job with
+// an error naming the cell. A job running beside it on the same workers
+// is unaffected, the pool counts the panic, and later jobs still run.
+func TestPoolCellPanicFailsOnlyItsJob(t *testing.T) {
+	p := newPool(2, NewProgCache())
+	defer p.Close()
+	bad := Cell{Exp: "t", Kind: Spec, Workload: "lbm", Scheme: params.TT, EWMicros: 40, Seed: 1, Scale: 1, Threads: -1}
+	healthy := smallCells(5)
+	want, err := runBatch(1, healthy, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	var got []CellResult
+	var gotErr, badErr error
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		got, gotErr = p.Run(context.Background(), healthy, Options{})
+	}()
+	go func() {
+		defer wg.Done()
+		_, badErr = p.Run(context.Background(), []Cell{bad}, Options{})
+	}()
+	wg.Wait()
+
+	if gotErr != nil {
+		t.Fatalf("healthy job: %v", gotErr)
+	}
+	for i := range healthy {
+		if got[i].Result != want[i].Result {
+			t.Fatalf("cell %d (%s): result differs from the serial run", i, healthy[i].Name())
+		}
+	}
+	if badErr == nil || !strings.Contains(badErr.Error(), bad.Name()) || !strings.Contains(badErr.Error(), "panicked") {
+		t.Fatalf("bad job error = %v, want a panic naming %s", badErr, bad.Name())
+	}
+	if n := p.Stats().CellPanics; n != 1 {
+		t.Fatalf("cell panics = %d, want 1", n)
+	}
+	if _, err := p.Run(context.Background(), smallCells(6), Options{}); err != nil {
+		t.Fatalf("job after the panic: %v", err)
+	}
+}

@@ -90,6 +90,8 @@ func (m *Metrics) bindPool(p *runner.Pool) {
 		func() float64 { return float64(p.Stats().ClaimedCells) })
 	r.CounterFunc(MetricPrefix+"pool_cells_completed_total", "Cells ever finished.",
 		func() float64 { return float64(p.Stats().CompletedCells) })
+	r.CounterFunc(MetricPrefix+"cell_panics_total", "Cells whose run panicked (each fails its job).",
+		func() float64 { return float64(p.Stats().CellPanics) })
 }
 
 // jobFinished accounts one retired job.

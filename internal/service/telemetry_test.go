@@ -77,6 +77,7 @@ func TestMetricsScrapeEndToEnd(t *testing.T) {
 		`terpd_tenant_cells_total{tenant="acme"}`,
 		"terpd_pool_workers",
 		"terpd_pool_cells_completed_total",
+		"terpd_cell_panics_total",
 		"terpd_queue_wait_seconds_count",
 		"terpd_job_run_seconds_count",
 		"terpd_go_goroutines",
@@ -84,6 +85,9 @@ func TestMetricsScrapeEndToEnd(t *testing.T) {
 		if _, ok := first[name]; !ok {
 			t.Errorf("scrape missing series %s", name)
 		}
+	}
+	if v := first["terpd_cell_panics_total"]; v != 0 {
+		t.Errorf("cell panics = %v, want 0", v)
 	}
 	if v := first["terpd_jobs_submitted_total"]; v != 1 {
 		t.Errorf("jobs submitted = %v, want 1", v)
