@@ -104,19 +104,6 @@ func RunDOP(cfg params.Config, opt DOPOpts) (DOPResult, error) {
 		return rt.Counts.Randomizations + rt.Counts.AttachSyscalls
 	}
 
-	attach := func() error {
-		if cfg.Scheme == params.Unprotected {
-			return ctx.Attach(p, paging.ReadWrite)
-		}
-		return ctx.Attach(p, paging.ReadWrite)
-	}
-	detach := func() error {
-		if cfg.Scheme == params.Unprotected {
-			return nil
-		}
-		return ctx.Detach(p)
-	}
-
 	target := 0
 	gadget := func() {
 		// One arbitrary write via the corrupted locals: the attacker
@@ -166,13 +153,13 @@ func RunDOP(cfg params.Config, opt DOPOpts) (DOPResult, error) {
 		switch cfg.Scheme {
 		case params.Unprotected:
 			if round == 0 {
-				if err := attach(); err != nil {
+				if err := ctx.Attach(p, paging.ReadWrite); err != nil {
 					return res, err
 				}
 			}
 		case params.MM:
 			if round%mmBatch == 0 {
-				if err := attach(); err != nil {
+				if err := ctx.Attach(p, paging.ReadWrite); err != nil {
 					return res, err
 				}
 			}
@@ -189,7 +176,7 @@ func RunDOP(cfg params.Config, opt DOPOpts) (DOPResult, error) {
 
 		// PM section.
 		if cfg.Scheme != params.MM && cfg.Scheme != params.Unprotected {
-			if err := attach(); err != nil {
+			if err := ctx.Attach(p, paging.ReadWrite); err != nil {
 				return res, err
 			}
 		}
@@ -215,12 +202,12 @@ func RunDOP(cfg params.Config, opt DOPOpts) (DOPResult, error) {
 			}
 		}
 		if cfg.Scheme != params.MM && cfg.Scheme != params.Unprotected {
-			if err := detach(); err != nil {
+			if err := ctx.Detach(p); err != nil {
 				return res, err
 			}
 		}
 		if cfg.Scheme == params.MM && round%mmBatch == mmBatch-1 {
-			if err := detach(); err != nil {
+			if err := ctx.Detach(p); err != nil {
 				return res, err
 			}
 		}

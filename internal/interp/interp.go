@@ -62,12 +62,23 @@ type Machine struct {
 	MaxSteps uint64
 	// Steps counts executed instructions.
 	Steps uint64
+	// Interrupt, when set, is polled every pollSteps steps; a non-nil
+	// return stops the run with that error. The poll only observes: a
+	// run that completes is identical whether or not Interrupt was set.
+	Interrupt func() error
+	// stop is the step count past which the dispatch loops leave their
+	// one-comparison fast path: MaxSteps, or the next Interrupt poll
+	// when that comes first.
+	stop uint64
 
 	depth int
 }
 
 // MaxCallDepth bounds recursion.
 const MaxCallDepth = 256
+
+// pollSteps is how many steps run between Interrupt polls.
+const pollSteps = 1 << 16
 
 // New prepares a machine: persistent arrays are created as PMOs in the
 // runtime's manager (or reopened when they already exist, supporting
@@ -163,6 +174,7 @@ func (m *Machine) PMO(name string) (*pmo.PMO, bool) {
 // Run executes the named function with the given arguments and returns
 // its result.
 func (m *Machine) Run(fn string, args ...int64) (int64, error) {
+	m.setStop()
 	if m.linked != nil {
 		f, ok := m.linked.Func(fn)
 		if !ok {
@@ -175,6 +187,29 @@ func (m *Machine) Run(fn string, args ...int64) (int64, error) {
 		return 0, fmt.Errorf("%w: %q", ErrNoFunc, fn)
 	}
 	return m.call(f, args)
+}
+
+// setStop sets the step count at which the dispatch loops next leave
+// their fast path.
+func (m *Machine) setStop() {
+	m.stop = m.MaxSteps
+	if m.Interrupt != nil {
+		m.stop = min(m.stop, m.Steps+pollSteps)
+	}
+}
+
+// pastStop runs once Steps passes the stop: past MaxSteps the run fails
+// with ErrSteps; otherwise Interrupt is due, and when it returns nil the
+// next stop is set.
+func (m *Machine) pastStop() error {
+	if m.Steps > m.MaxSteps {
+		return ErrSteps
+	}
+	if err := m.Interrupt(); err != nil {
+		return err
+	}
+	m.setStop()
+	return nil
 }
 
 func (m *Machine) call(f *ir.Func, args []int64) (int64, error) {
@@ -194,8 +229,10 @@ func (m *Machine) call(f *ir.Func, args []int64) (int64, error) {
 	for {
 		for _, in := range b.Instrs {
 			m.Steps++
-			if m.Steps > m.MaxSteps {
-				return 0, ErrSteps
+			if m.Steps > m.stop {
+				if err := m.pastStop(); err != nil {
+					return 0, err
+				}
 			}
 			if err := m.exec(f, &in, regs); err != nil {
 				return 0, fmt.Errorf("%s b%d: %w", f.Name, b.ID, err)

@@ -99,8 +99,10 @@ func (m *Machine) execLinked(f *ir.LFunc, regs []int64) (int64, error) {
 		in := &code[pc]
 		if in.Op < ir.LJmp {
 			m.Steps++
-			if m.Steps > m.MaxSteps {
-				return 0, ErrSteps
+			if m.Steps > m.stop {
+				if err := m.pastStop(); err != nil {
+					return 0, err
+				}
 			}
 		}
 		switch in.Op {

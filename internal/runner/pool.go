@@ -124,7 +124,7 @@ func (p *Pool) Workers() int { return p.workers }
 // (results[i] belongs to cells[i]); the returned error joins every cell
 // error with errors.Join, and each cell's error also stays in its
 // result. Cancelling ctx stops the job between cells and interrupts
-// long-running whisper cells at operation granularity: Run stops
+// long-running whisper and SPEC cells mid-cell (see RunCellCtx): Run stops
 // claiming the job's remaining cells, waits for its in-flight cells to
 // drain — so no pool goroutine touches the job's state after Run
 // returns — and returns ctx.Err().

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ir"
 	"repro/internal/params"
+	"repro/internal/speckit"
 )
 
 // TestPoolMatchesExecute: a grid run on a shared pool is identical —
@@ -355,14 +357,32 @@ func TestPoolRoundRobinFairness(t *testing.T) {
 	}
 }
 
-// TestPoolCellPanicFailsOnlyItsJob: a cell that panics (a SPEC cell with a
-// negative thread count overflows a slice length) fails its own job with
-// an error naming the cell. A job running beside it on the same workers
-// is unaffected, the pool counts the panic, and later jobs still run.
+// seedMalformed makes cache serve c's kernel as a linked program whose
+// entry writes a register its frame does not have, so every thread that
+// runs c panics with an index out of range.
+func seedMalformed(cache *ProgCache, c Cell) {
+	opt, insert := speckit.InsertOptions(c.Config())
+	e := &progEntry{linked: &ir.Linked{
+		Prog:  &ir.Program{},
+		Funcs: []*ir.LFunc{{Name: "worker", Code: []ir.LInstr{{Op: ir.Const, Dst: 0}}}},
+		Index: map[string]int{"worker": 0},
+	}}
+	e.once.Do(func() {})
+	cache.entries[progKey{kernel: c.Workload, scale: c.Scale, insert: insert, opt: opt}] = e
+}
+
+// TestPoolCellPanicFailsOnlyItsJob: a cell that panics (a 4-thread SPEC
+// cell whose cached program is malformed) fails its own job with an
+// error naming the cell. A job running beside it on the same workers is
+// unaffected, the pool counts the panic, and later jobs still run.
 func TestPoolCellPanicFailsOnlyItsJob(t *testing.T) {
-	p := newPool(2, NewProgCache())
+	cache := NewProgCache()
+	p := newPool(2, cache)
 	defer p.Close()
-	bad := Cell{Exp: "t", Kind: Spec, Workload: "lbm", Scheme: params.TT, EWMicros: 40, Seed: 1, Scale: 1, Threads: -1}
+	// Scale 2 keeps the malformed entry apart from the healthy job's
+	// scale-1 lbm cells, which share the cache.
+	bad := Cell{Exp: "t", Kind: Spec, Workload: "lbm", Scheme: params.TT, EWMicros: 40, Seed: 1, Scale: 2, Threads: 4}
+	seedMalformed(cache, bad)
 	healthy := smallCells(5)
 	want, err := runBatch(1, healthy, Options{})
 	if err != nil {

@@ -151,10 +151,12 @@ func RunCell(c Cell, cache *ProgCache) (CellResult, error) {
 // result carries its CellObs payload; the instrumented run charges the
 // same simulated cycles as a plain one — collection only observes, never
 // charges. The cell is skipped when ctx is already done, and whisper
-// cells additionally poll ctx between operation batches so a cancelled
-// grid stops mid-cell instead of simulating to completion. Cancellation
+// and SPEC cells additionally poll ctx while they run (whisper every
+// 1,024 operations, each SPEC thread's interpreter every 2^16 steps), so
+// a cancelled grid stops mid-cell instead of simulating to completion.
+// Crash and litmus cells are capped in size and do not poll. Cancellation
 // never alters results — a cell either runs to completion with
-// byte-identical output or fails with ctx.Err().
+// byte-identical output or fails with an error that wraps ctx.Err().
 func RunCellCtx(ctx context.Context, c Cell, cache *ProgCache, ocfg obs.Config) (CellResult, error) {
 	if cache == nil {
 		cache = DefaultCache
@@ -207,7 +209,7 @@ func RunCellCtx(ctx context.Context, c Cell, cache *ProgCache, ocfg obs.Config) 
 		if err != nil {
 			return out, err
 		}
-		res, err := speckit.RunLinked(cfg, k, linked, speckit.RunOpts{Threads: c.Threads, OnRuntime: onRuntime})
+		res, err := speckit.RunLinked(cfg, k, linked, speckit.RunOpts{Threads: c.Threads, OnRuntime: onRuntime, Interrupt: ctx.Err})
 		out.Result = res
 		snapshot()
 		return out, err

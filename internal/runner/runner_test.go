@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/params"
 	"repro/internal/speckit"
 )
@@ -167,6 +168,15 @@ func TestProgCacheCompilesOncePerKey(t *testing.T) {
 	}
 	if _, misses := cache.Stats(); misses != 2 {
 		t.Fatalf("misses = %d after MM compile, want 2", misses)
+	}
+}
+
+// TestRunCellNegativeThreadsFails: a SPEC cell with a negative thread
+// count fails with an error naming the count instead of panicking.
+func TestRunCellNegativeThreadsFails(t *testing.T) {
+	_, err := RunCellCtx(context.Background(), Cell{Kind: Spec, Workload: "lbm", Scale: 1, Threads: -1}, NewProgCache(), obs.Config{})
+	if err == nil || !strings.Contains(err.Error(), "negative thread count -1") {
+		t.Fatalf("err = %v, want the negative thread count named", err)
 	}
 }
 

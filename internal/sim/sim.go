@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package sim provides the deterministic timing substrate of the TERP
 // reproduction: simulated per-thread clocks, a cooperative scheduler that
 // interleaves simulated threads in global time order, a seeded random
@@ -8,6 +10,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 )
@@ -129,10 +132,14 @@ type Thread struct {
 	// thread interleavings track global time.
 	yieldBudget uint64
 
-	turn chan struct{}
 	done bool
 	body func(*Thread)
 	err  error
+	// resume and stop drive the thread's coroutine from Machine.Run;
+	// yield, called inside it, hands Run the thread to resume next.
+	resume func() (*Thread, bool)
+	stop   func()
+	yield  func(*Thread) bool
 }
 
 // maxChargeStep bounds how far a machine-scheduled thread's clock may
@@ -181,9 +188,9 @@ func (t *Thread) AdvanceTo(c uint64, a Account) {
 
 // Yield ends the thread's turn: the thread itself picks the next thread
 // to run. When it still holds the minimum clock it keeps running with no
-// goroutine switch; otherwise it wakes the next thread and parks until a
-// later pick resumes it. On threads that are not machine-scheduled it is
-// a no-op.
+// switch; otherwise its coroutine yields the pick to Machine.Run, which
+// resumes that thread, and this one stays parked until a later pick. On
+// threads that are not machine-scheduled it is a no-op.
 func (t *Thread) Yield() {
 	m := t.machine
 	if m == nil {
@@ -192,29 +199,27 @@ func (t *Thread) Yield() {
 	t.yieldBudget = 0
 	next := m.pick()
 	m.dispatch(next)
-	if next == t {
-		return
-	}
-	next.turn <- struct{}{}
-	if _, ok := <-t.turn; !ok {
-		// The run is over: detach from the machine so Yields made by
-		// deferred calls while unwinding return at once, then unwind.
+	if next != t && !t.yield(next) {
+		// Run stopped this coroutine after another thread's panic:
+		// detach from the machine so Yields made by deferred calls
+		// while unwinding return at once, then unwind.
 		t.machine = nil
 		panic(errUnwound)
 	}
 }
 
 // errUnwound is the panic that unwinds a parked thread once another
-// thread's panic has ended the run (see Machine.unwind).
+// thread's panic has ended the run (see Machine.Run).
 var errUnwound = errors.New("sim: run ended by another thread's panic")
 
 // Machine is a deterministic cooperative scheduler for simulated threads.
 // It always resumes the unfinished thread with the smallest local clock,
 // so the interleaving of cross-thread events is a deterministic function
-// of the per-thread cycle charges. There is no scheduler goroutine: the
-// thread that yields or finishes picks its successor and hands it the
-// CPU directly, so one thread goroutine runs at a time and the channel
-// handoff orders every access to the machine state. Hardware
+// of the per-thread cycle charges. Each thread runs as an iter.Pull
+// coroutine that Run resumes: a thread that yields picks its successor
+// and hands the pick back to Run, and when a body returns Run picks the
+// next thread itself. Only one coroutine or Run runs at a time, and the
+// coroutine switches order every access to the machine state. Hardware
 // "background" work (the circular buffer timer sweep) is driven by hooks
 // invoked as global time advances.
 type Machine struct {
@@ -223,9 +228,6 @@ type Machine struct {
 	Rand *rand.Rand
 
 	quantum uint64
-	// end carries the thread that ends the run to Run: the last one to
-	// finish, or the first one to panic.
-	end chan *Thread
 
 	// tick is called with the new global low-water-mark time whenever
 	// it advances; the TERP hardware uses it to run timer sweeps.
@@ -249,7 +251,6 @@ func NewMachine(seed int64, quantum uint64) *Machine {
 	return &Machine{
 		Rand:    rand.New(rand.NewSource(seed)),
 		quantum: quantum,
-		end:     make(chan *Thread),
 		lastRun: -1,
 	}
 }
@@ -263,7 +264,6 @@ func (m *Machine) AddThread(body func(*Thread)) *Thread {
 	t := &Thread{
 		ID:      len(m.Threads),
 		machine: m,
-		turn:    make(chan struct{}),
 		body:    body,
 	}
 	m.Threads = append(m.Threads, t)
@@ -279,15 +279,39 @@ func (m *Machine) Run() uint64 {
 		return 0
 	}
 	for _, t := range m.Threads {
-		go m.run(t)
+		t.resume, t.stop = iter.Pull(func(yield func(*Thread) bool) {
+			defer func() {
+				if r := recover(); r != nil && r != errUnwound {
+					t.err = fmt.Errorf("sim thread %d: %v", t.ID, r)
+				}
+				t.done = true
+			}()
+			t.yield = yield
+			t.body(t)
+		})
 	}
-	// All threads start parked on their turn channel; wake the first.
-	first := m.pick()
-	m.dispatch(first)
-	first.turn <- struct{}{}
-	if t := <-m.end; t.err != nil {
-		m.unwind()
-		panic(t.err)
+	// Stopping a finished thread does nothing, one that never started
+	// never runs its body, and a parked one unwinds out of its Yield.
+	defer func() {
+		for _, t := range m.Threads {
+			t.stop()
+		}
+	}()
+	next := m.pick()
+	m.dispatch(next)
+	for next != nil {
+		// t runs until it yields the thread to resume next, or until
+		// its body ends and resume returns nil.
+		t := next
+		if next, _ = t.resume(); next != nil {
+			continue
+		}
+		if t.err != nil {
+			panic(t.err)
+		}
+		if next = m.pick(); next != nil {
+			m.dispatch(next)
+		}
 	}
 	var end uint64
 	for _, t := range m.Threads {
@@ -296,34 +320,6 @@ func (m *Machine) Run() uint64 {
 		}
 	}
 	return end
-}
-
-// run is thread t's goroutine. A thread whose body returns hands the CPU
-// on like a Yield; the last thread to finish, one that panicked and one
-// unwound after another's panic report to Run instead.
-func (m *Machine) run(t *Thread) {
-	handedOff := false
-	defer func() {
-		if handedOff {
-			return
-		}
-		if r := recover(); r != nil && r != errUnwound {
-			t.err = fmt.Errorf("sim thread %d: %v", t.ID, r)
-		}
-		t.done = true
-		m.end <- t
-	}()
-	if _, ok := <-t.turn; !ok {
-		return
-	}
-	t.body(t)
-	t.done = true
-	// A nil machine means the body recovered from its own unwinding.
-	if next := m.pick(); next != nil && t.machine != nil {
-		m.dispatch(next)
-		next.turn <- struct{}{}
-		handedOff = true
-	}
 }
 
 // pick returns the unfinished thread with the minimum clock, ties going
@@ -351,19 +347,6 @@ func (m *Machine) dispatch(next *Thread) {
 		m.SwitchHook(next.Clock, next.ID)
 	}
 	m.lastRun = next.ID
-}
-
-// unwind ends the threads still parked after one panicked, one at a
-// time, so the re-raised panic leaks no goroutine. Closing a thread's
-// turn channel skips a body that never started and panics a parked one
-// out of its Yield; unwind waits for each to finish before the next.
-func (m *Machine) unwind() {
-	for _, t := range m.Threads {
-		if !t.done {
-			close(t.turn)
-			<-m.end
-		}
-	}
 }
 
 // Now returns the minimum clock across unfinished threads — the global

@@ -258,8 +258,11 @@ func TestMachineMinTimeOrdering(t *testing.T) {
 	}
 }
 
+// TestMachineDeterminism: two runs of the same four threads end at the
+// same clocks, and each run leaves no thread goroutine behind.
 func TestMachineDeterminism(t *testing.T) {
 	run := func() []uint64 {
+		before := runtime.NumGoroutine()
 		m := NewMachine(42, 25)
 		var ends []uint64
 		for i := 0; i < 4; i++ {
@@ -272,6 +275,7 @@ func TestMachineDeterminism(t *testing.T) {
 			})
 		}
 		m.Run()
+		waitGoroutines(t, before)
 		return ends
 	}
 	a, b := run(), run()
@@ -315,22 +319,69 @@ func TestMachineTotalCosts(t *testing.T) {
 	}
 }
 
+// TestMachinePanicPropagates: Run re-raises a thread's panic as "sim
+// thread N: <value>" and leaves no thread goroutine behind. In the second
+// case thread 0 parks in Charge and recovers from its own unwinding, so
+// its body returns normally while thread 2 is still unfinished; Run must
+// neither hang nor hand the CPU on to thread 2.
 func TestMachinePanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic to propagate")
-		}
-	}()
-	m := NewMachine(1, 100)
-	m.AddThread(func(th *Thread) { panic("boom") })
-	m.Run()
+	ranOn := false
+	for _, tc := range []struct {
+		name   string
+		bodies []func(*Thread)
+		want   string
+	}{
+		{"lone thread", []func(*Thread){func(th *Thread) { panic("boom") }}, "sim thread 0: boom"},
+		{"parked thread recovers", []func(*Thread){
+			func(th *Thread) {
+				defer func() { recover() }()
+				th.Charge(Base, 20)
+			},
+			func(th *Thread) { panic("boom") },
+			func(th *Thread) { ranOn = true },
+		}, "sim thread 1: boom"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			m := NewMachine(1, 10)
+			for _, body := range tc.bodies {
+				m.AddThread(body)
+			}
+			func() {
+				defer func() {
+					if r := recover(); fmt.Sprint(r) != tc.want {
+						t.Fatalf("recovered %v, want %q", r, tc.want)
+					}
+				}()
+				m.Run()
+			}()
+			if ranOn {
+				t.Error("a thread that never started ran after another thread panicked")
+			}
+			waitGoroutines(t, before)
+		})
+	}
+}
+
+// waitGoroutines fails t unless the goroutine count falls back to before
+// within 5 s. Each thread runs on a goroutine of its own, so a count that
+// stays higher is a leaked thread.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines after Run = %d, want <= %d (thread leak)", n, before)
+	}
 }
 
 // TestMachinePanicUnwindsThreads: when Run re-raises a thread's panic,
-// the other threads' goroutines must not stay blocked on their turn
-// channels. They cover the three places a live thread can be parked: in
-// a deferred Yield, in a Yield whose caller defers another, and before
-// its body ever started. None of them may run on past its park.
+// the other threads' coroutines must not stay parked. They cover the
+// three places a live thread can be parked: in a deferred Yield, in a
+// Yield whose caller defers another, and before its body ever started.
+// None of them may run on past its park.
 func TestMachinePanicUnwindsThreads(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ranOn := false

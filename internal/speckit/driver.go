@@ -21,11 +21,16 @@ const deviceSize = 1 << 30
 // RunOpts configures one kernel run. The kernel's scale is fixed when
 // it is built (see Build).
 type RunOpts struct {
-	// Threads is the worker count (1 or the paper's 4); 0 means 1.
+	// Threads is the worker count (1 or the paper's 4); 0 means 1, and
+	// a negative count is an error.
 	Threads int
 	// OnRuntime, when set, is called with the freshly built runtime
 	// before the run (tracing, inspection).
 	OnRuntime func(*core.Runtime)
+	// Interrupt, when set, is polled by every thread's interpreter (see
+	// interp.Machine.Interrupt); a non-nil return stops that thread,
+	// and the run fails with the error.
+	Interrupt func() error
 }
 
 // InsertOptions returns the insertion pass options the configuration's
@@ -89,6 +94,9 @@ func RunLinked(cfg params.Config, k Kernel, l *ir.Linked, opts RunOpts) (core.Re
 // executes the kernel with interpreters supplied by newMachine — the one
 // place the single- and multi-thread drive logic lives.
 func runWith(cfg params.Config, k Kernel, pmoNames []string, opts RunOpts, newMachine func(*core.ThreadCtx) (*interp.Machine, error)) (core.Result, error) {
+	if opts.Threads < 0 {
+		return core.Result{}, fmt.Errorf("speckit %s: negative thread count %d", k.Name, opts.Threads)
+	}
 	if opts.Threads == 0 {
 		opts.Threads = 1
 	}
@@ -104,6 +112,7 @@ func runWith(cfg params.Config, k Kernel, pmoNames []string, opts RunOpts, newMa
 		if err != nil {
 			return core.Result{}, err
 		}
+		m.Interrupt = opts.Interrupt
 		if cfg.Scheme == params.Unprotected {
 			if err := preAttach(ctx, m, pmoNames); err != nil {
 				return core.Result{}, err
@@ -128,6 +137,7 @@ func runWith(cfg params.Config, k Kernel, pmoNames []string, opts RunOpts, newMa
 				errs[t] = err
 				return
 			}
+			m.Interrupt = opts.Interrupt
 			if first == nil {
 				first = m
 			} else {

@@ -1,6 +1,8 @@
 package speckit
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -219,5 +221,48 @@ func TestFourThreadWindowsBounded(t *testing.T) {
 	if res.Exposure.AvgEW > 1.1*target || res.Exposure.AvgEW < 0.5*target {
 		t.Fatalf("4-thread avg EW %.0f not near target %.0f",
 			res.Exposure.AvgEW, target)
+	}
+}
+
+// TestInterruptStopsEveryThread: on either engine, an Interrupt that
+// never fails leaves a run's result unchanged, and one that fails stops
+// every thread at its own first poll, each returning the error, so the
+// run's error wraps it.
+func TestInterruptStopsEveryThread(t *testing.T) {
+	k, err := ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := params.NewConfig(params.TT, params.DefaultEWMicros)
+	opt, insert := InsertOptions(cfg)
+	prog, err := Build(k, 1, insert, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := ir.Link(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := map[string]func(RunOpts) (core.Result, error){
+		"linked": func(o RunOpts) (core.Result, error) { return RunLinked(cfg, k, l, o) },
+		"block":  func(o RunOpts) (core.Result, error) { return RunProgram(cfg, k, prog, o) },
+	}
+	for name, run := range engines {
+		for _, threads := range []int{1, 4} {
+			want, err := run(RunOpts{Threads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			polls := 0
+			got, err := run(RunOpts{Threads: threads, Interrupt: func() error { polls++; return nil }})
+			if err != nil || got != want || polls == 0 {
+				t.Fatalf("%s, %d threads, passing Interrupt: err %v, result equal %v, %d polls; want nil, true, > 0", name, threads, err, got == want, polls)
+			}
+			polls = 0
+			_, err = run(RunOpts{Threads: threads, Interrupt: func() error { polls++; return context.Canceled }})
+			if !errors.Is(err, context.Canceled) || polls != threads {
+				t.Fatalf("%s, %d threads, failing Interrupt: err %v after %d polls; want context.Canceled after %d", name, threads, err, polls, threads)
+			}
+		}
 	}
 }

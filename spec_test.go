@@ -7,6 +7,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -162,6 +163,32 @@ func TestRunContextCancelMidGrid(t *testing.T) {
 	}
 	if cells, _ := spec.Cells(); seen >= len(cells) {
 		t.Fatalf("all %d cells ran despite cancellation", len(cells))
+	}
+}
+
+// TestRunContextCancelStopsSpecCells: a SPEC grid far too large to
+// finish returns the context error soon after its deadline, since every
+// thread's interpreter polls ctx. fig11 runs 4-thread cells and table4
+// single-thread ones. Without the poll each ran on for seconds (fig11
+// 9.4 s, table4 3.8 s); with it both return within a few milliseconds,
+// so the bound leaves headroom for the race detector.
+func TestRunContextCancelStopsSpecCells(t *testing.T) {
+	const bound = time.Second
+	for _, name := range []string{"fig11", "table4"} {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			_, err := RunOn(ctx, nil, ExperimentSpec{Name: name, Opts: ExpOpts{Scale: 200}, Parallel: 1})
+			deadline, _ := ctx.Deadline()
+			late := time.Since(deadline)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("RunOn error = %v, want context.DeadlineExceeded", err)
+			}
+			t.Logf("returned %v after the deadline", late)
+			if late > bound {
+				t.Fatalf("RunOn returned %v after the deadline, want at most %v", late, bound)
+			}
+		})
 	}
 }
 
