@@ -6,9 +6,9 @@
 //
 // Schemes: base (unprotected), MM, TM, TT, basic, +cond, +cb. The run is
 // one experiment cell (internal/runner), so it measures exactly what the
-// same cell measures inside a grid. -ew must be at least 2 us, -threads
-// at least 1, and -ops and -scale not negative (0 selects the default).
-// -trace N turns on the obs event recorder and
+// same cell measures inside a grid. -ew must be a finite number of at
+// least 2 us, -threads at least 1, and -ops and -scale not negative (0
+// selects the default). -trace N turns on the obs event recorder and
 // prints the last N protection events (attach, grant, revoke, fault, ...)
 // as a timeline.
 package main
@@ -42,7 +42,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if math.IsNaN(*ew) || *ew < params.MinEWMicros {
+	if math.IsNaN(*ew) || math.IsInf(*ew, 0) {
+		fail(fmt.Errorf("-ew %g is not a finite number", *ew))
+	}
+	if *ew < params.MinEWMicros {
 		fail(fmt.Errorf("-ew %g is below the %g us minimum exposure window target", *ew, float64(params.MinEWMicros)))
 	}
 	if *threads < 1 {

@@ -3,16 +3,22 @@ package crash
 import "testing"
 
 // benchSpecs are the crash-grid cells BenchmarkCrashRun measures at their
-// default length: the hashmap workload, 8 points each, crashed at every
-// 23rd fence under strict ordering (one pass) and at a seeded-random
-// sample under adversarial ordering (a counting pass, then a replay that
-// stops after the last sampled point).
+// default length, 8 points each: crashed at every 23rd fence under strict
+// ordering (one pass) and at a seeded-random sample under adversarial
+// ordering (a counting pass, then a replay that stops after the last
+// sampled point). The hashmap cells audit a preloaded hash table, tpcc
+// its order and line arrays, and echo its record area and an index that
+// starts empty. TestCrashRunAllocatesUnderOneMBPerPoint runs the first.
 var benchSpecs = []struct {
 	name string
 	spec Spec
 }{
 	{"fence-strict", Spec{Workload: "hashmap", Ops: 400, Seed: 1, Policy: FencePolicy, Every: 23, Points: 8}},
 	{"random-adv", Spec{Workload: "hashmap", Ops: 400, Seed: 1, Policy: RandomPolicy, Points: 8, Adversarial: true}},
+	{"tpcc-fence-strict", Spec{Workload: "tpcc", Ops: 400, Seed: 1, Policy: FencePolicy, Every: 23, Points: 8}},
+	{"tpcc-random-adv", Spec{Workload: "tpcc", Ops: 400, Seed: 1, Policy: RandomPolicy, Points: 8, Adversarial: true}},
+	{"echo-fence-strict", Spec{Workload: "echo", Ops: 400, Seed: 1, Policy: FencePolicy, Every: 23, Points: 8}},
+	{"echo-random-adv", Spec{Workload: "echo", Ops: 400, Seed: 1, Policy: RandomPolicy, Points: 8, Adversarial: true}},
 }
 
 func BenchmarkCrashRun(b *testing.B) {

@@ -61,3 +61,42 @@ func (d *Device) MapImage(img *Image) error {
 	d.base = img.dev
 	return nil
 }
+
+// A Span is the byte range [Lo, Hi).
+type Span struct{ Lo, Hi uint64 }
+
+// ChangedPages appends to dst, in ascending order, the parts of the byte
+// range [off, off+n) that lie on a changed page: a page d reads, through
+// its base chain, from another backing page than img holds. A nil img
+// stands for never-written pages, which are zero and have no backing page.
+// Adjacent changed pages make one span.
+//
+// An unchanged page holds img's bytes. Image pages never change, and a
+// device copies a page before its first write to it, so d reads img's
+// page only while nothing has written that page since d mapped img, and
+// reads no page at all only while nothing has written it (a whole-page
+// Zero drops the page again). The converse does not hold: a changed page
+// may hold img's bytes, as a page d held when it mapped img does.
+func (d *Device) ChangedPages(dst []Span, img *Image, off, n uint64) []Span {
+	start := len(dst)
+	for pn := off / pageSize; n > 0 && pn*pageSize < off+n; pn++ {
+		p := d.lookup(pn)
+		if p == nil {
+			p = d.borrowed(pn)
+		}
+		var want *[pageSize]byte
+		if img != nil {
+			want = img.dev.lookup(pn)
+		}
+		if p == want {
+			continue
+		}
+		lo, hi := max(off, pn*pageSize), min(off+n, (pn+1)*pageSize)
+		if k := len(dst); k > start && dst[k-1].Hi == lo {
+			dst[k-1].Hi = hi
+		} else {
+			dst = append(dst, Span{lo, hi})
+		}
+	}
+	return dst
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -292,4 +293,85 @@ func TestMapImageCostIndependentOfPages(t *testing.T) {
 	if one, many := allocs(1), allocs(512); many != one || many != 0 {
 		t.Fatalf("MapImage allocations: %v for 512 pages, %v for one; want none for both", many, one)
 	}
+}
+
+// TestChangedPages: a page counts as changed against an image once the
+// device reads it from a backing page other than the image's: after a
+// write (a fresh page, or the copy of an image page), in a crash view
+// that patched a buffered line into it or that recovery wrote, after
+// Restore, and where the device held the page when it mapped the image.
+// It counts as unchanged while the device reads it through to the image,
+// and, against no image, while it was never written or a whole-page Zero
+// dropped it. Spans are clipped to the range, ascending, and merge
+// adjacent pages but not a span dst already held.
+func TestChangedPages(t *testing.T) {
+	page := func(pn uint64) Span { return Span{pn * pageSize, (pn + 1) * pageSize} }
+	check := func(name string, got []Span, want ...Span) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: changed %v, want %v", name, got, want)
+		}
+	}
+	// The image covers pages 1 to 4 but holds no page 3, which is all zero.
+	words := make([]uint64, 4*pageSize/8)
+	for i := range words {
+		if i*8/pageSize != 2 {
+			words[i] = uint64(i) + 1
+		}
+	}
+	img := NewImage(words, pageSize)
+
+	d := NewDevice(NVM, 16*pageSize)
+	d.Write8(pageSize+8, 7) // held when the image is mapped
+	if err := d.MapImage(img); err != nil {
+		t.Fatal(err)
+	}
+	check("mapped", d.ChangedPages(nil, img, pageSize, 4*pageSize), page(1))
+	d.Write8(4*pageSize, 9) // copies an image page
+	check("copy-on-write", d.ChangedPages(nil, img, pageSize, 4*pageSize), page(1), page(4))
+	check("clipped", d.ChangedPages(nil, img, pageSize+100, 4*pageSize-200),
+		Span{pageSize + 100, 2 * pageSize}, Span{4 * pageSize, 5*pageSize - 100})
+	d.Write8(2*pageSize, 1) // joins page 1's span
+	check("merged", d.ChangedPages(nil, img, pageSize, 4*pageSize), Span{pageSize, 3 * pageSize}, page(4))
+	check("appended", d.ChangedPages([]Span{page(0)}, img, pageSize, pageSize), page(0), page(1))
+	check("empty range", d.ChangedPages(nil, img, pageSize+8, 0))
+
+	// Against no image: never written, written, and dropped by Zero.
+	d.Write8(7*pageSize, 1)
+	d.Write8(8*pageSize, 1)
+	if err := d.Zero(8*pageSize, pageSize); err != nil {
+		t.Fatal(err)
+	}
+	check("no image", d.ChangedPages(nil, nil, 6*pageSize, 4*pageSize), page(7))
+	check("image pages against no image", d.ChangedPages(nil, nil, 3*pageSize, 2*pageSize), page(4))
+	if err := d.Zero(3*pageSize, pageSize); err != nil { // the image's zero page: nothing to copy
+		t.Fatal(err)
+	}
+	check("zeroed zero page", d.ChangedPages(nil, img, 3*pageSize, pageSize))
+
+	// A crash view: a buffered line is patched into a page of its own,
+	// recovery writes copy a page, the rest reads through to the image.
+	e := NewDevice(NVM, 16*pageSize)
+	if err := e.MapImage(img); err != nil {
+		t.Fatal(err)
+	}
+	e.EnablePersistBuffer(0)
+	e.Write8(2*pageSize+64, 5)
+	v := e.CrashView(nil)
+	if v.lookup(2) == nil {
+		t.Fatal("the view holds no copy of the page with the buffered line")
+	}
+	check("view", v.ChangedPages(nil, img, pageSize, 4*pageSize), page(2))
+	v.Write8(4*pageSize+8, 3)
+	check("recovery write", v.ChangedPages(nil, img, pageSize, 4*pageSize), page(2), page(4))
+	check("live device under the view", e.ChangedPages(nil, img, pageSize, 4*pageSize), page(2))
+
+	// Restore leaves the device holding every page it restores.
+	f := NewDevice(NVM, 16*pageSize)
+	if err := f.MapImage(img); err != nil {
+		t.Fatal(err)
+	}
+	check("read through", f.ChangedPages(nil, img, pageSize, 4*pageSize))
+	f.Restore(f.Snapshot())
+	check("restored", f.ChangedPages(nil, img, pageSize, 4*pageSize), Span{pageSize, 3 * pageSize}, page(4))
 }

@@ -402,6 +402,19 @@ func (p *PMO) MapImage(img *nvm.Image) error {
 	return p.mgr.dev.MapImage(img)
 }
 
+// ChangedPages is nvm.Device.ChangedPages over PMO offsets: it appends the
+// parts of [off, off+n) that lie on pages the PMO's device does not read
+// from img's backing pages (from no page, for a nil img).
+func (p *PMO) ChangedPages(dst []nvm.Span, img *nvm.Image, off, n uint64) []nvm.Span {
+	start := len(dst)
+	dst = p.mgr.dev.ChangedPages(dst, img, p.DevOff+off, n)
+	for i := range dst[start:] {
+		dst[start+i].Lo -= p.DevOff
+		dst[start+i].Hi -= p.DevOff
+	}
+	return dst
+}
+
 // Write8 writes a 64-bit word at the PMO offset.
 func (p *PMO) Write8(off uint64, v uint64) error {
 	if off+8 > p.Size {

@@ -37,7 +37,8 @@ type Hash struct {
 	cap  uint64 // number of slots (power of two)
 	log  *txn.Log
 
-	slots []uint64 // Audit's copy of the slot array, kept across audits
+	pre     *preload // the preloaded table, nil when not preloaded
+	scratch scratch  // Audit's, kept across audits
 }
 
 // NewHash allocates a hash table with the given power-of-two capacity.
@@ -139,42 +140,59 @@ var errHashFull = errors.New("whisper: hash full")
 // the log. The array is built once per process for each table placement
 // and key set, and mapped copy-on-write (nvm.Device.MapImage): every cell
 // with the same table reads it in place and copies only the pages it
-// writes. A device maps one image, so a machine preloads one table.
+// writes. A device maps one image, so a machine preloads one table. The
+// table keeps the image as the baseline its audits compare against.
 func (h *Hash) Preload(n, mul uint64) error {
-	img, err := preloadImage(preloadKey{off: h.p.DevOff + h.base, capacity: h.cap, n: n, mul: mul})
+	pl, err := preloadOf(preloadKey{off: h.p.DevOff + h.base, capacity: h.cap, n: n, mul: mul})
 	if err != nil {
 		return err
 	}
-	return h.p.MapImage(img)
+	if err := h.p.MapImage(pl.img); err != nil {
+		return err
+	}
+	h.pre = pl
+	return nil
 }
 
 // preloadKey is everything a preloaded slot array depends on: its device
 // offset, its capacity, the key count and the value multiplier.
 type preloadKey struct{ off, capacity, n, mul uint64 }
 
-// preloads memoizes Preload's slot arrays. An entry is immutable once
-// built, so concurrent cells share it; the hash workloads use three
-// (about 6 MB), and a process that runs none builds none. It is a cache
-// of a pure function, not a knob: nothing resets or toggles it.
+// A preload is one memoized preloaded slot array: its image, and the
+// outcome of auditing it, which the first audit that compares against it
+// computes.
+type preload struct {
+	key  preloadKey
+	img  *nvm.Image
+	once sync.Once
+	err  error // the image's own audit (see audit)
+}
+
+// preloads memoizes Preload's slot arrays. An entry's image is immutable
+// once built, and its audit is computed once, so concurrent cells share
+// it; the hash workloads use three (about 6 MB), and a process that runs
+// none builds none. It is a cache of a pure function, not a knob: nothing
+// resets or toggles it.
 var preloads = struct {
 	sync.Mutex
-	m map[preloadKey]*nvm.Image
-}{m: make(map[preloadKey]*nvm.Image)}
+	m map[preloadKey]*preload
+}{m: make(map[preloadKey]*preload)}
 
-// preloadImage returns the memoized slot array of k, building it on first
+// preloadOf returns the memoized slot array of k, building it on first
 // use.
-func preloadImage(k preloadKey) (*nvm.Image, error) {
+func preloadOf(k preloadKey) (*preload, error) {
 	preloads.Lock()
 	defer preloads.Unlock()
-	if img := preloads.m[k]; img != nil {
-		return img, nil
+	if pl := preloads.m[k]; pl != nil {
+		return pl, nil
 	}
 	img, err := buildPreload(k)
 	if err != nil {
 		return nil, err
 	}
-	preloads.m[k] = img
-	return img, nil
+	pl := &preload{key: k, img: img}
+	preloads.m[k] = pl
+	return pl, nil
 }
 
 // buildPreload inserts keys 1..k.n, key holding k.mul*key, into an empty
@@ -199,60 +217,214 @@ func buildPreload(k preloadKey) (*nvm.Image, error) {
 	return nvm.NewImage(slots, k.off), nil
 }
 
+// audit returns the outcome of Audit's checks on the preloaded table
+// itself, with its largest key, key.n, as the key bound and no value
+// check; it passes under any larger bound too. The first call runs them,
+// on a device that maps the image, against the all-empty table.
+func (pl *preload) audit() error {
+	pl.once.Do(func() {
+		lo, hi := pl.img.Range()
+		d := nvm.NewDevice(nvm.NVM, hi)
+		if pl.err = d.MapImage(pl.img); pl.err == nil {
+			pl.err = auditSlots(d, lo, pl.key.capacity, nil, pl.key.n, nil, new(scratch))
+		}
+	})
+	return pl.err
+}
+
 // Audit validates the table's durable state in a reopened PMO p: every
 // occupied slot holds a key in [1, maxKey] that is reachable by linear
 // probing from its home slot (no holes torn into probe chains, no
 // duplicates). val, when non-nil, additionally validates each occupied
-// slot's value. It reads the slot array once, in bulk.
+// slot's value. It returns the first violation in slot order.
+//
+// It checks only the slots that can differ from a baseline that passes
+// these checks: the preloaded table, when there is one, val is nil and
+// the preload passes them under this key bound, and otherwise the
+// all-empty table, which passes any. See auditSlots.
 func (h *Hash) Audit(p *pmo.PMO, maxKey uint64, val func(key, v uint64) error) error {
-	slots, err := readWords(p, &h.slots, h.base, 2*h.cap)
-	if err != nil {
-		return err
+	var img *nvm.Image
+	if pl := h.pre; pl != nil && val == nil && maxKey >= pl.key.n && pl.audit() == nil {
+		img = pl.img
 	}
-	for s := uint64(0); s < h.cap; s++ {
-		k := slots[2*s]
-		if k == 0 {
-			continue
-		}
-		if k > maxKey {
-			return fmt.Errorf("whisper: hash slot %d key %d out of range", s, k)
-		}
-		if val != nil {
-			if err := val(k, slots[2*s+1]); err != nil {
+	return auditSlots(p, h.base, h.cap, img, maxKey, val, &h.scratch)
+}
+
+// words is what an audit reads: a PMO, or the device a baseline image is
+// mapped into, at offsets of its own.
+type words interface {
+	Read8(off uint64) (uint64, error)
+	ReadWords(dst []uint64, off uint64) error
+	ChangedPages(dst []nvm.Span, img *nvm.Image, off, n uint64) []nvm.Span
+}
+
+// scratch is what an audit reuses across calls: the changed spans and a
+// page of words, allocated by the first audit.
+type scratch struct {
+	spans []nvm.Span
+	words []uint64
+}
+
+// page returns a page of words.
+func (sc *scratch) page() []uint64 {
+	if sc.words == nil {
+		sc.words = make([]uint64, 512)
+	}
+	return sc.words
+}
+
+// auditSlots runs Audit's checks on the slot array of capacity slots at
+// offset base of t, whose durable state differs from the baseline img (a
+// table of the same placement that passes the checks; nil for the
+// all-empty table) only on the pages t.ChangedPages reports. It checks,
+// in ascending slot order, every slot on a changed page and, from the end
+// of each changed page, every occupied slot up to the first empty one,
+// wrapping past the table's end. It returns the first violation.
+//
+// Every other slot passes, so the first violation is the one a check of
+// every slot reports. Such a slot s lies on an unchanged page and holds
+// its baseline key k. Its check reads the slots of k's probe walk, from
+// its home slot up to s. If none of them is on a changed page, every
+// byte the check reads is the baseline's, and the baseline passed. If
+// one is, take the last changed page the walk crosses: the walk's slots
+// after it are on unchanged pages and occupied in the baseline, which
+// passed, so they and s are occupied now, and s is in that page's run.
+func auditSlots(t words, base, capacity uint64, img *nvm.Image, maxKey uint64, val func(key, v uint64) error, sc *scratch) error {
+	mask := capacity - 1
+	key := func(s uint64) (uint64, error) { return t.Read8(base + (s&mask)*16) }
+	// check checks the slots [lo, hi), below capacity, a page at a time.
+	// A probe walk reads the page's slots from the page and others from t.
+	check := func(lo, hi uint64) error {
+		page := sc.page()
+		for ; lo < hi; lo += uint64(len(page)) / 2 {
+			slots := page[:2*min(hi-lo, uint64(len(page))/2)]
+			if err := t.ReadWords(slots, base+16*lo); err != nil {
 				return err
 			}
+			for j := 0; j < len(slots); j += 2 {
+				k, s := slots[j], lo+uint64(j/2)
+				if k == 0 {
+					continue
+				}
+				if k > maxKey {
+					return fmt.Errorf("whisper: hash slot %d key %d out of range", s, k)
+				}
+				if val != nil {
+					if err := val(k, slots[j+1]); err != nil {
+						return err
+					}
+				}
+				reachable := false
+				for probe := uint64(0); probe < capacity; probe++ {
+					i := (mix(k) + probe) & mask
+					if i == s {
+						reachable = true
+						break
+					}
+					var kk uint64
+					if lo <= i && i < s {
+						kk = slots[2*(i-lo)]
+					} else if v, err := key(i); err != nil {
+						return err
+					} else {
+						kk = v
+					}
+					if kk == 0 {
+						return fmt.Errorf("whisper: hash key %d at slot %d hidden behind empty slot %d", k, s, i)
+					}
+					if kk == k {
+						return fmt.Errorf("whisper: hash key %d duplicated at slots %d and %d", k, i, s)
+					}
+				}
+				if !reachable {
+					return fmt.Errorf("whisper: hash key %d at slot %d unreachable", k, s)
+				}
+			}
 		}
-		reachable := false
-		for probe := uint64(0); probe < h.cap; probe++ {
-			i := (mix(k) + probe) & (h.cap - 1)
-			if i == s {
-				reachable = true
+		return nil
+	}
+
+	// Turn each changed span into the slots to check: [Lo, Hi) holds the
+	// span's slots and its run, and Hi may pass the table's end. A run
+	// starts no earlier than where the previous one ended: the slots
+	// between were occupied, so it would end there too or go on.
+	sc.spans = t.ChangedPages(sc.spans[:0], img, base, 16*capacity)
+	end := uint64(0)
+	for i, sp := range sc.spans {
+		lo, hi := (sp.Lo-base)/16, (sp.Hi-base+15)/16
+		for hi = max(hi, end); hi < lo+capacity; hi++ {
+			k, err := key(hi)
+			if err != nil {
+				return err
+			}
+			if k == 0 {
 				break
 			}
-			kk := slots[2*i]
-			if kk == 0 {
-				return fmt.Errorf("whisper: hash key %d at slot %d hidden behind empty slot %d", k, s, i)
-			}
-			if kk == k {
-				return fmt.Errorf("whisper: hash key %d duplicated at slots %d and %d", k, i, s)
-			}
 		}
-		if !reachable {
-			return fmt.Errorf("whisper: hash key %d at slot %d unreachable", k, s)
+		sc.spans[i], end = nvm.Span{Lo: lo, Hi: hi}, hi
+	}
+	// The last run reaches furthest; what it runs past the table's end
+	// comes first in slot order.
+	next := uint64(0) // every slot below next is checked
+	if end > capacity {
+		next = end - capacity
+		if err := check(0, next); err != nil {
+			return err
+		}
+	}
+	for _, sp := range sc.spans {
+		if lo, hi := max(sp.Lo, next), min(sp.Hi, capacity); lo < hi {
+			if err := check(lo, hi); err != nil {
+				return err
+			}
+			next = hi
 		}
 	}
 	return nil
 }
 
-// readWords reads n words at PMO offset off into *buf, growing it when it
-// is too short, and returns them. Audits read each array they check once
-// this way, into a buffer their workload keeps across audits.
-func readWords(p *pmo.PMO, buf *[]uint64, off, n uint64) ([]uint64, error) {
-	if uint64(cap(*buf)) < n {
-		*buf = make([]uint64, n)
+// auditRecords runs check on the records of an array in p whose durable
+// state differs from the never-written one, all zero, only on the pages
+// p.ChangedPages reports: n records of size words (at most 512) at PMO
+// offset off. It checks, in ascending order, every record that overlaps a
+// changed page, reading a page of words at a time, and returns the first
+// violation. check gets a record's index and words.
+//
+// Every other record is all zero. check runs first on the zero record,
+// and when that passes, so does every record it skips, so the first
+// violation is the one a check of every record reports. When it fails,
+// every page counts as changed.
+func auditRecords(p *pmo.PMO, sc *scratch, off, n, size uint64, check func(i uint64, rec []uint64) error) error {
+	bytes := 8 * size * n
+	if off+bytes > p.Size || off+bytes < off {
+		return fmt.Errorf("whisper: array of %d %d-word records at %#x outside the PMO", n, size, off)
 	}
-	words := (*buf)[:n]
-	return words, p.ReadWords(words, off)
+	page := sc.page()
+	clear(page[:size])
+	if check(0, page[:size]) == nil {
+		sc.spans = p.ChangedPages(sc.spans[:0], nil, off, bytes)
+	} else {
+		sc.spans = append(sc.spans[:0], nvm.Span{Lo: off, Hi: off + bytes})
+	}
+	next := uint64(0) // every record below next is checked
+	for _, sp := range sc.spans {
+		i, hi := max(next, (sp.Lo-off)/(8*size)), min(n, (sp.Hi-off+8*size-1)/(8*size))
+		for i < hi {
+			m := min(hi-i, uint64(len(page))/size)
+			recs := page[:m*size]
+			if err := p.ReadWords(recs, off+8*size*i); err != nil {
+				return err
+			}
+			for j := range m {
+				if err := check(i+j, recs[j*size:(j+1)*size]); err != nil {
+					return err
+				}
+			}
+			i += m
+		}
+		next = max(next, hi)
+	}
+	return nil
 }
 
 // Tree is a persistent unbalanced binary search tree (the paper's ctree
