@@ -30,7 +30,9 @@ type Counters struct {
 	AttachSyscalls, DetachSyscalls uint64
 	// Randomizations counts space-layout re-randomizations.
 	Randomizations uint64
-	// Blocks counts Basic-semantics blocking waits.
+	// Blocks counts the 200-cycle waits of Basic attaches that found
+	// their PMO held, the first wait of each included: an attach that
+	// waits k times adds k, and one that gives up adds 2^22+1.
 	Blocks uint64
 	// Faults counts protection faults raised on accesses.
 	Faults uint64
@@ -191,6 +193,22 @@ type ThreadCtx struct {
 	tlb  *paging.TLB
 	l1   *nvm.Cache
 	obs  *obs.Track // nil when tracing is off
+
+	// blocked carries a Basic attach that waits for a detach; it is
+	// made on the thread's first wait (see decideAttach).
+	blocked *blockedAttach
+}
+
+// blockedAttach is what a blocked Basic attach carries between retries:
+// the PMO's state, the policy's latest answer and the retries so far,
+// and check, its retry method bound once per thread.
+type blockedAttach struct {
+	c     *ThreadCtx
+	st    *semantics.State
+	act   semantics.Action
+	err   error
+	tries int
+	check func() bool
 }
 
 // Thread returns the underlying simulated thread.
@@ -410,21 +428,26 @@ func (c *ThreadCtx) Attach(p *pmo.PMO, perm paging.Perm) error {
 
 // decideAttach returns the semantics action an attach commits and the
 // step that executes it. The policy decides first. A Basic-ablation
-// conflict waits for the holder to detach. Under TT the buffer case
-// (Figure 7b) then picks the step: Case 1 and overflow make the system
-// call, Cases 2 and 3 take the fast path.
+// conflict waits for the holder to detach: the thread charges Other 200
+// cycles, yields and asks again, and gives up after 2^22 retries. Under
+// TT the buffer case (Figure 7b) then picks the step: Case 1 and overflow
+// make the system call, Cases 2 and 3 take the fast path.
 func (c *ThreadCtx) decideAttach(p *pmo.PMO, st *semantics.State) (semantics.Action, step, error) {
 	r := c.rt
 	act, err := r.policy.Attach(st, c.th.ID, c.th.Clock)
-	for try := 0; act == semantics.ActBlock; try++ {
-		if try > 1<<22 {
+	if act == semantics.ActBlock {
+		b := c.blocked
+		if b == nil {
+			b = &blockedAttach{c: c}
+			b.check = b.retry
+			c.blocked = b
+		}
+		b.st, b.tries = st, 0
+		r.Counts.Blocks++
+		c.th.Wait(sim.Other, 200, b.check)
+		if act, err = b.act, b.err; act == semantics.ActBlock {
 			return act, 0, errors.New("deadlocked waiting for detach")
 		}
-		// Blocked: wait a quantum and retry.
-		r.Counts.Blocks++
-		c.th.Charge(sim.Other, 200)
-		c.th.Yield()
-		act, err = r.policy.Attach(st, c.th.ID, c.th.Clock)
 	}
 	switch {
 	case err != nil:
@@ -448,6 +471,23 @@ func (c *ThreadCtx) decideAttach(p *pmo.PMO, st *semantics.State) (semantics.Act
 		return act, stepSyscallOnly, nil
 	}
 	return act, stepLowered, nil
+}
+
+// retry asks the policy again for a blocked attach after a wait. It
+// reports whether the attach still waits: it is still blocked and has
+// not yet retried 2^22 times. A machine may run it on another thread's
+// stack, so it charges nothing.
+func (b *blockedAttach) retry() bool {
+	c := b.c
+	b.act, b.err = c.rt.policy.Attach(b.st, c.th.ID, c.th.Clock)
+	if b.act != semantics.ActBlock {
+		return false
+	}
+	if b.tries++; b.tries > 1<<22 {
+		return false
+	}
+	c.rt.Counts.Blocks++
+	return true
 }
 
 // Detach performs the scheme's detach operation for the calling thread

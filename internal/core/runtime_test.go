@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mpk"
@@ -358,37 +359,73 @@ func TestMultiThreadSharingUnderTT(t *testing.T) {
 	}
 }
 
-func TestBasicSemanticsSerializesThreads(t *testing.T) {
-	runScheme := func(s params.Scheme) uint64 {
-		mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, 1<<30))
-		p, _ := mgr.Create("shared", 1<<20, pmo.ModeRead|pmo.ModeWrite)
-		rt := NewRuntime(params.NewConfig(s, params.DefaultEWMicros), mgr)
-		m := sim.NewMachine(1, 200)
-		rt.AttachMachine(m)
-		o, _ := p.Alloc(64)
-		for i := 0; i < 4; i++ {
-			m.AddThread(func(th *sim.Thread) {
-				ctx := rt.NewThread(th)
-				for round := 0; round < 10; round++ {
-					if err := ctx.Attach(p, paging.ReadWrite); err != nil {
-						panic(err)
-					}
-					if err := ctx.Store(o, 1); err != nil {
-						panic(err)
-					}
-					ctx.Compute(5000)
-					if err := ctx.Detach(p); err != nil {
-						panic(err)
-					}
+// runContention runs four threads that each attach one shared PMO, store
+// to it, compute 4,625 cycles in steps of 125 and detach it, ten times
+// over, on a machine with the given quantum, and returns the runtime and
+// the end clock. Each quantum leaves a different part of the computing
+// before a detach unyielded, so the waiters see the detach at different
+// times.
+func runContention(t *testing.T, s params.Scheme, quantum uint64) (*Runtime, uint64) {
+	t.Helper()
+	mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, 1<<30))
+	p, _ := mgr.Create("shared", 1<<20, pmo.ModeRead|pmo.ModeWrite)
+	rt := NewRuntime(params.NewConfig(s, params.DefaultEWMicros), mgr)
+	m := sim.NewMachine(1, quantum)
+	rt.AttachMachine(m)
+	o, _ := p.Alloc(64)
+	for i := 0; i < 4; i++ {
+		m.AddThread(func(th *sim.Thread) {
+			ctx := rt.NewThread(th)
+			for round := 0; round < 10; round++ {
+				if err := ctx.Attach(p, paging.ReadWrite); err != nil {
+					panic(err)
 				}
-			})
-		}
-		return m.Run()
+				if err := ctx.Store(o, 1); err != nil {
+					panic(err)
+				}
+				for step := 0; step < 37; step++ {
+					ctx.Compute(125)
+				}
+				if err := ctx.Detach(p); err != nil {
+					panic(err)
+				}
+			}
+		})
 	}
-	basic := runScheme(params.BasicSem)
-	tt := runScheme(params.TT)
+	return rt, m.Run()
+}
+
+func TestBasicSemanticsSerializesThreads(t *testing.T) {
+	_, basic := runContention(t, params.BasicSem, 200)
+	_, tt := runContention(t, params.TT, 200)
 	if basic <= tt {
 		t.Fatalf("basic semantics (%d) should be slower than TT (%d)", basic, tt)
+	}
+}
+
+// TestBasicContentionPinned pins what four threads contending for one
+// PMO under Basic semantics add up to at three quanta: the blocked
+// retries, the end clock and the cost accounts. The values were recorded
+// when every retry still ran on the waiting thread's own coroutine.
+func TestBasicContentionPinned(t *testing.T) {
+	for _, tc := range []struct {
+		quantum uint64
+		blocks  uint64
+		end     uint64
+		costs   sim.Accounts
+	}{
+		{50, 4564, 382_600, sim.Accounts{201_160, 176_880, 144_320, 0, 0, 912_840}},
+		{200, 4710, 380_200, sim.Accounts{201_160, 176_880, 144_320, 0, 0, 942_040}},
+		{1000, 4126, 359_200, sim.Accounts{201_160, 176_880, 144_320, 0, 0, 825_240}},
+	} {
+		t.Run(fmt.Sprint(tc.quantum), func(t *testing.T) {
+			rt, end := runContention(t, params.BasicSem, tc.quantum)
+			res := rt.Finish(end)
+			if rt.Counts.Blocks != tc.blocks || end != tc.end || res.Costs != tc.costs {
+				t.Fatalf("blocks %d, end %d, costs %v; want %d, %d, %v",
+					rt.Counts.Blocks, end, res.Costs, tc.blocks, tc.end, tc.costs)
+			}
+		})
 	}
 }
 
@@ -810,5 +847,36 @@ func TestBasicAttachGivesUp(t *testing.T) {
 	if rt.Counts.Blocks != 1<<22+1 || ctx.Now() != 838_865_422 {
 		t.Fatalf("gave up after %d waits at clock %d; want %d at 838865422",
 			rt.Counts.Blocks, ctx.Now(), 1<<22+1)
+	}
+}
+
+// TestBasicAttachGivesUpOnMachine: on a machine, thread 0 attaches and
+// returns still holding the PMO, so thread 1 waits for a detach that never
+// comes, with its retries run by Machine.Run once thread 0 is done. After
+// 2^22 retries its attach fails.
+func TestBasicAttachGivesUpOnMachine(t *testing.T) {
+	mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, 1<<30))
+	p, _ := mgr.Create("held", 1<<20, pmo.ModeRead|pmo.ModeWrite)
+	rt := NewRuntime(params.NewConfig(params.BasicSem, params.DefaultEWMicros), mgr)
+	m := sim.NewMachine(1, 200)
+	rt.AttachMachine(m)
+	errs := make([]error, 2)
+	for i := range errs {
+		m.AddThread(func(th *sim.Thread) {
+			ctx := rt.NewThread(th)
+			ctx.Compute(uint64(100 * i))
+			errs[i] = ctx.Attach(p, paging.ReadWrite)
+		})
+	}
+	end := m.Run()
+	if errs[0] != nil {
+		t.Fatalf("thread 0: %v", errs[0])
+	}
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "deadlocked waiting for detach") {
+		t.Fatalf("thread 1: %v, want a deadlock error", errs[1])
+	}
+	if rt.Counts.Blocks != 1<<22+1 || end != 838_861_100 {
+		t.Fatalf("gave up after %d waits at clock %d; want %d at 838861100",
+			rt.Counts.Blocks, end, 1<<22+1)
 	}
 }

@@ -28,7 +28,10 @@ const (
 	ActThreadRevoke
 	// ActBlock means the calling thread must wait until the PMO is
 	// detached and retry (Basic semantics under concurrency, which is
-	// what makes the Figure 11 "basic semantics" bars so tall).
+	// what makes the Figure 11 "basic semantics" bars so tall). The
+	// runtime never commits it: it asks the policy again after each
+	// wait of a sim.(*Thread).Wait, and commits the first answer that
+	// is not ActBlock or gives up after 2^22 retries.
 	ActBlock
 )
 

@@ -140,6 +140,16 @@ type Thread struct {
 	resume func() (*Thread, bool)
 	stop   func()
 	yield  func(*Thread) bool
+
+	// check is set while the thread waits (see Wait); each retry
+	// charges waitN cycles on waitAcct. waitLeft is what is left of the
+	// retry's charge, and charging reports that the thread parked in
+	// the charge rather than in the yield after it.
+	check    func() bool
+	waitAcct Account
+	waitN    uint64
+	waitLeft uint64
+	charging bool
 }
 
 // maxChargeStep bounds how far a machine-scheduled thread's clock may
@@ -163,49 +173,95 @@ func (t *Thread) Charge(a Account, n uint64) {
 		return
 	}
 	for n > 0 {
-		step := n
-		if step > maxChargeStep {
-			step = maxChargeStep
-		}
-		t.Clock += step
-		t.Costs.Add(a, step)
-		n -= step
-		t.yieldBudget += step
-		if t.yieldBudget >= t.machine.quantum {
+		if n = t.step(a, n); t.yieldBudget >= t.machine.quantum {
 			t.Yield()
 		}
 	}
 }
 
-// AdvanceTo moves the thread clock forward to at least cycle c, charging
-// the waited time to account a. It is used for blocking (Basic semantics)
-// and for global stalls (randomization suspends all threads).
-func (t *Thread) AdvanceTo(c uint64, a Account) {
-	if c > t.Clock {
-		t.Charge(a, c-t.Clock)
-	}
+// step charges a machine-scheduled thread the first timer-period step of
+// n cycles on account a, and returns the cycles left.
+func (t *Thread) step(a Account, n uint64) uint64 {
+	s := min(n, maxChargeStep)
+	t.Clock += s
+	t.Costs.Add(a, s)
+	t.yieldBudget += s
+	return n - s
 }
 
 // Yield ends the thread's turn: the thread itself picks the next thread
-// to run. When it still holds the minimum clock it keeps running with no
-// switch; otherwise its coroutine yields the pick to Machine.Run, which
-// resumes that thread, and this one stays parked until a later pick. On
-// threads that are not machine-scheduled it is a no-op.
+// to run, and while the pick is a waiting thread it runs that thread's
+// retries (see Wait) and takes their pick. When it still holds the
+// minimum clock it keeps running with no switch; otherwise its coroutine
+// yields the pick to Machine.Run, which resumes that thread, and this one
+// stays parked until a later pick. On threads that are not
+// machine-scheduled it is a no-op.
 func (t *Thread) Yield() {
 	m := t.machine
 	if m == nil {
 		return
 	}
 	t.yieldBudget = 0
+	// Not m.next(): here pick never returns nil, and the inlined pick
+	// keeps the hottest call in the scheduler one call shorter.
 	next := m.pick()
 	m.dispatch(next)
+	t.park(m.settle(next))
+}
+
+// park hands the CPU to next unless next is t itself, and returns once a
+// later pick resumes t.
+func (t *Thread) park(next *Thread) {
 	if next != t && !t.yield(next) {
 		// Run stopped this coroutine after another thread's panic:
 		// detach from the machine so Yields made by deferred calls
-		// while unwinding return at once, then unwind.
+		// while unwinding return at once (and Waits never park), then
+		// unwind.
 		t.machine = nil
 		panic(errUnwound)
 	}
+}
+
+// Wait blocks the thread until check lets it go on. It makes exactly the
+// calls of
+//
+//	for {
+//		t.Charge(a, n)
+//		t.Yield()
+//		if !check() {
+//			break
+//		}
+//	}
+//
+// but on a machine-scheduled thread the coroutine stays parked while it
+// waits: whichever Yield or Run picks the thread charges, yields and
+// checks on its behalf, on the picker's own stack, and picks again, so a
+// retry switches no coroutine. The coroutine resumes once check reports false.
+// check may thus run on any thread's stack or on Run's; it must not
+// charge, yield or wait, and it should allocate nothing. Run re-raises a
+// panic in a retry as the waiting thread's, whichever stack ran it.
+func (t *Thread) Wait(a Account, n uint64, check func() bool) {
+	m := t.machine
+	if m == nil {
+		for {
+			t.Charge(a, n)
+			if !check() {
+				return
+			}
+		}
+	}
+	t.check, t.waitAcct, t.waitN = check, a, n
+	t.startRetry()
+	t.park(m.settle(t))
+}
+
+// startRetry begins a waiting thread's charge: its ChargeHook sees all of
+// it at once, as in Charge.
+func (t *Thread) startRetry() {
+	if t.ChargeHook != nil {
+		t.ChargeHook(t.waitAcct, t.waitN)
+	}
+	t.waitLeft, t.charging = t.waitN, true
 }
 
 // errUnwound is the panic that unwinds a parked thread once another
@@ -218,8 +274,10 @@ var errUnwound = errors.New("sim: run ended by another thread's panic")
 // of the per-thread cycle charges. Each thread runs as an iter.Pull
 // coroutine that Run resumes: a thread that yields picks its successor
 // and hands the pick back to Run, and when a body returns Run picks the
-// next thread itself. Only one coroutine or Run runs at a time, and the
-// coroutine switches order every access to the machine state. Hardware
+// next thread itself. A waiting thread's coroutine stays parked: the
+// yield or Run that picks it runs its retries in its stead. Only one
+// coroutine or Run runs at a time, and the coroutine switches order
+// every access to the machine state. Hardware
 // "background" work (the circular buffer timer sweep) is driven by hooks
 // invoked as global time advances.
 type Machine struct {
@@ -239,6 +297,10 @@ type Machine struct {
 	// hands the CPU to a different thread than last time.
 	SwitchHook func(ts uint64, thread int)
 	lastRun    int
+
+	// retrying is the waiting thread whose retry runs now, on whatever
+	// stack picked it; a panic in the retry is that thread's.
+	retrying *Thread
 }
 
 // NewMachine creates a scheduler with the given random seed and yield
@@ -272,8 +334,8 @@ func (m *Machine) AddThread(body func(*Thread)) *Thread {
 
 // Run executes all registered threads to completion under min-time
 // scheduling and returns the final global time (the max of thread clocks).
-// Any panic inside a thread body is re-raised on the caller once every
-// other thread has been unwound.
+// Any panic inside a thread body or a retry is re-raised on the caller
+// once every other thread has been unwound.
 func (m *Machine) Run() uint64 {
 	if len(m.Threads) == 0 {
 		return 0
@@ -282,7 +344,7 @@ func (m *Machine) Run() uint64 {
 		t.resume, t.stop = iter.Pull(func(yield func(*Thread) bool) {
 			defer func() {
 				if r := recover(); r != nil && r != errUnwound {
-					t.err = fmt.Errorf("sim thread %d: %v", t.ID, r)
+					t.err = m.threadPanic(t, r)
 				}
 				t.done = true
 			}()
@@ -291,14 +353,19 @@ func (m *Machine) Run() uint64 {
 		})
 	}
 	// Stopping a finished thread does nothing, one that never started
-	// never runs its body, and a parked one unwinds out of its Yield.
+	// never runs its body, and a parked one unwinds out of its Yield or
+	// Wait. A retry that panics on Run's own stack is re-raised like a
+	// body's panic.
 	defer func() {
+		w := m.retrying
 		for _, t := range m.Threads {
 			t.stop()
 		}
+		if w != nil {
+			panic(m.threadPanic(w, recover()))
+		}
 	}()
-	next := m.pick()
-	m.dispatch(next)
+	next := m.settle(m.next())
 	for next != nil {
 		// t runs until it yields the thread to resume next, or until
 		// its body ends and resume returns nil.
@@ -309,9 +376,7 @@ func (m *Machine) Run() uint64 {
 		if t.err != nil {
 			panic(t.err)
 		}
-		if next = m.pick(); next != nil {
-			m.dispatch(next)
-		}
+		next = m.settle(m.next())
 	}
 	var end uint64
 	for _, t := range m.Threads {
@@ -320,6 +385,70 @@ func (m *Machine) Run() uint64 {
 		}
 	}
 	return end
+}
+
+// threadPanic is the error Run re-raises for a panic with value r on
+// thread t's stack. When the panic came from a retry that t ran for a
+// waiting thread, the error names the waiting thread, as it would had
+// its own coroutine run the retry.
+func (m *Machine) threadPanic(t *Thread, r any) error {
+	if m.retrying != nil {
+		t, m.retrying = m.retrying, nil
+	}
+	return fmt.Errorf("sim thread %d: %v", t.ID, r)
+}
+
+// next picks and dispatches the thread to run next, or returns nil once
+// every thread has finished.
+func (m *Machine) next() *Thread {
+	next := m.pick()
+	if next != nil {
+		m.dispatch(next)
+	}
+	return next
+}
+
+// settle returns the thread whose coroutine runs next, given the thread
+// just picked: while the pick is a waiting thread, it runs that thread's
+// retries and takes the thread they pick instead.
+func (m *Machine) settle(next *Thread) *Thread {
+	for next != nil && next.check != nil {
+		next = m.retry(next)
+	}
+	return next
+}
+
+// retry runs waiting thread t on the caller's stack from where t
+// parked, making the calls t's own coroutine would make in Wait: the
+// rest of its charge, its yields and its next check, retry after retry.
+// It returns t once check lets t go on, and otherwise the thread that one
+// of t's yields picked, already dispatched, with t parked again.
+func (m *Machine) retry(t *Thread) *Thread {
+	m.retrying = t
+	for {
+		if !t.charging {
+			if !t.check() {
+				t.check, m.retrying = nil, nil
+				return t
+			}
+			t.startRetry()
+		}
+		for t.waitLeft > 0 {
+			if t.waitLeft = t.step(t.waitAcct, t.waitLeft); t.yieldBudget >= m.quantum {
+				t.yieldBudget = 0
+				if next := m.next(); next != t {
+					m.retrying = nil
+					return next
+				}
+			}
+		}
+		t.charging = false
+		t.yieldBudget = 0
+		if next := m.next(); next != t {
+			m.retrying = nil
+			return next
+		}
+	}
 }
 
 // pick returns the unfinished thread with the minimum clock, ties going
@@ -357,15 +486,6 @@ func (m *Machine) Now() uint64 {
 		return t.Clock
 	}
 	return 0
-}
-
-// TotalCosts sums the cost accounts of every thread.
-func (m *Machine) TotalCosts() Accounts {
-	var a Accounts
-	for _, t := range m.Threads {
-		a.Merge(&t.Costs)
-	}
-	return a
 }
 
 // SingleThread returns a stand-alone thread that is not scheduler-managed,

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -124,17 +125,14 @@ func TestSingleThreadCharge(t *testing.T) {
 	th := SingleThread()
 	th.Charge(Base, 100)
 	th.Charge(Attach, 50)
-	if th.Clock != 150 {
-		t.Fatalf("clock = %d", th.Clock)
+	if th.Clock != 150 || th.Costs[Base] != 100 || th.Costs[Attach] != 50 {
+		t.Fatalf("clock = %d, costs = %v", th.Clock, th.Costs)
 	}
-	th.AdvanceTo(200, Other)
-	if th.Clock != 200 || th.Costs[Other] != 50 {
-		t.Fatalf("advance: clock=%d other=%d", th.Clock, th.Costs[Other])
-	}
-	// AdvanceTo to the past is a no-op.
-	th.AdvanceTo(100, Other)
-	if th.Clock != 200 {
-		t.Fatal("AdvanceTo moved clock backward")
+	// A wait charges before each check.
+	checks := 0
+	th.Wait(Other, 50, func() bool { checks++; return th.Clock < 300 })
+	if th.Clock != 300 || th.Costs[Other] != 150 || checks != 3 {
+		t.Fatalf("after the wait: clock = %d, other = %d, %d checks", th.Clock, th.Costs[Other], checks)
 	}
 }
 
@@ -308,17 +306,6 @@ func TestMachineTickMonotone(t *testing.T) {
 	}
 }
 
-func TestMachineTotalCosts(t *testing.T) {
-	m := NewMachine(1, 100)
-	m.AddThread(func(th *Thread) { th.Charge(Base, 10); th.Charge(Attach, 3) })
-	m.AddThread(func(th *Thread) { th.Charge(Base, 20) })
-	m.Run()
-	c := m.TotalCosts()
-	if c[Base] != 30 || c[Attach] != 3 {
-		t.Fatalf("total costs = %v", c)
-	}
-}
-
 // TestMachinePanicPropagates: Run re-raises a thread's panic as "sim
 // thread N: <value>" and leaves no thread goroutine behind. In the second
 // case thread 0 parks in Charge and recovers from its own unwinding, so
@@ -452,6 +439,290 @@ func BenchmarkMachineHandoff(b *testing.B) {
 	const threads = 4
 	b.ReportAllocs()
 	runHandoff(threads, (b.N+threads-1)/threads)
+}
+
+// waitLoop is the loop Wait replaces, run on the waiting thread's own
+// coroutine: charge (which yields once the quantum is spent), yield, and
+// check.
+func waitLoop(th *Thread, a Account, n uint64, check func() bool) {
+	for {
+		th.Charge(a, n)
+		th.Yield()
+		if !check() {
+			return
+		}
+	}
+}
+
+// waitFunc is (*Thread).Wait or waitLoop.
+type waitFunc func(th *Thread, a Account, n uint64, check func() bool)
+
+// waitRun is what one run of a seeded machine did: every ChargeHook,
+// tick, SwitchHook, check and step start in order, and each thread's
+// final clock and costs.
+type waitRun struct {
+	log    []string
+	clocks []uint64
+	costs  []Accounts
+	end    uint64
+}
+
+// runWaitMachine builds a machine of 2 to 4 threads from seed, each
+// running a seeded script of charges, direct charges with a yield, and
+// waits, and runs it with wait doing the waiting. A wait's check passes
+// once the thread's clock reaches a seeded time or once another seeded
+// thread has started a seeded number of steps. Ticks charge every
+// thread on every third tick and stall the thread about to run on every
+// fifth.
+func runWaitMachine(seed int64, quantum uint64, wait waitFunc) waitRun {
+	rng := rand.New(rand.NewSource(seed))
+	m := NewMachine(seed, quantum)
+	var r waitRun
+	logf := func(format string, args ...any) { r.log = append(r.log, fmt.Sprintf(format, args...)) }
+	m.SwitchHook = func(ts uint64, thread int) { logf("switch t%d@%d", thread, ts) }
+	ticks := 0
+	m.SetTick(func(now uint64) {
+		logf("tick %d", now)
+		ticks++
+		if ticks%3 == 0 {
+			m.ChargeAll(Rand, 7)
+		}
+		if ticks%5 == 0 {
+			for _, th := range m.Threads {
+				if !th.done && th.Clock == now {
+					th.DirectCharge(Other, 40)
+					break
+				}
+			}
+		}
+	})
+	threads := 2 + rng.Intn(3)
+	started := make([]int, threads)
+	for i := 0; i < threads; i++ {
+		type op struct {
+			kind      int // 0 charge, 1 direct charge and yield, 2 wait
+			a         Account
+			n         uint64
+			delay     uint64 // a wait's check passes delay cycles after it starts,
+			on, steps int    // or once thread on has started steps steps
+		}
+		ops := make([]op, 2+rng.Intn(6))
+		for j := range ops {
+			ops[j] = op{
+				kind:  rng.Intn(3),
+				a:     Account(rng.Intn(int(numAccounts))),
+				n:     []uint64{200, uint64(1 + rng.Intn(400)), uint64(1 + rng.Intn(5000))}[rng.Intn(3)],
+				delay: uint64(rng.Intn(6000)),
+				on:    rng.Intn(threads),
+				steps: rng.Intn(8),
+			}
+		}
+		m.AddThread(func(th *Thread) {
+			th.ChargeHook = func(a Account, n uint64) { logf("charge t%d %v %d", th.ID, a, n) }
+			for j, o := range ops {
+				logf("t%d step %d@%d", th.ID, j, th.Clock)
+				started[th.ID]++
+				switch o.kind {
+				case 0:
+					th.Charge(o.a, o.n)
+				case 1:
+					th.DirectCharge(o.a, o.n)
+					th.Yield()
+				case 2:
+					until := th.Clock + o.delay
+					wait(th, o.a, o.n, func() bool {
+						logf("check t%d@%d", th.ID, th.Clock)
+						return th.Clock < until && started[o.on] < o.steps
+					})
+				}
+			}
+		})
+	}
+	r.end = m.Run()
+	for _, th := range m.Threads {
+		r.clocks = append(r.clocks, th.Clock)
+		r.costs = append(r.costs, th.Costs)
+	}
+	return r
+}
+
+// TestMachineWaitMatchesLoop: at three quanta and over seeded machines, a
+// Wait makes exactly the calls of the loop it replaces. Both runs log the
+// same hook calls, checks and step starts in the same order, and end with
+// the same clocks and costs.
+func TestMachineWaitMatchesLoop(t *testing.T) {
+	checks := 0
+	for _, quantum := range []uint64{50, 200, 1000} {
+		for seed := int64(1); seed <= 60; seed++ {
+			want := runWaitMachine(seed, quantum, waitLoop)
+			got := runWaitMachine(seed, quantum, (*Thread).Wait)
+			if !reflect.DeepEqual(got, want) {
+				i := 0
+				for i < len(got.log) && i < len(want.log) && got.log[i] == want.log[i] {
+					i++
+				}
+				t.Fatalf("quantum %d, seed %d: runs differ from event %d:\nWait %q\nloop %q\nclocks %v, %v; costs %v, %v",
+					quantum, seed, i, got.log[i:min(i+5, len(got.log))], want.log[i:min(i+5, len(want.log))],
+					got.clocks, want.clocks, got.costs, want.costs)
+			}
+			for _, e := range got.log {
+				if strings.HasPrefix(e, "check") {
+					checks++
+				}
+			}
+		}
+	}
+	if checks < 1000 {
+		t.Fatalf("the machines made only %d checks", checks)
+	}
+}
+
+// TestMachineWaitLastThread: once the other thread has finished, Run
+// itself runs the waiting thread's retries, with the same calls as the
+// loop on the thread's own coroutine.
+func TestMachineWaitLastThread(t *testing.T) {
+	run := func(wait waitFunc) (log []string, clock uint64, after int) {
+		m := NewMachine(1, 200)
+		m.SetTick(func(now uint64) { log = append(log, fmt.Sprintf("tick %d", now)) })
+		finished := false
+		m.AddThread(func(th *Thread) {
+			th.Charge(Base, 1000)
+			finished = true
+		})
+		m.AddThread(func(th *Thread) {
+			th.ChargeHook = func(a Account, n uint64) { log = append(log, fmt.Sprintf("charge %v %d", a, n)) }
+			wait(th, Other, 300, func() bool {
+				if finished {
+					after++
+				}
+				return th.Clock < 5000
+			})
+		})
+		m.Run()
+		return log, m.Threads[1].Clock, after
+	}
+	wantLog, wantClock, _ := run(waitLoop)
+	log, clock, after := run((*Thread).Wait)
+	if !reflect.DeepEqual(log, wantLog) || clock != wantClock || clock != 5100 {
+		t.Fatalf("Wait: clock %d, log %q\nloop: clock %d, log %q; want clock 5100", clock, log, wantClock, wantLog)
+	}
+	if after == 0 {
+		t.Fatal("no check ran after the other thread finished")
+	}
+}
+
+// TestMachineWaitPanics: a panic while a thread waits ends the run with
+// the same message as under the loop, and no thread goroutine outlives
+// it. The panic comes from another thread's body, or from the waiting
+// thread's check, run by another thread's Yield or by Run itself; a
+// check's panic names the waiting thread, whichever stack ran it.
+func TestMachineWaitPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// worker is thread 0's body; thread 1 waits, and its check
+		// panics on the third call when boom is set.
+		worker func(th *Thread)
+		boom   bool
+		want   string
+	}{
+		{"other thread panics", func(th *Thread) {
+			th.Charge(Base, 1000)
+			panic("worker")
+		}, false, "sim thread 0: worker"},
+		{"check panics on another thread's yield", func(th *Thread) {
+			for i := 0; i < 100; i++ {
+				th.Charge(Base, 200)
+			}
+		}, true, "sim thread 1: check"},
+		{"check panics on Run", func(th *Thread) {
+			// Thread 1 parks in its second retry, at 400 cycles.
+			th.Charge(Base, 300)
+		}, true, "sim thread 1: check"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, w := range []struct {
+				name string
+				wait waitFunc
+			}{{"loop", waitLoop}, {"Wait", (*Thread).Wait}} {
+				before := runtime.NumGoroutine()
+				m := NewMachine(1, 200)
+				m.AddThread(tc.worker)
+				m.AddThread(func(th *Thread) {
+					calls := 0
+					w.wait(th, Other, 200, func() bool {
+						if calls++; tc.boom && calls == 3 {
+							panic("check")
+						}
+						return true
+					})
+				})
+				func() {
+					defer func() {
+						if r := recover(); fmt.Sprint(r) != tc.want {
+							t.Fatalf("%s: recovered %v, want %q", w.name, r, tc.want)
+						}
+					}()
+					m.Run()
+				}()
+				waitGoroutines(t, before)
+			}
+		})
+	}
+}
+
+// TestMachineWaitAllocatesNothing: a wait whose retries run on another
+// thread's stack allocates nothing.
+func TestMachineWaitAllocatesNothing(t *testing.T) {
+	m := NewMachine(1, 200)
+	allocs := -1.0
+	waiting := true
+	m.AddThread(func(th *Thread) {
+		tries := 0
+		check := func() bool {
+			tries++
+			return tries%50 != 0
+		}
+		allocs = testing.AllocsPerRun(20, func() { th.Wait(Other, 200, check) })
+		waiting = false
+	})
+	m.AddThread(func(th *Thread) {
+		for waiting {
+			th.Charge(Base, 200)
+		}
+	})
+	m.Run()
+	if allocs != 0 {
+		t.Fatalf("allocs per wait = %v, want 0", allocs)
+	}
+}
+
+// runWait runs one worker that charges quanta quanta one at a time beside
+// waiters that wait while it works, so each quantum the worker charges
+// lets every waiter retry once.
+func runWait(waiters, quanta int, wait waitFunc) {
+	const quantum = 200
+	m := NewMachine(1, quantum)
+	working := true
+	m.AddThread(func(th *Thread) {
+		for i := 0; i < quanta; i++ {
+			th.Charge(Base, quantum)
+		}
+		working = false
+	})
+	for w := 0; w < waiters; w++ {
+		m.AddThread(func(th *Thread) {
+			wait(th, Other, quantum, func() bool { return working })
+		})
+	}
+	m.Run()
+}
+
+// BenchmarkMachineWait times one retry of a waiting thread, with one
+// worker and three waiters.
+func BenchmarkMachineWait(b *testing.B) {
+	const waiters = 3
+	b.ReportAllocs()
+	runWait(waiters, (b.N+waiters-1)/waiters, (*Thread).Wait)
 }
 
 func TestMachineEmptyRun(t *testing.T) {

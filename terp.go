@@ -279,6 +279,9 @@ func (s *System) Parallel(n int, body func(t int, ctx *core.ThreadCtx) error) (u
 	main := s.main.Thread()
 	m := sim.NewMachine(s.opts.Seed, s.opts.QuantumCycles)
 	s.rt.AttachMachine(m)
+	// A body's panic leaves Run; the runtime still returns to
+	// single-thread mode for a caller that recovers it.
+	defer s.rt.DetachMachine()
 	threadErrs := make([]error, n)
 	for i := 0; i < n; i++ {
 		i := i
@@ -287,7 +290,6 @@ func (s *System) Parallel(n int, body func(t int, ctx *core.ThreadCtx) error) (u
 		}).Clock = main.Clock
 	}
 	end := max(m.Run(), main.Clock) // Run returns 0 when n is 0
-	s.rt.DetachMachine()
 	// The join moves the clock without a charge: Stats sums every
 	// thread's accounts, and the section's threads hold its cycles.
 	main.Clock = end
