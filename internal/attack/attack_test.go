@@ -140,19 +140,6 @@ func TestMonteCarloMatchesAnalytic(t *testing.T) {
 	}
 }
 
-func TestMinEWForProbability(t *testing.T) {
-	// Section VII-A: EWs of 40-160us keep success below 0.01% for a
-	// 1 GB PMO probed at 1us per probe. 0.01% of 2^18 positions is
-	// ~26us... the paper rounds; verify the ordering relation instead.
-	ew := MinEWForProbability(0.1, 1<<30)
-	if ew < 160 {
-		t.Fatalf("0.1%% bound should allow EWs beyond 160us, got %.1f", ew)
-	}
-	if MinEWForProbability(0.01, 1<<30) >= ew {
-		t.Fatal("tighter bound must allow smaller EWs")
-	}
-}
-
 func TestGadgetScanner(t *testing.T) {
 	prog, err := lang.Compile(`
 pmo sensitive[64];
@@ -207,8 +194,8 @@ func TestScenarioRow(t *testing.T) {
 	if math.Abs(r.DisarmedTERP()-0.966) > 1e-9 {
 		t.Fatalf("TERP disarmed = %f", r.DisarmedTERP())
 	}
-	if math.Abs(r.DisarmedMERR()-0.755) > 1e-9 {
-		t.Fatalf("MERR disarmed = %f", r.DisarmedMERR())
+	if math.Abs(r.MERRUsable-0.245) > 1e-9 {
+		t.Fatalf("MERR usable = %f", r.MERRUsable)
 	}
 }
 

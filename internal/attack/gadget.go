@@ -120,9 +120,6 @@ type ScenarioRow struct {
 // DisarmedTERP returns the TERP-disarmed fraction.
 func (r ScenarioRow) DisarmedTERP() float64 { return 1 - r.TERPUsable }
 
-// DisarmedMERR returns the MERR-disarmed fraction.
-func (r ScenarioRow) DisarmedMERR() float64 { return 1 - r.MERRUsable }
-
 // BuildScenarioRow derives the Table VI row from measured exposure rates:
 // er is the MERR process exposure rate and ter the TERP thread exposure
 // rate of the same suite.

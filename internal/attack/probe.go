@@ -128,14 +128,3 @@ func AttackTimes() []float64 { return []float64{1.0, 0.1} }
 // DefaultTERPAccessFraction is the thread exposure rate the paper's
 // Table V analysis uses (3.4%, the measured WHISPER TER).
 const DefaultTERPAccessFraction = 0.034
-
-// MinEWForProbability returns the largest exposure window (in
-// microseconds) that keeps the probe success probability below the given
-// bound for the state-of-the-art probe rate (1 us per probe) — the
-// Section VII-A rationale for evaluating 40/80/160 us windows.
-func MinEWForProbability(bound float64, pmoBytes uint64) float64 {
-	m := ProbeModel{PMOBytes: pmoBytes, AttackMicros: 1, AccessFraction: 1}
-	positions := float64(uint64(1) << m.EntropyBits())
-	// bound (in percent) = EW/positions * 100.
-	return bound / 100 * positions
-}

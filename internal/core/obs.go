@@ -12,7 +12,6 @@ import (
 // or wiring the scheduler hook is handled there); threads created earlier
 // are not instrumented.
 func (r *Runtime) EnableObs(cfg obs.Config) {
-	r.obsCfg = cfg
 	if cfg.Trace {
 		r.obs = obs.NewRecorder(cfg.TraceCap)
 		hw := r.obs.Track(obs.HWThread)

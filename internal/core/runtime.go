@@ -70,7 +70,6 @@ type Runtime struct {
 
 	// Observability (nil / empty when off; see EnableObs).
 	obs         *obs.Recorder
-	obsCfg      obs.Config
 	metrics     *obs.Snapshot
 	chargeHists []*obs.Hist
 
@@ -111,9 +110,6 @@ func NewRuntime(cfg params.Config, mgr *pmo.Manager) *Runtime {
 // principal (the default) runs unchecked, for callers that do not use the
 // namespace permission layer.
 func (r *Runtime) SetUser(u pmo.Principal) { r.user = u }
-
-// User returns the current principal.
-func (r *Runtime) User() pmo.Principal { return r.user }
 
 // checkMode enforces the namespace permission of Section II at attach
 // time: the requested mapping rights must be allowed by the PMO's mode

@@ -678,9 +678,6 @@ func TestRuntimeUserModeChecks(t *testing.T) {
 	rt := NewRuntime(params.NewConfig(params.TT, 40), mgr)
 	ctx := rt.NewThread(sim.SingleThread())
 	rt.SetUser("bob")
-	if rt.User() != "bob" {
-		t.Fatal("user not set")
-	}
 	if err := ctx.Attach(p, paging.ReadWrite); err == nil {
 		t.Fatal("bob write-attached a world-read PMO")
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 // benchMachine compiles src under the scheme and returns a ready machine
-// (legacy or linked) whose main can be invoked repeatedly.
+// (block interpreter or linked) whose main can be invoked repeatedly.
 func benchMachine(b *testing.B, src string, scheme params.Scheme, useLinked bool) *Machine {
 	b.Helper()
 	prog, err := lang.Compile(src)
@@ -54,8 +54,7 @@ func benchMachine(b *testing.B, src string, scheme params.Scheme, useLinked bool
 	// per-machine step budget out of the way.
 	m.MaxSteps = math.MaxUint64
 	if scheme == params.Unprotected {
-		for _, name := range prog.PMONames() {
-			p, _ := m.PMO(name)
+		for _, p := range m.PMOs() {
 			if err := ctx.Attach(p, paging.ReadWrite); err != nil {
 				b.Fatal(err)
 			}
@@ -96,7 +95,7 @@ func benchEngines(b *testing.B, src string, scheme params.Scheme) {
 	for _, eng := range []struct {
 		name   string
 		linked bool
-	}{{"legacy", false}, {"linked", true}} {
+	}{{"block", false}, {"linked", true}} {
 		b.Run(eng.name, func(b *testing.B) {
 			m := benchMachine(b, src, scheme, eng.linked)
 			b.ReportAllocs()

@@ -18,29 +18,43 @@ import (
 )
 
 // genKernel emits a random but deterministic TPL program whose main
-// returns a value derived from all its PMO state, so any protection-
-// induced corruption or divergence shows up in the result.
+// returns a value derived from all its array state, so any protection-
+// induced corruption or divergence shows up in the result. It also
+// exposes link errors on its own: its arrays differ in size, so an
+// access bound to the wrong array runs past that array's end, and its
+// helpers use their arguments asymmetrically, so arguments bound in the
+// wrong order change the result.
 func genKernel(r *rand.Rand) string {
 	var b strings.Builder
-	b.WriteString("pmo a[128];\npmo b[128];\n\nfunc main() {\n  var i; var x; var acc;\n")
+	b.WriteString("pmo a[128];\npmo b[96];\nvar d[40];\n\n")
+	b.WriteString("func mix(x, y) { return x * 3 - y; }\n")
+	b.WriteString("func fold(i, k, v) { return (v * k + i) % 1009; }\n\n")
+	b.WriteString("func main() {\n  var i; var acc;\n")
 	seed := r.Intn(1000)
 	fmt.Fprintf(&b, "  for (i = 0; i < 128; i = i + 1) { a[i] = (i * %d) %% 251; }\n", 17+seed)
+	fmt.Fprintf(&b, "  for (i = 0; i < 40; i = i + 1) { d[i] = mix(i, %d); }\n", r.Intn(50))
 	stmts := 2 + r.Intn(5)
 	for s := 0; s < stmts; s++ {
-		switch r.Intn(4) {
+		switch r.Intn(6) {
 		case 0:
-			fmt.Fprintf(&b, "  for (i = 0; i < 128; i = i + 1) { b[i] = a[i] * %d + %d; }\n",
+			fmt.Fprintf(&b, "  for (i = 0; i < 96; i = i + 1) { b[i] = a[i] * %d + %d; }\n",
 				1+r.Intn(7), r.Intn(100))
 		case 1:
 			fmt.Fprintf(&b, "  for (i = 1; i < 128; i = i + 1) { a[i] = a[i] + a[i - 1]; }\n")
 		case 2:
-			fmt.Fprintf(&b, "  for (i = 0; i < 128; i = i + 1) { if (a[i] %% %d == 0) { b[i %% 128] = b[i %% 128] + 1; } }\n",
+			fmt.Fprintf(&b, "  for (i = 0; i < 128; i = i + 1) { if (a[i] %% %d == 0) { b[i %% 96] = b[i %% 96] + 1; } }\n",
 				2+r.Intn(6))
+		case 3:
+			fmt.Fprintf(&b, "  for (i = 0; i < 96; i = i + 1) { b[i] = mix(b[i], a[i + 32]); }\n")
+		case 4:
+			fmt.Fprintf(&b, "  for (i = 0; i < 128; i = i + 1) { a[i] = fold(i, d[i %% 40], a[i]); }\n")
 		default:
 			fmt.Fprintf(&b, "  compute(%d);\n", 100+r.Intn(20000))
 		}
 	}
-	b.WriteString("  acc = 0;\n  for (i = 0; i < 128; i = i + 1) { acc = acc + a[i] * 3 + b[i]; }\n")
+	b.WriteString("  acc = 0;\n  for (i = 0; i < 128; i = i + 1) { acc = acc + a[i] * 3; }\n")
+	b.WriteString("  for (i = 0; i < 96; i = i + 1) { acc = acc + b[i] * 5; }\n")
+	b.WriteString("  for (i = 0; i < 40; i = i + 1) { acc = acc + d[i]; }\n")
 	b.WriteString("  return acc;\n}\n")
 	return b.String()
 }
@@ -69,8 +83,7 @@ func runProgram(t *testing.T, src string, scheme params.Scheme, instrument bool)
 		t.Fatal(err)
 	}
 	if scheme == params.Unprotected {
-		for _, name := range prog.PMONames() {
-			p, _ := m.PMO(name)
+		for _, p := range m.PMOs() {
 			if err := ctx.Attach(p, paging.ReadWrite); err != nil {
 				t.Fatal(err)
 			}

@@ -28,31 +28,28 @@ var (
 	ErrDepth = errors.New("interp: call depth exceeded")
 )
 
-// Machine executes one program on behalf of one simulated thread. A
-// machine runs in one of two modes: the legacy block interpreter (New)
-// resolves symbol operands through string-keyed maps on every memory
-// instruction, while the linked engine (NewLinked) executes the
-// pre-resolved flat form produced by ir.Link through dense slot tables and
-// a pooled call-frame stack. Both modes execute the same instructions and
-// charge identical simulated cycles; the legacy mode is kept as the
-// reference the equivalence tests compare against.
+// Machine executes one program on behalf of one simulated thread, on one
+// of two engines that execute the same instructions and charge the same
+// cycles through the same core access path. The linked engine (NewLinked)
+// runs the flat form ir.Link produces, with every symbol resolved to a
+// slot and call frames drawn from a pool; every SPEC cell runs on it. The
+// block interpreter (New) walks the program's basic blocks and resolves
+// each symbol when it executes, by scanning the program's declarations.
+// It shares no code with ir.Link, so it stays as the reference that the
+// equivalence tests hold the link pass and the linked engine to.
 type Machine struct {
 	prog   *ir.Program
 	linked *ir.Linked
 	ctx    *core.ThreadCtx
-	pmos   map[string]*pmo.PMO
-	elems  map[string]int64
-	// dram holds volatile array storage and synthetic base addresses.
-	dram     map[string][]int64
-	dramBase map[string]uint64
 
-	// Slot tables for the linked engine, indexed by declaration order
-	// (the slot space ir.Link resolves into). They mirror the maps above
-	// and are re-derived whenever PMO or DRAM state is shared.
-	pmoTab      []*pmo.PMO
-	elemTab     []int64
-	dramTab     [][]int64
-	dramBaseTab []uint64
+	// The program's arrays, indexed by declaration order (the slot space
+	// ir.Link resolves into): each PMO's handle and element count, and
+	// each volatile array's storage and synthetic base address. A worker
+	// shares them with the machine it was made from.
+	pmos     []*pmo.PMO
+	elems    []int64
+	dram     [][]int64
+	dramBase []uint64
 
 	// frames is the pooled call-frame stack: register files returned by
 	// finished calls, reused by the next call instead of allocating.
@@ -80,21 +77,24 @@ const MaxCallDepth = 256
 // pollSteps is how many steps run between Interrupt polls.
 const pollSteps = 1 << 16
 
-// New prepares a machine: persistent arrays are created as PMOs in the
-// runtime's manager (or reopened when they already exist, supporting
-// cross-run persistence), volatile arrays are zero-initialized.
+// defaultMaxSteps is every new machine's step budget.
+const defaultMaxSteps = 2_000_000_000
+
+// New prepares a block-interpreter machine: persistent arrays are created
+// as PMOs in the runtime's manager (or reopened when they already exist,
+// supporting cross-run persistence), volatile arrays are zero-initialized.
 func New(prog *ir.Program, ctx *core.ThreadCtx) (*Machine, error) {
 	m := &Machine{
 		prog:     prog,
 		ctx:      ctx,
-		pmos:     make(map[string]*pmo.PMO),
-		elems:    make(map[string]int64),
-		dram:     make(map[string][]int64),
-		dramBase: make(map[string]uint64),
-		MaxSteps: 2_000_000_000,
+		pmos:     make([]*pmo.PMO, len(prog.PMOs)),
+		elems:    make([]int64, len(prog.PMOs)),
+		dram:     make([][]int64, len(prog.DRAMs)),
+		dramBase: make([]uint64, len(prog.DRAMs)),
+		MaxSteps: defaultMaxSteps,
 	}
 	mgr := ctx.Runtime().Manager()
-	for _, d := range prog.PMOs {
+	for i, d := range prog.PMOs {
 		p, err := mgr.Open(d.Name)
 		if errors.Is(err, pmo.ErrNotFound) {
 			p, err = mgr.Create(d.Name, uint64(d.Elems)*8+pmo.DataStart, pmo.ModeRead|pmo.ModeWrite)
@@ -102,20 +102,15 @@ func New(prog *ir.Program, ctx *core.ThreadCtx) (*Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.pmos[d.Name] = p
-		m.elems[d.Name] = int64(d.Elems)
+		m.pmos[i] = p
+		m.elems[i] = int64(d.Elems)
 	}
 	base := uint64(1) << 20
-	for _, d := range prog.DRAMs {
-		m.dram[d.Name] = make([]int64, d.Elems)
-		m.dramBase[d.Name] = base
+	for i, d := range prog.DRAMs {
+		m.dram[i] = make([]int64, d.Elems)
+		m.dramBase[i] = base
 		base += uint64(d.Elems)*8 + 4096
 	}
-	m.pmoTab = make([]*pmo.PMO, len(prog.PMOs))
-	m.elemTab = make([]int64, len(prog.PMOs))
-	m.dramTab = make([][]int64, len(prog.DRAMs))
-	m.dramBaseTab = make([]uint64, len(prog.DRAMs))
-	m.reindex()
 	return m, nil
 }
 
@@ -131,45 +126,26 @@ func NewLinked(l *ir.Linked, ctx *core.ThreadCtx) (*Machine, error) {
 	return m, nil
 }
 
-// reindex refreshes the dense slot tables from the name-keyed state, in
-// declaration order (the slot space the link pass resolves into).
-func (m *Machine) reindex() {
-	for i, d := range m.prog.PMOs {
-		m.pmoTab[i] = m.pmos[d.Name]
-		m.elemTab[i] = m.elems[d.Name]
-	}
-	for i, d := range m.prog.DRAMs {
-		m.dramTab[i] = m.dram[d.Name]
-		m.dramBaseTab[i] = m.dramBase[d.Name]
+// Worker returns a machine for another simulated thread of m's run; ctx
+// must come from m's runtime. The worker runs m's program on m's engine
+// and shares m's arrays: the PMOs and, OpenMP-style, the volatile arrays.
+// It has its own registers, frame pool, Steps, step budget and Interrupt.
+func (m *Machine) Worker(ctx *core.ThreadCtx) *Machine {
+	return &Machine{
+		prog:     m.prog,
+		linked:   m.linked,
+		ctx:      ctx,
+		pmos:     m.pmos,
+		elems:    m.elems,
+		dram:     m.dram,
+		dramBase: m.dramBase,
+		MaxSteps: defaultMaxSteps,
 	}
 }
 
-// SharePMOs copies another machine's PMO handles (multi-threaded runs
-// share the persistent arrays but keep private registers and volatile
-// state private per thread unless shared explicitly).
-func (m *Machine) SharePMOs(o *Machine) {
-	for k, v := range o.pmos {
-		m.pmos[k] = v
-		m.elems[k] = o.elems[k]
-	}
-	m.reindex()
-}
-
-// ShareDRAM makes this machine alias another machine's volatile arrays
-// (OpenMP-style shared memory between worker threads).
-func (m *Machine) ShareDRAM(o *Machine) {
-	for k, v := range o.dram {
-		m.dram[k] = v
-		m.dramBase[k] = o.dramBase[k]
-	}
-	m.reindex()
-}
-
-// PMO returns the PMO backing a persistent array.
-func (m *Machine) PMO(name string) (*pmo.PMO, bool) {
-	p, ok := m.pmos[name]
-	return p, ok
-}
+// PMOs returns the PMOs backing the persistent arrays, in declaration
+// order. The slice is the machine's own table; callers must not modify it.
+func (m *Machine) PMOs() []*pmo.PMO { return m.pmos }
 
 // Run executes the named function with the given arguments and returns
 // its result.
@@ -234,7 +210,7 @@ func (m *Machine) call(f *ir.Func, args []int64) (int64, error) {
 					return 0, err
 				}
 			}
-			if err := m.exec(f, &in, regs); err != nil {
+			if err := m.exec(&in, regs); err != nil {
 				return 0, fmt.Errorf("%s b%d: %w", f.Name, b.ID, err)
 			}
 		}
@@ -257,7 +233,7 @@ func (m *Machine) call(f *ir.Func, args []int64) (int64, error) {
 	}
 }
 
-func (m *Machine) exec(f *ir.Func, in *ir.Instr, regs []int64) error {
+func (m *Machine) exec(in *ir.Instr, regs []int64) error {
 	switch in.Op {
 	case ir.Const:
 		m.ctx.Compute(1)
@@ -286,31 +262,22 @@ func (m *Machine) exec(f *ir.Func, in *ir.Instr, regs []int64) error {
 		if err != nil {
 			return err
 		}
-		if err := m.ctx.Store(oid, uint64(regs[in.B])); err != nil {
-			return err
-		}
-	case ir.LoadDRAM:
-		arr, ok := m.dram[in.Sym]
-		if !ok {
+		return m.ctx.Store(oid, uint64(regs[in.B]))
+	case ir.LoadDRAM, ir.StoreDRAM:
+		s := m.dramSlot(in.Sym)
+		if s < 0 {
 			return fmt.Errorf("interp: unknown array %q", in.Sym)
 		}
-		idx := regs[in.A]
+		arr, idx := m.dram[s], regs[in.A]
 		if idx < 0 || idx >= int64(len(arr)) {
 			return fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, len(arr))
 		}
-		m.ctx.DRAMAccess(m.dramBase[in.Sym]+uint64(idx)*8, 8)
-		regs[in.Dst] = arr[idx]
-	case ir.StoreDRAM:
-		arr, ok := m.dram[in.Sym]
-		if !ok {
-			return fmt.Errorf("interp: unknown array %q", in.Sym)
+		m.ctx.DRAMAccess(m.dramBase[s]+uint64(idx)*8, 8)
+		if in.Op == ir.LoadDRAM {
+			regs[in.Dst] = arr[idx]
+		} else {
+			arr[idx] = regs[in.B]
 		}
-		idx := regs[in.A]
-		if idx < 0 || idx >= int64(len(arr)) {
-			return fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, len(arr))
-		}
-		m.ctx.DRAMAccess(m.dramBase[in.Sym]+uint64(idx)*8, 8)
-		arr[idx] = regs[in.B]
 	case ir.Call:
 		callee, ok := m.prog.Funcs[in.Sym]
 		if !ok {
@@ -329,33 +296,54 @@ func (m *Machine) exec(f *ir.Func, in *ir.Instr, regs []int64) error {
 			regs[in.Dst] = v
 		}
 	case ir.Attach:
-		p, ok := m.pmos[in.Sym]
-		if !ok {
+		s := m.pmoSlot(in.Sym)
+		if s < 0 {
 			return fmt.Errorf("interp: attach unknown PMO %q", in.Sym)
 		}
-		return m.ctx.Attach(p, permFromBits(in.Imm))
+		return m.ctx.Attach(m.pmos[s], permFromBits(in.Imm))
 	case ir.Detach:
-		p, ok := m.pmos[in.Sym]
-		if !ok {
+		s := m.pmoSlot(in.Sym)
+		if s < 0 {
 			return fmt.Errorf("interp: detach unknown PMO %q", in.Sym)
 		}
-		return m.ctx.Detach(p)
+		return m.ctx.Detach(m.pmos[s])
 	default:
 		return fmt.Errorf("interp: bad opcode %v", in.Op)
 	}
 	return nil
 }
 
+// pmoSlot and dramSlot resolve a symbol for the block interpreter by
+// scanning the program's declarations, apart from ir.Link's resolution;
+// -1 means no array of that name is declared.
+func (m *Machine) pmoSlot(sym string) int {
+	for i, d := range m.prog.PMOs {
+		if d.Name == sym {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *Machine) dramSlot(sym string) int {
+	for i, d := range m.prog.DRAMs {
+		if d.Name == sym {
+			return i
+		}
+	}
+	return -1
+}
+
 // oid translates an element index into the PMO object address.
 func (m *Machine) oid(sym string, idx int64) (pmo.OID, error) {
-	p, ok := m.pmos[sym]
-	if !ok {
+	s := m.pmoSlot(sym)
+	if s < 0 {
 		return pmo.NilOID, fmt.Errorf("interp: unknown PMO %q", sym)
 	}
-	if idx < 0 || idx >= m.elems[sym] {
-		return pmo.NilOID, fmt.Errorf("%w: %s[%d] of %d", ErrBounds, sym, idx, m.elems[sym])
+	if idx < 0 || idx >= m.elems[s] {
+		return pmo.NilOID, fmt.Errorf("%w: %s[%d] of %d", ErrBounds, sym, idx, m.elems[s])
 	}
-	return pmo.MakeOID(p.ID, pmo.DataStart+uint64(idx)*8), nil
+	return pmo.MakeOID(m.pmos[s].ID, pmo.DataStart+uint64(idx)*8), nil
 }
 
 func permFromBits(b int64) paging.Perm {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/nvm"
 	"repro/internal/params"
@@ -205,28 +206,108 @@ func TestUnknownFunction(t *testing.T) {
 	}
 }
 
+// TestDRAMSharedBetweenThreads: a worker machine aliases its first
+// machine's volatile arrays (OpenMP-style shared memory), on either
+// engine and in either direction.
 func TestDRAMSharedBetweenThreads(t *testing.T) {
 	src := `
+var pad[5];
 var shared[8];
 func put(i, v) { shared[i] = v; return 0; }
 func get(i) { return shared[i]; }
 `
-	prog, err := lang.Compile(src)
+	for _, linked := range []bool{false, true} {
+		prog, err := lang.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, 1<<28))
+		rt := core.NewRuntime(params.NewConfig(params.Unprotected, 40), mgr)
+		m1 := newMachine(t, prog, rt.NewThread(sim.SingleThread()), linked)
+		m2 := m1.Worker(rt.NewThread(sim.SingleThread()))
+		if _, err := m1.Run("put", 2, 99); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := m2.Run("get", 2); err != nil || v != 99 {
+			t.Fatalf("linked=%v: worker read = %d, %v; want 99", linked, v, err)
+		}
+		if _, err := m2.Run("put", 7, 41); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := m1.Run("get", 7); err != nil || v != 41 {
+			t.Fatalf("linked=%v: first read = %d, %v; want 41", linked, v, err)
+		}
+	}
+}
+
+// TestWorkerKeepsItsOwnThreadState: a worker shares its first machine's
+// PMO handles and runs its engine, but counts its own Steps, pools its
+// own frames and has its own step budget.
+func TestWorkerKeepsItsOwnThreadState(t *testing.T) {
+	prog, err := lang.Compile(`
+pmo a[4];
+pmo b[2];
+func inc(x) { return x + 1; }
+func main() { var i; var s; for (i = 0; i < 20; i = i + 1) { s = inc(s); } return s; }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := ir.Link(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, 1<<28))
 	rt := core.NewRuntime(params.NewConfig(params.Unprotected, 40), mgr)
-	m1, _ := New(prog, rt.NewThread(sim.SingleThread()))
-	m2, _ := New(prog, rt.NewThread(sim.SingleThread()))
-	m2.ShareDRAM(m1)
-	if _, err := m1.Run("put", 2, 99); err != nil {
+	first, err := NewLinked(l, rt.NewThread(sim.SingleThread()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := m2.Run("get", 2)
-	if err != nil || v != 99 {
-		t.Fatalf("shared read = %d, %v", v, err)
+	first.MaxSteps = 50
+	if _, err := first.Run("main"); !errors.Is(err, ErrSteps) {
+		t.Fatalf("first machine under a 50-step budget: %v, want ErrSteps", err)
 	}
+	spent, pooled := first.Steps, len(first.frames)
+	w := first.Worker(rt.NewThread(sim.SingleThread()))
+	if w.Steps != 0 || len(w.frames) != 0 || w.linked != l {
+		t.Fatalf("fresh worker: %d steps, %d pooled frames, linked form shared %v; want 0, 0, true",
+			w.Steps, len(w.frames), w.linked == l)
+	}
+	if len(w.PMOs()) != 2 || w.PMOs()[0] != first.PMOs()[0] || w.PMOs()[1] != first.PMOs()[1] {
+		t.Fatal("worker does not share the first machine's PMO handles in declaration order")
+	}
+	v, err := w.Run("main")
+	if err != nil || v != 20 {
+		t.Fatalf("worker run = %d, %v; want 20 within its own budget", v, err)
+	}
+	if first.Steps != spent || len(first.frames) != pooled {
+		t.Fatalf("worker run moved the first machine's state: steps %d -> %d, frames %d -> %d",
+			spent, first.Steps, pooled, len(first.frames))
+	}
+	if w.Steps <= 50 || len(w.frames) == 0 {
+		t.Fatalf("worker: %d steps, %d pooled frames; want > 50 and > 0", w.Steps, len(w.frames))
+	}
+}
+
+// newMachine makes a block-interpreter or linked machine for prog.
+func newMachine(t *testing.T, prog *ir.Program, ctx *core.ThreadCtx, linked bool) *Machine {
+	t.Helper()
+	if !linked {
+		m, err := New(prog, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	l, err := ir.Link(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewLinked(l, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestTimeAdvancesWithWork(t *testing.T) {

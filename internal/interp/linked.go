@@ -1,12 +1,12 @@
 package interp
 
 // The linked execution engine: runs the flat, pre-resolved program form
-// produced by ir.Link. Three things make it fast relative to the legacy
-// block interpreter while charging exactly the same simulated cycles:
+// produced by ir.Link. Three things make it fast relative to the block
+// interpreter while charging exactly the same simulated cycles:
 //
 //   - Symbol operands were resolved at link time, so LoadPM/StorePM/
-//     LoadDRAM/StoreDRAM/Call/Attach/Detach index dense slot tables on the
-//     machine instead of string-keyed maps.
+//     LoadDRAM/StoreDRAM/Call/Attach/Detach index the machine's tables by
+//     slot instead of scanning the program's declarations.
 //   - Block terminators are explicit pc jumps inside one flat code array,
 //     so dispatch is a single bounds-checked slice index.
 //   - Call frames come from a pooled stack: a finished call's register
@@ -15,8 +15,8 @@ package interp
 //
 // Determinism contract: for any program, the linked engine must produce
 // the same results, the same Steps count and the same cycle charges as the
-// legacy interpreter (linked_test.go enforces this over random programs;
-// the runner-level equivalence test enforces it over whole experiments).
+// block interpreter (linked_test.go enforces this over random programs;
+// TestCellsMatchReference in internal/core enforces it over SPEC cells).
 
 import (
 	"fmt"
@@ -45,9 +45,9 @@ func (m *Machine) invokeLinked(f *ir.LFunc, args []int64) (int64, error) {
 }
 
 // callLinked invokes a callee from inside the engine, copying argument
-// registers straight from the caller's frame into the callee's (the
-// legacy interpreter materializes an intermediate args slice; skipping it
-// is observationally identical because the frames are distinct).
+// registers straight from the caller's frame into the callee's (the block
+// interpreter materializes an intermediate args slice; skipping it is
+// observationally identical because the frames are distinct).
 func (m *Machine) callLinked(f *ir.LFunc, caller []int64, argv []int32) (int64, error) {
 	if m.depth >= MaxCallDepth {
 		return 0, ErrDepth
@@ -87,11 +87,11 @@ func (m *Machine) putFrame(fr []int64) {
 	m.frames = append(m.frames, fr)
 }
 
-// execLinked is the dispatch loop. Cycle accounting mirrors the legacy
+// execLinked is the dispatch loop. Cycle accounting mirrors the block
 // interpreter instruction for instruction: every regular op counts one
-// step against the budget and charges what its legacy case charges;
-// terminators charge the one Compute cycle the legacy block loop charges
-// and do not count as steps.
+// step against the budget and charges what its block-interpreter case
+// charges; terminators charge the one Compute cycle the block loop
+// charges and do not count as steps.
 func (m *Machine) execLinked(f *ir.LFunc, regs []int64) (int64, error) {
 	code := f.Code
 	pc := f.EntryPC
@@ -124,10 +124,10 @@ func (m *Machine) execLinked(f *ir.LFunc, regs []int64) (int64, error) {
 				return 0, wrapLinked(f, in, fmt.Errorf("interp: unknown PMO %q", in.Sym))
 			}
 			idx := regs[in.A]
-			if uint64(idx) >= uint64(m.elemTab[slot]) {
-				return 0, wrapLinked(f, in, fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, m.elemTab[slot]))
+			if uint64(idx) >= uint64(m.elems[slot]) {
+				return 0, wrapLinked(f, in, fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, m.elems[slot]))
 			}
-			v, err := m.ctx.Load(pmo.MakeOID(m.pmoTab[slot].ID, pmo.DataStart+uint64(idx)*8))
+			v, err := m.ctx.Load(pmo.MakeOID(m.pmos[slot].ID, pmo.DataStart+uint64(idx)*8))
 			if err != nil {
 				return 0, wrapLinked(f, in, err)
 			}
@@ -138,10 +138,10 @@ func (m *Machine) execLinked(f *ir.LFunc, regs []int64) (int64, error) {
 				return 0, wrapLinked(f, in, fmt.Errorf("interp: unknown PMO %q", in.Sym))
 			}
 			idx := regs[in.A]
-			if uint64(idx) >= uint64(m.elemTab[slot]) {
-				return 0, wrapLinked(f, in, fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, m.elemTab[slot]))
+			if uint64(idx) >= uint64(m.elems[slot]) {
+				return 0, wrapLinked(f, in, fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, m.elems[slot]))
 			}
-			oid := pmo.MakeOID(m.pmoTab[slot].ID, pmo.DataStart+uint64(idx)*8)
+			oid := pmo.MakeOID(m.pmos[slot].ID, pmo.DataStart+uint64(idx)*8)
 			if err := m.ctx.Store(oid, uint64(regs[in.B])); err != nil {
 				return 0, wrapLinked(f, in, err)
 			}
@@ -150,24 +150,24 @@ func (m *Machine) execLinked(f *ir.LFunc, regs []int64) (int64, error) {
 			if slot < 0 {
 				return 0, wrapLinked(f, in, fmt.Errorf("interp: unknown array %q", in.Sym))
 			}
-			arr := m.dramTab[slot]
+			arr := m.dram[slot]
 			idx := regs[in.A]
 			if uint64(idx) >= uint64(len(arr)) {
 				return 0, wrapLinked(f, in, fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, len(arr)))
 			}
-			m.ctx.DRAMAccess(m.dramBaseTab[slot]+uint64(idx)*8, 8)
+			m.ctx.DRAMAccess(m.dramBase[slot]+uint64(idx)*8, 8)
 			regs[in.Dst] = arr[idx]
 		case ir.StoreDRAM:
 			slot := in.Slot
 			if slot < 0 {
 				return 0, wrapLinked(f, in, fmt.Errorf("interp: unknown array %q", in.Sym))
 			}
-			arr := m.dramTab[slot]
+			arr := m.dram[slot]
 			idx := regs[in.A]
 			if uint64(idx) >= uint64(len(arr)) {
 				return 0, wrapLinked(f, in, fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, len(arr)))
 			}
-			m.ctx.DRAMAccess(m.dramBaseTab[slot]+uint64(idx)*8, 8)
+			m.ctx.DRAMAccess(m.dramBase[slot]+uint64(idx)*8, 8)
 			arr[idx] = regs[in.B]
 		case ir.Call:
 			if in.Slot < 0 {
@@ -186,14 +186,14 @@ func (m *Machine) execLinked(f *ir.LFunc, regs []int64) (int64, error) {
 			if in.Slot < 0 {
 				return 0, wrapLinked(f, in, fmt.Errorf("interp: attach unknown PMO %q", in.Sym))
 			}
-			if err := m.ctx.Attach(m.pmoTab[in.Slot], permFromBits(in.Imm)); err != nil {
+			if err := m.ctx.Attach(m.pmos[in.Slot], permFromBits(in.Imm)); err != nil {
 				return 0, wrapLinked(f, in, err)
 			}
 		case ir.Detach:
 			if in.Slot < 0 {
 				return 0, wrapLinked(f, in, fmt.Errorf("interp: detach unknown PMO %q", in.Sym))
 			}
-			if err := m.ctx.Detach(m.pmoTab[in.Slot]); err != nil {
+			if err := m.ctx.Detach(m.pmos[in.Slot]); err != nil {
 				return 0, wrapLinked(f, in, err)
 			}
 		case ir.LJmp:
@@ -221,7 +221,7 @@ func (m *Machine) execLinked(f *ir.LFunc, regs []int64) (int64, error) {
 	}
 }
 
-// wrapLinked matches the legacy interpreter's error context ("func bN:").
+// wrapLinked matches the block interpreter's error context ("func bN:").
 func wrapLinked(f *ir.LFunc, in *ir.LInstr, err error) error {
 	return fmt.Errorf("%s b%d: %w", f.Name, in.Block, err)
 }

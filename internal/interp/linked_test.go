@@ -26,8 +26,8 @@ type runOutcome struct {
 }
 
 // runEngine compiles src (instrumenting unless the scheme is Unprotected),
-// runs main under either the legacy or linked engine, and returns the
-// outcome.
+// runs main under either the block interpreter or the linked engine, and
+// returns the outcome.
 func runEngine(t *testing.T, src string, scheme params.Scheme, useLinked bool) runOutcome {
 	t.Helper()
 	prog, err := lang.Compile(src)
@@ -62,8 +62,7 @@ func runEngine(t *testing.T, src string, scheme params.Scheme, useLinked bool) r
 		}
 	}
 	if scheme == params.Unprotected {
-		for _, name := range prog.PMONames() {
-			p, _ := m.PMO(name)
+		for _, p := range m.PMOs() {
 			if err := ctx.Attach(p, paging.ReadWrite); err != nil {
 				t.Fatal(err)
 			}
@@ -84,10 +83,11 @@ func runEngine(t *testing.T, src string, scheme params.Scheme, useLinked bool) r
 }
 
 // TestLinkedMatchesLegacy: on random programs under every scheme, the
-// linked engine must reproduce the legacy interpreter bit for bit — same
-// value, same simulated clock, same per-account cycle tallies, same step
-// count, same protection counters. This is the determinism contract of
-// the hot-path engine.
+// linked engine must reproduce the block interpreter (the "legacy" of
+// these tests' names) bit for bit — same value, same simulated clock,
+// same per-account cycle tallies, same step count, same protection
+// counters. This is the determinism contract of the hot-path engine, and
+// genKernel's programs make it catch link errors on its own.
 func TestLinkedMatchesLegacy(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	schemes := []params.Scheme{
@@ -96,11 +96,11 @@ func TestLinkedMatchesLegacy(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		src := genKernel(r)
 		for _, scheme := range schemes {
-			legacy := runEngine(t, src, scheme, false)
+			block := runEngine(t, src, scheme, false)
 			linked := runEngine(t, src, scheme, true)
-			if legacy != linked {
-				t.Fatalf("trial %d scheme %v: linked diverged\nlegacy: %+v\nlinked: %+v\n%s",
-					trial, scheme, legacy, linked, src)
+			if block != linked {
+				t.Fatalf("trial %d scheme %v: linked diverged\nblock:  %+v\nlinked: %+v\n%s",
+					trial, scheme, block, linked, src)
 			}
 		}
 	}
@@ -135,8 +135,7 @@ func TestLinkedErrorsMatchLegacy(t *testing.T) {
 		if maxSteps != 0 {
 			m.MaxSteps = maxSteps
 		}
-		for _, name := range prog.PMONames() {
-			p, _ := m.PMO(name)
+		for _, p := range m.PMOs() {
 			if err := ctx.Attach(p, paging.ReadWrite); err != nil {
 				t.Fatal(err)
 			}
@@ -158,10 +157,10 @@ func TestLinkedErrorsMatchLegacy(t *testing.T) {
 		{"steps", "pmo a[4];\nfunc main() { var i; for (i = 0; i < 1000; i = i + 1) { a[0] = i; } return 0; }\n", 50},
 	}
 	for _, tc := range cases {
-		legacy := runErr(tc.src, tc.maxSteps, false)
+		block := runErr(tc.src, tc.maxSteps, false)
 		linked := runErr(tc.src, tc.maxSteps, true)
-		if legacy != linked {
-			t.Errorf("%s: error text diverged\nlegacy: %s\nlinked: %s", tc.name, legacy, linked)
+		if block != linked {
+			t.Errorf("%s: error text diverged\nblock:  %s\nlinked: %s", tc.name, block, linked)
 		}
 	}
 }
@@ -181,9 +180,9 @@ func main() {
   return acc;
 }
 `
-	legacy := runEngine(t, src, params.Unprotected, false)
+	block := runEngine(t, src, params.Unprotected, false)
 	linked := runEngine(t, src, params.Unprotected, true)
-	if legacy != linked {
-		t.Fatalf("frame pool diverged\nlegacy: %+v\nlinked: %+v", legacy, linked)
+	if block != linked {
+		t.Fatalf("frame pool diverged\nblock:  %+v\nlinked: %+v", block, linked)
 	}
 }

@@ -188,15 +188,6 @@ func NewProgram() *Program {
 	return &Program{Funcs: make(map[string]*Func)}
 }
 
-// PMONames returns the declared PMO names in order.
-func (p *Program) PMONames() []string {
-	out := make([]string, len(p.PMOs))
-	for i, d := range p.PMOs {
-		out[i] = d.Name
-	}
-	return out
-}
-
 // Validate checks structural invariants: block IDs dense, successors in
 // range, terminators consistent. It returns the first problem found.
 func (f *Func) Validate() error {

@@ -15,12 +15,13 @@ import (
 // Linking is purely a representation change: the linked form executes the
 // same instructions, charges the same simulated cycles and produces the
 // same results as interpreting the block-structured Func directly (the
-// interp package enforces this with a linked-vs-legacy equivalence test).
+// interp package's equivalence tests hold it to this against interp's
+// block interpreter, which resolves symbols without this pass).
 
 // Linked-form terminator opcodes. They live above every regular Op so the
 // interpreter can split instruction handling from control transfer with a
 // single compare (regular instructions count against the step budget,
-// terminators charge one cycle like the legacy block terminators).
+// terminators charge one cycle like the block interpreter's terminators).
 const (
 	// LJmp is an unconditional jump to pc Slot.
 	LJmp Op = 64 + iota
@@ -40,7 +41,7 @@ const (
 //	LBr                           Slot = taken pc, Targ = fallthrough pc
 //
 // A Slot of -1 marks a symbol that did not resolve at link time; executing
-// such an instruction fails with the same error the legacy interpreter
+// such an instruction fails with the same error the block interpreter
 // reports, so invalid-but-unreached code behaves identically.
 type LInstr struct {
 	// Op is the opcode (a regular Op, or LJmp/LBr/LRet).
@@ -89,7 +90,7 @@ type Linked struct {
 }
 
 // Link flattens and resolves every function of the program. The source
-// program is not modified and may keep serving the legacy interpreter; one
+// program is not modified and may keep serving the block interpreter; one
 // Linked result is read-only and may back any number of concurrent
 // machines.
 func Link(p *Program) (*Linked, error) {

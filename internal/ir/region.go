@@ -20,9 +20,6 @@ type Region struct {
 	Parent *Region
 }
 
-// Contains reports whether block b is a member.
-func (r *Region) Contains(b int) bool { return r.Blocks[b] }
-
 // Size returns the number of member blocks.
 func (r *Region) Size() int { return len(r.Blocks) }
 

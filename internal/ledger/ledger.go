@@ -49,9 +49,6 @@ func Open(path string, opt Options) (*Ledger, error) {
 	return &Ledger{path: path, opt: opt, f: f, size: st.Size()}, nil
 }
 
-// Path returns the active file path.
-func (l *Ledger) Path() string { return l.path }
-
 // rotatedPath is the single rotated generation kept next to the
 // active file.
 func (l *Ledger) rotatedPath() string { return l.path + ".1" }

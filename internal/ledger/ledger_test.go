@@ -286,7 +286,7 @@ func TestFromGridDeterministic(t *testing.T) {
 	}
 	for _, key := range []string{"expo/tt/tew_us/mean", "expo/tt/tew_us/p99", "expo/tt/ter/mean"} {
 		if _, ok := a.Values[key]; !ok {
-			t.Fatalf("missing exposure rollup %s (have %v)", key, a.MetricNames())
+			t.Fatalf("missing exposure rollup %s (have %v)", key, a.Values)
 		}
 	}
 	// The record survives a JSONL round-trip intact.

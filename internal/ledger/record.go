@@ -17,7 +17,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math"
-	"sort"
 
 	terp "repro"
 	"repro/internal/stats"
@@ -201,18 +200,4 @@ func rollupLitmus(rows []terp.LitmusRow, out map[string]uint64) {
 		out["litmus/modelOnly"] += uint64(r.ModelOnly)
 		out["litmus/violations"] += uint64(r.Violations)
 	}
-}
-
-// MetricNames returns the record's metric and value keys, sorted, for
-// deterministic iteration.
-func (r Record) MetricNames() []string {
-	names := make([]string, 0, len(r.Metrics)+len(r.Values))
-	for k := range r.Metrics {
-		names = append(names, k)
-	}
-	for k := range r.Values {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

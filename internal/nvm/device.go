@@ -74,9 +74,6 @@ type Device struct {
 	// volatile until flushed and fenced (see EnablePersistBuffer).
 	buf *PersistBuffer
 
-	// Reads and Writes count byte-granularity accesses.
-	Reads, Writes uint64
-
 	base *Device // the device this one reads through to, nil for none
 	view bool    // a crash view
 }
@@ -161,7 +158,6 @@ func (d *Device) ReadAt(b []byte, off uint64) error {
 	if err := d.check(off, len(b)); err != nil {
 		return err
 	}
-	d.Reads += uint64(len(b))
 	d.readRaw(b, off)
 	return nil
 }
@@ -192,7 +188,6 @@ func (d *Device) WriteAt(b []byte, off uint64) error {
 	if err := d.check(off, len(b)); err != nil {
 		return err
 	}
-	d.Writes += uint64(len(b))
 	if d.buf != nil {
 		d.buf.dirty(off, b)
 	}
@@ -222,7 +217,6 @@ func (d *Device) Read8(off uint64) (uint64, error) {
 		if err := d.check(off, 8); err != nil {
 			return 0, err
 		}
-		d.Reads += 8
 		p := d.lookup(off / pageSize)
 		if p == nil {
 			if p = d.borrowed(off / pageSize); p == nil {
@@ -246,7 +240,6 @@ func (d *Device) ReadWords(dst []uint64, off uint64) error {
 	if err := d.check(off, 8*len(dst)); err != nil {
 		return err
 	}
-	d.Reads += 8 * uint64(len(dst))
 	for len(dst) > 0 {
 		in := off % pageSize
 		if in > pageSize-8 { // a word straddling two pages
@@ -282,7 +275,6 @@ func (d *Device) Write8(off uint64, v uint64) error {
 		if err := d.check(off, 8); err != nil {
 			return err
 		}
-		d.Writes += 8
 		p := d.lookup(off / pageSize)
 		if p == nil {
 			p = d.materialize(off / pageSize)

@@ -140,18 +140,6 @@ func TestDeviceZero(t *testing.T) {
 	})
 }
 
-func TestDeviceCounters(t *testing.T) {
-	forEachBacking(t, 1<<16, func(t *testing.T, d *Device) {
-		d.Write8(0, 1)
-		d.Read8(0)
-		d.Read8(0)
-		d.ReadWords(make([]uint64, 3), 0)
-		if d.Writes != 8 || d.Reads != 40 {
-			t.Fatalf("counters = %d writes %d reads, want 8/40", d.Writes, d.Reads)
-		}
-	})
-}
-
 // Property: arbitrary word writes at arbitrary aligned offsets read back.
 func TestDeviceWordProperty(t *testing.T) {
 	d := NewDevice(NVM, 1<<24)

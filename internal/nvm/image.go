@@ -51,7 +51,6 @@ func (d *Device) MapImage(img *Image) error {
 	if err := d.check(img.lo, int(img.hi-img.lo)); err != nil {
 		return err
 	}
-	d.Writes += img.hi - img.lo
 	for pn := img.lo / pageSize; pn*pageSize < img.hi; pn++ {
 		if p := d.lookup(pn); p != nil {
 			a, b := max(img.lo, pn*pageSize), min(img.hi, (pn+1)*pageSize)

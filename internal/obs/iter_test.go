@@ -9,10 +9,8 @@ func TestWindowsPairsSyncSpans(t *testing.T) {
 	r := NewRecorder(0)
 	tr := r.Track(0)
 	// Nested sync spans: outer [10,50], inner [20,30].
-	tr.Begin(10, CatSim, "outer", 1)
-	tr.Begin(20, CatSim, "inner", 2)
-	tr.End(30, CatSim, "inner", 2)
-	tr.End(50, CatSim, "outer", 1)
+	tr.Span(10, 50, CatSim, "outer", 1)
+	tr.Span(20, 30, CatSim, "inner", 2)
 
 	ws := Windows(r.Events())
 	want := []Window{
@@ -48,14 +46,14 @@ func TestWindowsPairsAsyncByKeyAndKeepsBeginThread(t *testing.T) {
 }
 
 func TestWindowsDropsUnclosedSpans(t *testing.T) {
-	r := NewRecorder(0)
-	tr := r.Track(0)
-	tr.Begin(10, CatSim, "open", 0)
-	tr.AsyncBegin(20, CatExpo, "ew", 1)
-	tr.End(15, CatSim, "stray-end-wrong-order", 0) // closes "open"
-	tr.AsyncEnd(30, CatExpo, "never-begun", 2)     // no matching begin
-
-	ws := Windows(r.Events())
+	// A truncated stream, as a ring that evicted events leaves it.
+	ws := Windows([]Event{
+		{TS: 5, Type: End, Cat: CatSim, Name: "evicted-begin"}, // no matching begin
+		{TS: 10, Type: Begin, Cat: CatSim, Name: "open"},
+		{TS: 15, Type: End, Cat: CatSim, Name: "stray-end-wrong-order"}, // closes "open"
+		{TS: 20, Type: AsyncBegin, Cat: CatExpo, Name: "ew", Arg: 1},
+		{TS: 30, Type: AsyncEnd, Cat: CatExpo, Name: "never-begun", Arg: 2}, // no matching begin
+	})
 	if len(ws) != 1 || ws[0].Name != "open" {
 		t.Fatalf("windows = %+v, want only the closed sync span", ws)
 	}
@@ -65,8 +63,7 @@ func TestInstantsAndFilters(t *testing.T) {
 	r := NewRecorder(0)
 	tr := r.Track(2)
 	tr.Instant(5, CatAttack, "probe", 1)
-	tr.Begin(6, CatSim, "span", 0)
-	tr.End(7, CatSim, "span", 0)
+	tr.Span(6, 7, CatSim, "span", 0)
 	tr.Instant(8, CatAttack, "deadtime", 42)
 
 	ins := Instants(r.Events())

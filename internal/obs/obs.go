@@ -168,22 +168,6 @@ type Track struct {
 	dropped uint64
 }
 
-// Begin opens a synchronous span.
-func (t *Track) Begin(ts uint64, cat Cat, name string, arg int64) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{TS: ts, Type: Begin, Cat: cat, Name: name, Arg: arg})
-}
-
-// End closes the innermost open synchronous span.
-func (t *Track) End(ts uint64, cat Cat, name string, arg int64) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{TS: ts, Type: End, Cat: cat, Name: name, Arg: arg})
-}
-
 // Span records a complete synchronous span [from, to].
 func (t *Track) Span(from, to uint64, cat Cat, name string, arg int64) {
 	if t == nil {

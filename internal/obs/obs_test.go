@@ -10,8 +10,6 @@ import (
 
 func TestNilTrackIsNoOp(t *testing.T) {
 	var tr *Track
-	tr.Begin(1, CatSim, "x", 0)
-	tr.End(2, CatSim, "x", 0)
 	tr.Span(3, 4, CatSim, "x", 0)
 	tr.AsyncBegin(5, CatExpo, "x", 1)
 	tr.AsyncEnd(6, CatExpo, "x", 1)
@@ -229,9 +227,8 @@ func TestChromeTraceSchema(t *testing.T) {
 	r := NewRecorder(0)
 	hw := r.Track(HWThread)
 	t0 := r.Track(0)
-	t0.Begin(10, CatCore, "attach-syscall", 3)
+	t0.Span(10, 20, CatCore, "attach-syscall", 3)
 	t0.Instant(12, CatPaging, "tlb-walk", 0x40)
-	t0.End(20, CatCore, "attach-syscall", 3)
 	hw.AsyncBegin(5, CatExpo, "ew", 3)
 	t0.AsyncBegin(11, CatExpo, "tew", 3|1<<32)
 	t0.AsyncEnd(25, CatExpo, "tew", 3|1<<32)

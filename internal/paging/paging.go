@@ -108,8 +108,6 @@ type AddressSpace struct {
 	maps []*Mapping // sorted by Base
 	byID []*Mapping // indexed by PMO ID; nil when detached
 
-	// Walks counts page-table walks (both-level TLB misses).
-	Walks uint64
 	// Shootdowns counts TLB shootdowns (detach and randomize).
 	Shootdowns uint64
 }

@@ -190,17 +190,6 @@ func NewConfig(s Scheme, ewMicros float64) Config {
 	return c
 }
 
-// UsesTERPInsertion reports whether the scheme uses the TERP compiler's
-// automatic conditional attach/detach insertion (as opposed to MERR's
-// manual EW-granularity insertion).
-func (c Config) UsesTERPInsertion() bool {
-	switch c.Scheme {
-	case TM, TT, BasicSem, PlusCond, PlusCB:
-		return true
-	}
-	return false
-}
-
 // UsesCircularBuffer reports whether the scheme has the TERP hardware
 // circular buffer (window combining).
 func (c Config) UsesCircularBuffer() bool {

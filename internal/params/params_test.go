@@ -48,23 +48,20 @@ func TestNewConfigDefaults(t *testing.T) {
 
 func TestConfigPredicates(t *testing.T) {
 	type row struct {
-		s                       Scheme
-		insertion, cb, syscalls bool
+		s            Scheme
+		cb, syscalls bool
 	}
 	rows := []row{
-		{Unprotected, false, false, false},
-		{MM, false, false, false},
-		{TM, true, false, true},
-		{TT, true, true, false},
-		{BasicSem, true, false, true},
-		{PlusCond, true, false, false},
-		{PlusCB, true, true, false},
+		{Unprotected, false, false},
+		{MM, false, false},
+		{TM, false, true},
+		{TT, true, false},
+		{BasicSem, false, true},
+		{PlusCond, false, false},
+		{PlusCB, true, false},
 	}
 	for _, r := range rows {
 		c := NewConfig(r.s, 40)
-		if c.UsesTERPInsertion() != r.insertion {
-			t.Fatalf("%v UsesTERPInsertion = %v", r.s, c.UsesTERPInsertion())
-		}
 		if c.UsesCircularBuffer() != r.cb {
 			t.Fatalf("%v UsesCircularBuffer = %v", r.s, c.UsesCircularBuffer())
 		}

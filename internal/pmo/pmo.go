@@ -643,18 +643,6 @@ func (p *PMO) CheckConsistency() error {
 	return nil
 }
 
-// UsableSize returns the payload size of the allocation at o.
-func (p *PMO) UsableSize(o OID) (uint64, error) {
-	if o.Pool() != p.ID {
-		return 0, fmt.Errorf("%w: %v not in pool %d", ErrBadOID, o, p.ID)
-	}
-	blk := o.Offset() - blockHeader
-	if blk < DataStart || blk+blockHeader > p.Size {
-		return 0, fmt.Errorf("%w: size of %v", ErrBadOID, o)
-	}
-	return p.read8(blk) - blockHeader, nil
-}
-
 // FreeBytes returns the total bytes on the free list plus untouched tail
 // space (for fragmentation diagnostics and tests).
 func (p *PMO) FreeBytes() uint64 {

@@ -82,8 +82,8 @@ func TestAllocFreeReuse(t *testing.T) {
 	if o1 == o2 {
 		t.Fatal("allocations alias")
 	}
-	if sz, _ := p.UsableSize(o1); sz < 100 {
-		t.Fatalf("usable size %d < 100", sz)
+	if o2.Offset() < o1.Offset()+100 {
+		t.Fatalf("allocation at %v overlaps the 100 bytes at %v", o2, o1)
 	}
 	if err := p.Free(o1); err != nil {
 		t.Fatal(err)

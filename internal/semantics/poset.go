@@ -65,18 +65,6 @@ func NewPermissionSet(objects []string, accesses ...Access) PermissionSet {
 // Allows reports whether the set grants access a on object o.
 func (ps PermissionSet) Allows(o string, a Access) bool { return ps[o][a] }
 
-// Subset reports whether every grant in ps is also granted by other.
-func (ps PermissionSet) Subset(other PermissionSet) bool {
-	for o, m := range ps {
-		for a, ok := range m {
-			if ok && !other[o][a] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // PermissionGroup is a set of entities sharing a permission set
 // (Definition 2). Entities are identified by name (thread, process, user).
 type PermissionGroup struct {
@@ -134,9 +122,6 @@ type Poset struct {
 func NewPoset(ms ...*Mechanism) *Poset {
 	return &Poset{elems: ms}
 }
-
-// Len returns the number of mechanisms.
-func (p *Poset) Len() int { return len(p.elems) }
 
 // At returns the i-th mechanism.
 func (p *Poset) At(i int) *Mechanism { return p.elems[i] }

@@ -125,15 +125,8 @@ func TestLowering(t *testing.T) {
 	}
 }
 
-func TestPermissionSetSubset(t *testing.T) {
+func TestPermissionSetAllows(t *testing.T) {
 	r := NewPermissionSet([]string{"a", "b"}, Read)
-	rw := NewPermissionSet([]string{"a", "b"}, Read, Write)
-	if !r.Subset(rw) {
-		t.Fatal("read-only should be subset of read-write")
-	}
-	if rw.Subset(r) {
-		t.Fatal("read-write is not subset of read-only")
-	}
 	if !r.Allows("a", Read) || r.Allows("a", Write) {
 		t.Fatal("permission set contents wrong")
 	}

@@ -51,17 +51,8 @@ type StudyResult struct {
 	DeniedAccesses int
 	// EWCount, AvgEW, MaxEW summarize the process-level exposure
 	// windows produced (cycles).
-	EWCount       int
-	AvgEW, MaxEW  float64
-	totalExposure uint64
-}
-
-// ExposureRate returns total exposed time over the trace duration.
-func (r StudyResult) ExposureRate(total uint64) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(r.totalExposure) / float64(total)
+	EWCount      int
+	AvgEW, MaxEW float64
 }
 
 // RunStudy replays a trace under the policy and collects the outcome.
@@ -79,7 +70,6 @@ func RunStudy(p Policy, trace []Event) StudyResult {
 		}
 		d := now - openAt
 		res.EWCount++
-		res.totalExposure += d
 		res.AvgEW += float64(d)
 		if float64(d) > res.MaxEW {
 			res.MaxEW = float64(d)

@@ -87,9 +87,6 @@ func TestStudyExposureAccounting(t *testing.T) {
 	if res.EWCount != 1 || res.AvgEW != 200 || res.MaxEW != 200 {
 		t.Fatalf("exposure = %+v", res)
 	}
-	if r := res.ExposureRate(400); r != 0.5 {
-		t.Fatalf("rate = %f", r)
-	}
 	if res.String() == "" {
 		t.Fatal("empty string")
 	}

@@ -89,9 +89,6 @@ func NewScheduler(workers, queueDepth int, store *Store, m *Metrics, led *ledger
 	return s
 }
 
-// Metrics exposes the scheduler's telemetry set.
-func (s *Scheduler) Metrics() *Metrics { return s.metrics }
-
 // depthLocked refreshes the tenant's queue-depth gauge; s.mu held.
 func (s *Scheduler) depthLocked(name string, t *tenant) {
 	depth := len(t.queue)

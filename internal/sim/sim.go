@@ -303,12 +303,16 @@ type Machine struct {
 	retrying *Thread
 }
 
+// DefaultQuantum is the yield quantum, in cycles, of every machine the
+// simulator runs: SPEC cells and terp.System.Parallel sections.
+const DefaultQuantum = 200
+
 // NewMachine creates a scheduler with the given random seed and yield
-// quantum in cycles. A smaller quantum interleaves threads more finely at
-// higher simulation cost; the default used by the runtime is 200 cycles.
+// quantum in cycles (0 selects DefaultQuantum). A smaller quantum
+// interleaves threads more finely at higher simulation cost.
 func NewMachine(seed int64, quantum uint64) *Machine {
 	if quantum == 0 {
-		quantum = 200
+		quantum = DefaultQuantum
 	}
 	return &Machine{
 		Rand:    rand.New(rand.NewSource(seed)),

@@ -75,7 +75,7 @@ func Build(k Kernel, scale int, insert bool, opt terpc.Options) (*ir.Program, er
 // tested against. The program is not mutated, so callers may share one
 // program across concurrent runs.
 func RunProgram(cfg params.Config, k Kernel, prog *ir.Program, opts RunOpts) (core.Result, error) {
-	return runWith(cfg, k, prog.PMONames(), opts, func(ctx *core.ThreadCtx) (*interp.Machine, error) {
+	return runWith(cfg, k, opts, func(ctx *core.ThreadCtx) (*interp.Machine, error) {
 		return interp.New(prog, ctx)
 	})
 }
@@ -85,15 +85,16 @@ func RunProgram(cfg params.Config, k Kernel, prog *ir.Program, opts RunOpts) (co
 // one Link result may back any number of concurrent runs; results are
 // identical to RunProgram on the program the form was linked from.
 func RunLinked(cfg params.Config, k Kernel, l *ir.Linked, opts RunOpts) (core.Result, error) {
-	return runWith(cfg, k, l.Prog.PMONames(), opts, func(ctx *core.ThreadCtx) (*interp.Machine, error) {
+	return runWith(cfg, k, opts, func(ctx *core.ThreadCtx) (*interp.Machine, error) {
 		return interp.NewLinked(l, ctx)
 	})
 }
 
 // runWith builds the simulated machine (single-thread or scheduled) and
-// executes the kernel with interpreters supplied by newMachine — the one
-// place the single- and multi-thread drive logic lives.
-func runWith(cfg params.Config, k Kernel, pmoNames []string, opts RunOpts, newMachine func(*core.ThreadCtx) (*interp.Machine, error)) (core.Result, error) {
+// executes the kernel on the interpreter newMachine supplies, whose
+// workers run the other threads — the one place the single- and
+// multi-thread drive logic lives.
+func runWith(cfg params.Config, k Kernel, opts RunOpts, newMachine func(*core.ThreadCtx) (*interp.Machine, error)) (core.Result, error) {
 	if opts.Threads < 0 {
 		return core.Result{}, fmt.Errorf("speckit %s: negative thread count %d", k.Name, opts.Threads)
 	}
@@ -114,7 +115,7 @@ func runWith(cfg params.Config, k Kernel, pmoNames []string, opts RunOpts, newMa
 		}
 		m.Interrupt = opts.Interrupt
 		if cfg.Scheme == params.Unprotected {
-			if err := preAttach(ctx, m, pmoNames); err != nil {
+			if err := preAttach(ctx, m); err != nil {
 				return core.Result{}, err
 			}
 		}
@@ -124,32 +125,39 @@ func runWith(cfg params.Config, k Kernel, pmoNames []string, opts RunOpts, newMa
 		return rt.Finish(ctx.Now()), nil
 	}
 
-	machine := sim.NewMachine(cfg.Seed, 200)
+	machine := sim.NewMachine(cfg.Seed, sim.DefaultQuantum)
 	rt.AttachMachine(machine)
 	errs := make([]error, opts.Threads)
+	// Thread 0 runs first (every clock starts at 0, and ties go to the
+	// lower ID) and builds the machine before its first charge, so it
+	// exists before any worker starts. When building fails, errs[0] says
+	// why and the workers do nothing.
 	var first *interp.Machine
 	for t := 0; t < opts.Threads; t++ {
 		t := t
 		machine.AddThread(func(th *sim.Thread) {
 			ctx := rt.NewThread(th)
-			m, err := newMachine(ctx)
-			if err != nil {
-				errs[t] = err
-				return
-			}
-			m.Interrupt = opts.Interrupt
-			if first == nil {
-				first = m
-			} else {
-				m.SharePMOs(first)
-				m.ShareDRAM(first)
-			}
-			if cfg.Scheme == params.Unprotected && t == 0 {
-				if err := preAttach(ctx, m, pmoNames); err != nil {
+			var m *interp.Machine
+			switch {
+			case t == 0:
+				var err error
+				if m, err = newMachine(ctx); err != nil {
 					errs[t] = err
 					return
 				}
+				first = m
+				if cfg.Scheme == params.Unprotected {
+					if err := preAttach(ctx, m); err != nil {
+						errs[t] = err
+						return
+					}
+				}
+			case first != nil:
+				m = first.Worker(ctx)
+			default:
+				return
 			}
+			m.Interrupt = opts.Interrupt
 			if _, err := m.Run("worker", int64(t), int64(opts.Threads)); err != nil {
 				errs[t] = err
 			}
@@ -164,12 +172,10 @@ func runWith(cfg params.Config, k Kernel, pmoNames []string, opts RunOpts, newMa
 	return rt.Finish(end), nil
 }
 
-func preAttach(ctx *core.ThreadCtx, m *interp.Machine, names []string) error {
-	for _, name := range names {
-		p, ok := m.PMO(name)
-		if !ok {
-			return fmt.Errorf("speckit: missing PMO %q", name)
-		}
+// preAttach attaches every PMO read-write, in declaration order: an
+// unprotected run holds its arrays for the whole run.
+func preAttach(ctx *core.ThreadCtx, m *interp.Machine) error {
+	for _, p := range m.PMOs() {
 		if err := ctx.Attach(p, paging.ReadWrite); err != nil {
 			return err
 		}

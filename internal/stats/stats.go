@@ -191,18 +191,3 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	return s[idx]
 }
-
-// GeoMean returns the geometric mean of positive xs (0 if any are <= 0).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}

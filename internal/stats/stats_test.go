@@ -111,18 +111,12 @@ func TestBar(t *testing.T) {
 	}
 }
 
-func TestMeanGeoMean(t *testing.T) {
+func TestMean(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("mean wrong")
 	}
 	if Mean(nil) != 0 {
 		t.Fatal("empty mean")
-	}
-	if g := GeoMean([]float64{1, 100}); math.Abs(g-10) > 1e-9 {
-		t.Fatalf("geomean = %f", g)
-	}
-	if GeoMean([]float64{1, 0}) != 0 || GeoMean(nil) != 0 {
-		t.Fatal("degenerate geomean")
 	}
 }
 

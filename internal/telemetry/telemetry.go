@@ -45,9 +45,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adds delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 

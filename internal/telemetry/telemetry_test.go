@@ -158,8 +158,8 @@ func TestConcurrentObserve(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
+				g.Inc()
+				g.Dec()
 				h.Observe(float64(i % 100))
 				vec.With("a").Inc()
 			}

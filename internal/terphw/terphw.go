@@ -128,9 +128,6 @@ func NewBuffer(maxEW uint64) *Buffer {
 	}
 }
 
-// MaxEW returns the configured maximum exposure window in cycles.
-func (b *Buffer) MaxEW() uint64 { return b.maxEW }
-
 // find returns the valid entry for the PMO, or nil.
 func (b *Buffer) find(pmo uint32) *Entry {
 	for i := range b.entries {

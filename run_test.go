@@ -141,31 +141,11 @@ func nan() float64 {
 	return zero / zero
 }
 
-func TestParallelQuantumOptionAndJoinedErrors(t *testing.T) {
-	// A custom quantum is honored (the run still completes and advances
-	// time deterministically).
-	sys, err := NewSystem(Options{Scheme: TT, QuantumCycles: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := sys.Create("q", 1<<20)
-	o, _ := p.Alloc(8)
-	end, err := sys.Parallel(2, func(tid int, ctx *core.ThreadCtx) error {
-		if err := ctx.Attach(p, ReadWrite); err != nil {
-			return err
-		}
-		if err := ctx.Store(o, uint64(tid)); err != nil {
-			return err
-		}
-		return ctx.Detach(p)
-	})
-	if err != nil || end == 0 {
-		t.Fatalf("end=%d err=%v", end, err)
-	}
-
-	// Every failing thread is reported, not just the first.
-	sys2, _ := NewSystem(Options{Scheme: TT})
-	_, err = sys2.Parallel(3, func(tid int, ctx *core.ThreadCtx) error {
+// TestParallelJoinedErrors: every failing thread is reported, not just
+// the first.
+func TestParallelJoinedErrors(t *testing.T) {
+	sys, _ := NewSystem(Options{Scheme: TT})
+	_, err := sys.Parallel(3, func(tid int, ctx *core.ThreadCtx) error {
 		if tid == 0 {
 			return nil
 		}

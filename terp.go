@@ -103,10 +103,6 @@ type Options struct {
 	NVMBytes uint64
 	// Seed makes runs reproducible (default 1).
 	Seed int64
-	// QuantumCycles is the deterministic scheduler's yield quantum for
-	// Parallel sections, in cycles (default 200). Smaller quanta
-	// interleave threads more finely at higher simulation cost.
-	QuantumCycles uint64
 }
 
 // MinNVMBytes is the smallest accepted device size: the device must hold
@@ -125,9 +121,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.QuantumCycles == 0 {
-		o.QuantumCycles = 200
 	}
 	return o
 }
@@ -272,12 +265,12 @@ func (s *System) Reboot() (*System, error) {
 // Parallel runs n simulated threads concurrently under the system's
 // scheme. The threads fork from the main thread's clock; each body
 // receives its thread context; the deterministic min-time scheduler
-// interleaves them at Options.QuantumCycles granularity. The main thread
+// interleaves them at sim.DefaultQuantum granularity. The main thread
 // joins at the section's end time, which Parallel returns in cycles;
 // when several threads fail, every failure is reported (errors.Join).
 func (s *System) Parallel(n int, body func(t int, ctx *core.ThreadCtx) error) (uint64, error) {
 	main := s.main.Thread()
-	m := sim.NewMachine(s.opts.Seed, s.opts.QuantumCycles)
+	m := sim.NewMachine(s.opts.Seed, sim.DefaultQuantum)
 	s.rt.AttachMachine(m)
 	// A body's panic leaves Run; the runtime still returns to
 	// single-thread mode for a caller that recovers it.

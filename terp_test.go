@@ -368,7 +368,7 @@ func TestTable6Shape(t *testing.T) {
 		if r.DisarmedTERP() < 0.8 {
 			t.Fatalf("%s: TERP disarms only %.1f%%", r.Suite, 100*r.DisarmedTERP())
 		}
-		if r.DisarmedTERP() <= r.DisarmedMERR() {
+		if r.TERPUsable >= r.MERRUsable {
 			t.Fatalf("%s: TERP must disarm more than MERR", r.Suite)
 		}
 	}
