@@ -8,9 +8,9 @@ import (
 // EnableObs turns on the observability layer for this runtime: with
 // cfg.Trace a Recorder collects per-thread event streams from every
 // component, and with cfg.Metrics a Snapshot accumulates counters and
-// histograms. Call it before creating threads (and before AttachMachine,
-// or wiring the scheduler hook is handled there); threads created earlier
-// are not instrumented.
+// histograms. Call it before creating threads and before AttachMachine:
+// threads created earlier are not instrumented, and a machine attached
+// earlier records no context switches.
 func (r *Runtime) EnableObs(cfg obs.Config) {
 	if cfg.Trace {
 		r.obs = obs.NewRecorder(cfg.TraceCap)
@@ -20,9 +20,6 @@ func (r *Runtime) EnableObs(cfg obs.Config) {
 		}
 		r.matrix.Obs = hw
 		r.tracker.Obs = r.obs
-		if r.machine != nil {
-			r.wireSwitchHook(r.machine)
-		}
 	}
 	if cfg.Metrics {
 		r.metrics = obs.NewSnapshot()

@@ -1,12 +1,12 @@
 // Package crash is the fault-injection subsystem: it drives a workload
 // over the persist-buffer model of internal/nvm, enumerates crash points
-// at persist events (fences, every Nth persist, or a seeded-random
-// sample), materializes the durable image a power failure at each point
-// would leave — optionally dropping an adversarial subset of
-// flushed-but-unfenced lines to model relaxed persist ordering — and
-// verifies that recovery from every image restores all invariants: the
-// undo log truncates, the PMO allocator stays consistent, and the
-// workload's own durable structures audit clean.
+// at persist events (fences or a seeded-random sample), presents the
+// durable image a power failure at each point would leave — optionally
+// dropping an adversarial subset of flushed-but-unfenced lines to model
+// relaxed persist ordering — and verifies that recovery from every image
+// restores all invariants: the undo log truncates, the PMO allocator
+// stays consistent, and the workload's own durable structures audit
+// clean.
 //
 // Everything is deterministic: crash points are chosen from the seeded
 // event stream, adversarial drops are seeded per (run seed, event index),
@@ -37,8 +37,6 @@ const (
 	// FencePolicy crashes at fence events (power fails just before the
 	// drain takes effect).
 	FencePolicy Policy = "fence"
-	// NthPolicy crashes at every Nth persist event (flushes and fences).
-	NthPolicy Policy = "nth"
 	// RandomPolicy crashes at a seeded-random sample of persist events.
 	RandomPolicy Policy = "random"
 )
@@ -52,8 +50,8 @@ type Spec struct {
 	// Seed seeds the workload stream, the random crash-point sample, and
 	// the adversarial line drops.
 	Seed int64
-	// Policy selects candidate events; Every thins fence/nth candidates
-	// to every Every-th one (0 means every one).
+	// Policy selects candidate events; Every thins fence candidates to
+	// every Every-th one (0 means every one).
 	Policy Policy
 	Every  int
 	// Points caps how many candidates are injected (0 means all).
@@ -63,8 +61,8 @@ type Spec struct {
 	Adversarial bool
 	// CrossCheck verifies every sampled image against the exhaustive
 	// crash-state enumerator: whatever the policy and the adversary
-	// choose, the image must be one nvm.ForEachCrashImage materializes
-	// at the same instant. Points whose in-flight writeback set exceeds
+	// choose, the image must be one nvm.ForEachCrashImage presents at
+	// the same instant. Points whose in-flight writeback set exceeds
 	// the enumeration cap are skipped (and counted), not failed.
 	CrossCheck bool
 }
@@ -96,7 +94,7 @@ type Report struct {
 	Adversarial bool   `json:"adversarial"`
 	Ops         int    `json:"ops"`
 	// Events and Fences count the full instrumented run's persist
-	// events. Candidates is, for fence and nth, how many events matched
+	// events. Candidates is, for fence, how many events matched
 	// the policy before Points capped them; for random, the sample size
 	// after the cap (Points, or Events when Points is 0 or larger).
 	Events     uint64        `json:"events"`
@@ -190,13 +188,13 @@ func (s Spec) dropper(e nvm.Event, dropped *int) func(uint64) bool {
 }
 
 // imageInEnumeration reports whether the image with hash want is one of
-// the images the exhaustive enumerator materializes at the current
-// instant — the cross-check that the sampling injector (dropper included)
-// can never produce a state outside the litmus engine's state space. The
-// walk stops at the first hash match; the error is the enumeration cap.
+// the images the exhaustive enumerator presents at the current instant —
+// the cross-check that the sampling injector (dropper included) can never
+// produce a state outside the litmus engine's state space. The walk stops
+// at the first hash match; the error is the enumeration cap.
 func imageInEnumeration(buf *nvm.PersistBuffer, want [32]byte) (bool, error) {
 	found := false
-	err := buf.ForEachCrashImage(func(cand map[uint64][]byte) bool {
+	err := buf.ForEachCrashImage(func(cand *nvm.Device) bool {
 		if nvm.ImageHash(cand) == want {
 			found = true
 			return false
@@ -245,7 +243,7 @@ func (s Spec) inject(rep *Report, r *run, e nvm.Event) {
 	view := r.dev.CrashView(s.dropper(e, &pr.Dropped))
 	var img [32]byte
 	if s.CrossCheck {
-		img = nvm.ImageHash(view.Snapshot()) // before recovery writes to the view
+		img = nvm.ImageHash(view) // before recovery writes to the view
 	}
 	undone, verr := verify(view, r.w, r.logCap)
 	pr.Undone = undone
@@ -275,8 +273,8 @@ func (s Spec) inject(rep *Report, r *run, e nvm.Event) {
 
 // Run executes the spec, verifying recovery from each selected crash
 // point on the spot, on a copy-on-write view of the live device. Fence
-// and nth points are known as the event stream goes, so one instrumented
-// pass counts the candidates and verifies the first Points of them. A
+// points are known as the event stream goes, so one instrumented pass
+// counts the candidates and verifies the first Points of them. A
 // random sample needs the event count first: a counting pass runs the
 // workload, then a replay verifies the sampled events and stops after the
 // last one.
@@ -302,27 +300,17 @@ func Run(s Spec) (*Report, error) {
 	return rep, nil
 }
 
-// runStream crashes at fence or nth events (every Every-th one), in one
-// pass.
+// runStream crashes at fence events (every Every-th one), in one pass.
 func (s Spec) runStream(rep *Report) error {
 	every := uint64(max(s.Every, 1))
 	var fences uint64
 	r, err := s.instrumented(func(r *run, e nvm.Event) {
-		switch s.Policy {
-		case FencePolicy:
-			if e.Kind != nvm.FenceEvent {
-				return
-			}
-			fences++
-			if (fences-1)%every != 0 {
-				return
-			}
-		case NthPolicy:
-			if e.Index%every != 0 {
-				return
-			}
-		default:
-			return // an unknown policy matches no event
+		if s.Policy != FencePolicy || e.Kind != nvm.FenceEvent {
+			return // only fences are candidates; an unknown policy has none
+		}
+		fences++
+		if (fences-1)%every != 0 {
+			return
 		}
 		rep.Candidates++
 		if s.Points <= 0 || rep.Candidates <= s.Points {

@@ -46,7 +46,7 @@ func TestCrashViewsDoNotShareRecovery(t *testing.T) {
 		if done {
 			return
 		}
-		before := nvm.ImageHash(r.dev.Snapshot())
+		before := nvm.ImageHash(r.dev)
 		first, err := verify(r.dev.CrashView(nil), r.w, r.logCap)
 		if err != nil {
 			t.Fatalf("event %d: %v", e.Index, err)
@@ -59,7 +59,7 @@ func TestCrashViewsDoNotShareRecovery(t *testing.T) {
 		if err != nil || second != first {
 			t.Fatalf("event %d: second view undid %d records (%v), first %d", e.Index, second, err, first)
 		}
-		if nvm.ImageHash(r.dev.Snapshot()) != before {
+		if nvm.ImageHash(r.dev) != before {
 			t.Fatalf("event %d: recovery on a view changed the live device", e.Index)
 		}
 	}, nil)

@@ -244,7 +244,7 @@ func (m *Machine) exec(in *ir.Instr, regs []int64) error {
 	case ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Mod, ir.And, ir.Or, ir.Xor, ir.Shl, ir.Shr,
 		ir.CmpEQ, ir.CmpNE, ir.CmpLT, ir.CmpLE, ir.CmpGT, ir.CmpGE:
 		m.ctx.Compute(1)
-		regs[in.Dst] = alu(in.Op, regs[in.A], regs[in.B])
+		regs[in.Dst] = ir.Eval(in.Op, regs[in.A], regs[in.B])
 	case ir.Compute:
 		m.ctx.Compute(uint64(in.Imm))
 	case ir.LoadPM:
@@ -355,55 +355,4 @@ func permFromBits(b int64) paging.Perm {
 		p |= paging.PermWrite
 	}
 	return p
-}
-
-func alu(op ir.Op, a, b int64) int64 {
-	switch op {
-	case ir.Add:
-		return a + b
-	case ir.Sub:
-		return a - b
-	case ir.Mul:
-		return a * b
-	case ir.Div:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case ir.Mod:
-		if b == 0 {
-			return 0
-		}
-		return a % b
-	case ir.And:
-		return a & b
-	case ir.Or:
-		return a | b
-	case ir.Xor:
-		return a ^ b
-	case ir.Shl:
-		return a << (uint64(b) & 63)
-	case ir.Shr:
-		return int64(uint64(a) >> (uint64(b) & 63))
-	case ir.CmpEQ:
-		return b2i(a == b)
-	case ir.CmpNE:
-		return b2i(a != b)
-	case ir.CmpLT:
-		return b2i(a < b)
-	case ir.CmpLE:
-		return b2i(a <= b)
-	case ir.CmpGT:
-		return b2i(a > b)
-	case ir.CmpGE:
-		return b2i(a >= b)
-	}
-	return 0
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

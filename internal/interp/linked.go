@@ -115,7 +115,7 @@ func (m *Machine) execLinked(f *ir.LFunc, regs []int64) (int64, error) {
 		case ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Mod, ir.And, ir.Or, ir.Xor, ir.Shl, ir.Shr,
 			ir.CmpEQ, ir.CmpNE, ir.CmpLT, ir.CmpLE, ir.CmpGT, ir.CmpGE:
 			m.ctx.Compute(1)
-			regs[in.Dst] = alu(in.Op, regs[in.A], regs[in.B])
+			regs[in.Dst] = ir.Eval(in.Op, regs[in.A], regs[in.B])
 		case ir.Compute:
 			m.ctx.Compute(uint64(in.Imm))
 		case ir.LoadPM:

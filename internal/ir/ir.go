@@ -75,6 +75,62 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
+// Eval returns Dst of the binary integer instruction op (Add through
+// CmpGE) with operands a and b. It is the IR's one definition of integer
+// semantics, which the constant folder and both interpreter engines share:
+// division and modulus by zero yield 0, shift counts are taken mod 64, Shr
+// is a logical shift, comparisons yield 1 or 0, and any other op yields 0.
+func Eval(op Op, a, b int64) int64 {
+	switch op {
+	case Add:
+		return a + b
+	case Sub:
+		return a - b
+	case Mul:
+		return a * b
+	case Div:
+		if b == 0 {
+			return 0
+		}
+		return a / b
+	case Mod:
+		if b == 0 {
+			return 0
+		}
+		return a % b
+	case And:
+		return a & b
+	case Or:
+		return a | b
+	case Xor:
+		return a ^ b
+	case Shl:
+		return a << (uint64(b) & 63)
+	case Shr:
+		return int64(uint64(a) >> (uint64(b) & 63))
+	case CmpEQ:
+		return b2i(a == b)
+	case CmpNE:
+		return b2i(a != b)
+	case CmpLT:
+		return b2i(a < b)
+	case CmpLE:
+		return b2i(a <= b)
+	case CmpGT:
+		return b2i(a > b)
+	case CmpGE:
+		return b2i(a >= b)
+	}
+	return 0
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Instr is one instruction.
 type Instr struct {
 	// Op is the opcode.

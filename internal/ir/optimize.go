@@ -59,7 +59,7 @@ func foldConstants(f *Func) OptStats {
 				a, okA := known[in.A]
 				bv, okB := known[in.B]
 				if okA && okB {
-					v := alu(in.Op, a, bv)
+					v := Eval(in.Op, a, bv)
 					*in = Instr{Op: Const, Dst: in.Dst, Imm: v}
 					known[in.Dst] = v
 					st.Folded++
@@ -86,63 +86,6 @@ func foldConstants(f *Func) OptStats {
 		}
 	}
 	return st
-}
-
-// alu mirrors the interpreter's integer semantics (div/mod by zero -> 0).
-func alu(op Op, a, b int64) int64 {
-	switch op {
-	case Add:
-		return a + b
-	case Sub:
-		return a - b
-	case Mul:
-		return a * b
-	case Div:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case Mod:
-		if b == 0 {
-			return 0
-		}
-		return a % b
-	case And:
-		return a & b
-	case Or:
-		return a | b
-	case Xor:
-		return a ^ b
-	case Shl:
-		return a << (uint64(b) & 63)
-	case Shr:
-		return int64(uint64(a) >> (uint64(b) & 63))
-	case CmpEQ:
-		if a == b {
-			return 1
-		}
-	case CmpNE:
-		if a != b {
-			return 1
-		}
-	case CmpLT:
-		if a < b {
-			return 1
-		}
-	case CmpLE:
-		if a <= b {
-			return 1
-		}
-	case CmpGT:
-		if a > b {
-			return 1
-		}
-	case CmpGE:
-		if a >= b {
-			return 1
-		}
-	}
-	return 0
 }
 
 // removeUnreachable prunes blocks not reachable from the entry and

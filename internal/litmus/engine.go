@@ -108,8 +108,8 @@ type Report struct {
 //
 // Model enumeration visits the persist-buffer state just before every
 // persist event (the event hook runs pre-effect) plus the final state,
-// and materializes every writeback drop subset at each instant through
-// the same CrashImage path the fault injector uses. Stores between
+// and reads every writeback drop subset at each instant from the same
+// crash views the fault injector verifies on. Stores between
 // events cannot change the image set — a first store to a clean line
 // leaves its durable bytes intact, and a store to a pending line touches
 // neither the durable copy nor the in-flight writeback — so these
@@ -134,14 +134,17 @@ func RunProgram(p Program, allow Allowlist) (Result, error) {
 	dev := nvm.NewDevice(nvm.NVM, devSize)
 	buf := dev.EnablePersistBuffer(LineSize)
 
+	// model keys each reachable image by its window's bytes.
 	model := make(map[string]bool)
+	window := make([]byte, p.Lines*LineSize)
 	var enumErr error
 	collect := func() {
 		if enumErr != nil {
 			return
 		}
-		enumErr = buf.ForEachCrashImage(func(img map[uint64][]byte) bool {
-			model[windowKey(img, p.Lines)] = true
+		enumErr = buf.ForEachCrashImage(func(view *nvm.Device) bool {
+			_ = view.ReadAt(window, 0) // the window lies inside the device, checked above
+			model[string(window)] = true
 			return true
 		})
 	}
@@ -234,17 +237,6 @@ func RunSuite(suite string, progs []Program, allow Allowlist) (*Report, error) {
 		rep.Results = append(rep.Results, res)
 	}
 	return rep, nil
-}
-
-// windowKey canonicalizes a crash image to the program window's bytes.
-func windowKey(img map[uint64][]byte, lines int) string {
-	r := nvm.NewDevice(nvm.NVM, devSize)
-	r.Restore(img)
-	b := make([]byte, lines*LineSize)
-	if err := r.ReadAt(b, 0); err != nil {
-		panic(err) // window validated against devSize
-	}
-	return string(b)
 }
 
 // sortedKeys returns a map's keys in ascending byte order.

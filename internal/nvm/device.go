@@ -4,14 +4,14 @@
 // bookkeeping (a page directory that grows with the pages written), so
 // simulations can declare the paper's 1 GB PMOs on a 2 GB device without
 // paying for either. The NVM device supports snapshot and restore, which
-// the crash-consistency tests use to emulate power failure, and counts
-// reads/writes for the wear-related statistics. An optional persist buffer
-// (persist.go) models the volatile store path to persistent media: while
-// enabled, writes only become durable once their cache line is flushed and
-// a fence drains it, and CrashView presents the state a power failure would
-// leave as a copy-on-write view of the live device. An Image (image.go) is
-// an immutable device range that any number of devices map and read in
-// place, copying a page only on their first write to it.
+// the crash-consistency tests use to emulate power failure. An optional
+// persist buffer (persist.go) models the volatile store path to persistent
+// media: while enabled, writes only become durable once their cache line
+// is flushed and a fence drains it, and CrashView presents the state a
+// power failure would leave as a copy-on-write view of the live device.
+// An Image (image.go) is an immutable device range that any number of
+// devices map and read in place, copying a page only on their first write
+// to it.
 package nvm
 
 import (
@@ -162,8 +162,8 @@ func (d *Device) ReadAt(b []byte, off uint64) error {
 	return nil
 }
 
-// readRaw copies device bytes without touching the access counters (the
-// persist buffer uses it to capture durable line content).
+// readRaw copies device bytes without a range check (the persist buffer
+// uses it to capture durable line content).
 func (d *Device) readRaw(b []byte, off uint64) {
 	for len(b) > 0 {
 		in := off % pageSize
@@ -211,7 +211,7 @@ func (d *Device) WriteAt(b []byte, off uint64) error {
 // Read8 reads a little-endian 64-bit word at off. Words contained in one
 // page are served straight from the backing page (the common case: PMO
 // element accesses are 8-byte aligned); page-straddling words take the
-// general ReadAt path. Both paths count the same 8 read bytes.
+// general ReadAt path.
 func (d *Device) Read8(off uint64) (uint64, error) {
 	if in := off % pageSize; in <= pageSize-8 {
 		if err := d.check(off, 8); err != nil {
@@ -234,8 +234,7 @@ func (d *Device) Read8(off uint64) (uint64, error) {
 
 // ReadWords reads len(dst) consecutive little-endian 64-bit words starting
 // at off. It is Read8 over a range, with one range check and one page
-// lookup per page (512 words) instead of one per word, and it counts the
-// same 8 read bytes per word.
+// lookup per page (512 words) instead of one per word.
 func (d *Device) ReadWords(dst []uint64, off uint64) error {
 	if err := d.check(off, 8*len(dst)); err != nil {
 		return err

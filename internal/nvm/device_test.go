@@ -289,13 +289,13 @@ func (m *byteModel) check(t *testing.T, d *Device, step int) {
 			t.Fatalf("step %d: page %d reads differently from its snapshot (err %v)", step, pn, err)
 		}
 	}
-	want := ImageHash(snap)
+	want := ImageHash(d)
 	r := d
 	if d.buf != nil || d.base != nil {
 		r = NewDevice(d.kind, d.size)
 	}
 	r.Restore(snap)
-	if got := ImageHash(r.Snapshot()); got != want || r.FootprintPages() != len(m.pages) {
+	if got := ImageHash(r); got != want || r.FootprintPages() != len(m.pages) {
 		t.Fatalf("step %d: Snapshot -> Restore -> Snapshot changed the image", step)
 	}
 }
@@ -364,13 +364,13 @@ func driveViews(t *testing.T, r *rand.Rand, base *Device, m *byteModel) {
 	base.Write8(leafPages*pageSize+8, 0x1111)
 	base.Flush(leafPages*pageSize, 8)
 	base.Write8(8, 0x2222)
-	if buf.PendingLines() != 2 || len(buf.UnfencedFlushedLines()) != 1 || base.FootprintPages() < 4 {
+	if buf.PendingLines() != 2 || len(buf.UnfencedLines()) != 1 || base.FootprintPages() < 4 {
 		t.Fatalf("%d buffered lines, %d in flight, %d pages: want 2, 1 and at least 4",
-			buf.PendingLines(), len(buf.UnfencedFlushedLines()), base.FootprintPages())
+			buf.PendingLines(), len(buf.UnfencedLines()), base.FootprintPages())
 	}
 	// A view soon holds every page it touches, so six fresh views take
 	// 100 steps each.
-	image, pending := ImageHash(base.Snapshot()), buf.PendingLines()
+	image, pending := ImageHash(base), buf.PendingLines()
 	for _, drop := range []func(uint64) bool{nil, func(uint64) bool { return true }} {
 		for range 3 {
 			m := modelOf(refCrashImage(base, drop))
@@ -378,7 +378,7 @@ func driveViews(t *testing.T, r *rand.Rand, base *Device, m *byteModel) {
 			driveModel(t, r, base.CrashView(drop), m, 100)
 		}
 	}
-	if ImageHash(base.Snapshot()) != image || buf.PendingLines() != pending {
+	if ImageHash(base) != image || buf.PendingLines() != pending {
 		t.Fatal("accesses through the crash views changed the device they view")
 	}
 }

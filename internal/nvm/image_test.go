@@ -83,7 +83,7 @@ func TestImageHoldsOnlyNonzeroPages(t *testing.T) {
 			written.Write8(img.lo+8*uint64(i), w)
 		}
 	}
-	if ImageHash(d.Snapshot()) != ImageHash(written.Snapshot()) || d.FootprintPages() != written.FootprintPages() {
+	if ImageHash(d) != ImageHash(written) || d.FootprintPages() != written.FootprintPages() {
 		t.Fatal("mapping the image differs from writing its nonzero words")
 	}
 }
@@ -127,7 +127,7 @@ func TestImageMappingsIsolated(t *testing.T) {
 	const size = uint64(leafPages+8) * pageSize // every access below is in range
 	r := rand.New(rand.NewSource(7))
 	img := testImage(r)
-	want := ImageHash(img.dev.Snapshot())
+	want := ImageHash(img.dev)
 	offset := func() uint64 { // around the image's range
 		return img.lo - 2*pageSize + uint64(r.Intn(int(img.hi-img.lo)+4*pageSize))
 	}
@@ -189,7 +189,7 @@ func TestImageMappingsIsolated(t *testing.T) {
 				}
 				vm.check(t, v, step)
 			}
-			if ImageHash(img.dev.Snapshot()) != want || img.dev.npages != 9 {
+			if ImageHash(img.dev) != want || img.dev.npages != 9 {
 				t.Fatalf("round %d step %d: a write of kind %d reached the image", round, step, kind)
 			}
 			for j := range devs {
@@ -208,7 +208,7 @@ func TestImageMappingsIsolated(t *testing.T) {
 // device must read only its own writes.
 func TestImageMappingsConcurrent(t *testing.T) {
 	img := testImage(rand.New(rand.NewSource(8)))
-	want := ImageHash(img.dev.Snapshot())
+	want := ImageHash(img.dev)
 	const workers = 4
 	devs := make([]*Device, workers)
 	models := make([]*byteModel, workers)
@@ -260,7 +260,7 @@ func TestImageMappingsConcurrent(t *testing.T) {
 		}(devs[i], models[i], rand.New(rand.NewSource(int64(10+i))))
 	}
 	wg.Wait()
-	if ImageHash(img.dev.Snapshot()) != want {
+	if ImageHash(img.dev) != want {
 		t.Fatal("the image changed")
 	}
 }

@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -131,15 +132,15 @@ func (d *Device) Fence() {
 // CrashView returns the durable state a power failure at this instant
 // would leave, as a copy-on-write view of d: the device's current pages
 // with every dirty, unflushed line reverted to its durable content.
-// dropFlushed, when non-nil, is consulted (in ascending line order, so
-// seeded decisions are deterministic) for each line with an in-flight
-// writeback; returning true reverts that line to its durable content,
-// modeling relaxed persist ordering where the writeback had not drained
-// when power failed, while returning false lands the bytes the flush
-// captured (which may be older than the cache copy if the line was
-// re-dirtied after the flush). A nil dropFlushed retains every in-flight
-// writeback (strict drain-on-flush ordering). Without a buffer every
-// write is durable and the view shows d as it is.
+// dropFlushed, when non-nil, is consulted once for each line with an
+// in-flight writeback, in ascending line order (UnfencedLines' order), so
+// seeded decisions are deterministic; returning true reverts that line to
+// its durable content, modeling relaxed persist ordering where the
+// writeback had not drained when power failed, while returning false
+// lands the bytes the flush captured (which may be older than the cache
+// copy if the line was re-dirtied after the flush). A nil dropFlushed
+// retains every in-flight writeback (strict drain-on-flush ordering).
+// Without a buffer every write is durable and the view shows d as it is.
 //
 // The view owns a copy of each page that holds a buffered line and reads
 // every other page through to d. It copies a borrowed page on its first
@@ -153,45 +154,10 @@ func (d *Device) CrashView(dropFlushed func(line uint64) bool) *Device {
 		panic("nvm: crash view of a crash view")
 	}
 	v := &Device{kind: d.kind, size: d.size, base: d, view: true}
-	if d.buf != nil {
-		d.buf.patchLines(dropFlushed, func(pn uint64) []byte {
-			p := v.lookup(pn)
-			if p == nil {
-				p = v.materialize(pn)
-			}
-			return p[:]
-		})
+	b := d.buf
+	if b == nil {
+		return v
 	}
-	return v
-}
-
-// CrashImage returns the durable contents at this instant, the image
-// CrashView presents, as a map from page number to page bytes: a
-// snapshot of d with every buffered line patched in place, so each page
-// is copied once.
-func (d *Device) CrashImage(dropFlushed func(line uint64) bool) map[uint64][]byte {
-	img := d.Snapshot()
-	if d.buf != nil {
-		d.buf.patchLines(dropFlushed, func(pn uint64) []byte {
-			p := img[pn]
-			if p == nil {
-				p = make([]byte, pageSize)
-				img[pn] = p
-			}
-			return p
-		})
-	}
-	return img
-}
-
-// patchLines writes the crash content of every buffered line (see
-// CrashView) into page(pn), the page the line lies in, in ascending line
-// order, consulting dropFlushed once per line with an in-flight
-// writeback. It is the single materialization path: the sampling injector
-// (internal/crash) verifies recovery on CrashView, and the exhaustive
-// enumerator (ForEachCrashImage, internal/litmus) walks CrashImage, so
-// the two cannot drift.
-func (b *PersistBuffer) patchLines(dropFlushed func(line uint64) bool, page func(pn uint64) []byte) {
 	lines := make([]uint64, 0, len(b.pending))
 	for ln := range b.pending {
 		lines = append(lines, ln)
@@ -204,9 +170,19 @@ func (b *PersistBuffer) patchLines(dropFlushed func(line uint64) bool, page func
 			content = st.wb
 		}
 		off := ln * b.line
-		in := off % pageSize
-		copy(page(off / pageSize)[in:in+b.line], content)
+		p := v.lookup(off / pageSize)
+		if p == nil {
+			p = v.materialize(off / pageSize)
+		}
+		copy(p[off%pageSize:], content)
 	}
+	return v
+}
+
+// CrashImage returns the image CrashView presents as a map from page
+// number to page bytes.
+func (d *Device) CrashImage(dropFlushed func(line uint64) bool) map[uint64][]byte {
+	return d.CrashView(dropFlushed).Snapshot()
 }
 
 // SetEventHook registers h to observe every persist event. The hook runs
@@ -233,36 +209,19 @@ func (b *PersistBuffer) DrainedLines() uint64 { return b.drained }
 // PendingLines returns the number of buffered (not yet durable) lines.
 func (b *PersistBuffer) PendingLines() int { return len(b.pending) }
 
-// UnfencedFlushedLines returns the sorted line numbers that were flushed
-// but have not yet reached a fence — the lines a relaxed-ordering crash
-// may or may not retain.
-func (b *PersistBuffer) UnfencedFlushedLines() []uint64 {
-	return b.AppendUnfenced(nil)
-}
-
-// AppendUnfenced appends the line numbers with an in-flight writeback
-// (flushed, not yet fenced) to dst in ascending order and returns the
-// extended slice. Passing a reused dst[:0] makes repeated calls
-// allocation-stable, which the exhaustive enumerator relies on inside
-// its per-event loop; the order is the same order patchLines consults
-// the drop callback in, so a bitmask over this slice addresses drop
-// decisions deterministically.
-func (b *PersistBuffer) AppendUnfenced(dst []uint64) []uint64 {
-	start := len(dst)
+// UnfencedLines returns, in ascending order, the lines with an in-flight
+// writeback (flushed, not yet fenced): the lines a relaxed-ordering crash
+// may or may not retain, in the order CrashView consults its drop
+// callback for them.
+func (b *PersistBuffer) UnfencedLines() []uint64 {
+	var lines []uint64
 	for ln, st := range b.pending {
 		if st.wb != nil {
-			dst = append(dst, ln)
+			lines = append(lines, ln)
 		}
 	}
-	// Insertion sort: the set is small and sort.Slice's closure would
-	// allocate, defeating the reused-dst contract.
-	tail := dst[start:]
-	for i := 1; i < len(tail); i++ {
-		for j := i; j > 0 && tail[j] < tail[j-1]; j-- {
-			tail[j], tail[j-1] = tail[j-1], tail[j]
-		}
-	}
-	return dst
+	slices.Sort(lines)
+	return lines
 }
 
 // dirty records an impending write of data at off, capturing the durable
@@ -296,7 +255,7 @@ func (b *PersistBuffer) dirty(off uint64, data []byte) {
 		seg := data[lo-off : hi-off]
 		cur := b.scratch
 		b.dev.readRaw(cur, lineStart)
-		if bytesEqual(seg, cur[lo-lineStart:hi-lineStart]) {
+		if bytes.Equal(seg, cur[lo-lineStart:hi-lineStart]) {
 			continue // silent store to a clean line
 		}
 		b.pending[ln] = &lineState{durable: append([]byte(nil), cur...)}
@@ -335,7 +294,7 @@ func (b *PersistBuffer) fence() {
 			continue
 		}
 		b.dev.readRaw(b.scratch, ln*b.line)
-		if bytesEqual(b.scratch, st.wb) {
+		if bytes.Equal(b.scratch, st.wb) {
 			delete(b.pending, ln) // cache copy matches the medium: clean
 		} else {
 			st.durable, st.wb = st.wb, nil // still dirty past the drain
@@ -371,16 +330,4 @@ func (b *PersistBuffer) now() uint64 {
 // reset empties the buffer (a power cycle loses the volatile lines).
 func (b *PersistBuffer) reset() {
 	b.pending = make(map[uint64]*lineState)
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

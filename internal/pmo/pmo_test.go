@@ -412,7 +412,7 @@ func TestAllocRunMatchesAllocs(t *testing.T) {
 					t.Fatalf("AllocRun(%d, %d) block %d at %v, Alloc put it at %v", n, size, i, got, o)
 				}
 			}
-			if ha, hb := nvm.ImageHash(devA.Snapshot()), nvm.ImageHash(devB.Snapshot()); ha != hb {
+			if ha, hb := nvm.ImageHash(devA), nvm.ImageHash(devB); ha != hb {
 				t.Errorf("AllocRun(%d, %d) image %x, %d Allocs %x", n, size, hb, n, ha)
 			}
 			if a.AllocCount() != b.AllocCount() {
@@ -455,7 +455,7 @@ func TestAllocRunRefusals(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.ready(dev, p)
-			before := nvm.ImageHash(dev.Snapshot())
+			before := nvm.ImageHash(dev)
 			// 2,000 blocks of 32 bytes take 80,000 bytes, more than the
 			// 64 KB PMO holds.
 			n := uint64(10)
@@ -465,7 +465,7 @@ func TestAllocRunRefusals(t *testing.T) {
 			if _, _, err := p.AllocRun(n, 32); err == nil || (tc.is != nil && !errors.Is(err, tc.is)) {
 				t.Fatalf("AllocRun: %v, want a refusal (%v)", err, tc.is)
 			}
-			if after := nvm.ImageHash(dev.Snapshot()); after != before {
+			if after := nvm.ImageHash(dev); after != before {
 				t.Fatal("the refused AllocRun changed the device")
 			}
 		})

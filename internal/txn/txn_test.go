@@ -393,7 +393,7 @@ func TestChargeCommitsMatchesTransactions(t *testing.T) {
 			}
 		}
 		dev, _, l2, _ := setup(t)
-		before := nvm.ImageHash(dev.Snapshot())
+		before := nvm.ImageHash(dev)
 		var got recordSink
 		l2.SetSink(&got)
 		l2.ChargeCommits(n)
@@ -405,7 +405,7 @@ func TestChargeCommitsMatchesTransactions(t *testing.T) {
 				t.Fatalf("ChargeCommits(%d) charge %d is %d, the transactions' %d", n, i, got[i], want[i])
 			}
 		}
-		if nvm.ImageHash(dev.Snapshot()) != before || l2.Active() {
+		if nvm.ImageHash(dev) != before || l2.Active() {
 			t.Fatalf("ChargeCommits(%d) changed the log", n)
 		}
 	}

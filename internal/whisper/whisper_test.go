@@ -552,7 +552,7 @@ func TestSetupStatePinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := fmt.Sprintf("image %x pages %d clock %d costs %v next %#x",
-				nvm.ImageHash(dev.Snapshot()), dev.FootprintPages(), ctx.Now(), ctx.Thread().Costs, rng.Uint64())
+				nvm.ImageHash(dev), dev.FootprintPages(), ctx.Now(), ctx.Thread().Costs, rng.Uint64())
 			if got != want[w.Name()] {
 				t.Errorf("post-Setup state\n got %s\nwant %s", got, want[w.Name()])
 			}
@@ -597,7 +597,7 @@ func TestTreePreloadMatchesInserts(t *testing.T) {
 		if err := preload(tr, rng, n); err != nil {
 			t.Fatal(err)
 		}
-		return state{nvm.ImageHash(dev.Snapshot()), dev.FootprintPages(), ctx.Now(),
+		return state{nvm.ImageHash(dev), dev.FootprintPages(), ctx.Now(),
 			ctx.Thread().Costs, charges, rng.Uint64()}, tr, st.p
 	}
 	loop := func(tr *Tree, rng *rand.Rand, n int) error {
@@ -650,12 +650,12 @@ func TestTreePreloadRefusesNonEmptyTree(t *testing.T) {
 	if err := tr.Insert(untimed{st.p}, 7, 7); err != nil {
 		t.Fatal(err)
 	}
-	before := nvm.ImageHash(dev.Snapshot())
+	before := nvm.ImageHash(dev)
 	want := "whisper: preload into a tree that is not empty"
 	if err := tr.Preload(rand.New(rand.NewSource(1)), 3); err == nil || err.Error() != want {
 		t.Fatalf("Preload into a tree holding a key: %v, want %q", err, want)
 	}
-	if nvm.ImageHash(dev.Snapshot()) != before {
+	if nvm.ImageHash(dev) != before {
 		t.Fatal("the refused Preload changed the device")
 	}
 }
@@ -686,7 +686,7 @@ func TestPreloadSameAtEverySeed(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				got[i][seed] = state{nvm.ImageHash(dev.Snapshot()), dev.FootprintPages()}
+				got[i][seed] = state{nvm.ImageHash(dev), dev.FootprintPages()}
 			}()
 		}
 	}

@@ -2,13 +2,9 @@ package terp
 
 import (
 	"bytes"
-	"errors"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // TestRunParallelGridIsByteIdenticalToSerial is the engine's determinism
@@ -139,65 +135,6 @@ func TestOptionsValidate(t *testing.T) {
 func nan() float64 {
 	var zero float64
 	return zero / zero
-}
-
-// TestParallelJoinedErrors: every failing thread is reported, not just
-// the first.
-func TestParallelJoinedErrors(t *testing.T) {
-	sys, _ := NewSystem(Options{Scheme: TT})
-	_, err := sys.Parallel(3, func(tid int, ctx *core.ThreadCtx) error {
-		if tid == 0 {
-			return nil
-		}
-		return errors.New("boom")
-	})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "thread 1") || !strings.Contains(msg, "thread 2") {
-		t.Fatalf("joined error lost a thread: %v", msg)
-	}
-}
-
-// TestParallelPanicLeavesSingleThreadMode: after a caller recovers a
-// panic from a Parallel body, the system runs single-threaded as a fresh
-// one does, with its timer sweep. The same attaches, computations and
-// detaches report the same measurements on both.
-func TestParallelPanicLeavesSingleThreadMode(t *testing.T) {
-	run := func(panicFirst bool) Result {
-		sys, err := NewSystem(Options{Scheme: TT})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if panicFirst {
-			func() {
-				defer func() {
-					if r := recover(); r == nil {
-						t.Fatal("the Parallel body's panic was not re-raised")
-					}
-				}()
-				sys.Parallel(1, func(int, *core.ThreadCtx) error { panic("boom") })
-			}()
-		}
-		p, _ := sys.Create("p", 1<<20)
-		for i := 0; i < 2; i++ {
-			if err := sys.Attach(p, ReadWrite); err != nil {
-				t.Fatal(err)
-			}
-			sys.Compute(1_000_000)
-			if err := sys.Detach(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return sys.Stats()
-	}
-	fresh, recovered := run(false), run(true)
-	if !reflect.DeepEqual(recovered, fresh) {
-		t.Fatalf("after a recovered panic: %d randomizations, %d cycles, counts %+v\nfresh system: %d randomizations, %d cycles, counts %+v",
-			recovered.Counts.Randomizations, recovered.Cycles, recovered.Counts,
-			fresh.Counts.Randomizations, fresh.Cycles, fresh.Counts)
-	}
 }
 
 // TestCrashMatrixRecoversAndIsDeterministic runs the crash-consistency

@@ -28,7 +28,6 @@
 package terp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -260,39 +259,6 @@ func (s *System) Reboot() (*System, error) {
 	dev := nvm.NewDevice(nvm.NVM, s.dev.Size())
 	dev.Restore(snap)
 	return newSystemOn(s.opts, dev)
-}
-
-// Parallel runs n simulated threads concurrently under the system's
-// scheme. The threads fork from the main thread's clock; each body
-// receives its thread context; the deterministic min-time scheduler
-// interleaves them at sim.DefaultQuantum granularity. The main thread
-// joins at the section's end time, which Parallel returns in cycles;
-// when several threads fail, every failure is reported (errors.Join).
-func (s *System) Parallel(n int, body func(t int, ctx *core.ThreadCtx) error) (uint64, error) {
-	main := s.main.Thread()
-	m := sim.NewMachine(s.opts.Seed, sim.DefaultQuantum)
-	s.rt.AttachMachine(m)
-	// A body's panic leaves Run; the runtime still returns to
-	// single-thread mode for a caller that recovers it.
-	defer s.rt.DetachMachine()
-	threadErrs := make([]error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		m.AddThread(func(th *sim.Thread) {
-			threadErrs[i] = body(i, s.rt.NewThread(th))
-		}).Clock = main.Clock
-	}
-	end := max(m.Run(), main.Clock) // Run returns 0 when n is 0
-	// The join moves the clock without a charge: Stats sums every
-	// thread's accounts, and the section's threads hold its cycles.
-	main.Clock = end
-	var errs []error
-	for i, err := range threadErrs {
-		if err != nil {
-			errs = append(errs, fmt.Errorf("terp: thread %d: %w", i, err))
-		}
-	}
-	return end, errors.Join(errs...)
 }
 
 // Stats finalizes and returns the run's measurements (exposure windows,
