@@ -9,8 +9,15 @@
 //	terpbench -exp table3 -ledger runs.jsonl # append run records to the ledger
 //	terpbench -exp table3 -trace out.json   # Perfetto/Chrome trace export
 //	terpbench -exp table3 -metrics          # per-cell counter tables
-//	terpbench -exp table3 -report run.html  # self-contained HTML run report
+//	terpbench -exp table3,fig8 -ops 2000    # several experiments, in this order
+//	terpbench -exp table3 -report run.html  # run report: text on stdout, HTML file
 //	terpbench -spec job.json                # run a versioned spec document
+//
+// terpbench is the one command that runs experiments; `terpreport`
+// reads what a run saved (-json grids, -ledger records). -report
+// collects traces and metrics, prints the text report after the tables
+// and writes the same report as self-contained HTML: exposure timelines,
+// duration CDFs, attack correlation and the cycle-overhead accounts.
 //
 // -spec reads the same versioned ExperimentSpec wire document that the
 // terpd job API accepts (see terp.ParseSpec), so a spec file submitted
@@ -47,6 +54,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,7 +65,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all or one of "+strings.Join(terp.Experiments(), ", "))
+	exp := flag.String("exp", "all", "experiments to run, comma-separated and in order: all, or any of "+strings.Join(terp.Experiments(), ", "))
 	ops := flag.Int("ops", 100_000, "WHISPER operations per run")
 	scale := flag.Int("scale", 1, "SPEC kernel scale factor")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -66,7 +74,7 @@ func main() {
 	progress := flag.Bool("progress", false, "print live cell progress (with cells/sec and ETA) to stderr")
 	tracePath := flag.String("trace", "", "record per-cell event traces and write Chrome trace JSON (Perfetto-loadable) to this file")
 	metrics := flag.Bool("metrics", false, "collect per-cell metrics; print tables and an account rollup")
-	reportPath := flag.String("report", "", "write a self-contained HTML run report to this file (implies tracing and metrics)")
+	reportPath := flag.String("report", "", "print the run report and write it as self-contained HTML to this file (implies tracing and metrics)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	specPath := flag.String("spec", "", "run the versioned spec JSON document in this file (replaces -exp/-ops/-scale/-seed)")
@@ -94,20 +102,6 @@ func main() {
 		}()
 	}
 
-	if *specPath == "" && *exp != "all" {
-		ok := false
-		for _, name := range terp.Experiments() {
-			if name == *exp {
-				ok = true
-			}
-		}
-		if !ok {
-			fmt.Fprintf(os.Stderr, "terpbench: unknown experiment %q\n", *exp)
-			fmt.Fprintln(os.Stderr, "valid: all, "+strings.Join(terp.Experiments(), ", "))
-			os.Exit(2)
-		}
-	}
-
 	ocfg := obs.Config{Trace: *tracePath != "", Metrics: *metrics}
 	if *reportPath != "" {
 		// The report needs both the event streams (exposure windows,
@@ -132,9 +126,16 @@ func main() {
 		spec.Obs.Metrics = spec.Obs.Metrics || ocfg.Metrics
 		specs = append(specs, spec)
 	} else {
-		for _, name := range terp.Experiments() {
-			if *exp != "all" && *exp != name {
-				continue
+		names := strings.Split(*exp, ",")
+		if *exp == "all" {
+			names = terp.Experiments()
+		}
+		for _, name := range names {
+			name = strings.TrimSpace(name)
+			if !slices.Contains(terp.Experiments(), name) {
+				fmt.Fprintf(os.Stderr, "terpbench: unknown experiment %q\n", name)
+				fmt.Fprintln(os.Stderr, "valid: all, "+strings.Join(terp.Experiments(), ", "))
+				os.Exit(2)
 			}
 			specs = append(specs, terp.ExperimentSpec{
 				Name:     name,
@@ -211,6 +212,7 @@ func main() {
 		check(os.WriteFile(*reportPath, report.HTML(rep), 0o644))
 		fmt.Fprintf(os.Stderr, "terpbench: wrote HTML report for %d experiment(s) to %s\n",
 			len(in.Experiments), *reportPath)
+		fmt.Print(report.Text(rep))
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)

@@ -1,42 +1,41 @@
-// Command terpreport turns instrumented runs into analysis reports:
-// per-PMO exposure timelines, exposure-duration CDFs and percentiles for
-// MERR vs TERP, attack-event correlation, the paper's cycle-overhead
-// component accounts, and a benchmark regression verdict against a
-// committed baseline.
+// Command terpreport reads what runs saved and turns it into analysis
+// reports: the paper's cycle-overhead component accounts, a benchmark
+// regression verdict against a committed baseline, and a trend gate over
+// the run ledger. It runs no experiment itself; `terpbench -report`
+// runs them and prints and writes the same report, with the exposure
+// timelines and attack correlation that only a fresh run's event
+// streams carry.
 //
-//	terpreport -exp table3 -ops 2000                 # run + text report
-//	terpreport -exp table3,table5 -html run.html     # self-contained HTML
-//	terpreport -exp table3 -baseline BENCH_obs.json \
+//	terpreport -in grids.json                        # text report
+//	terpreport -in grids.json -html run.html         # self-contained HTML
+//	terpreport -in grids.json -baseline BENCH_obs.json \
 //	           -verdict verdict.json                 # CI regression gate
-//	terpreport -in grids.json -html run.html         # from saved grids
-//	terpreport -exp table3 -ledger runs.jsonl        # run + append a ledger record
 //	terpreport -trend -ledger runs.jsonl             # gate on the run history
+//	terpreport -ledger-compact 50 -ledger runs.jsonl # keep 50 records per spec
 //
-// Reports derive only from simulated cycles — the same spec produces
-// byte-identical HTML, text and verdict output at every -parallel level.
+// -in reads a `terpbench -json` document. Reports derive only from
+// simulated cycles, so the same grids give byte-identical HTML, text and
+// verdict output whatever -parallel wrote them.
 //
 // With -baseline, the exit code is the regression verdict: 0 for pass or
 // improved, 3 for regressed (1 is reserved for operational errors), so
 // CI can gate directly on the process status. The baseline is a
 // `terpbench -json` document held to the same wire-version check as -in
-// (exit 1 on a mismatch). Usage errors exit 2, including a negative or
-// non-finite -tolerance, a non-positive -trend-window or -trend-min,
-// and a baseline with no experiment that has metrics on both sides.
+// (exit 1 on a mismatch). Usage errors exit 2: no -in, -trend or
+// -ledger-compact, -ledger without one of the two ledger modes, a
+// negative or non-finite -tolerance, a non-positive -trend-window or
+// -trend-min, and a baseline with no experiment that has metrics on both
+// sides.
 //
-// -in reads a `terpbench -json` document. Saved grids carry metrics but
-// not raw event streams, so that mode reports overhead accounts and the
-// regression verdict; run an experiment directly for exposure timelines
-// and attack correlation.
-//
-// -trend switches to history mode: instead of running anything, it
-// reads the JSONL run ledger named by -ledger (appended by terpd,
-// `terpbench -ledger` or `terpreport -ledger`), analyzes each
-// per-metric series keyed by spec hash, and gates on the trailing
-// -trend-window runs against the prior history: exit 0 when the gated
-// sim-cycle series hold, 3 on a regression, with -verdict writing the
-// machine-readable trend document. Series shorter than -trend-min
-// report "insufficient" and never gate. -ledger-compact N rewrites the
-// ledger keeping the most recent N records per spec identity.
+// -trend reads the JSONL run ledger named by -ledger (appended by terpd
+// and `terpbench -ledger`), analyzes each per-metric series keyed by
+// spec hash, and gates on the trailing -trend-window runs against the
+// prior history: exit 0 when the gated sim-cycle series hold, 3 on a
+// regression, with -verdict writing the machine-readable trend document.
+// -exp restricts it to the named experiments. Series shorter than
+// -trend-min report "insufficient" and never gate. -ledger-compact N
+// rewrites the ledger keeping the most recent N records per spec
+// identity.
 package main
 
 import (
@@ -45,48 +44,39 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	terp "repro"
 	"repro/internal/ledger"
-	"repro/internal/obs"
 	"repro/internal/report"
 )
 
 func main() {
-	exp := flag.String("exp", "table3", "experiments to run: comma-separated names, or all (ignored with -in)")
-	ops := flag.Int("ops", 100_000, "WHISPER operations per run")
-	scale := flag.Int("scale", 1, "SPEC kernel scale factor")
-	seed := flag.Int64("seed", 1, "random seed")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment-cell workers (1 = serial)")
-	in := flag.String("in", "", "read grids from this `terpbench -json` file instead of running")
+	exp := flag.String("exp", "all", "with -trend: experiments whose series to analyze, comma-separated, or all")
+	in := flag.String("in", "", "read grids from this `terpbench -json` file")
 	htmlPath := flag.String("html", "", "write the self-contained HTML report to this file")
 	baseline := flag.String("baseline", "", "compare against this BENCH_*.json baseline and gate the exit code")
-	verdictPath := flag.String("verdict", "", "write the machine-readable regression verdict JSON to this file (requires -baseline)")
+	verdictPath := flag.String("verdict", "", "write the machine-readable regression verdict JSON to this file (requires -baseline or -trend)")
 	tolerance := flag.Float64("tolerance", report.DefaultTolerancePct, "regression tolerance in percent of the baseline total")
-	title := flag.String("title", "TERP run report", "report title")
-	ledgerPath := flag.String("ledger", "", "JSONL run ledger: appended after fresh runs, read by -trend")
-	trend := flag.Bool("trend", false, "analyze the -ledger run history instead of running; exit 3 on a regressing trend")
+	ledgerPath := flag.String("ledger", "", "JSONL run ledger read by -trend and rewritten by -ledger-compact (terpbench -ledger appends)")
+	trend := flag.Bool("trend", false, "analyze the -ledger run history; exit 3 on a regressing trend")
 	trendWindow := flag.Int("trend-window", 3, "trailing runs compared against the prior history (with -trend)")
 	trendMin := flag.Int("trend-min", 5, "minimum runs per series before the trend gate engages (with -trend)")
 	ledgerCompact := flag.Int("ledger-compact", 0, "compact the -ledger keeping this many records per spec identity, then exit")
 	flag.Parse()
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	if math.IsNaN(*tolerance) || math.IsInf(*tolerance, 0) || *tolerance < 0 {
-		fmt.Fprintln(os.Stderr, "terpreport: -tolerance must be a finite percent >= 0")
-		os.Exit(2)
+		usage("-tolerance must be a finite percent >= 0")
 	}
 	if *trendWindow <= 0 || *trendMin <= 0 {
-		fmt.Fprintln(os.Stderr, "terpreport: -trend-window and -trend-min must be positive")
-		os.Exit(2)
+		usage("-trend-window and -trend-min must be positive")
 	}
-	if (*trend || *ledgerCompact > 0) && *ledgerPath == "" {
-		fmt.Fprintln(os.Stderr, "terpreport: -trend and -ledger-compact require -ledger")
-		os.Exit(2)
+	ledgerMode := *trend || *ledgerCompact > 0
+	if ledgerMode && *ledgerPath == "" {
+		usage("-trend and -ledger-compact require -ledger")
+	}
+	if *ledgerPath != "" && !ledgerMode {
+		usage("-ledger needs -trend or -ledger-compact; `terpbench -ledger` appends run records")
 	}
 	if *ledgerCompact > 0 {
 		led, err := ledger.Open(*ledgerPath, ledger.Options{})
@@ -98,38 +88,21 @@ func main() {
 		return
 	}
 	if *trend {
-		os.Exit(runTrend(*ledgerPath, *verdictPath, trendFilter(explicit, *exp), report.TrendOpts{
+		os.Exit(runTrend(*ledgerPath, *verdictPath, trendFilter(*exp), report.TrendOpts{
 			Window: *trendWindow, MinRuns: *trendMin, TolerancePct: *tolerance,
 		}))
 	}
-
+	if *in == "" {
+		usage("nothing to read: give -in, or -trend or -ledger-compact with -ledger; " +
+			"`terpbench -report` runs experiments and reports on them")
+	}
 	if *verdictPath != "" && *baseline == "" {
-		fmt.Fprintln(os.Stderr, "terpreport: -verdict requires -baseline")
-		os.Exit(2)
+		usage("-verdict requires -baseline")
 	}
 
-	grids, runs, err := loadGrids(*in, *exp, terp.ExpOpts{Ops: *ops, Scale: *scale, Seed: *seed}, *parallel)
+	grids, err := readGrids(*in)
 	check(err)
-
-	if *ledgerPath != "" {
-		// Records only for fresh runs: -in documents carry no spec (and
-		// no wall clock), so there is nothing honest to append.
-		if len(runs) == 0 {
-			fmt.Fprintln(os.Stderr, "terpreport: -ledger ignored with -in (no fresh run to record)")
-		} else {
-			led, err := ledger.Open(*ledgerPath, ledger.Options{})
-			check(err)
-			for i, g := range grids {
-				rec := ledger.FromGrid("terpreport", runs[i].spec, g)
-				rec.WallMS = runs[i].wallMS
-				check(led.Append(rec))
-			}
-			check(led.Close())
-			fmt.Fprintf(os.Stderr, "terpreport: appended %d run record(s) to %s\n", len(grids), *ledgerPath)
-		}
-	}
-
-	input := terp.ReportInput(*title, grids)
+	input := terp.ReportInput("TERP run report", grids)
 	rep := report.Build(input)
 
 	if *baseline != "" {
@@ -138,8 +111,7 @@ func main() {
 		base := terp.ReportInput("", baseGrids).Experiments
 		rep.Regression = report.Compare(input.Experiments, base, report.RegressOpts{TolerancePct: *tolerance})
 		if rep.Regression == nil {
-			fmt.Fprintln(os.Stderr, "terpreport: no experiment has metrics in both the current run and the baseline; nothing to compare")
-			os.Exit(2)
+			usage("no experiment has metrics in both the current run and the baseline; nothing to compare")
 		}
 	}
 
@@ -157,47 +129,6 @@ func main() {
 	}
 }
 
-// runMeta describes one fresh run (parallel to the grids slice; empty
-// for -in documents).
-type runMeta struct {
-	spec   terp.ExperimentSpec
-	wallMS float64
-}
-
-// loadGrids either parses a saved grids document or runs the requested
-// experiments with tracing and metrics on. Fresh runs also return
-// their specs and wall-clock durations for the ledger.
-func loadGrids(inPath, exp string, opts terp.ExpOpts, parallel int) ([]*terp.Grid, []runMeta, error) {
-	if inPath != "" {
-		grids, err := readGrids(inPath)
-		return grids, nil, err
-	}
-
-	names := strings.Split(exp, ",")
-	if exp == "all" {
-		names = terp.Experiments()
-	}
-	var grids []*terp.Grid
-	var runs []runMeta
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		spec := terp.ExperimentSpec{
-			Name:     name,
-			Opts:     opts,
-			Parallel: parallel,
-			Obs:      obs.Config{Trace: true, Metrics: true},
-		}
-		start := time.Now()
-		g, err := terp.Run(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		grids = append(grids, g)
-		runs = append(runs, runMeta{spec: spec, wallMS: time.Since(start).Seconds() * 1e3})
-	}
-	return grids, runs, nil
-}
-
 // readGrids parses a saved `terpbench -json` document (an -in input or
 // a -baseline). ParseGrids enforces the wire version, so a document from
 // an incompatible build fails loudly instead of mis-reporting.
@@ -213,11 +144,10 @@ func readGrids(path string) ([]*terp.Grid, error) {
 	return grids, nil
 }
 
-// trendFilter restricts trend mode to the -exp experiments only when
-// the flag was given explicitly; the default runs over the whole
-// ledger.
-func trendFilter(explicit map[string]bool, exp string) func(string) bool {
-	if !explicit["exp"] || exp == "all" {
+// trendFilter restricts trend mode to the -exp experiments; all keeps
+// the whole ledger.
+func trendFilter(exp string) func(string) bool {
+	if exp == "all" {
 		return func(string) bool { return true }
 	}
 	names := map[string]bool{}
@@ -257,6 +187,12 @@ func writeVerdict(path string, doc any) {
 	check(err)
 	check(os.WriteFile(path, append(buf, '\n'), 0o644))
 	fmt.Fprintf(os.Stderr, "terpreport: wrote verdict to %s\n", path)
+}
+
+// usage reports a usage error and exits 2.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "terpreport:", msg)
+	os.Exit(2)
 }
 
 func check(err error) {

@@ -103,3 +103,21 @@ func TestBaselineWireVersionChecked(t *testing.T) {
 		t.Fatalf("same-version baseline: exit %d, stderr %q; want 0", code, stderr)
 	}
 }
+
+// TestRequiresSavedInput: terpreport runs no experiment, so a call with
+// nothing to read, or a ledger with no mode that reads it, is a usage
+// error (exit 2) that points at terpbench.
+func TestRequiresSavedInput(t *testing.T) {
+	bin, dir := buildTerpreport(t)
+	ledgerPath := filepath.Join(dir, "runs.jsonl")
+	for _, args := range [][]string{
+		nil,
+		{"-html", filepath.Join(dir, "run.html")},
+		{"-ledger", ledgerPath},
+	} {
+		code, stderr := runTerpreport(t, bin, args...)
+		if code != 2 || !strings.Contains(stderr, "terpbench") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming terpbench", args, code, stderr)
+		}
+	}
+}

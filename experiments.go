@@ -721,8 +721,8 @@ type CrashRow struct {
 	Policy      string `json:"policy"`
 	Adversarial bool   `json:"adversarial"`
 	// Ops is the instrumented run length; Events and Fences count its
-	// persist events. Candidates is, for fence and nth, every matching
-	// event; for random, the sample size (crash.Report.Candidates).
+	// persist events. Candidates is, for fence, every matching event;
+	// for random, the sample size (crash.Report.Candidates).
 	Ops        int    `json:"ops"`
 	Events     uint64 `json:"events"`
 	Fences     uint64 `json:"fences"`

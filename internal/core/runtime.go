@@ -144,8 +144,8 @@ func (r *Runtime) AttachMachine(m *sim.Machine) {
 // Manager returns the PMO manager the runtime operates on.
 func (r *Runtime) Manager() *pmo.Manager { return r.mgr }
 
-// AddressSpace exposes the process address space (attack simulations probe
-// it directly).
+// AddressSpace exposes the process address space; tests read which PMOs
+// it maps.
 func (r *Runtime) AddressSpace() *paging.AddressSpace { return r.as }
 
 // Tracker exposes the exposure tracker.
@@ -263,7 +263,7 @@ func (r *Runtime) realAttach(p *pmo.PMO, perm paging.Perm, now uint64) error {
 		return err
 	}
 	r.tracker.EWOpen(p.ID, now)
-	r.emit(now, -1, p.ID, TraceRealAttach)
+	r.emit(now, -1, p.ID, "attach")
 	return nil
 }
 
@@ -275,7 +275,7 @@ func (r *Runtime) realDetach(p *pmo.PMO, now uint64) error {
 	}
 	r.domains.Release(p.ID)
 	r.tracker.EWClose(p.ID, now)
-	r.emit(now, -1, p.ID, TraceRealDetach)
+	r.emit(now, -1, p.ID, "detach")
 	for _, tc := range r.threads {
 		tc.tlb.Invalidate()
 	}
@@ -289,7 +289,7 @@ func (r *Runtime) randomize(id uint32, initiator *sim.Thread) {
 		return
 	}
 	r.tracker.EWRandomized(id, initiatorClock(initiator, r))
-	r.emit(initiatorClock(initiator, r), -1, id, TraceRandomize)
+	r.emit(initiatorClock(initiator, r), -1, id, "randomize")
 	r.Counts.Randomizations++
 	cost := uint64(params.RandomizeCost + params.TLBInvalidate)
 	if r.machine != nil {
@@ -333,7 +333,7 @@ func (r *Runtime) sweep(now uint64, t *sim.Thread) {
 				st := r.state(p.ID)
 				st.Attached = false
 				st.DetachDone = true
-				r.emit(now, -1, p.ID, TraceSelfDetach)
+				r.emit(now, -1, p.ID, "self-detach")
 				r.Counts.DetachSyscalls++
 				cost := uint64(params.DetachSyscall + params.TLBInvalidate)
 				if t != nil {
@@ -409,7 +409,7 @@ func (c *ThreadCtx) Attach(p *pmo.PMO, perm paging.Perm) error {
 	}
 	semantics.CommitAttach(st, c.th.ID, c.th.Clock, act)
 	if how == stepNested {
-		r.emit(c.th.Clock, c.th.ID, p.ID, TraceSilentNest)
+		r.emit(c.th.Clock, c.th.ID, p.ID, "silent")
 	} else {
 		c.grantThread(p, perm)
 	}
@@ -576,7 +576,7 @@ func (c *ThreadCtx) grantThread(p *pmo.PMO, perm paging.Perm) {
 	if d, ok := c.rt.domains.DomainOf(p.ID); ok {
 		_ = c.regs.Grant(d, perm)
 		c.rt.tracker.TEWOpen(c.th.ID, p.ID, c.th.Clock)
-		c.rt.emit(c.th.Clock, c.th.ID, p.ID, TraceGrant)
+		c.rt.emit(c.th.Clock, c.th.ID, p.ID, "grant")
 	}
 }
 
@@ -589,7 +589,7 @@ func (c *ThreadCtx) revokeThread(p *pmo.PMO, at uint64) {
 		_ = c.regs.Revoke(d)
 	}
 	c.rt.tracker.TEWClose(c.th.ID, p.ID, at)
-	c.rt.emit(at, c.th.ID, p.ID, TraceRevoke)
+	c.rt.emit(at, c.th.ID, p.ID, "revoke")
 }
 
 // --- loads and stores ----------------------------------------------------
@@ -607,7 +607,7 @@ func (c *ThreadCtx) access(o pmo.OID, want paging.Perm, n int) (*pmo.PMO, error)
 	m, ok := r.as.Mapping(p.ID)
 	if !ok || o.Offset() >= p.Size {
 		r.Counts.Faults++
-		r.emit(c.th.Clock, c.th.ID, p.ID, TraceFault)
+		r.emit(c.th.Clock, c.th.ID, p.ID, "FAULT")
 		return nil, &Fault{Kind: SegFault, OID: o, Want: want, Thread: c.th.ID}
 	}
 	va := m.Base + o.Offset()
@@ -626,14 +626,14 @@ func (c *ThreadCtx) access(o pmo.OID, want paging.Perm, n int) (*pmo.PMO, error)
 		c.th.DirectCharge(sim.Other, params.PermMatrixCheck)
 		if !r.matrix.CheckAt(m, want, c.th.Clock) {
 			r.Counts.Faults++
-			r.emit(c.th.Clock, c.th.ID, p.ID, TraceFault)
+			r.emit(c.th.Clock, c.th.ID, p.ID, "FAULT")
 			return nil, &Fault{Kind: PermFault, OID: o, Want: want, Thread: c.th.ID}
 		}
 		// Thread permission check (TEW schemes only).
 		if r.Cfg.TEWTarget != 0 {
 			if d, ok := r.domains.DomainOf(p.ID); !ok || !c.regs.Allows(d, want) {
 				r.Counts.Faults++
-				r.emit(c.th.Clock, c.th.ID, p.ID, TraceFault)
+				r.emit(c.th.Clock, c.th.ID, p.ID, "FAULT")
 				return nil, &Fault{Kind: ThreadPermFault, OID: o, Want: want, Thread: c.th.ID}
 			}
 		}
@@ -776,8 +776,8 @@ func (res Result) CondFreqPerSec() float64 {
 	return float64(res.Counts.CondOps) / secs
 }
 
-// Finish closes open windows at end time and assembles the result for a
-// single-threaded run on thread t.
+// Finish closes open windows at end time and assembles the result:
+// Cycles is end, and Costs sums every thread's accounts.
 func (r *Runtime) Finish(end uint64) Result {
 	r.tracker.Finish(end)
 	var costs sim.Accounts

@@ -38,7 +38,8 @@ type Record struct {
 	// Time is the append instant, RFC3339 UTC. Informational only —
 	// nothing downstream orders or gates on it.
 	Time string `json:"time,omitempty"`
-	// Source names the producer: "terpd", "terpbench" or "terpreport".
+	// Source names the producer: "terpd" or "terpbench". Older ledgers
+	// may also hold "terpreport" records.
 	Source string `json:"source"`
 	// JobID and Tenant identify the terpd job (empty for CLI runs).
 	JobID  string `json:"jobId,omitempty"`

@@ -56,19 +56,6 @@ func (h *Hist) Merge(o *Hist) {
 	}
 }
 
-// BucketLabel renders the value range of bucket i.
-func BucketLabel(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	lo := uint64(1) << (i - 1)
-	hi := uint64(1)<<i - 1
-	if lo == hi {
-		return itoa(lo)
-	}
-	return itoa(lo) + "-" + itoa(hi)
-}
-
 func itoa(v uint64) string {
 	if v == 0 {
 		return "0"

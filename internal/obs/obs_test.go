@@ -126,15 +126,6 @@ func TestHistMerge(t *testing.T) {
 	}
 }
 
-func TestBucketLabel(t *testing.T) {
-	cases := map[int]string{0: "0", 1: "1", 2: "2-3", 3: "4-7", 4: "8-15"}
-	for i, want := range cases {
-		if got := BucketLabel(i); got != want {
-			t.Fatalf("BucketLabel(%d) = %q, want %q", i, got, want)
-		}
-	}
-}
-
 func TestSnapshotAddSkipsZero(t *testing.T) {
 	s := NewSnapshot()
 	s.Add("a", 0)

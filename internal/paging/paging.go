@@ -107,9 +107,6 @@ type AddressSpace struct {
 	rng  *rand.Rand
 	maps []*Mapping // sorted by Base
 	byID []*Mapping // indexed by PMO ID; nil when detached
-
-	// Shootdowns counts TLB shootdowns (detach and randomize).
-	Shootdowns uint64
 }
 
 // NewAddressSpace creates an empty address space with a deterministic
@@ -188,7 +185,6 @@ func (s *AddressSpace) Detach(pmoID uint32) error {
 			break
 		}
 	}
-	s.Shootdowns++
 	return nil
 }
 
@@ -215,7 +211,6 @@ func (s *AddressSpace) Randomize(pmoID uint32) (*Mapping, error) {
 	}
 	m.Base = base
 	s.insert(m)
-	s.Shootdowns++
 	return m, nil
 }
 

@@ -22,8 +22,6 @@ type Metrics struct {
 	submitted   *telemetry.Counter
 	rejected    *telemetry.Counter
 	finished    *telemetry.CounterVec // label: state (done/failed/canceled)
-	queuedJobs  *telemetry.Gauge
-	runningJobs *telemetry.Gauge
 	queueDepth  *telemetry.GaugeVec   // label: tenant (queued+running)
 	tenantJobs  *telemetry.CounterVec // label: tenant — completed jobs
 	tenantCells *telemetry.CounterVec // label: tenant — cells of completed jobs
@@ -49,10 +47,6 @@ func NewMetrics() *Metrics {
 			"Submissions refused by per-tenant admission control (HTTP 429)."),
 		finished: r.CounterVec(MetricPrefix+"jobs_finished_total",
 			"Jobs retired, by terminal state.", "state"),
-		queuedJobs: r.Gauge(MetricPrefix+"jobs_queued",
-			"Jobs waiting behind their tenant's running job."),
-		runningJobs: r.Gauge(MetricPrefix+"jobs_running",
-			"Jobs currently executing on the pool."),
 		queueDepth: r.GaugeVec(MetricPrefix+"queue_depth",
 			"Queued+running jobs per tenant.", "tenant"),
 		tenantJobs: r.CounterVec(MetricPrefix+"tenant_jobs_total",
@@ -92,6 +86,35 @@ func (m *Metrics) bindPool(p *runner.Pool) {
 		func() float64 { return float64(p.Stats().CompletedCells) })
 	r.CounterFunc(MetricPrefix+"cell_panics_total", "Cells whose run panicked (each fails its job).",
 		func() float64 { return float64(p.Stats().CellPanics) })
+}
+
+// bindScheduler exports the scheduler's queued and running jobs as
+// gauges sampled at scrape time. The registry samples a func outside its
+// own locks, so Stats may take the scheduler's mutex.
+func (m *Metrics) bindScheduler(s *Scheduler) {
+	r := m.Registry
+	r.GaugeFunc(MetricPrefix+"jobs_queued", "Jobs waiting behind their tenant's running job.",
+		func() float64 { _, queued, _, _ := s.Stats(); return float64(queued) })
+	r.GaugeFunc(MetricPrefix+"jobs_running", "Jobs currently executing on the pool.",
+		func() float64 { _, _, running, _ := s.Stats(); return float64(running) })
+}
+
+// counters reads the job totals of /v1/stats from the telemetry
+// counters. Each is incremented with the scheduler's mutex held, so a
+// caller holding it reads a consistent set.
+func (m *Metrics) counters() Counters {
+	c := Counters{Submitted: m.submitted.Value(), Rejected: m.rejected.Value()}
+	m.finished.Each(func(labels []string, n *telemetry.Counter) {
+		switch State(labels[0]) {
+		case StateDone:
+			c.Completed = n.Value()
+		case StateCanceled:
+			c.Canceled = n.Value()
+		case StateFailed:
+			c.Failed = n.Value()
+		}
+	})
+	return c
 }
 
 // jobFinished accounts one retired job.

@@ -24,7 +24,8 @@ var (
 	ErrTerminal = errors.New("service: job already finished")
 )
 
-// Counters are the scheduler's monotonic totals (the /v1/stats body).
+// Counters are the scheduler's monotonic totals (the /v1/stats body),
+// read from the service's telemetry counters.
 type Counters struct {
 	Submitted uint64 `json:"submitted"`
 	Rejected  uint64 `json:"rejected"`
@@ -45,13 +46,12 @@ type Scheduler struct {
 	metrics    *Metrics
 	led        *ledger.Ledger // run-record sink; nil disables
 
-	mu       sync.Mutex
-	tenants  map[string]*tenant
-	active   map[string]*Job // queued + running jobs by ID
-	nextID   uint64
-	counters Counters
-	closed   bool
-	wg       sync.WaitGroup
+	mu      sync.Mutex
+	tenants map[string]*tenant
+	active  map[string]*Job // queued + running jobs by ID
+	nextID  uint64
+	closed  bool
+	wg      sync.WaitGroup
 
 	store *Store
 }
@@ -86,6 +86,7 @@ func NewScheduler(workers, queueDepth int, store *Store, m *Metrics, led *ledger
 		store:      store,
 	}
 	m.bindPool(s.pool)
+	m.bindScheduler(s)
 	return s
 }
 
@@ -132,7 +133,6 @@ func (s *Scheduler) Submit(tenantName string, spec terp.ExperimentSpec) (*Job, e
 		depth++
 	}
 	if depth >= s.queueDepth {
-		s.counters.Rejected++
 		s.metrics.rejected.Inc()
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: tenant %q has %d job(s) pending (depth %d)",
@@ -142,9 +142,7 @@ func (s *Scheduler) Submit(tenantName string, spec terp.ExperimentSpec) (*Job, e
 	j := newJob(fmt.Sprintf("j%06d", s.nextID), tenantName, spec, len(cells))
 	s.active[j.ID] = j
 	t.queue = append(t.queue, j)
-	s.counters.Submitted++
 	s.metrics.submitted.Inc()
-	s.metrics.queuedJobs.Inc()
 	s.startNextLocked(t)
 	s.depthLocked(tenantName, t)
 	s.mu.Unlock()
@@ -161,8 +159,6 @@ func (s *Scheduler) startNextLocked(t *tenant) {
 	t.queue = t.queue[1:]
 	t.running = j
 	j.setState(StateRunning)
-	s.metrics.queuedJobs.Dec()
-	s.metrics.runningJobs.Inc()
 	s.metrics.queueWait.ObserveSince(j.submittedAt)
 	s.wg.Add(1)
 	go s.run(t, j)
@@ -200,15 +196,6 @@ func (s *Scheduler) run(t *tenant, j *Job) {
 	}
 
 	s.mu.Lock()
-	switch state {
-	case StateDone:
-		s.counters.Completed++
-	case StateCanceled:
-		s.counters.Canceled++
-	default:
-		s.counters.Failed++
-	}
-	s.metrics.runningJobs.Dec()
 	s.metrics.jobFinished(j, state, runDur)
 	delete(s.active, j.ID)
 	s.store.Put(j)
@@ -266,8 +253,6 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 			// Still queued: retire in place, no runner involvement.
 			t.queue = append(t.queue[:i], t.queue[i+1:]...)
 			delete(s.active, id)
-			s.counters.Canceled++
-			s.metrics.queuedJobs.Dec()
 			s.metrics.jobFinished(j, StateCanceled, 0)
 			s.depthLocked(j.Tenant, t)
 			s.mu.Unlock()
@@ -293,7 +278,7 @@ func (s *Scheduler) Stats() (Counters, int, int, int) {
 			running++
 		}
 	}
-	return s.counters, queued, running, len(s.tenants)
+	return s.metrics.counters(), queued, running, len(s.tenants)
 }
 
 // Close cancels every live job, waits for the runners to drain, and
@@ -316,8 +301,6 @@ func (s *Scheduler) Close() {
 	}
 	for _, j := range queued {
 		delete(s.active, j.ID)
-		s.counters.Canceled++
-		s.metrics.queuedJobs.Dec()
 		s.metrics.jobFinished(j, StateCanceled, 0)
 	}
 	s.mu.Unlock()

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -387,6 +389,64 @@ func TestStatsCounters(t *testing.T) {
 	if body.Workers != 2 {
 		t.Fatalf("workers = %d, want 2", body.Workers)
 	}
+}
+
+// TestStatsFollowJobStates: the /v1/stats counters come from the
+// telemetry counters and the job gauges from Stats' walk of the queues,
+// so both agree with the scheduler through admission, rejection and
+// cancellation of queued and running jobs.
+func TestStatsFollowJobStates(t *testing.T) {
+	m := NewMetrics()
+	s := NewScheduler(1, 2, NewStore(8), m, nil)
+	defer s.Close()
+	gauges := func() string {
+		var buf bytes.Buffer
+		if err := m.Registry.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "terpd_jobs_queued ") || strings.HasPrefix(line, "terpd_jobs_running ") {
+				out = append(out, line)
+			}
+		}
+		return strings.Join(out, ", ")
+	}
+	want := func(c Counters, queued, running int) {
+		t.Helper()
+		gotC, gotQ, gotR, _ := s.Stats()
+		if gotC != c || gotQ != queued || gotR != running {
+			t.Fatalf("stats = %+v, %d queued, %d running; want %+v, %d, %d", gotC, gotQ, gotR, c, queued, running)
+		}
+		if g, w := gauges(), fmt.Sprintf("terpd_jobs_queued %d, terpd_jobs_running %d", queued, running); g != w {
+			t.Fatalf("gauges %q, want %q", g, w)
+		}
+	}
+
+	slow := terp.ExperimentSpec{Name: "table3", Opts: terp.ExpOpts{Ops: 50_000}}
+	running, err := s.Submit("acme", slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := s.Submit("acme", slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit("acme", slow); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("third submit: %v, want ErrQueueFull", err)
+	}
+	want(Counters{Submitted: 2, Rejected: 1}, 1, 1)
+
+	if _, err := s.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	want(Counters{Submitted: 2, Rejected: 1, Canceled: 1}, 0, 1)
+
+	if _, err := s.Cancel(running.ID); err != nil {
+		t.Fatal(err)
+	}
+	s.Close() // waits for the canceled job's runner to retire it
+	want(Counters{Submitted: 2, Rejected: 1, Canceled: 2}, 0, 0)
 }
 
 // TestTenantFairness: two tenants submitting equal work to a 1-worker

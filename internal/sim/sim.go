@@ -2,9 +2,9 @@
 
 // Package sim provides the deterministic timing substrate of the TERP
 // reproduction: simulated per-thread clocks, a cooperative scheduler that
-// interleaves simulated threads in global time order, a seeded random
-// number generator, and cost accounting broken down by overhead component
-// (the attach/detach/rand/cond/other breakdown of Figures 9-11).
+// interleaves simulated threads in global time order, and cost
+// accounting broken down by overhead component (the
+// attach/detach/rand/cond/other breakdown of Figures 9-11).
 package sim
 
 import (
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"math/rand"
 )
 
 // Account names one overhead component in the execution-time breakdown.
@@ -282,8 +281,6 @@ var errUnwound = errors.New("sim: run ended by another thread's panic")
 // invoked as global time advances.
 type Machine struct {
 	Threads []*Thread
-	// Rand is the machine-wide deterministic random source.
-	Rand *rand.Rand
 
 	quantum uint64
 
@@ -304,21 +301,18 @@ type Machine struct {
 }
 
 // DefaultQuantum is the yield quantum, in cycles, of every machine the
-// simulator runs: SPEC cells and terp.System.Parallel sections.
+// simulator runs (the SPEC cells').
 const DefaultQuantum = 200
 
-// NewMachine creates a scheduler with the given random seed and yield
-// quantum in cycles (0 selects DefaultQuantum). A smaller quantum
-// interleaves threads more finely at higher simulation cost.
+// NewMachine creates a scheduler with the given yield quantum in cycles
+// (0 selects DefaultQuantum). A smaller quantum interleaves threads more
+// finely at higher simulation cost. The seed is unused: a machine's
+// interleaving follows from its threads' cycle charges alone.
 func NewMachine(seed int64, quantum uint64) *Machine {
 	if quantum == 0 {
 		quantum = DefaultQuantum
 	}
-	return &Machine{
-		Rand:    rand.New(rand.NewSource(seed)),
-		quantum: quantum,
-		lastRun: -1,
-	}
+	return &Machine{quantum: quantum, lastRun: -1}
 }
 
 // SetTick installs the global-time hook (at most one).

@@ -77,7 +77,9 @@ func Run(cfg params.Config, mk func() Workload, opts RunOpts) (core.Result, erro
 
 	switch cfg.Scheme {
 	case params.MM:
-		batch := int(cfg.EWTarget / prof.EstOpCycles)
+		// A batch never exceeds the run, so the EW target only sizes it:
+		// every target at or above the whole run's estimate runs alike.
+		batch := int(min(cfg.EWTarget/prof.EstOpCycles, uint64(opts.Ops)))
 		if batch < 1 {
 			batch = 1
 		}

@@ -103,6 +103,26 @@ func TestMMWindowsUnstableAndBelowTarget(t *testing.T) {
 	}
 }
 
+// TestMMBatchNeverExceedsRun: under MM the EW target only sizes the
+// batch, and a batch never holds more ops than the run, so every target
+// at or above the whole run's estimate gives the same result. An
+// unclamped batch idles one period per batch slot after the last op
+// (about 1.3e9 cycles at 1e6 us for 10 hashmap ops).
+func TestMMBatchNeverExceedsRun(t *testing.T) {
+	mk := func() Workload { return &KV{row: hashmapRow} }
+	run := func(ewMicros float64) core.Result {
+		t.Helper()
+		res, err := Run(params.NewConfig(params.MM, ewMicros), mk, RunOpts{Ops: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if a, b := run(120), run(1e6); a != b {
+		t.Fatalf("10 MM ops differ by EW target:\n 120 us: %+v\n 1e6 us: %+v", a, b)
+	}
+}
+
 // overhead runs the workload under cfg and under the unprotected
 // baseline with identical op streams and returns the relative
 // execution-time overhead.

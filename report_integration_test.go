@@ -50,8 +50,8 @@ func TestReportByteIdenticalAcrossParallel(t *testing.T) {
 
 	// The regression verdict from comparing the two sides must be a clean
 	// pass — and its JSON must render identically built from either side.
-	// As with `terpreport -baseline`, the current side is compared as run
-	// and the baseline as parsed back from its saved document.
+	// The baseline is compared as parsed back from its saved document,
+	// the form `terpreport -baseline` reads.
 	verdict := func(cur, base []*Grid) []byte {
 		t.Helper()
 		bb, err := json.Marshal(base)

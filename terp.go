@@ -163,8 +163,7 @@ func (o Options) config() params.Config {
 
 // System is one simulated protected process plus its persistent device.
 // It exposes the Table I PMO API under the configured protection scheme.
-// A System's methods drive a single main thread; use Parallel to run a
-// multi-threaded section.
+// A System's methods drive a single main thread.
 type System struct {
 	opts Options
 	dev  *nvm.Device
@@ -268,9 +267,6 @@ func (s *System) Stats() Result { return s.rt.Finish(s.main.Now()) }
 // Runtime exposes the underlying runtime for advanced use (the examples
 // and experiment drivers).
 func (s *System) Runtime() *core.Runtime { return s.rt }
-
-// MainThread exposes the main thread context.
-func (s *System) MainThread() *core.ThreadCtx { return s.main }
 
 // Manager exposes the PMO manager.
 func (s *System) Manager() *pmo.Manager { return s.mgr }
