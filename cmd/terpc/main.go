@@ -4,8 +4,12 @@
 //	terpc -ew 40 -tew 2 prog.tpl        # TERP conditional insertion
 //	terpc -merr prog.tpl                # MERR single-level insertion
 //	terpc -dump prog.tpl                # print the instrumented IR
+//	terpc -dot prog.tpl                 # print the CFGs for Graphviz
 //
-// With no file argument it reads from stdin.
+// The pipeline is lang.Compile followed by terpc.Insert, the one every
+// SPEC cell compiles its kernel with. -ew must pass params.CheckEW and
+// -tew params.CheckTEW (a finite number from 0 up to -ew); any other
+// value exits 1. With no file argument it reads from stdin.
 package main
 
 import (
@@ -15,7 +19,6 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/params"
 	"repro/internal/terpc"
@@ -27,8 +30,13 @@ func main() {
 	merr := flag.Bool("merr", false, "MERR-style single-level insertion (no TEW)")
 	dump := flag.Bool("dump", false, "print the instrumented IR")
 	dot := flag.Bool("dot", false, "print the instrumented CFGs in Graphviz format")
-	opt := flag.Bool("O", false, "run the optimizer (constant folding, dead blocks) before insertion")
 	flag.Parse()
+	if err := params.CheckEW(*ew); err != nil {
+		fail(fmt.Errorf("-ew %w", err))
+	}
+	if err := params.CheckTEW(*tew, *ew); err != nil {
+		fail(fmt.Errorf("-tew %w", err))
+	}
 
 	var src []byte
 	var err error
@@ -44,15 +52,6 @@ func main() {
 	prog, err := lang.Compile(string(src))
 	if err != nil {
 		fail(err)
-	}
-	if *opt {
-		for name, fn := range prog.Funcs {
-			st := ir.Optimize(fn)
-			if st.Folded+st.Branches+st.RemovedBlocks > 0 {
-				fmt.Printf("optimized %s: %d folded, %d branches, %d dead blocks\n",
-					name, st.Folded, st.Branches, st.RemovedBlocks)
-			}
-		}
 	}
 	iopt := terpc.Options{EWThreshold: params.Micros(*ew)}
 	if !*merr {

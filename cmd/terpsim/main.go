@@ -6,18 +6,17 @@
 //
 // Schemes: base (unprotected), MM, TM, TT, basic, +cond, +cb. The run is
 // one experiment cell (internal/runner), so it measures exactly what the
-// same cell measures inside a grid. -ew must be a finite number of at
-// least 2 us, -threads at least 1, and -ops and -scale not negative (0
-// selects the default). -trace N turns on the obs event recorder and
-// prints the last N protection events (attach, grant, revoke, fault, ...)
-// as a timeline.
+// same cell measures inside a grid. -ew must pass params.CheckEW (a
+// finite number from 2 us to 1e9 us), -threads must be at least 1, and
+// -ops and -scale not negative (0 selects the default). -trace N turns
+// on the obs event recorder and prints the last N protection events
+// (attach, grant, revoke, fault, ...) as a timeline.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"repro/internal/core"
@@ -30,7 +29,8 @@ func main() {
 	suite := flag.String("suite", "whisper", "workload suite: whisper or spec")
 	workload := flag.String("workload", "hashmap", "workload name")
 	scheme := flag.String("scheme", "TT", "protection scheme: base, MM, TM, TT, basic, +cond, +cb")
-	ew := flag.Float64("ew", 40, "exposure window target (us, at least 2)")
+	ew := flag.Float64("ew", params.DefaultEWMicros, fmt.Sprintf("exposure window target (us, %g to %g)",
+		float64(params.MinEWMicros), float64(params.MaxEWMicros)))
 	ops := flag.Int("ops", 100_000, "operations (whisper)")
 	threads := flag.Int("threads", 1, "threads (spec)")
 	scale := flag.Int("scale", 1, "kernel scale (spec)")
@@ -42,11 +42,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if math.IsNaN(*ew) || math.IsInf(*ew, 0) {
-		fail(fmt.Errorf("-ew %g is not a finite number", *ew))
-	}
-	if *ew < params.MinEWMicros {
-		fail(fmt.Errorf("-ew %g is below the %g us minimum exposure window target", *ew, float64(params.MinEWMicros)))
+	if err := params.CheckEW(*ew); err != nil {
+		fail(fmt.Errorf("-ew %w", err))
 	}
 	if *threads < 1 {
 		fail(fmt.Errorf("-threads %d is below 1", *threads))

@@ -78,12 +78,11 @@ func TestGoldenOutput(t *testing.T) {
 	}
 }
 
-// TestErrorExits: an unknown suite, an EW target below the 2 us floor or
-// not a finite number, -threads below 1 and a negative -ops or -scale
-// each exit 1 with a message and no output. A 1 us or an infinite EW that
-// got past the check would run forever (the first in an expired window's
-// sweep loop, the second in MM's idle periods), hence the deadline on
-// every run.
+// TestErrorExits: an unknown suite, an EW target below the 2 us floor,
+// above the 1e9 us ceiling or not a finite number, -threads below 1 and a
+// negative -ops or -scale each exit 1 with a message and no output. A
+// 1 us EW that got past the check would run forever in an expired
+// window's sweep loop, hence the deadline on every run.
 func TestErrorExits(t *testing.T) {
 	bin := buildTerpsim(t)
 	for _, tc := range []struct {
@@ -94,6 +93,7 @@ func TestErrorExits(t *testing.T) {
 		{[]string{"-suite", "whisper", "-workload", "echo", "-scheme", "TT", "-ew", "1", "-ops", "50"}, "below the 2 us minimum"},
 		{[]string{"-suite", "whisper", "-scheme", "MM", "-ew", "NaN", "-ops", "10"}, "-ew NaN is not a finite number"},
 		{[]string{"-suite", "whisper", "-scheme", "MM", "-ew", "Inf", "-ops", "10"}, "-ew +Inf is not a finite number"},
+		{[]string{"-suite", "whisper", "-scheme", "TT", "-ew", "1e300", "-ops", "10"}, "-ew 1e+300 is above the 1e+09 us maximum"},
 		{[]string{"-suite", "spec", "-workload", "lbm", "-threads", "-1"}, "-threads -1 is below 1"},
 		{[]string{"-suite", "whisper", "-workload", "ctree", "-ops", "-1"}, "-ops -1 is negative"},
 		{[]string{"-suite", "spec", "-workload", "lbm", "-scale", "-2"}, "-scale -2 is negative"},

@@ -16,7 +16,8 @@ import (
 // never panics; an accepted spec survives JSON and a second ParseSpec
 // with its Canonical form intact; a document of any version other than
 // absent or WireVersion is rejected; and no accepted spec carries a sweep
-// point below params.MinEWMicros.
+// point that is not finite, below params.MinEWMicros or above
+// params.MaxEWMicros.
 func FuzzParseSpec(f *testing.F) {
 	for _, doc := range []string{
 		`{"version": 99, "name": "table3"}`,
@@ -25,6 +26,8 @@ func FuzzParseSpec(f *testing.F) {
 		`{"name": "table3", "bogus": 1}`,
 		`{"name":"ewsweep","opts":{"ops":50},"ewMicros":[1]}`,
 		`{"name":"ewsweep","opts":{"ops":50},"ewMicros":[2]}`,
+		`{"name":"ewsweep","opts":{"ops":50},"ewMicros":[1e9]}`,
+		`{"name":"ewsweep","opts":{"ops":50},"ewMicros":[1e300]}`,
 		`{"name":"table3","opts":{"ops":2000,"scale":0,"seed":1},"obs":{"trace":true,"metrics":true}}`,
 	} {
 		f.Add([]byte(doc))
@@ -54,8 +57,8 @@ func FuzzParseSpec(f *testing.F) {
 			t.Fatalf("accepted spec version %d", spec.Version)
 		}
 		for _, ew := range spec.EWMicros {
-			if math.IsNaN(ew) || ew < params.MinEWMicros {
-				t.Fatalf("accepted sweep point %v below the %v us floor", ew, params.MinEWMicros)
+			if math.IsNaN(ew) || math.IsInf(ew, 0) || ew < params.MinEWMicros || ew > params.MaxEWMicros {
+				t.Fatalf("accepted sweep point %v outside [%v, %v] us", ew, params.MinEWMicros, float64(params.MaxEWMicros))
 			}
 		}
 		buf, err := spec.JSON()

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/nvm"
 	"repro/internal/paging"
@@ -151,44 +150,6 @@ func TestProtectionTimingOrdering(t *testing.T) {
 		tm := timed(src, params.TM)
 		if tt > tm {
 			t.Fatalf("trial %d: TT (%d cycles) slower than TM (%d)\n%s", trial, tt, tm, src)
-		}
-	}
-}
-
-// TestOptimizerPreservesResults: optimizing before insertion must not
-// change the computed value or break the insertion invariants.
-func TestOptimizerPreservesResults(t *testing.T) {
-	r := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 15; trial++ {
-		src := genKernel(r)
-		want := runProgram(t, src, params.Unprotected, false)
-
-		prog, err := lang.Compile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, fn := range prog.Funcs {
-			ir.Optimize(fn)
-		}
-		if _, err := terpc.Insert(prog, terpc.Options{
-			EWThreshold:  params.Micros(params.DefaultEWMicros),
-			TEWThreshold: params.Micros(params.DefaultTEWMicros),
-		}); err != nil {
-			t.Fatalf("insert after optimize: %v\n%s", err, src)
-		}
-		mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, 1<<28))
-		rt := core.NewRuntime(params.NewConfig(params.TT, params.DefaultEWMicros), mgr)
-		ctx := rt.NewThread(sim.SingleThread())
-		m, err := New(prog, ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := m.Run("main")
-		if err != nil {
-			t.Fatalf("optimized run: %v\n%s", err, src)
-		}
-		if got != want {
-			t.Fatalf("trial %d: optimized computed %d, want %d\n%s", trial, got, want, src)
 		}
 	}
 }

@@ -77,9 +77,9 @@ func (o Op) String() string {
 
 // Eval returns Dst of the binary integer instruction op (Add through
 // CmpGE) with operands a and b. It is the IR's one definition of integer
-// semantics, which the constant folder and both interpreter engines share:
-// division and modulus by zero yield 0, shift counts are taken mod 64, Shr
-// is a logical shift, comparisons yield 1 or 0, and any other op yields 0.
+// semantics, which both interpreter engines share: division and modulus
+// by zero yield 0, shift counts are taken mod 64, Shr is a logical shift,
+// comparisons yield 1 or 0, and any other op yields 0.
 func Eval(op Op, a, b int64) int64 {
 	switch op {
 	case Add:

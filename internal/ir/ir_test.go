@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestEval pins the IR's integer semantics, which the constant folder and
-// both interpreter engines share through Eval.
+// TestEval pins the IR's integer semantics, which both interpreter
+// engines share through Eval.
 func TestEval(t *testing.T) {
 	for _, tc := range []struct {
 		op   Op

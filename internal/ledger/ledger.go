@@ -50,8 +50,8 @@ func Open(path string, opt Options) (*Ledger, error) {
 }
 
 // rotatedPath is the single rotated generation kept next to the
-// active file.
-func (l *Ledger) rotatedPath() string { return l.path + ".1" }
+// active file at path.
+func rotatedPath(path string) string { return path + ".1" }
 
 // buildID is the toolchain stamp Append writes into records that
 // carry none.
@@ -100,7 +100,7 @@ func (l *Ledger) rotateLocked() error {
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("ledger: rotate close: %w", err)
 	}
-	if err := os.Rename(l.path, l.rotatedPath()); err != nil {
+	if err := os.Rename(l.path, rotatedPath(l.path)); err != nil {
 		return fmt.Errorf("ledger: rotate rename: %w", err)
 	}
 	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -118,37 +118,35 @@ func (l *Ledger) rotateLocked() error {
 func (l *Ledger) Records() ([]Record, int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []Record
-	skipped := 0
-	for _, p := range []string{l.rotatedPath(), l.path} {
-		recs, sk, err := readFile(p)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, recs...)
-		skipped += sk
-	}
-	return out, skipped, nil
+	return readHistory(l.path)
 }
 
 // Read reads a ledger file (and its rotated sibling <path>.1, if
 // present) without opening it for appends — the terpreport -trend
-// path.
+// path. Unlike an open Ledger's history, a ledger with neither file is
+// an error.
 func Read(path string) ([]Record, int, error) {
+	out, skipped, err := readHistory(path)
+	if err == nil && out == nil && skipped == 0 {
+		if _, err := os.Stat(path); err != nil {
+			return nil, 0, fmt.Errorf("ledger: %w", err)
+		}
+	}
+	return out, skipped, err
+}
+
+// readHistory reads the ledger at path in append order, the rotated
+// generation first, and counts the lines it skipped.
+func readHistory(path string) ([]Record, int, error) {
 	var out []Record
 	skipped := 0
-	for _, p := range []string{path + ".1", path} {
+	for _, p := range []string{rotatedPath(path), path} {
 		recs, sk, err := readFile(p)
 		if err != nil {
 			return nil, 0, err
 		}
 		out = append(out, recs...)
 		skipped += sk
-	}
-	if out == nil && skipped == 0 {
-		if _, err := os.Stat(path); err != nil {
-			return nil, 0, fmt.Errorf("ledger: %w", err)
-		}
 	}
 	return out, skipped, nil
 }
@@ -201,13 +199,9 @@ func (l *Ledger) Compact(keep int) error {
 	if l.f == nil {
 		return fmt.Errorf("ledger: closed")
 	}
-	var all []Record
-	for _, p := range []string{l.rotatedPath(), l.path} {
-		recs, _, err := readFile(p)
-		if err != nil {
-			return err
-		}
-		all = append(all, recs...)
+	all, _, err := readHistory(l.path)
+	if err != nil {
+		return err
 	}
 	// Count per key, then emit each record only once its key is within
 	// the final keep window — preserving append order.
@@ -259,7 +253,7 @@ func (l *Ledger) Compact(keep int) error {
 	if err := os.Rename(tmp, l.path); err != nil {
 		return fmt.Errorf("ledger: compact rename: %w", err)
 	}
-	os.Remove(l.rotatedPath())
+	os.Remove(rotatedPath(l.path))
 	nf, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("ledger: compact reopen: %w", err)

@@ -303,6 +303,37 @@ func TestFromGridDeterministic(t *testing.T) {
 	}
 }
 
+// TestRollupsCountEachResultOnce: a crash or litmus record carries the
+// same crash/* and litmus/* row sums whether or not the run collected
+// metrics, although the obs totals of a metrics run already hold some of
+// those names.
+func TestRollupsCountEachResultOnce(t *testing.T) {
+	for _, name := range []string{"crash", "litmus"} {
+		var recs []Record
+		for _, metrics := range []bool{false, true} {
+			spec := terp.ExperimentSpec{
+				Name: name,
+				Opts: terp.ExpOpts{Ops: 300, Seed: 1},
+				Obs:  obs.Config{Metrics: metrics},
+			}
+			g, err := terp.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, FromGrid("test", spec, g))
+		}
+		off, on := recs[0].Metrics, recs[1].Metrics
+		if len(off) == 0 {
+			t.Fatalf("%s: no row sums in a record without metrics", name)
+		}
+		for key, want := range off {
+			if got := on[key]; got != want {
+				t.Errorf("%s: %s = %d with metrics, %d without", name, key, got, want)
+			}
+		}
+	}
+}
+
 func TestSeriesGroupsBySpecHash(t *testing.T) {
 	var recs []Record
 	for i := 0; i < 6; i++ {

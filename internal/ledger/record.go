@@ -55,7 +55,8 @@ type Record struct {
 	// Cells is the spec's enumerated cell count (0 for pure analysis).
 	Cells int `json:"cells"`
 	// Metrics are the integer rollups: every obs totals counter (when
-	// the run collected metrics) plus crash/* and litmus/* counts.
+	// the run collected metrics) plus the crash/* and litmus/* row sums,
+	// which take the place of obs counters of the same name.
 	Metrics map[string]uint64 `json:"metrics,omitempty"`
 	// Values are the float rollups: exposure-window percentiles from
 	// the Table III rows and sweep means from the EW frontier.
@@ -178,27 +179,40 @@ func rollupFrontier(rows []terp.EWSweepRow, out map[string]float64) {
 	out["ewsweep/merr_succ_pct/mean"] = stats.Mean(succM)
 }
 
-// rollupCrash sums the fault-injection matrix.
+// rollupCrash sums the fault-injection matrix. The sums are the one
+// definition of their keys: they replace the obs totals of the same
+// names, which count the same points when the run collected metrics.
 func rollupCrash(rows []terp.CrashRow, out map[string]uint64) {
 	if len(rows) == 0 {
 		return
 	}
+	var points, checked, failures uint64
 	for _, r := range rows {
-		out["crash/points"] += uint64(r.Points)
-		out["crash/checked"] += uint64(r.Checked)
-		out["crash/failures"] += uint64(r.Failures)
+		points += uint64(r.Points)
+		checked += uint64(r.Checked)
+		failures += uint64(r.Failures)
 	}
+	out["crash/points"] = points
+	out["crash/checked"] = checked
+	out["crash/failures"] = failures
 }
 
-// rollupLitmus sums the persistency-litmus matrix.
+// rollupLitmus sums the persistency-litmus matrix. Like rollupCrash's,
+// the sums replace obs totals of the same names; the obs counter
+// litmus/modelstates keeps its own spelling next to litmus/modelStates.
 func rollupLitmus(rows []terp.LitmusRow, out map[string]uint64) {
 	if len(rows) == 0 {
 		return
 	}
+	var programs, modelStates, modelOnly, violations uint64
 	for _, r := range rows {
-		out["litmus/programs"] += uint64(r.Programs)
-		out["litmus/modelStates"] += uint64(r.ModelStates)
-		out["litmus/modelOnly"] += uint64(r.ModelOnly)
-		out["litmus/violations"] += uint64(r.Violations)
+		programs += uint64(r.Programs)
+		modelStates += uint64(r.ModelStates)
+		modelOnly += uint64(r.ModelOnly)
+		violations += uint64(r.Violations)
 	}
+	out["litmus/programs"] = programs
+	out["litmus/modelStates"] = modelStates
+	out["litmus/modelOnly"] = modelOnly
+	out["litmus/violations"] = violations
 }

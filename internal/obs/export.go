@@ -171,78 +171,40 @@ func FormatMetrics(s *Snapshot) string {
 	return b.String()
 }
 
-// rollupNode is one level of the flamegraph-style rollup tree.
-type rollupNode struct {
-	total    uint64
-	children map[string]*rollupNode
-}
-
-func (n *rollupNode) child(name string) *rollupNode {
-	if n.children == nil {
-		n.children = make(map[string]*rollupNode)
-	}
-	c := n.children[name]
-	if c == nil {
-		c = &rollupNode{}
-		n.children[name] = c
-	}
-	return c
-}
-
-// FormatRollup renders the counters whose names start with prefix as a
-// plain-text flamegraph-style rollup: slash-separated name segments form
-// a tree, siblings sort by weight, and each line shows its share of the
-// root with a proportional bar. With prefix "sim/cycles" this is the
+// FormatRollup renders the counters named prefix/<name> as a plain-text
+// flamegraph-style rollup: a root line with their total, then one line
+// per name, heaviest first (ties by name), with its share of the total
+// and a proportional bar. With prefix "sim/cycles" this is the
 // per-Account rollup of one run's cycle budget.
 func FormatRollup(s *Snapshot, prefix string) string {
-	root := &rollupNode{}
+	type line struct {
+		name  string
+		value uint64
+	}
+	var lines []line
+	var total uint64
 	for name, v := range s.Counters {
-		if prefix != "" && !strings.HasPrefix(name, prefix+"/") && name != prefix {
-			continue
-		}
-		rest := strings.TrimPrefix(strings.TrimPrefix(name, prefix), "/")
-		n := root
-		n.total += v
-		if rest != "" {
-			for _, seg := range strings.Split(rest, "/") {
-				n = n.child(seg)
-				n.total += v
-			}
+		if rest, ok := strings.CutPrefix(name, prefix+"/"); ok {
+			lines = append(lines, line{rest, v})
+			total += v
 		}
 	}
-	if root.total == 0 {
+	if total == 0 {
 		return fmt.Sprintf("  (no %q counters)\n", prefix)
 	}
-	var b strings.Builder
-	label := prefix
-	if label == "" {
-		label = "all"
-	}
-	fmt.Fprintf(&b, "  %-28s %14d 100.0%% %s\n", label, root.total, bar(1, 40))
-	writeRollup(&b, root, root.total, "  ")
-	return b.String()
-}
-
-func writeRollup(b *strings.Builder, n *rollupNode, rootTotal uint64, indent string) {
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	// Heaviest first; ties break by name for determinism.
-	sort.Slice(names, func(i, j int) bool {
-		ci, cj := n.children[names[i]], n.children[names[j]]
-		if ci.total != cj.total {
-			return ci.total > cj.total
+	sort.Slice(lines, func(i, j int) bool {
+		if lines[i].value != lines[j].value {
+			return lines[i].value > lines[j].value
 		}
-		return names[i] < names[j]
+		return lines[i].name < lines[j].name
 	})
-	for _, name := range names {
-		c := n.children[name]
-		frac := float64(c.total) / float64(rootTotal)
-		fmt.Fprintf(b, "%s%-*s %14d %5.1f%% %s\n",
-			indent+"  ", 28-len(indent), name, c.total, 100*frac, bar(frac, 40))
-		writeRollup(b, c, rootTotal, indent+"  ")
+	var b strings.Builder
+	fmt.Fprintf(&b, "  %-28s %14d 100.0%% %s\n", prefix, total, bar(1, 40))
+	for _, l := range lines {
+		frac := float64(l.value) / float64(total)
+		fmt.Fprintf(&b, "    %-26s %14d %5.1f%% %s\n", l.name, l.value, 100*frac, bar(frac, 40))
 	}
+	return b.String()
 }
 
 func bar(frac float64, width int) string {

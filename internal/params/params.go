@@ -6,6 +6,11 @@
 // helpers Micros and Cycles convert between microseconds and cycles.
 package params
 
+import (
+	"fmt"
+	"math"
+)
+
 // Cycle counts and machine geometry from Table II of the paper.
 const (
 	// CyclesPerMicro is the clock rate of one simulated core: 2.2 GHz
@@ -77,7 +82,12 @@ const (
 	CircularBufferEntries = 32
 )
 
-// Micros converts a number of microseconds to simulated cycles.
+// Micros converts a number of microseconds to simulated cycles. For a
+// whole number of microseconds up to 2^53/CyclesPerMicro (about 4.1e12)
+// the product is an integer a float64 holds exactly, so the conversion is
+// exact. Past about 8.4e15 us the product leaves uint64's range, and Go
+// leaves the result of such a conversion to the platform; CheckEW keeps
+// every EW target far below both limits.
 func Micros(us float64) uint64 { return uint64(us * CyclesPerMicro) }
 
 // ToMicros converts simulated cycles to microseconds.
@@ -91,14 +101,63 @@ const (
 	// DefaultTEWMicros is the default thread exposure window target
 	// (2 us).
 	DefaultTEWMicros = 2
-	// MinEWMicros is the shortest exposure window target a run accepts:
-	// the TEW target, which every TERP window must hold anyway. It lies
-	// just above the stall an expired window's randomization charges
-	// (RandomizeCost + TLBInvalidate, about 1.94 us). Under a shorter EW
-	// that stall already passes the next deadline, so a single-thread
-	// Compute sweeps again and again and never finishes.
+	// MinEWMicros is the shortest exposure window target CheckEW
+	// accepts: the TEW target, which every TERP window must hold anyway.
+	// It lies just above the stall an expired window's randomization
+	// charges (RandomizeCost + TLBInvalidate, about 1.94 us). Under a
+	// shorter EW that stall already passes the next deadline, so a
+	// single-thread Compute sweeps again and again and never finishes.
 	MinEWMicros = DefaultTEWMicros
+	// MaxEWMicros is the longest exposure window target CheckEW accepts:
+	// 1e9 us, that is 1,000 s or 2.2e12 cycles. The value is a round
+	// number far beyond any window the evaluation uses (the EW sweep
+	// stops at a few hundred microseconds) and far below the
+	// 2^53/CyclesPerMicro (about 4.1e12 us) up to which Micros converts a
+	// whole number of microseconds exactly.
+	MaxEWMicros = 1e9
 )
+
+// CheckEW reports whether ewMicros is an exposure window target a run
+// accepts: a finite number of at least MinEWMicros and at most
+// MaxEWMicros. It is the one EW rule: terp.Options, the sweep points of
+// an experiment spec, terpsim -ew and terpc -ew all check it here. The
+// error starts with the value, so a caller prefixes the name of its
+// input.
+func CheckEW(ewMicros float64) error {
+	var why string
+	switch {
+	case math.IsNaN(ewMicros) || math.IsInf(ewMicros, 0):
+		why = "is not a finite number"
+	case ewMicros < MinEWMicros:
+		why = fmt.Sprintf("is below the %g us minimum", float64(MinEWMicros))
+	case ewMicros > MaxEWMicros:
+		why = fmt.Sprintf("is above the %g us maximum", float64(MaxEWMicros))
+	default:
+		return nil
+	}
+	return fmt.Errorf("%g %s: an exposure window target is a finite number of at least %g us and at most %g us",
+		ewMicros, why, float64(MinEWMicros), float64(MaxEWMicros))
+}
+
+// CheckTEW reports whether tewMicros is a thread exposure window target
+// that fits the EW target ewMicros: a finite number from 0 (no thread
+// windows) up to ewMicros, since every thread window lies inside a
+// process window. Like CheckEW, its error starts with the value.
+func CheckTEW(tewMicros, ewMicros float64) error {
+	var why string
+	switch {
+	case math.IsNaN(tewMicros) || math.IsInf(tewMicros, 0):
+		why = "is not a finite number"
+	case tewMicros < 0:
+		why = "is negative"
+	case tewMicros > ewMicros:
+		why = fmt.Sprintf("exceeds the %g us EW target", ewMicros)
+	default:
+		return nil
+	}
+	return fmt.Errorf("%g %s: a thread exposure window target is a finite number from 0 up to the EW target, since its windows must fit inside the process window",
+		tewMicros, why)
+}
 
 // Scheme identifies one protection configuration evaluated in the paper.
 type Scheme int

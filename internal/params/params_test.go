@@ -1,6 +1,10 @@
 package params
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 func TestMicrosRoundTrip(t *testing.T) {
 	if Micros(40) != 88000 {
@@ -97,5 +101,74 @@ func TestTableIIConstants(t *testing.T) {
 func TestMinEWOutlastsRandomizationStall(t *testing.T) {
 	if stall := uint64(RandomizeCost + TLBInvalidate); Micros(MinEWMicros) <= stall {
 		t.Fatalf("MinEWMicros = %d cycles, not above the %d-cycle randomization stall", Micros(MinEWMicros), stall)
+	}
+}
+
+// TestCheckEW pins the one EW rule: a finite target from MinEWMicros to
+// MaxEWMicros, both ends included.
+func TestCheckEW(t *testing.T) {
+	for _, tc := range []struct {
+		ew   float64
+		want string // "" when the target is accepted
+	}{
+		{math.NaN(), "NaN is not a finite number"},
+		{math.Inf(1), "+Inf is not a finite number"},
+		{math.Inf(-1), "-Inf is not a finite number"},
+		{-5, "-5 is below the 2 us minimum"},
+		{0, "0 is below the 2 us minimum"},
+		{1.9, "1.9 is below the 2 us minimum"},
+		{2, ""},
+		{DefaultEWMicros, ""},
+		{MaxEWMicros, ""},
+		{math.Nextafter(MaxEWMicros, math.Inf(1)), "is above the 1e+09 us maximum"},
+		{2 * MaxEWMicros, "2e+09 is above the 1e+09 us maximum"},
+		{1e300, "1e+300 is above the 1e+09 us maximum"},
+	} {
+		err := CheckEW(tc.ew)
+		if tc.want == "" && err != nil {
+			t.Errorf("CheckEW(%g) = %v, want nil", tc.ew, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("CheckEW(%g) = %v, want an error with %q", tc.ew, err, tc.want)
+		}
+	}
+}
+
+// TestCheckTEW pins the TEW rule: a finite target from 0 up to the EW
+// target, both ends included.
+func TestCheckTEW(t *testing.T) {
+	for _, tc := range []struct {
+		tew, ew float64
+		want    string
+	}{
+		{math.NaN(), 40, "NaN is not a finite number"},
+		{math.Inf(1), 40, "+Inf is not a finite number"},
+		{math.Inf(-1), 40, "-Inf is not a finite number"},
+		{-3, 40, "-3 is negative"},
+		{0, 40, ""},
+		{DefaultTEWMicros, 40, ""},
+		{40, 40, ""},
+		{40.5, 40, "40.5 exceeds the 40 us EW target"},
+		{1e300, MaxEWMicros, "1e+300 exceeds the 1e+09 us EW target"},
+	} {
+		err := CheckTEW(tc.tew, tc.ew)
+		if tc.want == "" && err != nil {
+			t.Errorf("CheckTEW(%g, %g) = %v, want nil", tc.tew, tc.ew, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("CheckTEW(%g, %g) = %v, want an error with %q", tc.tew, tc.ew, err, tc.want)
+		}
+	}
+}
+
+// TestMaxEWConvertsExactly: the longest accepted EW target converts to
+// cycles exactly, well inside the range where a float64 holds every
+// integer.
+func TestMaxEWConvertsExactly(t *testing.T) {
+	if MaxEWMicros*CyclesPerMicro >= 1<<53 {
+		t.Fatalf("MaxEWMicros = %g us is %g cycles, past 2^53", float64(MaxEWMicros), float64(MaxEWMicros*CyclesPerMicro))
+	}
+	if got, want := Micros(MaxEWMicros), uint64(MaxEWMicros)*CyclesPerMicro; got != want {
+		t.Fatalf("Micros(MaxEWMicros) = %d, want %d", got, want)
 	}
 }

@@ -33,8 +33,8 @@ type ExperimentSpec struct {
 	// ignores it (the pool's size governs).
 	Parallel int `json:"parallel,omitempty"`
 	// EWMicros lists the sweep points for the "ewsweep" experiment;
-	// nil selects the default 40/80/160/320 us. Each point must be at
-	// least params.MinEWMicros (2 us). Other experiments ignore it.
+	// nil selects the default 40/80/160/320 us. Each point must pass
+	// params.CheckEW. Other experiments ignore it.
 	EWMicros []float64 `json:"ewMicros,omitempty"`
 	// Progress, when set, receives live cell-completion events: done
 	// cells out of total, plus the finished cell's display name.

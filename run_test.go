@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/params"
 )
 
 // TestRunParallelGridIsByteIdenticalToSerial is the engine's determinism
@@ -109,6 +111,7 @@ func TestOptionsValidate(t *testing.T) {
 		{EWMicros: 10, TEWMicros: 20},             // TEW above explicit EW
 		{NVMBytes: 1 << 10},                       // undersized device
 		{Scheme: TT, EWMicros: 1.9, TEWMicros: 1}, // EW shorter than a randomization stall
+		{EWMicros: 1e300},                         // far past params.MaxEWMicros
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -123,6 +126,7 @@ func TestOptionsValidate(t *testing.T) {
 		{Scheme: MM},
 		{EWMicros: 80, TEWMicros: 4},
 		{EWMicros: 2, TEWMicros: 1}, // the shortest accepted EW
+		{EWMicros: params.MaxEWMicros},
 		{NVMBytes: MinNVMBytes},
 	}
 	for i, o := range good {

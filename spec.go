@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/params"
@@ -27,9 +26,9 @@ const WireVersion = 1
 // ParseSpec decodes the JSON wire form of an ExperimentSpec and
 // validates it: the version must be absent (meaning current) or
 // WireVersion, the experiment must exist, the scaling knobs must be
-// sane, every sweep point must be at least params.MinEWMicros, and
-// unknown fields are rejected so schema drift surfaces as an error
-// rather than as silently ignored settings.
+// sane, every sweep point must pass params.CheckEW, and unknown fields
+// are rejected so schema drift surfaces as an error rather than as
+// silently ignored settings.
 func ParseSpec(data []byte) (ExperimentSpec, error) {
 	var spec ExperimentSpec
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -61,8 +60,8 @@ func (s ExperimentSpec) Validate() error {
 		return fmt.Errorf("terp: negative scale %d", s.Opts.Scale)
 	}
 	for _, ew := range s.EWMicros {
-		if math.IsNaN(ew) || math.IsInf(ew, 0) || ew < params.MinEWMicros {
-			return fmt.Errorf("terp: ewMicros sweep point %v is not a finite window of at least %g us", ew, float64(params.MinEWMicros))
+		if err := params.CheckEW(ew); err != nil {
+			return fmt.Errorf("terp: ewMicros sweep point %w", err)
 		}
 	}
 	return nil

@@ -55,9 +55,9 @@ func TestParseSpecRejectsUnknownExperiment(t *testing.T) {
 // TestParseSpecRejectsSubStallWindows: a sweep point below the 2 us
 // floor is rejected. At 1.9 us one expired window's randomization stall
 // (about 1.94 us) already passes the next deadline, and the cell never
-// finishes.
+// finishes. A point past params.MaxEWMicros is rejected too.
 func TestParseSpecRejectsSubStallWindows(t *testing.T) {
-	for _, ews := range []string{"[1]", "[1.9]", "[40, 1]", "[0]", "[-3]"} {
+	for _, ews := range []string{"[1]", "[1.9]", "[40, 1]", "[0]", "[-3]", "[1e300]"} {
 		doc := `{"name":"ewsweep","opts":{"ops":50},"ewMicros":` + ews + `}`
 		if _, err := ParseSpec([]byte(doc)); err == nil || !strings.Contains(err.Error(), "at least 2 us") {
 			t.Fatalf("ParseSpec(%s) err = %v, want the 2 us floor", ews, err)

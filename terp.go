@@ -29,7 +29,6 @@ package terp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/expo"
@@ -92,10 +91,11 @@ type Options struct {
 	// Scheme is the protection scheme (default TT).
 	Scheme Scheme
 	// EWMicros is the exposure window target in microseconds
-	// (default 40, the paper's primary setting; at least 2).
+	// (default 40, the paper's primary setting; see params.CheckEW).
 	EWMicros float64
-	// TEWMicros is the thread exposure window target (default 2; it is
-	// forced to 0 for MM and Unprotected, which have no TEWs).
+	// TEWMicros is the thread exposure window target (default 2; see
+	// params.CheckTEW; it is forced to 0 for MM and Unprotected, which
+	// have no TEWs).
 	TEWMicros float64
 	// NVMBytes sizes the simulated persistent device (default 2 GB,
 	// minimum 1 MB).
@@ -126,23 +126,16 @@ func (o Options) withDefaults() Options {
 
 // Validate reports whether the options describe a runnable system.
 // Zero-valued fields are valid (they select the documented defaults);
-// explicit values must make sense: exposure targets may not be negative
-// or NaN, the process window must be at least params.MinEWMicros, the
-// thread window may not exceed it, and the device must be at least
+// with defaults applied, the exposure targets must pass params.CheckEW
+// and params.CheckTEW, and an explicit device size must be at least
 // MinNVMBytes.
 func (o Options) Validate() error {
-	if math.IsNaN(o.EWMicros) || math.IsInf(o.EWMicros, 0) || o.EWMicros < 0 {
-		return fmt.Errorf("terp: EWMicros %v is not a valid exposure window target (want a finite value >= 0)", o.EWMicros)
-	}
-	if math.IsNaN(o.TEWMicros) || math.IsInf(o.TEWMicros, 0) || o.TEWMicros < 0 {
-		return fmt.Errorf("terp: TEWMicros %v is not a valid thread exposure window target (want a finite value >= 0)", o.TEWMicros)
-	}
 	d := o.withDefaults()
-	if d.EWMicros < params.MinEWMicros {
-		return fmt.Errorf("terp: EWMicros %g is below the %g us minimum exposure window target", d.EWMicros, float64(params.MinEWMicros))
+	if err := params.CheckEW(d.EWMicros); err != nil {
+		return fmt.Errorf("terp: EWMicros %w", err)
 	}
-	if d.TEWMicros > d.EWMicros {
-		return fmt.Errorf("terp: TEWMicros %g exceeds EWMicros %g: the thread window must fit inside the process window", d.TEWMicros, d.EWMicros)
+	if err := params.CheckTEW(d.TEWMicros, d.EWMicros); err != nil {
+		return fmt.Errorf("terp: TEWMicros %w", err)
 	}
 	if o.NVMBytes != 0 && o.NVMBytes < MinNVMBytes {
 		return fmt.Errorf("terp: NVMBytes %d is below the %d-byte minimum (superblock plus one PMO)", o.NVMBytes, MinNVMBytes)
