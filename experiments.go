@@ -91,11 +91,9 @@ func specCell(exp, label, kernel string, s Scheme, ew float64, threads int, o Ex
 
 // --- Table III --------------------------------------------------------------
 
-// WhisperRow is one Table III row: exposure measurements for one WHISPER
+// ExposureRow is the exposure measurements Tables III and IV share: one
 // workload under MM and TT at the 40 us EW / 2 us TEW targets.
-type WhisperRow struct {
-	// Prog is the workload name.
-	Prog string `json:"prog"`
+type ExposureRow struct {
 	// MMEWAvg, MMEWMax, MMER are MERR's exposure figures (us, us, frac).
 	MMEWAvg, MMEWMax, MMER float64
 	// Silent is TT's share of conditional ops lowered to thread
@@ -105,6 +103,41 @@ type WhisperRow struct {
 	TTEWAvg, TTEWMax, TTER float64
 	// TEW and TER are TT's thread-level exposure figures (us, frac).
 	TEW, TER float64
+}
+
+// exposureRow folds one workload's (MM, TT) result pair.
+func exposureRow(mm, tt core.Result) ExposureRow {
+	return ExposureRow{
+		MMEWAvg: params.ToMicros(uint64(mm.Exposure.AvgEW)),
+		MMEWMax: params.ToMicros(uint64(mm.Exposure.MaxEW)),
+		MMER:    mm.Exposure.ER,
+		Silent:  tt.Counts.SilentPercent(),
+		TTEWAvg: params.ToMicros(uint64(tt.Exposure.AvgEW)),
+		TTEWMax: params.ToMicros(uint64(tt.Exposure.MaxEW)),
+		TTER:    tt.Exposure.ER,
+		TEW:     params.ToMicros(uint64(tt.Exposure.AvgTEW)),
+		TER:     tt.Exposure.TER,
+	}
+}
+
+// columns renders the seven columns both tables print. An average row
+// (avg) has no maximum and prints "-" in its place.
+func (r ExposureRow) columns(avg bool) []any {
+	ew := func(mean, max float64) string {
+		if avg {
+			return fmt.Sprintf("%.1f/-", mean)
+		}
+		return fmt.Sprintf("%.1f/%.1f", mean, max)
+	}
+	return []any{ew(r.MMEWAvg, r.MMEWMax), 100 * r.MMER, r.Silent,
+		ew(r.TTEWAvg, r.TTEWMax), 100 * r.TTER, fmt.Sprintf("%.2f", r.TEW), 100 * r.TER}
+}
+
+// WhisperRow is one Table III row: the exposure of one WHISPER workload.
+type WhisperRow struct {
+	// Prog is the workload name.
+	Prog string `json:"prog"`
+	ExposureRow
 	// CondFreq is TT's conditional ops per second.
 	CondFreq float64
 }
@@ -125,19 +158,11 @@ func table3Cells(exp string, o ExpOpts) []runner.Cell {
 func table3Rows(res []runner.CellResult) []WhisperRow {
 	var rows []WhisperRow
 	for i := 0; i+1 < len(res); i += 2 {
-		mm, tt := res[i].Result, res[i+1].Result
+		tt := res[i+1].Result
 		rows = append(rows, WhisperRow{
-			Prog:     res[i].Cell.Workload,
-			MMEWAvg:  params.ToMicros(uint64(mm.Exposure.AvgEW)),
-			MMEWMax:  params.ToMicros(uint64(mm.Exposure.MaxEW)),
-			MMER:     mm.Exposure.ER,
-			Silent:   tt.Counts.SilentPercent(),
-			TTEWAvg:  params.ToMicros(uint64(tt.Exposure.AvgEW)),
-			TTEWMax:  params.ToMicros(uint64(tt.Exposure.MaxEW)),
-			TTER:     tt.Exposure.ER,
-			TEW:      params.ToMicros(uint64(tt.Exposure.AvgTEW)),
-			TER:      tt.Exposure.TER,
-			CondFreq: tt.CondFreqPerSec(),
+			Prog:        res[i].Cell.Workload,
+			ExposureRow: exposureRow(res[i].Result, tt),
+			CondFreq:    tt.CondFreqPerSec(),
 		})
 	}
 	return rows
@@ -152,13 +177,9 @@ func assembleTable3(spec ExperimentSpec, res []runner.CellResult, g *Grid) error
 func FormatTable3(rows []WhisperRow) string {
 	t := stats.NewTable("Prog", "MM EW avg/max(us)", "MM ER%", "Silent%",
 		"TT EW avg/max(us)", "TT ER%", "TEW(us)", "TER%")
-	var avg WhisperRow
+	var avg ExposureRow
 	for _, r := range rows {
-		t.AddRow(r.Prog,
-			fmt.Sprintf("%.1f/%.1f", r.MMEWAvg, r.MMEWMax), 100*r.MMER,
-			r.Silent,
-			fmt.Sprintf("%.1f/%.1f", r.TTEWAvg, r.TTEWMax), 100*r.TTER,
-			fmt.Sprintf("%.2f", r.TEW), 100*r.TER)
+		t.AddRow(append([]any{r.Prog}, r.columns(false)...)...)
 		avg.MMEWAvg += r.MMEWAvg
 		avg.MMER += r.MMER
 		avg.Silent += r.Silent
@@ -167,13 +188,10 @@ func FormatTable3(rows []WhisperRow) string {
 		avg.TEW += r.TEW
 		avg.TER += r.TER
 	}
-	n := float64(len(rows))
-	if n > 0 {
-		t.AddRow("Avg.",
-			fmt.Sprintf("%.1f/-", avg.MMEWAvg/n), 100*avg.MMER/n,
-			avg.Silent/n,
-			fmt.Sprintf("%.1f/-", avg.TTEWAvg/n), 100*avg.TTER/n,
-			fmt.Sprintf("%.2f", avg.TEW/n), 100*avg.TER/n)
+	if n := float64(len(rows)); n > 0 {
+		avg = ExposureRow{MMEWAvg: avg.MMEWAvg / n, MMER: avg.MMER / n, Silent: avg.Silent / n,
+			TTEWAvg: avg.TTEWAvg / n, TTER: avg.TTER / n, TEW: avg.TEW / n, TER: avg.TER / n}
+		t.AddRow(append([]any{"Avg."}, avg.columns(true)...)...)
 	}
 	return "Table III: WHISPER results with target EW 40us, TEW 2us\n" + t.String()
 }
@@ -293,16 +311,12 @@ func FormatOverheads(title string, bars []OverheadBar) string {
 
 // --- Table IV ---------------------------------------------------------------
 
-// Table4Row is one Table IV row: SPEC exposure under MM and TT.
+// Table4Row is one Table IV row: the exposure of one SPEC kernel.
 type Table4Row struct {
 	// Prog is the kernel name; PMOs its persistent array count.
 	Prog string `json:"prog"`
 	PMOs int
-	// Exposure figures as in WhisperRow.
-	MMEWAvg, MMEWMax, MMER float64
-	Silent                 float64
-	TTEWAvg, TTEWMax, TTER float64
-	TEW, TER               float64
+	ExposureRow
 }
 
 // table4Cells enumerates each kernel under MM then TT (single thread).
@@ -324,18 +338,9 @@ func table4Rows(res []runner.CellResult) []Table4Row {
 	}
 	var rows []Table4Row
 	for i := 0; i+1 < len(res); i += 2 {
-		mm, tt := res[i].Result, res[i+1].Result
 		rows = append(rows, Table4Row{
 			Prog: res[i].Cell.Workload, PMOs: pmos[res[i].Cell.Workload],
-			MMEWAvg: params.ToMicros(uint64(mm.Exposure.AvgEW)),
-			MMEWMax: params.ToMicros(uint64(mm.Exposure.MaxEW)),
-			MMER:    mm.Exposure.ER,
-			Silent:  tt.Counts.SilentPercent(),
-			TTEWAvg: params.ToMicros(uint64(tt.Exposure.AvgEW)),
-			TTEWMax: params.ToMicros(uint64(tt.Exposure.MaxEW)),
-			TTER:    tt.Exposure.ER,
-			TEW:     params.ToMicros(uint64(tt.Exposure.AvgTEW)),
-			TER:     tt.Exposure.TER,
+			ExposureRow: exposureRow(res[i].Result, res[i+1].Result),
 		})
 	}
 	return rows
@@ -351,11 +356,7 @@ func FormatTable4(rows []Table4Row) string {
 	t := stats.NewTable("Prog", "#PMOs", "MM EW avg/max(us)", "MM ER%",
 		"Silent%", "TT EW avg/max(us)", "TT ER%", "TEW(us)", "TER%")
 	for _, r := range rows {
-		t.AddRow(r.Prog, r.PMOs,
-			fmt.Sprintf("%.1f/%.1f", r.MMEWAvg, r.MMEWMax), 100*r.MMER,
-			r.Silent,
-			fmt.Sprintf("%.1f/%.1f", r.TTEWAvg, r.TTEWMax), 100*r.TTER,
-			fmt.Sprintf("%.2f", r.TEW), 100*r.TER)
+		t.AddRow(append([]any{r.Prog, r.PMOs}, r.columns(false)...)...)
 	}
 	return "Table IV: SPEC results on 40us EW (single thread, multi-PMO)\n" + t.String()
 }
@@ -445,27 +446,10 @@ func assembleTable6(spec ExperimentSpec, res []runner.CellResult, g *Grid) error
 	for split < len(res) && res[split].Cell.Kind == runner.Whisper {
 		split++
 	}
-	var out Table6Result
-
-	// WHISPER row: average MM ER vs TT TER.
-	wr := table3Rows(res[:split])
-	var er, ter float64
-	for _, r := range wr {
-		er += r.MMER
-		ter += r.TER
-	}
-	n := float64(len(wr))
-	out.Rows = append(out.Rows, attack.BuildScenarioRow("WHISPER", er/n, ter/n))
-
-	// SPEC row.
-	sr := table4Rows(res[split:])
-	er, ter = 0, 0
-	for _, r := range sr {
-		er += r.MMER
-		ter += r.TER
-	}
-	n = float64(len(sr))
-	out.Rows = append(out.Rows, attack.BuildScenarioRow("SPEC", er/n, ter/n))
+	out := Table6Result{Rows: []attack.ScenarioRow{
+		scenarioRow("WHISPER", res[:split]),
+		scenarioRow("SPEC", res[split:]),
+	}}
 
 	// Static census over instrumented kernels.
 	census, err := specGadgetCensus(spec.Opts)
@@ -475,6 +459,18 @@ func assembleTable6(spec ExperimentSpec, res []runner.CellResult, g *Grid) error
 	out.SpecCensus = census
 	g.Scenarios = &out
 	return nil
+}
+
+// scenarioRow averages MM's ER and TT's TER over a suite's (MM, TT)
+// cell pairs, summed in row order.
+func scenarioRow(suite string, res []runner.CellResult) attack.ScenarioRow {
+	var er, ter float64
+	for i := 0; i+1 < len(res); i += 2 {
+		er += res[i].Result.Exposure.ER
+		ter += res[i+1].Result.Exposure.TER
+	}
+	n := float64(len(res) / 2)
+	return attack.BuildScenarioRow(suite, er/n, ter/n)
 }
 
 // FormatTable6 renders Table VI, including the full scenario matrix
@@ -554,17 +550,12 @@ func attachAnalysisObs(spec ExperimentSpec, g *Grid, cell string, rec *obs.Recor
 	if !spec.Obs.Enabled() {
 		return
 	}
-	c := &obs.CellObs{Cell: cell}
+	var s *obs.Snapshot
 	if spec.Obs.Metrics {
-		c.Metrics = obs.NewSnapshot()
-		fill(c.Metrics)
+		s = obs.NewSnapshot()
+		fill(s)
 	}
-	if rec != nil {
-		c.TraceEvents = rec.Total()
-		c.TraceDropped = rec.Dropped()
-		c.Events = rec.Events()
-	}
-	g.Obs = obs.NewGridObs([]*obs.CellObs{c}, spec.Obs.Metrics)
+	g.Obs = obs.NewGridObs([]*obs.CellObs{obs.NewCellObs(cell, s, rec)}, spec.Obs.Metrics)
 }
 
 // FormatFigure8 renders the distribution.

@@ -104,11 +104,27 @@ func RunDOP(cfg params.Config, opt DOPOpts) (DOPResult, error) {
 		return rt.Counts.Randomizations + rt.Counts.AttachSyscalls
 	}
 
+	disclose := func() {
+		// The disclosure gadget leaks a pointer to the list; it also
+		// needs access permission at its site.
+		if base, ok := rt.MappingBase(p.ID); ok {
+			if _, err := ctx.LoadVA(base + nodes[0].Offset()); err == nil {
+				attackerBase = base
+				haveAddr = true
+				attackerEpoch = epoch()
+				res.Disclosures++
+			} else {
+				res.Faults++
+			}
+		}
+	}
 	target := 0
 	gadget := func() {
-		// One arbitrary write via the corrupted locals: the attacker
-		// aims at node[target].prop using its learned base address.
+		// Without a usable address the round goes to disclosing one.
+		// With one, the corrupted locals give one arbitrary write: the
+		// attacker aims at node[target].prop using its learned base.
 		if !haveAddr {
+			disclose()
 			return
 		}
 		if epoch() != attackerEpoch {
@@ -129,23 +145,14 @@ func RunDOP(cfg params.Config, opt DOPOpts) (DOPResult, error) {
 		res.Corrupted++
 		target = (target + 1) % opt.Nodes
 	}
-	disclose := func() {
-		// The disclosure gadget leaks a pointer to the list; it also
-		// needs access permission at its site.
-		if base, ok := rt.MappingBase(p.ID); ok {
-			if _, err := ctx.LoadVA(base + nodes[0].Offset()); err == nil {
-				attackerBase = base
-				haveAddr = true
-				attackerEpoch = epoch()
-				res.Disclosures++
-			} else {
-				res.Faults++
-			}
-		}
-	}
 
 	// mmBatch is how many rounds one manual MM bracket spans.
 	const mmBatch = 8
+	// Only TERP insertion brackets each PM section; the manual schemes'
+	// mapping covers the parse code too. So the gadget fires inside a
+	// window unless it sits in parse code under TERP.
+	manual := cfg.Scheme == params.MM || cfg.Scheme == params.Unprotected
+	gadgetInWindow := manual || !opt.GadgetInParse
 	for round := 0; round < opt.Rounds; round++ {
 		// Parse phase. Under TERP insertion it runs outside any PM
 		// window; the manual MM bracket wraps whole handler batches,
@@ -165,17 +172,13 @@ func RunDOP(cfg params.Config, opt DOPOpts) (DOPResult, error) {
 			}
 		}
 		ctx.Compute(1500) // parse
-		if opt.GadgetInParse && cfg.Scheme != params.MM && cfg.Scheme != params.Unprotected {
+		if !gadgetInWindow {
 			// TERP: the parse-site gadget fires with no window open.
-			if !haveAddr {
-				disclose()
-			} else {
-				gadget()
-			}
+			gadget()
 		}
 
 		// PM section.
-		if cfg.Scheme != params.MM && cfg.Scheme != params.Unprotected {
+		if !manual {
 			if err := ctx.Attach(p, paging.ReadWrite); err != nil {
 				return res, err
 			}
@@ -185,23 +188,10 @@ func RunDOP(cfg params.Config, opt DOPOpts) (DOPResult, error) {
 		if _, err := ctx.Load(n); err != nil {
 			return res, fmt.Errorf("victim load: %w", err)
 		}
-		if opt.GadgetInParse && (cfg.Scheme == params.MM || cfg.Scheme == params.Unprotected) {
-			// Under MM the manual bracket covers the parse code too,
-			// so the same gadget fires inside the window.
-			if !haveAddr {
-				disclose()
-			} else {
-				gadget()
-			}
+		if gadgetInWindow {
+			gadget()
 		}
-		if !opt.GadgetInParse {
-			if !haveAddr {
-				disclose()
-			} else {
-				gadget()
-			}
-		}
-		if cfg.Scheme != params.MM && cfg.Scheme != params.Unprotected {
+		if !manual {
 			if err := ctx.Detach(p); err != nil {
 				return res, err
 			}

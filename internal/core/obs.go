@@ -39,9 +39,6 @@ func (r *Runtime) EnableObs(cfg obs.Config) {
 	}
 }
 
-// ObsRecorder returns the event recorder (nil when tracing is off).
-func (r *Runtime) ObsRecorder() *obs.Recorder { return r.obs }
-
 // wireSwitchHook records scheduler context switches on the resumed
 // thread's track.
 func (r *Runtime) wireSwitchHook(m *sim.Machine) {
@@ -88,14 +85,17 @@ func (c *ThreadCtx) syscall(a sim.Account, cost uint64, name string) {
 	c.obs.Span(from, c.th.Clock, obs.CatCore, name, 0)
 }
 
-// ObsSnapshot assembles the end-of-run metrics snapshot from every
+// obsSnapshot assembles the end-of-run metrics snapshot from every
 // component's counters plus the histograms accumulated during the run.
-// It returns nil when metrics collection is off.
-func (r *Runtime) ObsSnapshot() *obs.Snapshot {
+// It builds on a copy, so the runtime's own snapshot keeps only what the
+// run accumulated and a second call returns the same counts. It returns
+// nil when metrics collection is off.
+func (r *Runtime) obsSnapshot() *obs.Snapshot {
 	if r.metrics == nil {
 		return nil
 	}
-	s := r.metrics
+	s := obs.NewSnapshot()
+	s.Merge(r.metrics)
 	var costs sim.Accounts
 	var l1, l2, miss, flush uint64
 	for _, tc := range r.threads {

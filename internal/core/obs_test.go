@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/nvm"
@@ -52,13 +54,12 @@ func drive(t *testing.T, ctx *ThreadCtx, p *pmo.PMO) {
 func TestEnableObsTraceCollectsAcrossCategories(t *testing.T) {
 	rt, ctx, p := newObsEnv(t, params.TT, obs.Config{Trace: true})
 	drive(t, ctx, p)
-	rt.Finish(ctx.Now())
+	res := rt.Finish(ctx.Now())
 
-	rec := rt.ObsRecorder()
-	if rec == nil {
-		t.Fatal("no recorder")
+	if res.Obs == nil {
+		t.Fatal("no payload")
 	}
-	ev := rec.Events()
+	ev := res.Obs.Events
 	if len(ev) == 0 {
 		t.Fatal("no events recorded")
 	}
@@ -117,10 +118,10 @@ func TestObsSnapshotMatchesRuntimeCounts(t *testing.T) {
 	drive(t, ctx, p)
 	res := rt.Finish(ctx.Now())
 
-	s := rt.ObsSnapshot()
-	if s == nil {
+	if res.Obs == nil || res.Obs.Metrics == nil {
 		t.Fatal("no snapshot")
 	}
+	s := res.Obs.Metrics
 	checks := map[string]uint64{
 		"core/attach_syscalls": res.Counts.AttachSyscalls,
 		"core/detach_syscalls": res.Counts.DetachSyscalls,
@@ -162,9 +163,41 @@ func TestObsSnapshotMatchesRuntimeCounts(t *testing.T) {
 func TestObsSnapshotNilWhenMetricsOff(t *testing.T) {
 	rt, ctx, p := newObsEnv(t, params.TT, obs.Config{Trace: true})
 	drive(t, ctx, p)
-	rt.Finish(ctx.Now())
-	if s := rt.ObsSnapshot(); s != nil {
+	res := rt.Finish(ctx.Now())
+	if res.Obs == nil {
+		t.Fatal("no payload with tracing on")
+	}
+	if s := res.Obs.Metrics; s != nil {
 		t.Fatalf("snapshot with metrics off: %v", s)
+	}
+}
+
+// TestFinishTwiceGivesEqualPayloads: the end-of-run snapshot is built on
+// a copy, so a second Finish neither adds the end-of-run counters to the
+// runtime's own snapshot again nor returns a different payload.
+func TestFinishTwiceGivesEqualPayloads(t *testing.T) {
+	rt, ctx, p := newObsEnv(t, params.TT, obs.Config{Trace: true, Metrics: true})
+	drive(t, ctx, p)
+	first := rt.Finish(ctx.Now())
+	if first.Obs == nil || first.Obs.Metrics.Get("sim/cycles/base") == 0 || len(first.Obs.Events) == 0 {
+		t.Fatalf("first payload is empty: %+v", first.Obs)
+	}
+	// Marshal before the second call: a payload that aliases the
+	// runtime's snapshot would change under it.
+	want, err := json.Marshal(first.Obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := rt.Finish(ctx.Now())
+	got, err := json.Marshal(second.Obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("second Finish returned another payload:\nfirst  %s\nsecond %s", want, got)
+	}
+	if !reflect.DeepEqual(first.Obs.Events, second.Obs.Events) {
+		t.Fatal("second Finish returned other events")
 	}
 }
 
@@ -181,7 +214,10 @@ func TestObsDoesNotPerturbCharges(t *testing.T) {
 		rt.EnableObs(cfg)
 		ctx := rt.NewThread(sim.SingleThread())
 		drive(t, ctx, p)
-		rt.Finish(ctx.Now())
+		// A payload comes back exactly when something was collected.
+		if res := rt.Finish(ctx.Now()); (res.Obs != nil) != cfg.Enabled() {
+			t.Fatalf("payload %+v with %+v", res.Obs, cfg)
+		}
 		return ctx.th.Costs
 	}
 	plain := run(obs.Config{})
@@ -209,7 +245,7 @@ func TestTraceRecordsProtectionEvents(t *testing.T) {
 	if _, err := ctx.Load(o); !IsFault(err, ThreadPermFault) {
 		t.Fatalf("expected fault, got %v", err)
 	}
-	events := obs.FilterInstants(obs.Instants(rt.ObsRecorder().Events()), obs.CatCore, "")
+	events := obs.FilterInstants(obs.Instants(rt.Finish(ctx.Now()).Obs.Events), obs.CatCore, "")
 	if len(events) == 0 {
 		t.Fatal("no events recorded")
 	}

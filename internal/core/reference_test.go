@@ -64,11 +64,6 @@ func TestCellsMatchReference(t *testing.T) {
 // runReference runs SPEC cell c on the block interpreter and returns its
 // result and metrics snapshot.
 func runReference(c runner.Cell) (core.Result, *obs.Snapshot, error) {
-	var rt *core.Runtime
-	onRuntime := func(r *core.Runtime) {
-		r.EnableObs(metricsOn)
-		rt = r
-	}
 	cfg := c.Config()
 	k, err := speckit.ByName(c.Workload)
 	if err != nil {
@@ -79,11 +74,11 @@ func runReference(c runner.Cell) (core.Result, *obs.Snapshot, error) {
 	if err != nil {
 		return core.Result{}, nil, err
 	}
-	res, err := speckit.RunProgram(cfg, k, prog, speckit.RunOpts{Threads: c.Threads, OnRuntime: onRuntime})
+	res, err := speckit.RunProgram(cfg, k, prog, speckit.RunOpts{Threads: c.Threads, Obs: metricsOn})
 	if err != nil {
 		return res, nil, err
 	}
-	return res, rt.ObsSnapshot(), nil
+	return res, res.Obs.Metrics, nil
 }
 
 func mustJSON(t *testing.T, v any) string {

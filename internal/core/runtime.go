@@ -148,9 +148,6 @@ func (r *Runtime) Manager() *pmo.Manager { return r.mgr }
 // it maps.
 func (r *Runtime) AddressSpace() *paging.AddressSpace { return r.as }
 
-// Tracker exposes the exposure tracker.
-func (r *Runtime) Tracker() *expo.Tracker { return r.tracker }
-
 // state returns the semantics state for a PMO, creating it lazily.
 func (r *Runtime) state(id uint32) *semantics.State {
 	for int(id) >= len(r.states) {
@@ -765,6 +762,9 @@ type Result struct {
 	Exposure expo.Stats
 	// Counts are the operation counters.
 	Counts Counters
+	// Obs is the run's observability payload, with no cell name yet
+	// (nil when EnableObs turned nothing on).
+	Obs *obs.CellObs `json:"-"`
 }
 
 // CondFreqPerSec returns conditional ops per second of simulated time.
@@ -777,20 +777,26 @@ func (res Result) CondFreqPerSec() float64 {
 }
 
 // Finish closes open windows at end time and assembles the result:
-// Cycles is end, and Costs sums every thread's accounts.
+// Cycles is end, Costs sums every thread's accounts, and Obs carries
+// what EnableObs collected, window closes included. Calling it again
+// returns an equal result.
 func (r *Runtime) Finish(end uint64) Result {
 	r.tracker.Finish(end)
 	var costs sim.Accounts
 	for _, tc := range r.threads {
 		costs.Merge(&tc.th.Costs)
 	}
-	return Result{
+	res := Result{
 		Scheme:   r.Cfg.Scheme,
 		Cycles:   end,
 		Costs:    costs,
 		Exposure: r.tracker.Collect(end),
 		Counts:   r.Counts,
 	}
+	if r.obs != nil || r.metrics != nil {
+		res.Obs = obs.NewCellObs("", r.obsSnapshot(), r.obs)
+	}
+	return res
 }
 
 // MappingBase returns the current virtual base of an attached PMO — the

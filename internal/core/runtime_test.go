@@ -695,7 +695,7 @@ func TestRuntimeUserModeChecks(t *testing.T) {
 
 func TestRuntimeAccessors(t *testing.T) {
 	rt, ctx, p := newEnv(t, params.TT)
-	if rt.Manager() == nil || rt.AddressSpace() == nil || rt.Tracker() == nil {
+	if rt.Manager() == nil || rt.AddressSpace() == nil {
 		t.Fatal("nil accessor")
 	}
 	if ctx.Thread() == nil || ctx.Runtime() != rt {
@@ -752,10 +752,11 @@ func TestNestedPairRetiresOnTheFastPath(t *testing.T) {
 			if err := ctx.Detach(p); err != nil {
 				t.Fatalf("outer detach: %v", err)
 			}
-			if res := rt.Finish(ctx.Now()); res.Exposure.TEWCount != 1 {
+			res := rt.Finish(ctx.Now())
+			if res.Exposure.TEWCount != 1 {
 				t.Fatalf("%d TEWs closed, want 1", res.Exposure.TEWCount)
 			}
-			events := obs.Instants(rt.ObsRecorder().Events())
+			events := obs.Instants(res.Obs.Events)
 			if n := len(obs.FilterInstants(events, obs.CatCore, "silent")); n != 1 {
 				t.Fatalf("%d silent instants, want 1", n)
 			}

@@ -40,7 +40,6 @@ var (
 type Allocator struct {
 	owner [NumDomains]uint32 // PMO ID or 0
 	byPMO []Domain           // indexed by PMO ID
-	inUse int
 }
 
 // NewAllocator creates an empty domain allocator.
@@ -58,7 +57,6 @@ func (a *Allocator) Assign(pmoID uint32) (Domain, error) {
 				a.byPMO = append(a.byPMO, 0)
 			}
 			a.byPMO[pmoID] = Domain(d)
-			a.inUse++
 			return Domain(d), nil
 		}
 	}
@@ -70,7 +68,6 @@ func (a *Allocator) Release(pmoID uint32) {
 	if d, ok := a.DomainOf(pmoID); ok {
 		a.owner[d] = 0
 		a.byPMO[pmoID] = 0
-		a.inUse--
 	}
 }
 
@@ -81,9 +78,6 @@ func (a *Allocator) DomainOf(pmoID uint32) (Domain, bool) {
 	}
 	return a.byPMO[pmoID], true
 }
-
-// InUse returns the number of allocated domains.
-func (a *Allocator) InUse() int { return a.inUse }
 
 // Registers is one thread's permission register file: the access rights
 // the thread holds for each protection domain. The zero value denies
@@ -116,19 +110,4 @@ func (r *Registers) Allows(d Domain, want paging.Perm) bool {
 		return false
 	}
 	return r.perm[d].Allows(want)
-}
-
-// Perm returns the thread's current rights on the domain.
-func (r *Registers) Perm(d Domain) paging.Perm {
-	if d <= 0 || int(d) >= NumDomains {
-		return 0
-	}
-	return r.perm[d]
-}
-
-// Clear revokes every domain (used at thread teardown).
-func (r *Registers) Clear() {
-	for i := range r.perm {
-		r.perm[i] = 0
-	}
 }

@@ -24,9 +24,6 @@ func TestAssignReleaseRecycle(t *testing.T) {
 	if d, _ := a.Assign(10); d != d1 {
 		t.Fatal("re-assign changed domain")
 	}
-	if a.InUse() != 2 {
-		t.Fatalf("in use = %d", a.InUse())
-	}
 	a.Release(10)
 	if _, ok := a.DomainOf(10); ok {
 		t.Fatal("released domain still mapped")
@@ -104,18 +101,8 @@ func TestRegistersBounds(t *testing.T) {
 	if r.Allows(NoDomain, paging.PermRead) {
 		t.Fatal("NoDomain must deny")
 	}
-	if r.Perm(NumDomains+1) != 0 {
-		t.Fatal("out-of-range Perm must be empty")
-	}
-}
-
-func TestClear(t *testing.T) {
-	var r Registers
-	r.Grant(1, paging.ReadWrite)
-	r.Grant(5, paging.PermRead)
-	r.Clear()
-	if r.Allows(1, paging.PermRead) || r.Allows(5, paging.PermRead) {
-		t.Fatal("clear left grants behind")
+	if r.Allows(NumDomains+1, paging.PermRead) {
+		t.Fatal("a domain past range must deny")
 	}
 }
 

@@ -364,13 +364,13 @@ func driveViews(t *testing.T, r *rand.Rand, base *Device, m *byteModel) {
 	base.Write8(leafPages*pageSize+8, 0x1111)
 	base.Flush(leafPages*pageSize, 8)
 	base.Write8(8, 0x2222)
-	if buf.PendingLines() != 2 || len(buf.UnfencedLines()) != 1 || base.FootprintPages() < 4 {
+	if len(buf.pending) != 2 || len(buf.UnfencedLines()) != 1 || base.FootprintPages() < 4 {
 		t.Fatalf("%d buffered lines, %d in flight, %d pages: want 2, 1 and at least 4",
-			buf.PendingLines(), len(buf.UnfencedLines()), base.FootprintPages())
+			len(buf.pending), len(buf.UnfencedLines()), base.FootprintPages())
 	}
 	// A view soon holds every page it touches, so six fresh views take
 	// 100 steps each.
-	image, pending := ImageHash(base), buf.PendingLines()
+	image, pending := ImageHash(base), len(buf.pending)
 	for _, drop := range []func(uint64) bool{nil, func(uint64) bool { return true }} {
 		for range 3 {
 			m := modelOf(refCrashImage(base, drop))
@@ -378,7 +378,7 @@ func driveViews(t *testing.T, r *rand.Rand, base *Device, m *byteModel) {
 			driveModel(t, r, base.CrashView(drop), m, 100)
 		}
 	}
-	if ImageHash(base) != image || buf.PendingLines() != pending {
+	if ImageHash(base) != image || len(buf.pending) != pending {
 		t.Fatal("accesses through the crash views changed the device they view")
 	}
 }

@@ -206,9 +206,6 @@ func (b *PersistBuffer) Fences() uint64 { return b.fences }
 // DrainedLines returns the number of lines made durable by fences.
 func (b *PersistBuffer) DrainedLines() uint64 { return b.drained }
 
-// PendingLines returns the number of buffered (not yet durable) lines.
-func (b *PersistBuffer) PendingLines() int { return len(b.pending) }
-
 // UnfencedLines returns, in ascending order, the lines with an in-flight
 // writeback (flushed, not yet fenced): the lines a relaxed-ordering crash
 // may or may not retain, in the order CrashView consults its drop

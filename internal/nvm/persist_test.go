@@ -56,8 +56,8 @@ func TestPersistBufferFenceDrains(t *testing.T) {
 	d.Write8(0, 42)
 	d.Flush(0, 8)
 	d.Fence()
-	if b.PendingLines() != 0 {
-		t.Fatalf("pending lines after fence = %d", b.PendingLines())
+	if len(b.pending) != 0 {
+		t.Fatalf("pending lines after fence = %d", len(b.pending))
 	}
 	// Even an adversarial crash keeps fenced data.
 	if v := img8(t, d.CrashView(func(uint64) bool { return true }), 0); v != 42 {
@@ -205,8 +205,8 @@ func TestPersistBufferRestoreClears(t *testing.T) {
 	b := d.EnablePersistBuffer(64)
 	d.Write8(0, 2)
 	d.Restore(snap)
-	if b.PendingLines() != 0 {
-		t.Fatalf("pending lines survived power cycle: %d", b.PendingLines())
+	if len(b.pending) != 0 {
+		t.Fatalf("pending lines survived power cycle: %d", len(b.pending))
 	}
 	if v := img8(t, d.CrashView(nil), 0); v != 1 {
 		t.Fatalf("restored durable view = %d", v)

@@ -91,8 +91,8 @@ func TestTrackDroppedCountsRingOverflow(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Instant(uint64(i), CatSim, "e", int64(i))
 	}
-	if got := tr.Dropped(); got != 6 {
-		t.Fatalf("Track.Dropped() = %d, want 6", got)
+	if got := tr.dropped; got != 6 {
+		t.Fatalf("track dropped = %d, want 6", got)
 	}
 	if got := r.Dropped(); got != 6 {
 		t.Fatalf("Recorder.Dropped() = %d, want 6", got)

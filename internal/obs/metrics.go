@@ -168,6 +168,19 @@ type CellObs struct {
 	Events []Event `json:"-"`
 }
 
+// NewCellObs builds a cell's payload from its metrics snapshot (nil when
+// metrics were off) and its recorder (nil when tracing was off): the one
+// constructor every cell kind uses.
+func NewCellObs(cell string, metrics *Snapshot, rec *Recorder) *CellObs {
+	return &CellObs{
+		Cell:         cell,
+		Metrics:      metrics,
+		TraceEvents:  rec.Total(),
+		TraceDropped: rec.Dropped(),
+		Events:       rec.Events(),
+	}
+}
+
 // GridObs is one experiment's observability payload: one entry per
 // simulated cell in enumeration order, plus the deterministic merge of
 // every cell's metrics. Runs produce it, the wire carries it, and the

@@ -212,27 +212,11 @@ func (t *Track) emit(e Event) {
 		return
 	}
 	// Ring overflow: the oldest event is overwritten. The loss is
-	// accounted, never silent — Dropped feeds the metrics snapshot
-	// ("obs/dropped") and the report flags affected cells.
+	// accounted, never silent — Recorder.Dropped feeds the metrics
+	// snapshot ("obs/dropped") and the report flags affected cells.
 	t.dropped++
 	t.ring[t.next] = e
 	t.next = (t.next + 1) % t.cap
-}
-
-// Dropped returns how many of this track's events fell out of the ring.
-func (t *Track) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
-}
-
-// Total returns the number of events observed (retained or not).
-func (t *Track) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.total
 }
 
 // events returns the retained events in emit order.

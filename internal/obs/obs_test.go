@@ -14,15 +14,15 @@ func TestNilTrackIsNoOp(t *testing.T) {
 	tr.AsyncBegin(5, CatExpo, "x", 1)
 	tr.AsyncEnd(6, CatExpo, "x", 1)
 	tr.Instant(7, CatHW, "x", 0)
-	if tr.Total() != 0 {
-		t.Fatalf("nil track total = %d", tr.Total())
-	}
 	var r *Recorder
 	if r.Track(0) != nil {
 		t.Fatal("nil recorder must hand out nil tracks")
 	}
 	if r.Events() != nil || r.Total() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil recorder must report empty")
+	}
+	if c := NewCellObs("c", nil, r); c.TraceEvents != 0 || c.TraceDropped != 0 || c.Events != nil {
+		t.Fatalf("payload of a nil recorder = %+v, want no trace", c)
 	}
 }
 
@@ -32,8 +32,8 @@ func TestTrackRingEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Instant(uint64(i), CatSim, "e", int64(i))
 	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d, want 10", tr.Total())
+	if tr.total != 10 {
+		t.Fatalf("total = %d, want 10", tr.total)
 	}
 	if r.Dropped() != 6 {
 		t.Fatalf("dropped = %d, want 6", r.Dropped())

@@ -237,9 +237,6 @@ func (s *AddressSpace) Attached(pmoID uint32) bool {
 	return ok
 }
 
-// AttachedCount returns the number of attached PMOs.
-func (s *AddressSpace) AttachedCount() int { return len(s.maps) }
-
 // TLB is the two-level data TLB of Table II. Entries map virtual page
 // numbers to the PMO mapping that covers them.
 type TLB struct {

@@ -101,8 +101,8 @@ func TestRandomBasesDiffer(t *testing.T) {
 		}
 		seen[m.Base] = true
 	}
-	if s.AttachedCount() != 6 {
-		t.Fatalf("attached = %d", s.AttachedCount())
+	if len(s.maps) != 6 {
+		t.Fatalf("attached = %d", len(s.maps))
 	}
 }
 

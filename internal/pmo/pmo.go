@@ -328,9 +328,6 @@ func (m *Manager) add(p *PMO) {
 // Close closes a handle (Table I: PMO_close). Contents persist.
 func (p *PMO) Close() { p.closed = true }
 
-// Closed reports whether the handle was closed.
-func (p *PMO) Closed() bool { return p.closed }
-
 // helpers for header/word access via the device
 func (p *PMO) read8(off uint64) uint64 {
 	v, err := p.mgr.dev.Read8(p.DevOff + off)
@@ -346,8 +343,8 @@ func (p *PMO) write8(off uint64, v uint64) {
 	}
 }
 
-// ReadAt reads raw PMO bytes (bypassing protection; used by the runtime,
-// the allocator and recovery code).
+// ReadAt reads raw PMO bytes (bypassing protection; the runtime's byte
+// loads use it after their own checks).
 func (p *PMO) ReadAt(b []byte, off uint64) error {
 	if off+uint64(len(b)) > p.Size {
 		return fmt.Errorf("%w: read at %#x len %d", ErrBadOID, off, len(b))

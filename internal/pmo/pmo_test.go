@@ -50,14 +50,14 @@ func TestCreateOpenClose(t *testing.T) {
 		t.Fatalf("duplicate create: %v", err)
 	}
 	p.Close()
-	if !p.Closed() {
+	if !p.closed {
 		t.Fatal("close did not mark handle")
 	}
 	q, err := m.Open("kv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.ID != p.ID || q.Closed() {
+	if q.ID != p.ID || q.closed {
 		t.Fatal("open returned wrong or closed pmo")
 	}
 	if _, err := m.Open("missing"); !errors.Is(err, ErrNotFound) {

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ir"
 	"repro/internal/speckit"
@@ -30,8 +29,6 @@ type progKey struct {
 type ProgCache struct {
 	mu      sync.Mutex
 	entries map[progKey]*progEntry
-
-	hits, misses atomic.Int64
 }
 
 type progEntry struct {
@@ -65,11 +62,6 @@ func (c *ProgCache) Linked(k speckit.Kernel, scale int, insert bool, opt terpc.O
 		c.entries[key] = e
 	}
 	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
 	e.once.Do(func() {
 		prog, err := speckit.Build(k, scale, insert, opt)
 		if err != nil {
@@ -79,10 +71,4 @@ func (c *ProgCache) Linked(k speckit.Kernel, scale int, insert bool, opt terpc.O
 		e.linked, e.err = ir.Link(prog)
 	})
 	return e.linked, e.err
-}
-
-// Stats reports cache hits and misses (a "hit" may still briefly block
-// on the first compile of its key).
-func (c *ProgCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
 }

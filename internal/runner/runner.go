@@ -166,27 +166,14 @@ func RunCellCtx(ctx context.Context, c Cell, cache *ProgCache, ocfg obs.Config) 
 		return out, err
 	}
 	cfg := c.Config()
-
-	var rt *core.Runtime
-	var onRuntime func(*core.Runtime)
-	if ocfg.Enabled() {
-		onRuntime = func(r *core.Runtime) {
-			rt = r
-			r.EnableObs(ocfg)
+	// ran files a whisper or SPEC run's result with its payload, named
+	// after the cell.
+	ran := func(res core.Result, err error) (CellResult, error) {
+		out.Result, out.Obs = res, res.Obs
+		if out.Obs != nil {
+			out.Obs.Cell = c.Name()
 		}
-	}
-	// snapshot harvests the payload after the run; it tolerates error
-	// paths where no runtime was built.
-	snapshot := func() {
-		if rt == nil {
-			return
-		}
-		out.Obs = &obs.CellObs{Cell: c.Name(), Metrics: rt.ObsSnapshot()}
-		if rec := rt.ObsRecorder(); rec != nil {
-			out.Obs.TraceEvents = rec.Total()
-			out.Obs.TraceDropped = rec.Dropped()
-			out.Obs.Events = rec.Events()
-		}
+		return out, err
 	}
 
 	switch c.Kind {
@@ -195,10 +182,7 @@ func RunCellCtx(ctx context.Context, c Cell, cache *ProgCache, ocfg obs.Config) 
 		if err != nil {
 			return out, err
 		}
-		res, err := whisper.Run(cfg, mk, whisper.RunOpts{Ops: c.Ops, OnRuntime: onRuntime, Interrupt: ctx.Err})
-		out.Result = res
-		snapshot()
-		return out, err
+		return ran(whisper.Run(cfg, mk, whisper.RunOpts{Ops: c.Ops, Obs: ocfg, Interrupt: ctx.Err}))
 	case Spec:
 		k, err := speckit.ByName(c.Workload)
 		if err != nil {
@@ -209,10 +193,7 @@ func RunCellCtx(ctx context.Context, c Cell, cache *ProgCache, ocfg obs.Config) 
 		if err != nil {
 			return out, err
 		}
-		res, err := speckit.RunLinked(cfg, k, linked, speckit.RunOpts{Threads: c.Threads, OnRuntime: onRuntime, Interrupt: ctx.Err})
-		out.Result = res
-		snapshot()
-		return out, err
+		return ran(speckit.RunLinked(cfg, k, linked, speckit.RunOpts{Threads: c.Threads, Obs: ocfg, Interrupt: ctx.Err}))
 	case Crash:
 		rep, err := crash.Run(crash.Spec{
 			Workload:    c.Workload,
@@ -237,7 +218,7 @@ func RunCellCtx(ctx context.Context, c Cell, cache *ProgCache, ocfg obs.Config) 
 			s.Add("crash/undone", uint64(rep.Undone))
 			s.Add("crash/crosschecked", uint64(rep.CrossChecked))
 			s.Add("crash/crossskipped", uint64(rep.CrossSkipped))
-			out.Obs = &obs.CellObs{Cell: c.Name(), Metrics: s}
+			out.Obs = obs.NewCellObs(c.Name(), s, nil)
 		}
 		return out, err
 	case Litmus:
@@ -265,7 +246,7 @@ func RunCellCtx(ctx context.Context, c Cell, cache *ProgCache, ocfg obs.Config) 
 			s.Add("litmus/evictions", uint64(rep.Eviction))
 			s.Add("litmus/wbreplace", uint64(rep.WbReplace))
 			s.Add("litmus/violations", uint64(rep.Violations))
-			out.Obs = &obs.CellObs{Cell: c.Name(), Metrics: s}
+			out.Obs = obs.NewCellObs(c.Name(), s, nil)
 		}
 		return out, err
 	default:

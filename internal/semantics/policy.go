@@ -97,9 +97,6 @@ type holder struct {
 // Holds reports whether thread t holds thread-level permission.
 func (s *State) Holds(t int) bool { return t < len(s.threads) && s.threads[t].holds }
 
-// HolderCount returns the number of threads with open TEWs.
-func (s *State) HolderCount() int { return s.holders }
-
 // OtherHolders reports whether any thread besides t holds permission.
 func (s *State) OtherHolders(t int) bool {
 	return s.holders > 1 || s.holders == 1 && !s.Holds(t)

@@ -204,7 +204,7 @@ func TestEWConsciousThreadComposability(t *testing.T) {
 			now += 10
 			detach(t, p, s, th, now)
 		}
-		if s.HolderCount() != 0 {
+		if s.holders != 0 {
 			t.Fatalf("round %d left holders", round)
 		}
 	}
@@ -263,7 +263,7 @@ func TestOtherHolders(t *testing.T) {
 	}
 	CommitDetach(s, 2, 0, ActThreadRevoke)
 	CommitDetach(s, 2, 0, ActThreadRevoke)
-	if s.OtherHolders(1) || s.HolderCount() != 1 {
-		t.Fatalf("a repeated revoke miscounted holders: %d", s.HolderCount())
+	if s.OtherHolders(1) || s.holders != 1 {
+		t.Fatalf("a repeated revoke miscounted holders: %d", s.holders)
 	}
 }

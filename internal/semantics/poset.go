@@ -62,9 +62,6 @@ func NewPermissionSet(objects []string, accesses ...Access) PermissionSet {
 	return ps
 }
 
-// Allows reports whether the set grants access a on object o.
-func (ps PermissionSet) Allows(o string, a Access) bool { return ps[o][a] }
-
 // PermissionGroup is a set of entities sharing a permission set
 // (Definition 2). Entities are identified by name (thread, process, user).
 type PermissionGroup struct {

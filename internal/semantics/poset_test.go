@@ -127,10 +127,10 @@ func TestLowering(t *testing.T) {
 
 func TestPermissionSetAllows(t *testing.T) {
 	r := NewPermissionSet([]string{"a", "b"}, Read)
-	if !r.Allows("a", Read) || r.Allows("a", Write) {
+	if !r["a"][Read] || r["a"][Write] {
 		t.Fatal("permission set contents wrong")
 	}
-	if r.Allows("c", Read) {
+	if r["c"][Read] {
 		t.Fatal("unknown object allowed")
 	}
 }

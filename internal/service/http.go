@@ -104,9 +104,6 @@ func New(cfg Config) *Server {
 // middleware.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Metrics exposes the server's telemetry set.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // Scheduler exposes the scheduler (tests, stats).
 func (s *Server) Scheduler() *Scheduler { return s.sched }
 

@@ -321,17 +321,17 @@ func TestSSEGaugeTracksSubscribers(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Metrics().SSE.Value() != 1 && time.Now().Before(deadline) {
+	for s.metrics.SSE.Value() != 1 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if v := s.Metrics().SSE.Value(); v != 1 {
+	if v := s.metrics.SSE.Value(); v != 1 {
 		t.Errorf("SSE gauge with one open stream = %d, want 1", v)
 	}
 	eresp.Body.Close()
-	for s.Metrics().SSE.Value() != 0 && time.Now().Before(deadline) {
+	for s.metrics.SSE.Value() != 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if v := s.Metrics().SSE.Value(); v != 0 {
+	if v := s.metrics.SSE.Value(); v != 0 {
 		t.Errorf("SSE gauge after close = %d, want 0", v)
 	}
 	waitTerminal(t, hs.URL, st.ID)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/nvm"
+	"repro/internal/obs"
 	"repro/internal/paging"
 	"repro/internal/params"
 	"repro/internal/pmo"
@@ -24,9 +25,8 @@ type RunOpts struct {
 	// Threads is the worker count (1 or the paper's 4); 0 means 1, and
 	// a negative count is an error.
 	Threads int
-	// OnRuntime, when set, is called with the freshly built runtime
-	// before the run (tracing, inspection).
-	OnRuntime func(*core.Runtime)
+	// Obs selects what the runtime records; Result.Obs carries it.
+	Obs obs.Config
 	// Interrupt, when set, is polled by every thread's interpreter (see
 	// interp.Machine.Interrupt); a non-nil return stops that thread,
 	// and the run fails with the error.
@@ -103,9 +103,7 @@ func runWith(cfg params.Config, k Kernel, opts RunOpts, newMachine func(*core.Th
 	}
 	mgr := pmo.NewManager(nvm.NewDevice(nvm.NVM, deviceSize))
 	rt := core.NewRuntime(cfg, mgr)
-	if opts.OnRuntime != nil {
-		opts.OnRuntime(rt)
-	}
+	rt.EnableObs(opts.Obs)
 
 	if opts.Threads == 1 {
 		ctx := rt.NewThread(sim.SingleThread())

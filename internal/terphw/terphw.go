@@ -138,14 +138,6 @@ func (b *Buffer) find(pmo uint32) *Entry {
 	return nil
 }
 
-// Lookup exposes the entry state for tests and diagnostics.
-func (b *Buffer) Lookup(pmo uint32) (Entry, bool) {
-	if e := b.find(pmo); e != nil {
-		return *e, true
-	}
-	return Entry{}, false
-}
-
 // Live returns the number of valid entries.
 func (b *Buffer) Live() int {
 	n := 0
@@ -284,19 +276,6 @@ func (b *Buffer) Sweep(now uint64) []SweepAction {
 		}
 	}
 	return acts
-}
-
-// ForceExpire marks the PMO's window as expired (test hook: sets TS so the
-// next sweep or conditional detach sees the EW as met).
-func (b *Buffer) ForceExpire(pmo uint32, now uint64) {
-	b.dlDirty = true
-	if e := b.find(pmo); e != nil {
-		if now >= b.maxEW {
-			e.TS = now - b.maxEW
-		} else {
-			e.TS = 0
-		}
-	}
 }
 
 // NextDeadline returns the earliest time at which some live entry's

@@ -8,12 +8,20 @@ import (
 
 const maxEW uint64 = 40 * params.CyclesPerMicro
 
+// entry returns a copy of the PMO's valid entry and whether it has one.
+func entry(b *Buffer, pmo uint32) (Entry, bool) {
+	if e := b.find(pmo); e != nil {
+		return *e, true
+	}
+	return Entry{}, false
+}
+
 func TestCase1FirstAttach(t *testing.T) {
 	b := NewBuffer(maxEW)
 	if c := b.CondAttach(1, 100); c != CaseFirstAttach {
 		t.Fatalf("case = %v", c)
 	}
-	e, ok := b.Lookup(1)
+	e, ok := entry(b, 1)
 	if !ok || e.Ctr != 1 || e.DD || e.TS != 100 {
 		t.Fatalf("entry = %+v ok=%v", e, ok)
 	}
@@ -25,7 +33,7 @@ func TestCase2SubsequentAttach(t *testing.T) {
 	if c := b.CondAttach(1, 10); c != CaseSubsequentAttach {
 		t.Fatalf("case = %v", c)
 	}
-	if e, _ := b.Lookup(1); e.Ctr != 2 {
+	if e, _ := entry(b, 1); e.Ctr != 2 {
 		t.Fatalf("ctr = %d", e.Ctr)
 	}
 }
@@ -42,7 +50,7 @@ func TestCase3SilentAttachElidesSyscallPair(t *testing.T) {
 	if b.Elided != 1 {
 		t.Fatalf("elided = %d", b.Elided)
 	}
-	e, _ := b.Lookup(1)
+	e, _ := entry(b, 1)
 	if e.DD || e.Ctr != 1 {
 		t.Fatalf("entry after silent attach = %+v", e)
 	}
@@ -60,7 +68,7 @@ func TestCase4PartialDetach(t *testing.T) {
 	if c := b.CondDetach(1, 20); c != CasePartialDetach {
 		t.Fatalf("case = %v", c)
 	}
-	if e, _ := b.Lookup(1); e.Ctr != 1 || e.DD {
+	if e, _ := entry(b, 1); e.Ctr != 1 || e.DD {
 		t.Fatalf("entry = %+v", e)
 	}
 }
@@ -71,7 +79,7 @@ func TestCase5FullDetachAfterEW(t *testing.T) {
 	if c := b.CondDetach(1, maxEW+1); c != CaseFullDetach {
 		t.Fatalf("case = %v", c)
 	}
-	if _, ok := b.Lookup(1); ok {
+	if _, ok := entry(b, 1); ok {
 		t.Fatal("entry not freed by full detach")
 	}
 }
@@ -82,7 +90,7 @@ func TestCase6DelayedDetach(t *testing.T) {
 	if c := b.CondDetach(1, maxEW/2); c != CaseDelayedDetach {
 		t.Fatalf("case = %v", c)
 	}
-	if e, _ := b.Lookup(1); !e.DD || e.Ctr != 0 {
+	if e, _ := entry(b, 1); !e.DD || e.Ctr != 0 {
 		t.Fatalf("entry = %+v", e)
 	}
 }
@@ -95,7 +103,7 @@ func TestSweepSelfDetachesIdleExpired(t *testing.T) {
 	if len(acts) != 1 || !acts[0].Detach || acts[0].PMOID != 1 {
 		t.Fatalf("acts = %+v", acts)
 	}
-	if _, ok := b.Lookup(1); ok {
+	if _, ok := entry(b, 1); ok {
 		t.Fatal("self-detached entry still present")
 	}
 	if b.SelfDetach != 1 {
@@ -111,7 +119,7 @@ func TestSweepRandomizesHeldExpired(t *testing.T) {
 	if len(acts) != 1 || acts[0].Detach {
 		t.Fatalf("acts = %+v", acts)
 	}
-	e, _ := b.Lookup(1)
+	e, _ := entry(b, 1)
 	if e.TS != now {
 		t.Fatalf("randomize must restart the window: TS = %d", e.TS)
 	}
@@ -134,13 +142,13 @@ func TestSweepPeriodGating(t *testing.T) {
 	b := NewBuffer(maxEW)
 	b.CondAttach(1, 0)
 	b.CondDetach(1, 1)
-	b.ForceExpire(1, maxEW+10)
+	// PMO 2's window opens at 11, so it expires at maxEW+11: after the
+	// first sweep, and inside that sweep's period.
+	b.CondAttach(2, 11)
+	b.CondDetach(2, 12)
 	if acts := b.Sweep(maxEW + 10); len(acts) != 1 {
 		t.Fatal("first sweep should act")
 	}
-	b.CondAttach(2, maxEW+11)
-	b.CondDetach(2, maxEW+12)
-	b.ForceExpire(2, maxEW+13)
 	// Within the same sweep period: no action yet.
 	if acts := b.Sweep(maxEW + 13); len(acts) != 0 {
 		t.Fatal("sweep ran again within one period")

@@ -124,9 +124,6 @@ func (l *Log) Begin() error {
 	return nil
 }
 
-// Active reports whether a transaction is open.
-func (l *Log) Active() bool { return l.active }
-
 // Pending returns the persistent record count — the number of undo
 // records a recovery starting from the current durable state would see.
 // A quiescent (committed or recovered) log reports zero.

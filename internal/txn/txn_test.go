@@ -213,15 +213,15 @@ func TestCrashAtomicityProperty(t *testing.T) {
 
 func TestActiveFlag(t *testing.T) {
 	_, _, l, _ := setup(t)
-	if l.Active() {
+	if l.active {
 		t.Fatal("fresh log active")
 	}
 	l.Begin()
-	if !l.Active() {
+	if !l.active {
 		t.Fatal("begun log not active")
 	}
 	l.Commit()
-	if l.Active() {
+	if l.active {
 		t.Fatal("committed log still active")
 	}
 }
@@ -405,7 +405,7 @@ func TestChargeCommitsMatchesTransactions(t *testing.T) {
 				t.Fatalf("ChargeCommits(%d) charge %d is %d, the transactions' %d", n, i, got[i], want[i])
 			}
 		}
-		if nvm.ImageHash(dev) != before || l2.Active() {
+		if nvm.ImageHash(dev) != before || l2.active {
 			t.Fatalf("ChargeCommits(%d) changed the log", n)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nvm"
+	"repro/internal/obs"
 	"repro/internal/paging"
 	"repro/internal/params"
 	"repro/internal/pmo"
@@ -16,9 +17,8 @@ import (
 type RunOpts struct {
 	// Ops is the number of operations (the paper runs 100K).
 	Ops int
-	// OnRuntime, when set, is called with the freshly built runtime
-	// before the run (tracing, inspection).
-	OnRuntime func(*core.Runtime)
+	// Obs selects what the runtime records; Result.Obs carries it.
+	Obs obs.Config
 	// Interrupt, when set, is polled every interruptStride operations;
 	// a non-nil return aborts the run with that error. The poll only
 	// observes — a run that completes is byte-identical whether or not
@@ -53,9 +53,7 @@ func Run(cfg params.Config, mk func() Workload, opts RunOpts) (core.Result, erro
 	dev := nvm.NewDevice(nvm.NVM, 2*pmoSize)
 	mgr := pmo.NewManager(dev)
 	rt := core.NewRuntime(cfg, mgr)
-	if opts.OnRuntime != nil {
-		opts.OnRuntime(rt)
-	}
+	rt.EnableObs(opts.Obs)
 	ctx := rt.NewThread(sim.SingleThread())
 	rng := rand.New(rand.NewSource(cfg.Seed))
 

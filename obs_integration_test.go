@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/report"
 )
 
 // obsSpec builds a small instrumented table3 spec.
@@ -98,6 +99,59 @@ func TestMetricsOnlyGridHasNoTraceEvents(t *testing.T) {
 	for _, c := range g.Obs.Cells {
 		if c.TraceEvents != 0 {
 			t.Errorf("cell %s reports %d trace events", c.Cell, c.TraceEvents)
+		}
+	}
+}
+
+// TestTraceRingOverflowIsReported runs real cells whose per-thread trace
+// rings (16 events) overflow: every cell of a whisper, a SPEC and both
+// analysis experiments must carry a payload that counts its drops and
+// accounts for every event it observed, and the report layer must flag
+// each of them.
+func TestTraceRingOverflowIsReported(t *testing.T) {
+	var grids []*Grid
+	for _, name := range []string{"table3", "fig11", "fig8", "table5"} {
+		spec := ExperimentSpec{
+			Name:     name,
+			Opts:     ExpOpts{Ops: 300, Scale: 1, Seed: 7},
+			Parallel: 2,
+			Obs:      obs.Config{Trace: true, TraceCap: 16},
+		}
+		g, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1 // an analysis experiment reports one synthetic cell
+		if e, _ := findExperiment(name); e.cells != nil {
+			want = len(e.cells(spec))
+		}
+		got := 0
+		if g.Obs != nil {
+			got = len(g.Obs.Cells)
+		}
+		if got != want {
+			t.Fatalf("%s: payloads for %d cells, want %d", name, got, want)
+		}
+		for _, c := range g.Obs.Cells {
+			if c.TraceDropped == 0 {
+				t.Errorf("%s: no dropped events behind a 16-event ring (%d observed)", c.Cell, c.TraceEvents)
+			}
+			if kept := uint64(len(c.Events)); c.TraceEvents != kept+c.TraceDropped {
+				t.Errorf("%s: %d events observed, %d kept + %d dropped", c.Cell, c.TraceEvents, kept, c.TraceDropped)
+			}
+		}
+		grids = append(grids, g)
+	}
+	r := report.Build(ReportInput("ring overflow", grids))
+	for i, e := range r.Experiments {
+		flagged := map[string]bool{}
+		for _, d := range e.Dropped {
+			flagged[d.Cell] = true
+		}
+		for _, c := range grids[i].Obs.Cells {
+			if !flagged[c.Cell] {
+				t.Errorf("%s: report does not flag the cell's dropped events", c.Cell)
+			}
 		}
 	}
 }

@@ -257,13 +257,6 @@ func (s *System) Reboot() (*System, error) {
 // cost breakdown, operation counters) at the main thread's current time.
 func (s *System) Stats() Result { return s.rt.Finish(s.main.Now()) }
 
-// Runtime exposes the underlying runtime for advanced use (the examples
-// and experiment drivers).
-func (s *System) Runtime() *core.Runtime { return s.rt }
-
-// Manager exposes the PMO manager.
-func (s *System) Manager() *pmo.Manager { return s.mgr }
-
 // Principal identifies a user for namespace permission checks.
 type Principal = pmo.Principal
 
