@@ -84,3 +84,25 @@ func TestAccountingInvariants(t *testing.T) {
 		t.Errorf("ran %d of the %d listed exceptions", seen, len(accountingExceptions))
 	}
 }
+
+// TestEWNeverExceedsRun: in a 4-thread cell that randomizes, no exposure
+// window is longer than the run. The timer sweep of xz's +CB and TT cells
+// at 40 us randomizes PMOs at the global low-water mark, which lies
+// before the attach of a thread ahead of it; a window that closed there
+// wrapped below zero to a maximum of 2^64-4,096 cycles.
+func TestEWNeverExceedsRun(t *testing.T) {
+	for _, scheme := range []params.Scheme{PlusCB, TT} {
+		c := runner.Cell{
+			Exp: "ew", Kind: runner.Spec, Workload: "xz", Scheme: scheme,
+			EWMicros: params.DefaultEWMicros, Seed: 1, Scale: 1, Threads: 4,
+		}
+		r, err := runner.RunCell(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex := r.Result.Exposure; ex.MaxEW > float64(r.Result.Cycles) || ex.EWCount == 0 {
+			t.Errorf("%s: max EW %.0f over %d windows; want at least one, none longer than the run's %d cycles",
+				c.Name(), ex.MaxEW, ex.EWCount, r.Result.Cycles)
+		}
+	}
+}

@@ -189,14 +189,16 @@ type ThreadCtx struct {
 
 // blockedAttach is what a blocked Basic attach carries between retries:
 // the PMO's state, the policy's latest answer and the retries so far,
-// and check, its retry method bound once per thread.
+// and check, its retry method bound once per thread. parked is set while
+// a stepper's attach waits off its stack (see ErrAttachWaits).
 type blockedAttach struct {
-	c     *ThreadCtx
-	st    *semantics.State
-	act   semantics.Action
-	err   error
-	tries int
-	check func() bool
+	c      *ThreadCtx
+	st     *semantics.State
+	act    semantics.Action
+	err    error
+	tries  int
+	check  func() bool
+	parked bool
 }
 
 // Thread returns the underlying simulated thread.
@@ -369,22 +371,26 @@ const (
 // decideAttach picks what it does; Attach charges and performs it.
 func (c *ThreadCtx) Attach(p *pmo.PMO, perm paging.Perm) error {
 	r := c.rt
-	if err := r.checkMode(p, perm); err != nil {
-		return err
-	}
-	if r.Cfg.Scheme == params.Unprotected {
-		// Baseline: map once, free of charge, stay mapped.
-		if r.as.Attached(p.ID) {
-			return nil
+	if b := c.blocked; b == nil || !b.parked {
+		if err := r.checkMode(p, perm); err != nil {
+			return err
 		}
-		return r.realAttach(p, perm, c.th.Clock)
-	}
-	if r.Cfg.Scheme != params.MM {
-		r.Counts.CondOps++
+		if r.Cfg.Scheme == params.Unprotected {
+			// Baseline: map once, free of charge, stay mapped.
+			if r.as.Attached(p.ID) {
+				return nil
+			}
+			return r.realAttach(p, perm, c.th.Clock)
+		}
+		if r.Cfg.Scheme != params.MM {
+			r.Counts.CondOps++
+		}
 	}
 	st := r.state(p.ID)
 	act, how, err := c.decideAttach(p, st)
-	if err != nil {
+	if err == ErrAttachWaits {
+		return err
+	} else if err != nil {
 		return fmt.Errorf("%v attach %q: %w", r.Cfg.Scheme, p.Name, err)
 	}
 	switch how {
@@ -414,6 +420,14 @@ func (c *ThreadCtx) Attach(p *pmo.PMO, perm paging.Perm) error {
 	return nil
 }
 
+// ErrAttachWaits is what Attach returns on a stepper (see
+// sim.Machine.AddStepper) whose Basic attach waits for a detach, once a
+// retry has switched to another thread. The caller returns to the
+// scheduler; when the thread next steps, the wait is over, and the caller
+// calls Attach again with the same arguments. That call goes on from the
+// policy's last answer, and counts and charges nothing twice.
+var ErrAttachWaits = errors.New("core: attach waits for a detach")
+
 // decideAttach returns the semantics action an attach commits and the
 // step that executes it. The policy decides first. A Basic-ablation
 // conflict waits for the holder to detach: the thread charges Other 200
@@ -422,9 +436,12 @@ func (c *ThreadCtx) Attach(p *pmo.PMO, perm paging.Perm) error {
 // make the system call, Cases 2 and 3 take the fast path.
 func (c *ThreadCtx) decideAttach(p *pmo.PMO, st *semantics.State) (semantics.Action, step, error) {
 	r := c.rt
-	act, err := r.policy.Attach(st, c.th.ID, c.th.Clock)
-	if act == semantics.ActBlock {
-		b := c.blocked
+	var act semantics.Action
+	var err error
+	if b := c.blocked; b != nil && b.parked {
+		b.parked = false
+		act, err = b.act, b.err
+	} else if act, err = r.policy.Attach(st, c.th.ID, c.th.Clock); act == semantics.ActBlock {
 		if b == nil {
 			b = &blockedAttach{c: c}
 			b.check = b.retry
@@ -433,9 +450,13 @@ func (c *ThreadCtx) decideAttach(p *pmo.PMO, st *semantics.State) (semantics.Act
 		b.st, b.tries = st, 0
 		r.Counts.Blocks++
 		c.th.Wait(sim.Other, 200, b.check)
-		if act, err = b.act, b.err; act == semantics.ActBlock {
-			return act, 0, errors.New("deadlocked waiting for detach")
+		if b.parked = c.th.Switched(); b.parked {
+			return act, 0, ErrAttachWaits
 		}
+		act, err = b.act, b.err
+	}
+	if act == semantics.ActBlock {
+		return act, 0, errors.New("deadlocked waiting for detach")
 	}
 	switch {
 	case err != nil:
@@ -692,6 +713,16 @@ func (c *ThreadCtx) oidAt(va uint64, want paging.Perm) (pmo.OID, error) {
 	return pmo.MakeOID(m.PMOID, va-m.Base), nil
 }
 
+// Access runs the protection and timing path of an 8-byte load (want
+// PermRead) or store (PermWrite) at o, its closing yield included, but
+// neither reads nor writes the word. A stepper whose yield switched
+// accesses the word when it next steps, after the threads that ran in
+// between, as Load and Store do on a closure body.
+func (c *ThreadCtx) Access(o pmo.OID, want paging.Perm) error {
+	_, err := c.access(o, want, 8)
+	return err
+}
+
 // Load reads an 8-byte word from the PMO object.
 func (c *ThreadCtx) Load(o pmo.OID) (uint64, error) {
 	p, err := c.access(o, paging.PermRead, 8)
@@ -728,23 +759,21 @@ func (c *ThreadCtx) StoreBytes(o pmo.OID, b []byte) error {
 	return p.WriteAt(b, o.Offset())
 }
 
-// DRAMAccess models one volatile memory access of n bytes at a synthetic
-// address (stack/heap work outside PMOs), charged through the caches.
-func (c *ThreadCtx) DRAMAccess(addr uint64, n int) {
+// DRAMAccess models one volatile memory access of an 8-byte word at an
+// 8-aligned synthetic address (stack/heap work outside PMOs), charged
+// through the caches. The word lies in one cache line, so the access is
+// one charge, which may yield at its end.
+func (c *ThreadCtx) DRAMAccess(addr uint64) {
 	// Tag DRAM addresses into a disjoint region of the line space.
 	const dramBias = uint64(1) << 62
-	va := dramBias | addr
-	lines := (int(va)%params.LineSize + n + params.LineSize - 1) / params.LineSize
-	for i := 0; i < lines; i++ {
-		la := va + uint64(i*params.LineSize)
-		switch {
-		case c.l1.Access(la):
-			c.th.Charge(sim.Base, params.L1Latency)
-		case c.rt.l2.Access(la):
-			c.th.Charge(sim.Base, params.L1Latency+params.L2Latency)
-		default:
-			c.th.Charge(sim.Base, params.L1Latency+params.L2Latency+params.DRAMLatency)
-		}
+	la := dramBias | addr
+	switch {
+	case c.l1.Access(la):
+		c.th.Charge(sim.Base, params.L1Latency)
+	case c.rt.l2.Access(la):
+		c.th.Charge(sim.Base, params.L1Latency+params.L2Latency)
+	default:
+		c.th.Charge(sim.Base, params.L1Latency+params.L2Latency+params.DRAMLatency)
 	}
 }
 

@@ -589,7 +589,7 @@ func TestLoadStoreBytes(t *testing.T) {
 func TestDRAMAccessChargesBase(t *testing.T) {
 	_, ctx, _ := newEnv(t, params.TT)
 	before := ctx.th.Costs[sim.Base]
-	ctx.DRAMAccess(0x1000, 64)
+	ctx.DRAMAccess(0x1000)
 	if ctx.th.Costs[sim.Base] <= before {
 		t.Fatal("DRAM access free")
 	}

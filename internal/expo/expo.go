@@ -105,12 +105,16 @@ func (t *Tracker) EWClose(pmo uint32, now uint64) {
 
 // EWRandomized records a space-layout randomization of an attached PMO:
 // the current window closes (the old location is dead) and a new one
-// opens immediately at the new location.
+// opens immediately at the new location. A machine's timer sweep passes
+// the global low-water mark, which may lie before an attach that a thread
+// ahead of it made; the window then closes and restarts where it opened,
+// never before.
 func (t *Tracker) EWRandomized(pmo uint32, now uint64) {
 	w := slot(&t.ewOpen, int(pmo))
 	if !w.open {
 		return
 	}
+	now = max(now, w.start)
 	slot(&t.ews, int(pmo)).add(now - w.start)
 	w.start = now
 	// The window restarts at the new location: one async span ends and

@@ -42,6 +42,21 @@ func TestRandomizationSplitsWindow(t *testing.T) {
 	}
 }
 
+// TestRandomizationBeforeOpen: a machine's sweep randomizes at the
+// global low-water mark, which may lie before the attach that opened the
+// window. The window then closes and restarts where it opened: the
+// randomization adds an empty window, not one that wraps below zero.
+func TestRandomizationBeforeOpen(t *testing.T) {
+	tr := NewTracker()
+	tr.EWOpen(1, 1000)
+	tr.EWRandomized(1, 600)
+	tr.EWClose(1, 1500)
+	st := tr.Collect(2000)
+	if st.EWCount != 2 || st.MaxEW != 500 || st.AvgEW != 250 || st.ER != 0.25 {
+		t.Fatalf("stats = %+v; want 2 windows of 0 and 500 cycles, ER 0.25", st)
+	}
+}
+
 func TestTEWPerThread(t *testing.T) {
 	tr := NewTracker()
 	tr.EWOpen(1, 0)

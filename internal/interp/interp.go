@@ -9,6 +9,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/ir"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/pmo"
 )
 
-// Errors of the interpreter.
 var (
 	// ErrNoFunc is returned when the entry function is missing.
 	ErrNoFunc = errors.New("interp: function not found")
@@ -32,10 +32,11 @@ var (
 // of two engines that execute the same instructions and charge the same
 // cycles through the same core access path. The linked engine (NewLinked)
 // runs the flat form ir.Link produces, with every symbol resolved to a
-// slot and call frames drawn from a pool; every SPEC cell runs on it. The
-// block interpreter (New) walks the program's basic blocks and resolves
-// each symbol when it executes, by scanning the program's declarations.
-// It shares no code with ir.Link, so it stays as the reference that the
+// slot and its calls on an explicit stack, so it can stop at a thread
+// switch and resume there (see Step); every SPEC cell runs on it. The
+// block interpreter (New) recurses over the program's basic blocks and
+// resolves each symbol by scanning the program's declarations. It shares
+// no code with ir.Link, so it stays as the reference that the
 // equivalence tests hold the link pass and the linked engine to.
 type Machine struct {
 	prog   *ir.Program
@@ -51,9 +52,17 @@ type Machine struct {
 	dram     [][]int64
 	dramBase []uint64
 
-	// frames is the pooled call-frame stack: register files returned by
-	// finished calls, reused by the next call instead of allocating.
-	frames [][]int64
+	// The linked engine's live frames are stack[:depth]; those above
+	// keep their register files for later calls. pending is set while
+	// the top frame's instruction waits for the next Step to apply its
+	// effect. entry and args are the block interpreter's started call,
+	// and result and err the outcome of either engine's.
+	stack   []frame
+	pending bool
+	entry   *ir.Func
+	args    []int64
+	result  int64
+	err     error
 
 	// MaxSteps bounds execution (default 2e9).
 	MaxSteps uint64
@@ -129,18 +138,10 @@ func NewLinked(l *ir.Linked, ctx *core.ThreadCtx) (*Machine, error) {
 // Worker returns a machine for another simulated thread of m's run; ctx
 // must come from m's runtime. The worker runs m's program on m's engine
 // and shares m's arrays: the PMOs and, OpenMP-style, the volatile arrays.
-// It has its own registers, frame pool, Steps, step budget and Interrupt.
+// It has its own registers, frames, Steps, step budget and Interrupt.
 func (m *Machine) Worker(ctx *core.ThreadCtx) *Machine {
-	return &Machine{
-		prog:     m.prog,
-		linked:   m.linked,
-		ctx:      ctx,
-		pmos:     m.pmos,
-		elems:    m.elems,
-		dram:     m.dram,
-		dramBase: m.dramBase,
-		MaxSteps: defaultMaxSteps,
-	}
+	return &Machine{prog: m.prog, linked: m.linked, ctx: ctx, MaxSteps: defaultMaxSteps,
+		pmos: m.pmos, elems: m.elems, dram: m.dram, dramBase: m.dramBase}
 }
 
 // PMOs returns the PMOs backing the persistent arrays, in declaration
@@ -148,22 +149,41 @@ func (m *Machine) Worker(ctx *core.ThreadCtx) *Machine {
 func (m *Machine) PMOs() []*pmo.PMO { return m.pmos }
 
 // Run executes the named function with the given arguments and returns
-// its result.
+// its result. A stepper thread runs it with Start, Step and Result.
 func (m *Machine) Run(fn string, args ...int64) (int64, error) {
-	m.setStop()
-	if m.linked != nil {
-		f, ok := m.linked.Func(fn)
-		if !ok {
-			return 0, fmt.Errorf("%w: %q", ErrNoFunc, fn)
-		}
-		return m.invokeLinked(f, args)
+	if err := m.Start(fn, args...); err != nil {
+		return 0, err
 	}
-	f, ok := m.prog.Funcs[fn]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoFunc, fn)
-	}
-	return m.call(f, args)
+	m.Step()
+	return m.Result()
 }
+
+// Start readies the machine to run the named function with the given
+// arguments; Step runs it.
+func (m *Machine) Start(fn string, args ...int64) error {
+	m.setStop()
+	m.result, m.err, m.depth, m.pending = 0, nil, 0, false
+	if m.linked == nil {
+		if m.entry, m.args = m.prog.Funcs[fn], args; m.entry == nil {
+			return fmt.Errorf("%w: %q", ErrNoFunc, fn)
+		}
+		return nil
+	}
+	f, ok := m.linked.Func(fn)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNoFunc, fn)
+	}
+	regs, _ := m.push(f)
+	for i, p := range f.Params {
+		if i < len(args) {
+			regs[p] = args[i]
+		}
+	}
+	return nil
+}
+
+// Result returns what the started function returned, or why it failed.
+func (m *Machine) Result() (int64, error) { return m.result, m.err }
 
 // setStop sets the step count at which the dispatch loops next leave
 // their fast path.
@@ -194,7 +214,6 @@ func (m *Machine) call(f *ir.Func, args []int64) (int64, error) {
 	}
 	m.depth++
 	defer func() { m.depth-- }()
-
 	regs := make([]int64, f.NumRegs)
 	for i, p := range f.Params {
 		if i < len(args) {
@@ -247,22 +266,16 @@ func (m *Machine) exec(in *ir.Instr, regs []int64) error {
 		regs[in.Dst] = ir.Eval(in.Op, regs[in.A], regs[in.B])
 	case ir.Compute:
 		m.ctx.Compute(uint64(in.Imm))
-	case ir.LoadPM:
+	case ir.LoadPM, ir.StorePM:
 		oid, err := m.oid(in.Sym, regs[in.A])
 		if err != nil {
 			return err
+		} else if in.Op == ir.StorePM {
+			return m.ctx.Store(oid, uint64(regs[in.B]))
 		}
 		v, err := m.ctx.Load(oid)
-		if err != nil {
-			return err
-		}
 		regs[in.Dst] = int64(v)
-	case ir.StorePM:
-		oid, err := m.oid(in.Sym, regs[in.A])
-		if err != nil {
-			return err
-		}
-		return m.ctx.Store(oid, uint64(regs[in.B]))
+		return err
 	case ir.LoadDRAM, ir.StoreDRAM:
 		s := m.dramSlot(in.Sym)
 		if s < 0 {
@@ -272,7 +285,7 @@ func (m *Machine) exec(in *ir.Instr, regs []int64) error {
 		if idx < 0 || idx >= int64(len(arr)) {
 			return fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, len(arr))
 		}
-		m.ctx.DRAMAccess(m.dramBase[s]+uint64(idx)*8, 8)
+		m.ctx.DRAMAccess(m.dramBase[s] + uint64(idx)*8)
 		if in.Op == ir.LoadDRAM {
 			regs[in.Dst] = arr[idx]
 		} else {
@@ -295,18 +308,14 @@ func (m *Machine) exec(in *ir.Instr, regs []int64) error {
 		if in.Dst >= 0 {
 			regs[in.Dst] = v
 		}
-	case ir.Attach:
+	case ir.Attach, ir.Detach:
 		s := m.pmoSlot(in.Sym)
 		if s < 0 {
-			return fmt.Errorf("interp: attach unknown PMO %q", in.Sym)
+			return fmt.Errorf("interp: %v unknown PMO %q", in.Op, in.Sym)
+		} else if in.Op == ir.Detach {
+			return m.ctx.Detach(m.pmos[s])
 		}
 		return m.ctx.Attach(m.pmos[s], permFromBits(in.Imm))
-	case ir.Detach:
-		s := m.pmoSlot(in.Sym)
-		if s < 0 {
-			return fmt.Errorf("interp: detach unknown PMO %q", in.Sym)
-		}
-		return m.ctx.Detach(m.pmos[s])
 	default:
 		return fmt.Errorf("interp: bad opcode %v", in.Op)
 	}
@@ -317,21 +326,11 @@ func (m *Machine) exec(in *ir.Instr, regs []int64) error {
 // scanning the program's declarations, apart from ir.Link's resolution;
 // -1 means no array of that name is declared.
 func (m *Machine) pmoSlot(sym string) int {
-	for i, d := range m.prog.PMOs {
-		if d.Name == sym {
-			return i
-		}
-	}
-	return -1
+	return slices.IndexFunc(m.prog.PMOs, func(d ir.PMODecl) bool { return d.Name == sym })
 }
 
 func (m *Machine) dramSlot(sym string) int {
-	for i, d := range m.prog.DRAMs {
-		if d.Name == sym {
-			return i
-		}
-	}
-	return -1
+	return slices.IndexFunc(m.prog.DRAMs, func(d ir.DRAMDecl) bool { return d.Name == sym })
 }
 
 // oid translates an element index into the PMO object address.
@@ -339,20 +338,12 @@ func (m *Machine) oid(sym string, idx int64) (pmo.OID, error) {
 	s := m.pmoSlot(sym)
 	if s < 0 {
 		return pmo.NilOID, fmt.Errorf("interp: unknown PMO %q", sym)
-	}
-	if idx < 0 || idx >= m.elems[s] {
+	} else if idx < 0 || idx >= m.elems[s] {
 		return pmo.NilOID, fmt.Errorf("%w: %s[%d] of %d", ErrBounds, sym, idx, m.elems[s])
 	}
 	return pmo.MakeOID(m.pmos[s].ID, pmo.DataStart+uint64(idx)*8), nil
 }
 
-func permFromBits(b int64) paging.Perm {
-	var p paging.Perm
-	if b&1 != 0 {
-		p |= paging.PermRead
-	}
-	if b&2 != 0 {
-		p |= paging.PermWrite
-	}
-	return p
-}
+// permFromBits decodes an attach's rights, read in bit 0 and write in
+// bit 1, as paging.Perm encodes them.
+func permFromBits(b int64) paging.Perm { return paging.Perm(b) & paging.ReadWrite }

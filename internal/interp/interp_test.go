@@ -241,8 +241,8 @@ func get(i) { return shared[i]; }
 }
 
 // TestWorkerKeepsItsOwnThreadState: a worker shares its first machine's
-// PMO handles and runs its engine, but counts its own Steps, pools its
-// own frames and has its own step budget.
+// PMO handles and runs its engine, but counts its own Steps, keeps its
+// own frame stack and has its own step budget.
 func TestWorkerKeepsItsOwnThreadState(t *testing.T) {
 	prog, err := lang.Compile(`
 pmo a[4];
@@ -267,11 +267,11 @@ func main() { var i; var s; for (i = 0; i < 20; i = i + 1) { s = inc(s); } retur
 	if _, err := first.Run("main"); !errors.Is(err, ErrSteps) {
 		t.Fatalf("first machine under a 50-step budget: %v, want ErrSteps", err)
 	}
-	spent, pooled := first.Steps, len(first.frames)
+	spent, frames := first.Steps, len(first.stack)
 	w := first.Worker(rt.NewThread(sim.SingleThread()))
-	if w.Steps != 0 || len(w.frames) != 0 || w.linked != l {
-		t.Fatalf("fresh worker: %d steps, %d pooled frames, linked form shared %v; want 0, 0, true",
-			w.Steps, len(w.frames), w.linked == l)
+	if w.Steps != 0 || len(w.stack) != 0 || w.linked != l {
+		t.Fatalf("fresh worker: %d steps, %d frames, linked form shared %v; want 0, 0, true",
+			w.Steps, len(w.stack), w.linked == l)
 	}
 	if len(w.PMOs()) != 2 || w.PMOs()[0] != first.PMOs()[0] || w.PMOs()[1] != first.PMOs()[1] {
 		t.Fatal("worker does not share the first machine's PMO handles in declaration order")
@@ -280,12 +280,12 @@ func main() { var i; var s; for (i = 0; i < 20; i = i + 1) { s = inc(s); } retur
 	if err != nil || v != 20 {
 		t.Fatalf("worker run = %d, %v; want 20 within its own budget", v, err)
 	}
-	if first.Steps != spent || len(first.frames) != pooled {
+	if first.Steps != spent || len(first.stack) != frames {
 		t.Fatalf("worker run moved the first machine's state: steps %d -> %d, frames %d -> %d",
-			spent, first.Steps, pooled, len(first.frames))
+			spent, first.Steps, frames, len(first.stack))
 	}
-	if w.Steps <= 50 || len(w.frames) == 0 {
-		t.Fatalf("worker: %d steps, %d pooled frames; want > 50 and > 0", w.Steps, len(w.frames))
+	if w.Steps <= 50 || len(w.stack) == 0 {
+		t.Fatalf("worker: %d steps, %d frames; want > 50 and > 0", w.Steps, len(w.stack))
 	}
 }
 

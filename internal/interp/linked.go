@@ -1,17 +1,13 @@
 package interp
 
-// The linked execution engine: runs the flat, pre-resolved program form
-// produced by ir.Link. Three things make it fast relative to the block
-// interpreter while charging exactly the same simulated cycles:
+// The linked execution engine runs the flat, pre-resolved program form
+// ir.Link produces, charging exactly the block interpreter's cycles:
 //
-//   - Symbol operands were resolved at link time, so LoadPM/StorePM/
-//     LoadDRAM/StoreDRAM/Call/Attach/Detach index the machine's tables by
-//     slot instead of scanning the program's declarations.
-//   - Block terminators are explicit pc jumps inside one flat code array,
-//     so dispatch is a single bounds-checked slice index.
-//   - Call frames come from a pooled stack: a finished call's register
-//     file is zeroed and reused by the next call instead of allocating a
-//     fresh []int64 per invocation.
+//   - Symbol operands were resolved at link time to table slots.
+//   - Block terminators are pc jumps inside one flat code array.
+//   - Calls push frames on an explicit stack whose register files later
+//     calls reuse. Since no call recurses on the Go stack, a thread
+//     switch is a return to sim.Machine.Run (see Step).
 //
 // Determinism contract: for any program, the linked engine must produce
 // the same results, the same Steps count and the same cycle charges as the
@@ -21,90 +17,85 @@ package interp
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/paging"
 	"repro/internal/pmo"
 )
 
-// invokeLinked is the top-level entry: allocate (or reuse) a frame, bind
-// arguments and execute.
-func (m *Machine) invokeLinked(f *ir.LFunc, args []int64) (int64, error) {
+// frame is one call on the linked engine's stack: the function, its
+// register file and its pc, which in a caller is the pc of its Call.
+type frame struct {
+	f    *ir.LFunc
+	pc   int
+	regs []int64
+}
+
+// push enters f and returns its register file, zeroed like a fresh make:
+// the file an earlier call left at this depth when it is large enough.
+func (m *Machine) push(f *ir.LFunc) ([]int64, error) {
 	if m.depth >= MaxCallDepth {
-		return 0, ErrDepth
+		return nil, ErrDepth
 	}
+	if m.depth == len(m.stack) {
+		m.stack = append(m.stack, frame{})
+	}
+	fr := &m.stack[m.depth]
 	m.depth++
-	regs := m.getFrame(f.NumRegs)
-	for i, p := range f.Params {
-		if i < len(args) {
-			regs[p] = args[i]
-		}
+	if cap(fr.regs) < f.NumRegs {
+		fr.regs = make([]int64, f.NumRegs)
+	} else {
+		fr.regs = fr.regs[:f.NumRegs]
+		clear(fr.regs)
 	}
-	v, err := m.execLinked(f, regs)
-	m.putFrame(regs)
-	m.depth--
-	return v, err
+	fr.f, fr.pc = f, f.EntryPC
+	return fr.regs, nil
 }
 
-// callLinked invokes a callee from inside the engine, copying argument
-// registers straight from the caller's frame into the callee's (the block
-// interpreter materializes an intermediate args slice; skipping it is
-// observationally identical because the frames are distinct).
-func (m *Machine) callLinked(f *ir.LFunc, caller []int64, argv []int32) (int64, error) {
-	if m.depth >= MaxCallDepth {
-		return 0, ErrDepth
+// fail ends the run with err, in the top frame's context; each caller
+// wraps it in its Call's, as the block interpreter's nested calls do.
+func (m *Machine) fail(err error) {
+	for m.depth--; m.depth > 0; m.depth-- {
+		fr := &m.stack[m.depth-1]
+		err = wrapLinked(fr.f, &fr.f.Code[fr.pc], err)
 	}
-	m.depth++
-	regs := m.getFrame(f.NumRegs)
-	for i, p := range f.Params {
-		if i < len(argv) {
-			regs[p] = caller[argv[i]]
-		}
-	}
-	v, err := m.execLinked(f, regs)
-	m.putFrame(regs)
-	m.depth--
-	return v, err
+	m.err = err
 }
 
-// getFrame pops a pooled register file (zeroed, like a fresh make) or
-// allocates one when the pool is empty or too small.
-func (m *Machine) getFrame(n int) []int64 {
-	if k := len(m.frames) - 1; k >= 0 {
-		fr := m.frames[k]
-		m.frames = m.frames[:k]
-		if cap(fr) >= n {
-			fr = fr[:n]
-			for i := range fr {
-				fr[i] = 0
-			}
-			return fr
-		}
+// Step runs the started function until a yield of the machine's thread
+// switches to another thread (see sim.Thread.Switched) or until the
+// function returns or fails; the next Step goes on from there. A
+// switching yield ends an instruction's charge, before its effect. An
+// effect on the thread's own registers, pc and frames, which no other
+// thread sees, is applied before Step returns. Any other waits for the
+// next Step, which does not count the step again: a PM or DRAM access
+// reads or writes its word after the threads that ran in between, and a
+// Basic attach that waits (core.ErrAttachWaits) executes again. Each op
+// charges what its block-interpreter case charges.
+func (m *Machine) Step() {
+	if m.linked == nil {
+		m.result, m.err = m.call(m.entry, m.args)
+		return
 	}
-	return make([]int64, n)
-}
-
-// putFrame returns a frame to the pool.
-func (m *Machine) putFrame(fr []int64) {
-	m.frames = append(m.frames, fr)
-}
-
-// execLinked is the dispatch loop. Cycle accounting mirrors the block
-// interpreter instruction for instruction: every regular op counts one
-// step against the budget and charges what its block-interpreter case
-// charges; terminators charge the one Compute cycle the block loop
-// charges and do not count as steps.
-func (m *Machine) execLinked(f *ir.LFunc, regs []int64) (int64, error) {
-	code := f.Code
-	pc := f.EntryPC
-	for {
+	if m.depth == 0 {
+		return
+	}
+	th := m.ctx.Thread()
+	fr := &m.stack[m.depth-1]
+	f, code, pc, regs := fr.f, fr.f.Code, fr.pc, fr.regs
+	resumed := m.pending
+	m.pending = false
+	for !th.Switched() {
 		in := &code[pc]
-		if in.Op < ir.LJmp {
-			m.Steps++
-			if m.Steps > m.stop {
+		if in.Op < ir.LJmp && !resumed {
+			if m.Steps++; m.Steps > m.stop {
 				if err := m.pastStop(); err != nil {
-					return 0, err
+					m.fail(err)
+					return
 				}
 			}
 		}
+		var err error
 		switch in.Op {
 		case ir.Const:
 			m.ctx.Compute(1)
@@ -118,83 +109,84 @@ func (m *Machine) execLinked(f *ir.LFunc, regs []int64) (int64, error) {
 			regs[in.Dst] = ir.Eval(in.Op, regs[in.A], regs[in.B])
 		case ir.Compute:
 			m.ctx.Compute(uint64(in.Imm))
-		case ir.LoadPM:
-			slot := in.Slot
-			if slot < 0 {
-				return 0, wrapLinked(f, in, fmt.Errorf("interp: unknown PMO %q", in.Sym))
-			}
+		case ir.LoadPM, ir.StorePM:
 			idx := regs[in.A]
-			if uint64(idx) >= uint64(m.elems[slot]) {
-				return 0, wrapLinked(f, in, fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, m.elems[slot]))
+			if in.Slot < 0 {
+				err = fmt.Errorf("interp: unknown PMO %q", in.Sym)
+				break
+			} else if uint64(idx) >= uint64(m.elems[in.Slot]) {
+				err = fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, m.elems[in.Slot])
+				break
 			}
-			v, err := m.ctx.Load(pmo.MakeOID(m.pmos[slot].ID, pmo.DataStart+uint64(idx)*8))
-			if err != nil {
-				return 0, wrapLinked(f, in, err)
+			p, off := m.pmos[in.Slot], pmo.DataStart+uint64(idx)*8
+			if !resumed {
+				want := paging.PermRead
+				if in.Op == ir.StorePM {
+					want = paging.PermWrite
+				}
+				if err = m.ctx.Access(pmo.MakeOID(p.ID, off), want); err != nil {
+					break
+				}
+				if th.Switched() {
+					m.stack[m.depth-1].pc, m.pending = pc, true
+					return
+				}
 			}
-			regs[in.Dst] = int64(v)
-		case ir.StorePM:
-			slot := in.Slot
-			if slot < 0 {
-				return 0, wrapLinked(f, in, fmt.Errorf("interp: unknown PMO %q", in.Sym))
+			if resumed = false; in.Op == ir.LoadPM {
+				var v uint64
+				v, err = p.Read8(off)
+				regs[in.Dst] = int64(v)
+			} else {
+				err = p.Write8(off, uint64(regs[in.B]))
 			}
-			idx := regs[in.A]
-			if uint64(idx) >= uint64(m.elems[slot]) {
-				return 0, wrapLinked(f, in, fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, m.elems[slot]))
+		case ir.LoadDRAM, ir.StoreDRAM:
+			if in.Slot < 0 {
+				err = fmt.Errorf("interp: unknown array %q", in.Sym)
+				break
 			}
-			oid := pmo.MakeOID(m.pmos[slot].ID, pmo.DataStart+uint64(idx)*8)
-			if err := m.ctx.Store(oid, uint64(regs[in.B])); err != nil {
-				return 0, wrapLinked(f, in, err)
-			}
-		case ir.LoadDRAM:
-			slot := in.Slot
-			if slot < 0 {
-				return 0, wrapLinked(f, in, fmt.Errorf("interp: unknown array %q", in.Sym))
-			}
-			arr := m.dram[slot]
-			idx := regs[in.A]
+			arr, idx := m.dram[in.Slot], regs[in.A]
 			if uint64(idx) >= uint64(len(arr)) {
-				return 0, wrapLinked(f, in, fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, len(arr)))
+				err = fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, len(arr))
+				break
 			}
-			m.ctx.DRAMAccess(m.dramBase[slot]+uint64(idx)*8, 8)
-			regs[in.Dst] = arr[idx]
-		case ir.StoreDRAM:
-			slot := in.Slot
-			if slot < 0 {
-				return 0, wrapLinked(f, in, fmt.Errorf("interp: unknown array %q", in.Sym))
+			if !resumed {
+				if m.ctx.DRAMAccess(m.dramBase[in.Slot] + uint64(idx)*8); th.Switched() {
+					m.stack[m.depth-1].pc, m.pending = pc, true
+					return
+				}
 			}
-			arr := m.dram[slot]
-			idx := regs[in.A]
-			if uint64(idx) >= uint64(len(arr)) {
-				return 0, wrapLinked(f, in, fmt.Errorf("%w: %s[%d] of %d", ErrBounds, in.Sym, idx, len(arr)))
+			if resumed = false; in.Op == ir.LoadDRAM {
+				regs[in.Dst] = arr[idx]
+			} else {
+				arr[idx] = regs[in.B]
 			}
-			m.ctx.DRAMAccess(m.dramBase[slot]+uint64(idx)*8, 8)
-			arr[idx] = regs[in.B]
 		case ir.Call:
 			if in.Slot < 0 {
-				return 0, wrapLinked(f, in, fmt.Errorf("%w: %q", ErrNoFunc, in.Sym))
+				err = fmt.Errorf("%w: %q", ErrNoFunc, in.Sym)
+				break
 			}
 			callee := m.linked.Funcs[in.Slot]
 			m.ctx.Compute(2) // call/return overhead
-			v, err := m.callLinked(callee, regs, in.Args)
-			if err != nil {
-				return 0, wrapLinked(f, in, err)
+			m.stack[m.depth-1].pc = pc
+			var callRegs []int64
+			if callRegs, err = m.push(callee); err != nil {
+				break
 			}
-			if in.Dst >= 0 {
-				regs[in.Dst] = v
+			for i, p := range callee.Params {
+				if i < len(in.Args) {
+					callRegs[p] = regs[in.Args[i]]
+				}
 			}
-		case ir.Attach:
+			f, code, pc, regs = callee, callee.Code, callee.EntryPC, callRegs
+			continue
+		case ir.Attach, ir.Detach:
 			if in.Slot < 0 {
-				return 0, wrapLinked(f, in, fmt.Errorf("interp: attach unknown PMO %q", in.Sym))
-			}
-			if err := m.ctx.Attach(m.pmos[in.Slot], permFromBits(in.Imm)); err != nil {
-				return 0, wrapLinked(f, in, err)
-			}
-		case ir.Detach:
-			if in.Slot < 0 {
-				return 0, wrapLinked(f, in, fmt.Errorf("interp: detach unknown PMO %q", in.Sym))
-			}
-			if err := m.ctx.Detach(m.pmos[in.Slot]); err != nil {
-				return 0, wrapLinked(f, in, err)
+				err = fmt.Errorf("interp: %v unknown PMO %q", in.Op, in.Sym)
+			} else if resumed = false; in.Op == ir.Detach {
+				err = m.ctx.Detach(m.pmos[in.Slot])
+			} else if err = m.ctx.Attach(m.pmos[in.Slot], permFromBits(in.Imm)); err == core.ErrAttachWaits {
+				m.stack[m.depth-1].pc, m.pending = pc, true
+				return
 			}
 		case ir.LJmp:
 			m.ctx.Compute(1)
@@ -202,23 +194,35 @@ func (m *Machine) execLinked(f *ir.LFunc, regs []int64) (int64, error) {
 			continue
 		case ir.LBr:
 			m.ctx.Compute(1)
-			if regs[in.A] != 0 {
+			if pc = int(in.Targ); regs[in.A] != 0 {
 				pc = int(in.Slot)
-			} else {
-				pc = int(in.Targ)
 			}
 			continue
 		case ir.LRet:
 			m.ctx.Compute(1)
+			var v int64
 			if in.Dst >= 0 {
-				return regs[in.Dst], nil
+				v = regs[in.Dst]
 			}
-			return 0, nil
+			if m.depth--; m.depth == 0 {
+				m.result = v
+				return
+			}
+			fr := &m.stack[m.depth-1]
+			f, code, pc, regs = fr.f, fr.f.Code, fr.pc, fr.regs
+			if dst := code[pc].Dst; dst >= 0 {
+				regs[dst] = v
+			}
 		default:
-			return 0, wrapLinked(f, in, fmt.Errorf("interp: bad opcode %v", in.Op))
+			err = fmt.Errorf("interp: bad opcode %v", in.Op)
+		}
+		if err != nil {
+			m.fail(wrapLinked(f, in, err))
+			return
 		}
 		pc++
 	}
+	m.stack[m.depth-1].pc = pc
 }
 
 // wrapLinked matches the block interpreter's error context ("func bN:").

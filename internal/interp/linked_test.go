@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -165,10 +166,11 @@ func TestLinkedErrorsMatchLegacy(t *testing.T) {
 	}
 }
 
-// TestLinkedFramePoolReuse: nested and repeated calls must reuse pooled
-// register files without leaking state between invocations (frames are
-// zeroed on reuse, exactly like a fresh allocation).
-func TestLinkedFramePoolReuse(t *testing.T) {
+// TestLinkedFrameStackReuse: nested and repeated calls must reuse the
+// register files of the frame stack without leaking state between
+// invocations (frames are zeroed on reuse, exactly like a fresh
+// allocation).
+func TestLinkedFrameStackReuse(t *testing.T) {
 	src := `pmo a[8];
 func leaf(x) { var tmp; tmp = x * 2; return tmp; }
 func mid(x) { var acc; acc = leaf(x) + leaf(x + 1); return acc; }
@@ -183,6 +185,129 @@ func main() {
 	block := runEngine(t, src, params.Unprotected, false)
 	linked := runEngine(t, src, params.Unprotected, true)
 	if block != linked {
-		t.Fatalf("frame pool diverged\nblock:  %+v\nlinked: %+v", block, linked)
+		t.Fatalf("frame stack diverged\nblock:  %+v\nlinked: %+v", block, linked)
+	}
+}
+
+// sharedSrc is a program whose threads increment one shared PMO word and
+// one shared volatile word with no synchronization, and branch on what
+// they read. Where a switch falls between an access's charge and its read
+// or write decides which increments are lost, what each thread reads and
+// so how long it runs.
+const sharedSrc = `pmo cnt[1];
+var hits[1];
+func bump() { var v; v = cnt[0]; cnt[0] = v + 1; return v; }
+func worker(tid, nthreads) {
+  var i; var v; var w; var odd;
+  for (i = 0; i < 300; i = i + 1) {
+    v = bump();
+    if (v % 3 == tid % 3) { compute(90); } else { compute(13); }
+    w = hits[0];
+    compute(150);
+    hits[0] = w + 1;
+    if (w % 2 == 0) { odd = odd + 1; compute(250); }
+    if (i % 97 == tid) { compute(5000); }
+  }
+  return odd * 100000 + v;
+}
+`
+
+// sharedRun is everything a run of sharedSrc shows: each thread's return
+// value, Steps, clock and costs, the shared words' final values and the
+// runtime's counters.
+type sharedRun struct {
+	values []int64
+	steps  []uint64
+	clocks []uint64
+	costs  []sim.Accounts
+	pm     uint64
+	dram   int64
+	counts core.Counters
+}
+
+// runShared runs sharedSrc on four threads of a machine under scheme: on
+// the linked engine with stepper threads, or on the block interpreter
+// with closure bodies.
+func runShared(t *testing.T, scheme params.Scheme, linked bool) sharedRun {
+	t.Helper()
+	prog, err := lang.Compile(sharedSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scheme != params.Unprotected {
+		if _, err := terpc.Insert(prog, terpc.Options{
+			EWThreshold:  params.Micros(params.DefaultEWMicros),
+			TEWThreshold: params.Micros(params.DefaultTEWMicros),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt := core.NewRuntime(params.NewConfig(scheme, params.DefaultEWMicros), pmo.NewManager(nvm.NewDevice(nvm.NVM, 1<<28)))
+	machine := sim.NewMachine(1, sim.DefaultQuantum)
+	rt.AttachMachine(machine)
+	ms := make([]*Machine, 4)
+	for i := range ms {
+		step := func() { ms[i].Step() }
+		var th *sim.Thread
+		if linked {
+			th = machine.AddStepper(step)
+		} else {
+			th = machine.AddThread(func(*sim.Thread) { step() })
+		}
+		ctx := rt.NewThread(th)
+		if i > 0 {
+			ms[i] = ms[0].Worker(ctx)
+		} else if ms[0] = newMachine(t, prog, ctx, linked); scheme == params.Unprotected {
+			if err := ctx.Attach(ms[0].PMOs()[0], paging.ReadWrite); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ms[i].Start("worker", int64(i), int64(len(ms))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := machine.Run()
+	var r sharedRun
+	for _, m := range ms {
+		v, err := m.Result()
+		if err != nil {
+			t.Fatalf("%v, linked %v: %v", scheme, linked, err)
+		}
+		r.values = append(r.values, v)
+		r.steps = append(r.steps, m.Steps)
+		r.clocks = append(r.clocks, m.ctx.Now())
+		r.costs = append(r.costs, m.ctx.Thread().Costs)
+	}
+	if r.pm, err = ms[0].PMOs()[0].Read8(pmo.DataStart); err != nil {
+		t.Fatal(err)
+	}
+	r.dram = ms[0].dram[0][0]
+	r.counts = rt.Finish(end).Counts
+	return r
+}
+
+// TestSteppedEffectOrder: a stepper switches where a closure body does.
+// Four threads race on shared words, so a PM or DRAM word read or written
+// before the switch instead of after it changes what the threads read and
+// how long they run. Under three schemes, the Basic one with attaches that
+// block and wait off the stepper's stack, the stepped linked engine
+// must match the block interpreter on closure bodies in every thread's
+// return value, Steps, clock and costs, in the shared words and in the
+// counters.
+func TestSteppedEffectOrder(t *testing.T) {
+	for _, scheme := range []params.Scheme{params.Unprotected, params.TT, params.BasicSem} {
+		block := runShared(t, scheme, false)
+		linked := runShared(t, scheme, true)
+		if !reflect.DeepEqual(block, linked) {
+			t.Errorf("%v: stepped linked engine diverged\nblock:  %+v\nlinked: %+v", scheme, block, linked)
+		}
+		if scheme == params.BasicSem {
+			// Basic's attaches serialize the threads instead.
+			if block.counts.Blocks == 0 {
+				t.Errorf("Basic: no attach blocked")
+			}
+		} else if block.pm >= 4*300 || block.dram >= 4*300 {
+			t.Errorf("%v: an increment of each word must be lost (PM %d, DRAM %d): the threads did not race", scheme, block.pm, block.dram)
+		}
 	}
 }

@@ -22,15 +22,15 @@ type Account int
 const (
 	// Base is workload execution time that is not protection overhead.
 	Base Account = iota
-	// Attach is time spent in full attach() system calls.
+	// Attach and Detach are time spent in full attach() and detach()
+	// system calls.
 	Attach
-	// Detach is time spent in full detach() system calls.
 	Detach
 	// Rand is time spent in PMO space layout randomization (including
 	// the TLB invalidations it triggers).
 	Rand
-	// Cond is time spent executing conditional attach/detach
-	// instructions that were lowered to thread permission changes.
+	// Cond is time spent in conditional attach/detach instructions that
+	// were lowered to thread permission changes.
 	Cond
 	// Other is remaining protection overhead: permission matrix checks,
 	// extra TLB costs, blocking on Basic-semantics contention.
@@ -40,22 +40,10 @@ const (
 
 // String returns the label used in the paper's figures.
 func (a Account) String() string {
-	switch a {
-	case Base:
-		return "base"
-	case Attach:
-		return "attach"
-	case Detach:
-		return "detach"
-	case Rand:
-		return "rand"
-	case Cond:
-		return "cond"
-	case Other:
-		return "other"
-	default:
+	if a < 0 || a >= numAccounts {
 		return fmt.Sprintf("account(%d)", int(a))
 	}
+	return [...]string{"base", "attach", "detach", "rand", "cond", "other"}[a]
 }
 
 // Accounts is a per-component cycle tally.
@@ -78,28 +66,20 @@ func (t *Accounts) Total() uint64 {
 // undefined: it returns 0 for a fully empty tally, and NaN when other
 // accounts carry cycles but Base does not — that shape means a
 // miscredited run and must not be folded silently into rollups.
-func (t *Accounts) Overhead() float64 {
-	if t[Base] == 0 {
-		if t.Total() == 0 {
-			return 0
-		}
-		return math.NaN()
-	}
-	return float64(t.Total()-t[Base]) / float64(t[Base])
-}
+func (t *Accounts) Overhead() float64 { return ofBase(t.Total()-t[Base], t[Base]) }
 
 // Fraction returns account a's share of Base time (the per-component
 // overhead bars of Figures 9-11 are stacked fractions of base time).
 // Like Overhead, it returns NaN when Base is zero but account a is not,
 // and 0 only when both are zero.
-func (t *Accounts) Fraction(a Account) float64 {
-	if t[Base] == 0 {
-		if t[a] == 0 {
-			return 0
-		}
+func (t *Accounts) Fraction(a Account) float64 { return ofBase(t[a], t[Base]) }
+
+// ofBase returns n / base: 0 when both are zero, NaN when only base is.
+func ofBase(n, base uint64) float64 {
+	if base == 0 && n != 0 {
 		return math.NaN()
 	}
-	return float64(t[a]) / float64(t[Base])
+	return float64(n) / float64(max(base, 1))
 }
 
 // Merge adds o into t.
@@ -126,42 +106,45 @@ type Thread struct {
 	ChargeHook func(a Account, n uint64)
 
 	machine *Machine
-	// yieldBudget counts cycles charged since the last scheduler yield;
-	// the scheduler forces a yield every yieldQuantum cycles so that
-	// thread interleavings track global time.
+	// yieldBudget counts cycles charged since the last yield; a charge
+	// yields once it reaches the machine's quantum.
 	yieldBudget uint64
 
 	done bool
-	body func(*Thread)
 	err  error
-	// resume and stop drive the thread's coroutine from Machine.Run;
-	// yield, called inside it, hands Run the thread to resume next.
+	// step runs the thread until a yield picks another thread, left in
+	// next, or until its body ends (next stays nil). A closure body's
+	// first step starts its coroutine; resume runs it until it parks in
+	// yield, and stop unwinds it.
+	step   func()
+	next   *Thread
 	resume func() (*Thread, bool)
-	stop   func()
 	yield  func(*Thread) bool
+	stop   func()
 
-	// check is set while the thread waits (see Wait); each retry
-	// charges waitN cycles on waitAcct. waitLeft is what is left of the
-	// retry's charge, and charging reports that the thread parked in
-	// the charge rather than in the yield after it.
-	check    func() bool
-	waitAcct Account
-	waitN    uint64
-	waitLeft uint64
+	// charging is set while the thread is parked in a charge a yield cut
+	// short, a stepper's Charge or a waiting thread's retry, and acct and
+	// left are what is left of it. check is set while the thread waits
+	// (see Wait), and each retry charges waitN cycles.
 	charging bool
+	acct     Account
+	left     uint64
+	check    func() bool
+	waitN    uint64
 }
 
 // maxChargeStep bounds how far a machine-scheduled thread's clock may
 // advance per scheduler interaction: one hardware-timer period (1 us at
-// 2.2 GHz). Without this cap, a single long computation would leapfrog
-// the global low-water mark by milliseconds and the tick-driven sweep
-// could not close exposure windows on time.
+// 2.2 GHz), so that a long computation cannot leapfrog the global
+// low-water mark and delay the tick-driven sweep.
 const maxChargeStep = 2200
 
 // Charge advances the thread clock by n cycles on account a. On
 // machine-scheduled threads, long charges are split into timer-period
 // steps so the scheduler (and the hardware sweep it drives) observes
-// time passing at its real granularity.
+// time passing at its real granularity; each step yields once the budget
+// reaches the quantum. A stepper stops at the yield that switches, and
+// whatever picks it next charges the rest (see Machine.retry).
 func (t *Thread) Charge(a Account, n uint64) {
 	if t.ChargeHook != nil {
 		t.ChargeHook(a, n)
@@ -172,15 +155,18 @@ func (t *Thread) Charge(a Account, n uint64) {
 		return
 	}
 	for n > 0 {
-		if n = t.step(a, n); t.yieldBudget >= t.machine.quantum {
-			t.Yield()
+		if n = t.advance(a, n); t.yieldBudget >= t.machine.quantum {
+			if t.Yield(); t.next != nil {
+				t.charging, t.acct, t.left = n > 0, a, n
+				return
+			}
 		}
 	}
 }
 
-// step charges a machine-scheduled thread the first timer-period step of
-// n cycles on account a, and returns the cycles left.
-func (t *Thread) step(a Account, n uint64) uint64 {
+// advance charges a machine-scheduled thread the first timer-period step
+// of n cycles on account a, and returns the cycles left.
+func (t *Thread) advance(a Account, n uint64) uint64 {
 	s := min(n, maxChargeStep)
 	t.Clock += s
 	t.Costs.Add(a, s)
@@ -191,33 +177,32 @@ func (t *Thread) step(a Account, n uint64) uint64 {
 // Yield ends the thread's turn: the thread itself picks the next thread
 // to run, and while the pick is a waiting thread it runs that thread's
 // retries (see Wait) and takes their pick. When it still holds the
-// minimum clock it keeps running with no switch; otherwise its coroutine
-// yields the pick to Machine.Run, which resumes that thread, and this one
-// stays parked until a later pick. On threads that are not
-// machine-scheduled it is a no-op.
+// minimum clock it keeps running. Otherwise a closure body parks until a
+// later pick resumes it, and a stepper's Yield returns with Switched set:
+// its step must return to Machine.Run before it does anything else. On
+// threads that are not machine-scheduled it is a no-op.
 func (t *Thread) Yield() {
 	m := t.machine
 	if m == nil {
 		return
 	}
 	t.yieldBudget = 0
-	// Not m.next(): here pick never returns nil, and the inlined pick
-	// keeps the hottest call in the scheduler one call shorter.
-	next := m.pick()
-	m.dispatch(next)
-	t.park(m.settle(next))
+	t.park(m.settle(m.dispatch(m.pick())))
 }
 
-// park hands the CPU to next unless next is t itself, and returns once a
-// later pick resumes t.
+// Switched reports that a yield of this stepper picked another thread,
+// which runs once the stepper's step returns to Machine.Run.
+func (t *Thread) Switched() bool { return t.next != nil }
+
+// park hands the CPU to next unless next is t itself: a stepper leaves
+// the pick for Run, and a closure body also yields to Run and returns
+// once a later pick resumes it, or unwinds once Run stops its coroutine.
+// It is small enough to inline into Yield, the scheduler's hottest call.
 func (t *Thread) park(next *Thread) {
-	if next != t && !t.yield(next) {
-		// Run stopped this coroutine after another thread's panic:
-		// detach from the machine so Yields made by deferred calls
-		// while unwinding return at once (and Waits never park), then
-		// unwind.
-		t.machine = nil
-		panic(errUnwound)
+	if next != t {
+		if t.next = next; t.yield != nil && !t.yield(next) {
+			panic(errUnwound)
+		}
 	}
 }
 
@@ -232,13 +217,15 @@ func (t *Thread) park(next *Thread) {
 //		}
 //	}
 //
-// but on a machine-scheduled thread the coroutine stays parked while it
-// waits: whichever Yield or Run picks the thread charges, yields and
-// checks on its behalf, on the picker's own stack, and picks again, so a
-// retry switches no coroutine. The coroutine resumes once check reports false.
-// check may thus run on any thread's stack or on Run's; it must not
-// charge, yield or wait, and it should allocate nothing. Run re-raises a
-// panic in a retry as the waiting thread's, whichever stack ran it.
+// but a machine-scheduled thread stays parked while it waits: whichever
+// Yield or Run picks it charges, yields and checks on its behalf, on the
+// picker's own stack, and picks again. A closure body resumes once check
+// reports false. A stepper's Wait returns with Switched set when a retry
+// picks another thread; its next step starts once check lets it go on,
+// and goes on after the Wait without calling it again. check may thus
+// run on any thread's stack or on Run's; it must not charge, yield or
+// wait, and it should allocate nothing. Run re-raises a panic in a retry
+// as the waiting thread's, whichever stack ran it.
 func (t *Thread) Wait(a Account, n uint64, check func() bool) {
 	m := t.machine
 	if m == nil {
@@ -249,7 +236,7 @@ func (t *Thread) Wait(a Account, n uint64, check func() bool) {
 			}
 		}
 	}
-	t.check, t.waitAcct, t.waitN = check, a, n
+	t.check, t.acct, t.waitN = check, a, n
 	t.startRetry()
 	t.park(m.settle(t))
 }
@@ -258,9 +245,9 @@ func (t *Thread) Wait(a Account, n uint64, check func() bool) {
 // it at once, as in Charge.
 func (t *Thread) startRetry() {
 	if t.ChargeHook != nil {
-		t.ChargeHook(t.waitAcct, t.waitN)
+		t.ChargeHook(t.acct, t.waitN)
 	}
-	t.waitLeft, t.charging = t.waitN, true
+	t.left, t.charging = t.waitN, true
 }
 
 // errUnwound is the panic that unwinds a parked thread once another
@@ -270,15 +257,12 @@ var errUnwound = errors.New("sim: run ended by another thread's panic")
 // Machine is a deterministic cooperative scheduler for simulated threads.
 // It always resumes the unfinished thread with the smallest local clock,
 // so the interleaving of cross-thread events is a deterministic function
-// of the per-thread cycle charges. Each thread runs as an iter.Pull
-// coroutine that Run resumes: a thread that yields picks its successor
-// and hands the pick back to Run, and when a body returns Run picks the
-// next thread itself. A waiting thread's coroutine stays parked: the
-// yield or Run that picks it runs its retries in its stead. Only one
-// coroutine or Run runs at a time, and the coroutine switches order
-// every access to the machine state. Hardware
-// "background" work (the circular buffer timer sweep) is driven by hooks
-// invoked as global time advances.
+// of the per-thread cycle charges. A thread that yields picks its
+// successor and returns it to Run, which resumes it; when a body ends,
+// Run picks. A waiting thread stays parked: the yield or Run that picks
+// it runs its retries in its stead. Hardware "background" work (the
+// circular buffer timer sweep) is driven by hooks invoked as global time
+// advances.
 type Machine struct {
 	Threads []*Thread
 
@@ -289,14 +273,13 @@ type Machine struct {
 	tick     func(now uint64)
 	lastTick uint64
 
-	// SwitchHook, when set, observes every context switch: it is called
-	// with the resumed thread's clock and ID each time the scheduler
-	// hands the CPU to a different thread than last time.
+	// SwitchHook, when set, is called with the clock and ID of each
+	// thread the scheduler hands the CPU to that did not run last.
 	SwitchHook func(ts uint64, thread int)
 	lastRun    int
 
-	// retrying is the waiting thread whose retry runs now, on whatever
-	// stack picked it; a panic in the retry is that thread's.
+	// retrying is the thread whose retry (see retry) runs now, on
+	// whatever stack picked it; a panic in the retry is that thread's.
 	retrying *Thread
 }
 
@@ -318,13 +301,34 @@ func NewMachine(seed int64, quantum uint64) *Machine {
 // SetTick installs the global-time hook (at most one).
 func (m *Machine) SetTick(f func(now uint64)) { m.tick = f }
 
-// AddThread registers a simulated thread running body. Threads must all be
-// added before Run is called.
+// AddThread registers a simulated thread running body, a closure that
+// runs as an iter.Pull coroutine from its first step on: its yields park
+// it and hand Run the pick. Threads must all be added before Run.
 func (m *Machine) AddThread(body func(*Thread)) *Thread {
+	t := m.AddStepper(nil)
+	t.step = func() {
+		t.resume, t.stop = iter.Pull(func(yield func(*Thread) bool) {
+			defer func() {
+				if r := recover(); r != nil && r != errUnwound {
+					t.err = m.threadPanic(t, r)
+				}
+			}()
+			t.yield = yield
+			body(t)
+		})
+		t.resume()
+	}
+	return t
+}
+
+// AddStepper registers a simulated thread that runs as step: Run calls
+// step each time the thread runs, and step returns once a yield of the
+// thread has switched (see Switched) or once the body has ended.
+func (m *Machine) AddStepper(step func()) *Thread {
 	t := &Thread{
 		ID:      len(m.Threads),
 		machine: m,
-		body:    body,
+		step:    step,
 	}
 	m.Threads = append(m.Threads, t)
 	return t
@@ -335,60 +339,54 @@ func (m *Machine) AddThread(body func(*Thread)) *Thread {
 // Any panic inside a thread body or a retry is re-raised on the caller
 // once every other thread has been unwound.
 func (m *Machine) Run() uint64 {
-	if len(m.Threads) == 0 {
-		return 0
-	}
-	for _, t := range m.Threads {
-		t.resume, t.stop = iter.Pull(func(yield func(*Thread) bool) {
-			defer func() {
-				if r := recover(); r != nil && r != errUnwound {
-					t.err = m.threadPanic(t, r)
-				}
-				t.done = true
-			}()
-			t.yield = yield
-			t.body(t)
-		})
-	}
-	// Stopping a finished thread does nothing, one that never started
-	// never runs its body, and a parked one unwinds out of its Yield or
-	// Wait. A retry that panics on Run's own stack is re-raised like a
-	// body's panic.
+	// A panic on Run's stack is the running stepper's, or a retry's.
+	// A parked coroutine, once stopped, unwinds out of its Yield or Wait,
+	// detached from the machine so that the Yields and Waits it makes
+	// while unwinding return at once.
+	var running *Thread
 	defer func() {
 		w := m.retrying
+		if w == nil {
+			w = running
+		}
 		for _, t := range m.Threads {
-			t.stop()
+			if t.stop != nil && !t.done {
+				t.machine = nil
+				t.stop()
+			}
 		}
 		if w != nil {
 			panic(m.threadPanic(w, recover()))
 		}
 	}()
-	next := m.settle(m.next())
-	for next != nil {
-		// t runs until it yields the thread to resume next, or until
-		// its body ends and resume returns nil.
+	for next := m.settle(m.dispatch(m.pick())); next != nil; {
+		// t runs until it picks the thread to resume next, or until its
+		// body ends.
 		t := next
-		if next, _ = t.resume(); next != nil {
-			continue
+		running = t
+		if t.resume != nil {
+			t.resume()
+		} else {
+			t.step()
 		}
-		if t.err != nil {
-			panic(t.err)
+		if next, t.next, running = t.next, nil, nil; next == nil {
+			t.done = true
+			if t.err != nil {
+				panic(t.err)
+			}
+			next = m.settle(m.dispatch(m.pick()))
 		}
-		next = m.settle(m.next())
 	}
 	var end uint64
 	for _, t := range m.Threads {
-		if t.Clock > end {
-			end = t.Clock
-		}
+		end = max(end, t.Clock)
 	}
 	return end
 }
 
 // threadPanic is the error Run re-raises for a panic with value r on
-// thread t's stack. When the panic came from a retry that t ran for a
-// waiting thread, the error names the waiting thread, as it would had
-// its own coroutine run the retry.
+// thread t's stack, or on the stack of a retry t ran for another thread,
+// which the error then names.
 func (m *Machine) threadPanic(t *Thread, r any) error {
 	if m.retrying != nil {
 		t, m.retrying = m.retrying, nil
@@ -396,31 +394,22 @@ func (m *Machine) threadPanic(t *Thread, r any) error {
 	return fmt.Errorf("sim thread %d: %v", t.ID, r)
 }
 
-// next picks and dispatches the thread to run next, or returns nil once
-// every thread has finished.
-func (m *Machine) next() *Thread {
-	next := m.pick()
-	if next != nil {
-		m.dispatch(next)
-	}
-	return next
-}
-
-// settle returns the thread whose coroutine runs next, given the thread
-// just picked: while the pick is a waiting thread, it runs that thread's
-// retries and takes the thread they pick instead.
+// settle returns the thread that runs next, given the thread just
+// picked: while the pick is parked in a charge or a wait, it runs that
+// thread's retry and takes the thread it picks instead.
 func (m *Machine) settle(next *Thread) *Thread {
-	for next != nil && next.check != nil {
+	for next != nil && (next.charging || next.check != nil) {
 		next = m.retry(next)
 	}
 	return next
 }
 
-// retry runs waiting thread t on the caller's stack from where t
-// parked, making the calls t's own coroutine would make in Wait: the
-// rest of its charge, its yields and its next check, retry after retry.
-// It returns t once check lets t go on, and otherwise the thread that one
-// of t's yields picked, already dispatched, with t parked again.
+// retry runs thread t on the caller's stack from where t parked, making
+// the calls t would make itself: the rest of a charge that a yield cut
+// short, under Charge's rule, and while t waits, the yields and checks
+// of the loop Wait replaces, retry after retry. It returns t once t can
+// go on, and otherwise the thread that one of t's yields picked, already
+// dispatched, with t parked again.
 func (m *Machine) retry(t *Thread) *Thread {
 	m.retrying = t
 	for {
@@ -431,18 +420,22 @@ func (m *Machine) retry(t *Thread) *Thread {
 			}
 			t.startRetry()
 		}
-		for t.waitLeft > 0 {
-			if t.waitLeft = t.step(t.waitAcct, t.waitLeft); t.yieldBudget >= m.quantum {
+		for t.left > 0 {
+			if t.left = t.advance(t.acct, t.left); t.yieldBudget >= m.quantum {
 				t.yieldBudget = 0
-				if next := m.next(); next != t {
+				if next := m.dispatch(m.pick()); next != t {
 					m.retrying = nil
 					return next
 				}
 			}
 		}
-		t.charging = false
+		if t.charging = false; t.check == nil {
+			// A stepper's charge ends with no yield after it.
+			m.retrying = nil
+			return t
+		}
 		t.yieldBudget = 0
-		if next := m.next(); next != t {
+		if next := m.dispatch(m.pick()); next != t {
 			m.retrying = nil
 			return next
 		}
@@ -461,11 +454,15 @@ func (m *Machine) pick() *Thread {
 	return next
 }
 
-// dispatch runs the hooks due before next takes the CPU: the tick when
-// next's clock passed the last tick, then SwitchHook when next is not the
-// thread that ran last. next was picked before the hooks run and stays
-// picked whatever they charge.
-func (m *Machine) dispatch(next *Thread) {
+// dispatch runs the hooks due before next takes the CPU, and returns
+// next: the tick when next's clock passed the last tick, then SwitchHook
+// when next is not the thread that ran last. next was picked before the
+// hooks run and stays picked whatever they charge. A nil next, once every
+// thread has finished, runs no hook.
+func (m *Machine) dispatch(next *Thread) *Thread {
+	if next == nil {
+		return nil
+	}
 	if m.tick != nil && next.Clock > m.lastTick {
 		m.lastTick = next.Clock
 		m.tick(m.lastTick)
@@ -474,6 +471,7 @@ func (m *Machine) dispatch(next *Thread) {
 		m.SwitchHook(next.Clock, next.ID)
 	}
 	m.lastRun = next.ID
+	return next
 }
 
 // Now returns the minimum clock across unfinished threads — the global

@@ -406,39 +406,101 @@ func TestMachinePanicUnwindsThreads(t *testing.T) {
 	}
 }
 
-// runHandoff runs a machine of threads whose bodies each charge quanta
-// quanta one at a time, so every charge yields and hands the CPU to the
-// next thread.
-func runHandoff(threads, quanta int) {
+// TestMachineStepperPanicUnwindsThreads: a stepper's panic unwinds Run's
+// own stack. Run re-raises it as the stepper's and unwinds the closure
+// body parked in its coroutine, detached from the machine: the Yield it
+// defers runs no scheduler hook.
+func TestMachineStepperPanicUnwindsThreads(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ranOn, unwinding, hooks := false, false, 0
+	m := NewMachine(1, 10)
+	m.SwitchHook = func(uint64, int) {
+		if unwinding {
+			hooks++
+		}
+	}
+	m.AddThread(func(th *Thread) {
+		defer th.Yield()
+		th.Charge(Base, 20)
+		ranOn = true
+	})
+	var st *Thread
+	st = m.AddStepper(func() {
+		st.DirectCharge(Base, 50)
+		unwinding = true
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); fmt.Sprint(r) != "sim thread 1: boom" {
+				t.Fatalf("recovered %v, want thread 1's panic", r)
+			}
+		}()
+		m.Run()
+	}()
+	if ranOn {
+		t.Error("a parked closure body ran on after a stepper panicked")
+	}
+	if hooks > 0 {
+		t.Errorf("the unwinding closure body's Yield ran %d switch hooks", hooks)
+	}
+	waitGoroutines(t, before)
+}
+
+// runHandoff runs a machine of threads that each charge quanta quanta
+// one at a time, so every charge yields and hands the CPU to the next
+// thread. The threads are closure bodies, or with stepped set steppers.
+func runHandoff(threads, quanta int, stepped bool) {
 	const quantum = 200
 	m := NewMachine(1, quantum)
 	for t := 0; t < threads; t++ {
-		m.AddThread(func(th *Thread) {
-			for i := 0; i < quanta; i++ {
-				th.Charge(Base, quantum)
+		if !stepped {
+			m.AddThread(func(th *Thread) {
+				for i := 0; i < quanta; i++ {
+					th.Charge(Base, quantum)
+				}
+			})
+			continue
+		}
+		left := quanta
+		var th *Thread
+		th = m.AddStepper(func() {
+			for left > 0 {
+				left--
+				if th.Charge(Base, quantum); th.Switched() {
+					return
+				}
 			}
 		})
 	}
 	m.Run()
 }
 
-// TestMachineHandoffAllocatesNothing: a run with 11x the handoffs
-// allocates exactly as much, so a handoff allocates nothing.
+// TestMachineHandoffAllocatesNothing: for closure bodies and steppers
+// alike, a run with 11x the handoffs allocates exactly as much, so a
+// handoff allocates nothing.
 func TestMachineHandoffAllocatesNothing(t *testing.T) {
-	allocs := func(quanta int) float64 {
-		return testing.AllocsPerRun(5, func() { runHandoff(4, quanta) })
-	}
-	if short, long := allocs(100), allocs(1100); short != long {
-		t.Fatalf("allocs per run = %v at 100 quanta per thread, %v at 1100; want equal", short, long)
+	for _, stepped := range []bool{false, true} {
+		allocs := func(quanta int) float64 {
+			return testing.AllocsPerRun(5, func() { runHandoff(4, quanta, stepped) })
+		}
+		if short, long := allocs(100), allocs(1100); short != long {
+			t.Fatalf("stepped %v: allocs per run = %v at 100 quanta per thread, %v at 1100; want equal", stepped, short, long)
+		}
 	}
 }
 
 // BenchmarkMachineHandoff times one scheduler handoff between four
-// threads, as terpperf's sim.handoff_ns does.
+// threads: closure bodies, as terpperf's sim.handoff_ns does, and
+// steppers, as the linked interpreter's SPEC threads are.
 func BenchmarkMachineHandoff(b *testing.B) {
 	const threads = 4
-	b.ReportAllocs()
-	runHandoff(threads, (b.N+threads-1)/threads)
+	for _, stepped := range []bool{false, true} {
+		b.Run(map[bool]string{false: "closure", true: "stepped"}[stepped], func(b *testing.B) {
+			b.ReportAllocs()
+			runHandoff(threads, (b.N+threads-1)/threads, stepped)
+		})
+	}
 }
 
 // waitLoop is the loop Wait replaces, run on the waiting thread's own
@@ -457,6 +519,18 @@ func waitLoop(th *Thread, a Account, n uint64, check func() bool) {
 // waitFunc is (*Thread).Wait or waitLoop.
 type waitFunc func(th *Thread, a Account, n uint64, check func() bool)
 
+// waitMode is how runWaitMachine runs its scripts: as closure bodies that
+// wait with waitLoop or with Wait, or as steppers, which wait with Wait.
+type waitMode int
+
+const (
+	closureLoop waitMode = iota
+	closureWait
+	stepped
+)
+
+func (w waitMode) String() string { return [...]string{"closure, loop", "closure, Wait", "stepper"}[w] }
+
 // waitRun is what one run of a seeded machine did: every ChargeHook,
 // tick, SwitchHook, check and step start in order, and each thread's
 // final clock and costs.
@@ -469,12 +543,11 @@ type waitRun struct {
 
 // runWaitMachine builds a machine of 2 to 4 threads from seed, each
 // running a seeded script of charges, direct charges with a yield, and
-// waits, and runs it with wait doing the waiting. A wait's check passes
-// once the thread's clock reaches a seeded time or once another seeded
-// thread has started a seeded number of steps. Ticks charge every
-// thread on every third tick and stall the thread about to run on every
-// fifth.
-func runWaitMachine(seed int64, quantum uint64, wait waitFunc) waitRun {
+// waits, and runs it in the given mode. A wait's check passes once the
+// thread's clock reaches a seeded time or once another seeded thread has
+// started a seeded number of steps. Ticks charge every thread on every
+// third tick and stall the thread about to run on every fifth.
+func runWaitMachine(seed int64, quantum uint64, mode waitMode) waitRun {
 	rng := rand.New(rand.NewSource(seed))
 	m := NewMachine(seed, quantum)
 	var r waitRun
@@ -517,26 +590,50 @@ func runWaitMachine(seed int64, quantum uint64, wait waitFunc) waitRun {
 				steps: rng.Intn(8),
 			}
 		}
-		m.AddThread(func(th *Thread) {
-			th.ChargeHook = func(a Account, n uint64) { logf("charge t%d %v %d", th.ID, a, n) }
-			for j, o := range ops {
-				logf("t%d step %d@%d", th.ID, j, th.Clock)
-				started[th.ID]++
-				switch o.kind {
-				case 0:
-					th.Charge(o.a, o.n)
-				case 1:
-					th.DirectCharge(o.a, o.n)
-					th.Yield()
-				case 2:
-					until := th.Clock + o.delay
-					wait(th, o.a, o.n, func() bool {
-						logf("check t%d@%d", th.ID, th.Clock)
-						return th.Clock < until && started[o.on] < o.steps
-					})
+		// run runs step j of the script. A stepper's wait, like any
+		// charge, is over by the time its next step runs.
+		run := func(th *Thread, j int) {
+			o := ops[j]
+			logf("t%d step %d@%d", th.ID, j, th.Clock)
+			started[th.ID]++
+			switch o.kind {
+			case 0:
+				th.Charge(o.a, o.n)
+			case 1:
+				th.DirectCharge(o.a, o.n)
+				th.Yield()
+			case 2:
+				until := th.Clock + o.delay
+				check := func() bool {
+					logf("check t%d@%d", th.ID, th.Clock)
+					return th.Clock < until && started[o.on] < o.steps
+				}
+				if mode == closureLoop {
+					waitLoop(th, o.a, o.n, check)
+				} else {
+					th.Wait(o.a, o.n, check)
 				}
 			}
-		})
+		}
+		var th *Thread
+		if mode == stepped {
+			j := 0
+			th = m.AddStepper(func() {
+				for j < len(ops) {
+					run(th, j)
+					if j++; th.Switched() {
+						return
+					}
+				}
+			})
+		} else {
+			th = m.AddThread(func(th *Thread) {
+				for j := range ops {
+					run(th, j)
+				}
+			})
+		}
+		th.ChargeHook = func(a Account, n uint64) { logf("charge t%d %v %d", th.ID, a, n) }
 	}
 	r.end = m.Run()
 	for _, th := range m.Threads {
@@ -546,33 +643,38 @@ func runWaitMachine(seed int64, quantum uint64, wait waitFunc) waitRun {
 	return r
 }
 
-// TestMachineWaitMatchesLoop: at three quanta and over seeded machines, a
-// Wait makes exactly the calls of the loop it replaces. Both runs log the
-// same hook calls, checks and step starts in the same order, and end with
-// the same clocks and costs.
+// TestMachineWaitMatchesLoop: at three quanta and over seeded machines,
+// one scheduler runs both kinds of thread alike. A Wait makes exactly the
+// calls of the loop it replaces, and a stepper, which returns to Run at
+// each switch and finishes a charge's remainder when it next runs, makes
+// exactly the calls of a closure body. All three runs log the same hook
+// calls, checks and step starts in the same order, and end with the same
+// clocks and costs.
 func TestMachineWaitMatchesLoop(t *testing.T) {
 	checks := 0
 	for _, quantum := range []uint64{50, 200, 1000} {
 		for seed := int64(1); seed <= 60; seed++ {
-			want := runWaitMachine(seed, quantum, waitLoop)
-			got := runWaitMachine(seed, quantum, (*Thread).Wait)
-			if !reflect.DeepEqual(got, want) {
-				i := 0
-				for i < len(got.log) && i < len(want.log) && got.log[i] == want.log[i] {
-					i++
+			want := runWaitMachine(seed, quantum, closureLoop)
+			for _, mode := range []waitMode{closureWait, stepped} {
+				got := runWaitMachine(seed, quantum, mode)
+				if !reflect.DeepEqual(got, want) {
+					i := 0
+					for i < len(got.log) && i < len(want.log) && got.log[i] == want.log[i] {
+						i++
+					}
+					t.Fatalf("quantum %d, seed %d: %v differs from the loop from event %d:\n%v %q\nloop %q\nclocks %v, %v; costs %v, %v",
+						quantum, seed, mode, i, mode, got.log[i:min(i+5, len(got.log))], want.log[i:min(i+5, len(want.log))],
+						got.clocks, want.clocks, got.costs, want.costs)
 				}
-				t.Fatalf("quantum %d, seed %d: runs differ from event %d:\nWait %q\nloop %q\nclocks %v, %v; costs %v, %v",
-					quantum, seed, i, got.log[i:min(i+5, len(got.log))], want.log[i:min(i+5, len(want.log))],
-					got.clocks, want.clocks, got.costs, want.costs)
-			}
-			for _, e := range got.log {
-				if strings.HasPrefix(e, "check") {
-					checks++
+				for _, e := range got.log {
+					if strings.HasPrefix(e, "check") {
+						checks++
+					}
 				}
 			}
 		}
 	}
-	if checks < 1000 {
+	if checks < 2000 {
 		t.Fatalf("the machines made only %d checks", checks)
 	}
 }

@@ -71,21 +71,22 @@ func Build(k Kernel, scale int, insert bool, opt terpc.Options) (*ir.Program, er
 
 // RunProgram executes an already compiled (and, scheme permitting,
 // instrumented) kernel program on a fresh simulated machine through the
-// block interpreter (interp.New). It is the reference RunLinked is
-// tested against. The program is not mutated, so callers may share one
-// program across concurrent runs.
+// block interpreter (interp.New), whose threads are closure bodies. It is
+// the reference RunLinked is tested against. The program is not mutated,
+// so callers may share one program across concurrent runs.
 func RunProgram(cfg params.Config, k Kernel, prog *ir.Program, opts RunOpts) (core.Result, error) {
-	return runWith(cfg, k, opts, func(ctx *core.ThreadCtx) (*interp.Machine, error) {
+	return runWith(cfg, k, opts, false, func(ctx *core.ThreadCtx) (*interp.Machine, error) {
 		return interp.New(prog, ctx)
 	})
 }
 
 // RunLinked executes a pre-linked program form (see ir.Link) on a fresh
-// simulated machine. The linked form is read-only to the interpreter, so
-// one Link result may back any number of concurrent runs; results are
-// identical to RunProgram on the program the form was linked from.
+// simulated machine, whose threads are steppers. The linked form is
+// read-only to the interpreter, so one Link result may back any number of
+// concurrent runs; results are identical to RunProgram on the program the
+// form was linked from.
 func RunLinked(cfg params.Config, k Kernel, l *ir.Linked, opts RunOpts) (core.Result, error) {
-	return runWith(cfg, k, opts, func(ctx *core.ThreadCtx) (*interp.Machine, error) {
+	return runWith(cfg, k, opts, true, func(ctx *core.ThreadCtx) (*interp.Machine, error) {
 		return interp.NewLinked(l, ctx)
 	})
 }
@@ -93,8 +94,10 @@ func RunLinked(cfg params.Config, k Kernel, l *ir.Linked, opts RunOpts) (core.Re
 // runWith builds the simulated machine (single-thread or scheduled) and
 // executes the kernel on the interpreter newMachine supplies, whose
 // workers run the other threads — the one place the single- and
-// multi-thread drive logic lives.
-func runWith(cfg params.Config, k Kernel, opts RunOpts, newMachine func(*core.ThreadCtx) (*interp.Machine, error)) (core.Result, error) {
+// multi-thread drive logic lives. With stepped set, the scheduled threads
+// are steppers (sim.Machine.AddStepper); otherwise they are closure
+// bodies.
+func runWith(cfg params.Config, k Kernel, opts RunOpts, stepped bool, newMachine func(*core.ThreadCtx) (*interp.Machine, error)) (core.Result, error) {
 	if opts.Threads < 0 {
 		return core.Result{}, fmt.Errorf("speckit %s: negative thread count %d", k.Name, opts.Threads)
 	}
@@ -105,66 +108,56 @@ func runWith(cfg params.Config, k Kernel, opts RunOpts, newMachine func(*core.Th
 	rt := core.NewRuntime(cfg, mgr)
 	rt.EnableObs(opts.Obs)
 
-	if opts.Threads == 1 {
-		ctx := rt.NewThread(sim.SingleThread())
-		m, err := newMachine(ctx)
-		if err != nil {
-			return core.Result{}, err
+	// Every thread's context and interpreter is built before the
+	// machine runs: nothing charges or ticks before its first dispatch.
+	var machine *sim.Machine
+	if opts.Threads > 1 {
+		machine = sim.NewMachine(cfg.Seed, sim.DefaultQuantum)
+		rt.AttachMachine(machine)
+	}
+	ms := make([]*interp.Machine, opts.Threads)
+	single := sim.SingleThread()
+	for t := range ms {
+		th := single
+		if machine != nil && stepped {
+			th = machine.AddStepper(func() { ms[t].Step() })
+		} else if machine != nil {
+			th = machine.AddThread(func(*sim.Thread) { ms[t].Step() })
 		}
-		m.Interrupt = opts.Interrupt
-		if cfg.Scheme == params.Unprotected {
-			if err := preAttach(ctx, m); err != nil {
+		ctx := rt.NewThread(th)
+		if t == 0 {
+			m, err := newMachine(ctx)
+			if err != nil {
 				return core.Result{}, err
 			}
+			if cfg.Scheme == params.Unprotected {
+				if err := preAttach(ctx, m); err != nil {
+					return core.Result{}, err
+				}
+			}
+			ms[0] = m
+		} else {
+			ms[t] = ms[0].Worker(ctx)
 		}
-		if _, err := m.Run("worker", 0, 1); err != nil {
+		ms[t].Interrupt = opts.Interrupt
+		if err := ms[t].Start("worker", int64(t), int64(opts.Threads)); err != nil {
 			return core.Result{}, fmt.Errorf("speckit %s: %w", k.Name, err)
 		}
-		return rt.Finish(ctx.Now()), nil
 	}
-
-	machine := sim.NewMachine(cfg.Seed, sim.DefaultQuantum)
-	rt.AttachMachine(machine)
-	errs := make([]error, opts.Threads)
-	// Thread 0 runs first (every clock starts at 0, and ties go to the
-	// lower ID) and builds the machine before its first charge, so it
-	// exists before any worker starts. When building fails, errs[0] says
-	// why and the workers do nothing.
-	var first *interp.Machine
-	for t := 0; t < opts.Threads; t++ {
-		t := t
-		machine.AddThread(func(th *sim.Thread) {
-			ctx := rt.NewThread(th)
-			var m *interp.Machine
-			switch {
-			case t == 0:
-				var err error
-				if m, err = newMachine(ctx); err != nil {
-					errs[t] = err
-					return
-				}
-				first = m
-				if cfg.Scheme == params.Unprotected {
-					if err := preAttach(ctx, m); err != nil {
-						errs[t] = err
-						return
-					}
-				}
-			case first != nil:
-				m = first.Worker(ctx)
-			default:
-				return
-			}
-			m.Interrupt = opts.Interrupt
-			if _, err := m.Run("worker", int64(t), int64(opts.Threads)); err != nil {
-				errs[t] = err
-			}
-		})
+	var end uint64
+	if machine != nil {
+		end = machine.Run()
+	} else {
+		ms[0].Step()
+		end = single.Clock
 	}
-	end := machine.Run()
-	for t, err := range errs {
-		if err != nil {
-			return core.Result{}, fmt.Errorf("speckit %s thread %d: %w", k.Name, t, err)
+	for t, m := range ms {
+		if _, err := m.Result(); err != nil {
+			where := k.Name
+			if machine != nil {
+				where = fmt.Sprintf("%s thread %d", k.Name, t)
+			}
+			return core.Result{}, fmt.Errorf("speckit %s: %w", where, err)
 		}
 	}
 	return rt.Finish(end), nil
