@@ -5,9 +5,13 @@ import "testing"
 // benchSpecs are the crash-grid cells BenchmarkCrashRun measures at their
 // default length, 8 points each: crashed at every 23rd fence under strict
 // ordering (one pass) and at a seeded-random sample under adversarial
-// ordering (a counting pass, then a replay that stops after the last
-// sampled point). The hashmap cells audit a preloaded hash table, tpcc
-// its order and line arrays, and echo its record area and an index that
+// ordering (a replay that stops after the last sampled point). A random
+// cell counts the events in a pass of its own only when no full pass of
+// its workload, seed and op count has run in the process, so every
+// random-adv iteration after the first runs the replay alone; the
+// hashmap-pair case runs a fence cell and then a random one, as a serial
+// grid does. The hashmap cells audit a preloaded hash table, tpcc its
+// order and line arrays, and echo its record area and an index that
 // starts empty. TestCrashRunAllocatesUnderOneMBPerPoint runs the first.
 var benchSpecs = []struct {
 	name string
@@ -36,4 +40,18 @@ func BenchmarkCrashRun(b *testing.B) {
 			}
 		})
 	}
+	b.Run("hashmap-pair", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, s := range []Spec{benchSpecs[0].spec, benchSpecs[1].spec} {
+				rep, err := Run(s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rep.Points) != 8 || rep.Failures != 0 {
+					b.Fatalf("%d points, %d failures", len(rep.Points), rep.Failures)
+				}
+			}
+		}
+	})
 }

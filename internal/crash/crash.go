@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/nvm"
@@ -275,9 +276,11 @@ func (s Spec) inject(rep *Report, r *run, e nvm.Event) {
 // point on the spot, on a copy-on-write view of the live device. Fence
 // points are known as the event stream goes, so one instrumented pass
 // counts the candidates and verifies the first Points of them. A
-// random sample needs the event count first: a counting pass runs the
-// workload, then a replay verifies the sampled events and stops after the
-// last one.
+// random sample needs the event count first. It takes it from an earlier
+// full pass of the same workload, seed and op count when one has run in
+// this process (see counted), and otherwise from a counting pass of its
+// own; then a replay verifies the sampled events and stops after the last
+// one.
 func Run(s Spec) (*Report, error) {
 	if s.Ops <= 0 {
 		return nil, fmt.Errorf("crash: ops must be positive")
@@ -320,21 +323,27 @@ func (s Spec) runStream(rep *Report) error {
 	if err != nil {
 		return err
 	}
+	c := s.count(r)
 	if rep.Candidates == 0 {
 		return fmt.Errorf("crash: policy %q matched no events", s.Policy)
 	}
-	rep.Events, rep.Fences = r.buf.Events(), r.buf.Fences()
+	rep.Events, rep.Fences = c.events, c.fences
 	return nil
 }
 
-// runSample crashes at a seeded sample of all persist events: a counting
-// pass, then a replay that stops after the last sampled event.
+// runSample crashes at a seeded sample of all persist events: it takes
+// the event count from the memo, or from a counting pass on a miss, then
+// runs a replay that stops after the last sampled event.
 func (s Spec) runSample(rep *Report) error {
-	count, err := s.instrumented(nil, nil)
-	if err != nil {
-		return err
+	c, ok := s.counted()
+	if !ok {
+		r, err := s.instrumented(nil, nil)
+		if err != nil {
+			return err
+		}
+		c = s.count(r)
 	}
-	rep.Events, rep.Fences = count.buf.Events(), count.buf.Fences()
+	rep.Events, rep.Fences = c.events, c.fences
 	n := int(rep.Events)
 	if n == 0 {
 		return fmt.Errorf("crash: policy %q matched no events", s.Policy)
@@ -349,7 +358,7 @@ func (s Spec) runSample(rep *Report) error {
 	sort.Ints(sample)
 	rep.Candidates = want
 	next := 0
-	_, err = s.instrumented(func(r *run, e nvm.Event) {
+	_, err := s.instrumented(func(r *run, e nvm.Event) {
 		if next < len(sample) && e.Index == uint64(sample[next]) {
 			next++
 			s.inject(rep, r, e)
@@ -362,4 +371,56 @@ func (s Spec) runSample(rep *Report) error {
 		return fmt.Errorf("crash: replay visited %d of %d points", next, len(sample))
 	}
 	return nil
+}
+
+// eventCounts are a full instrumented pass's persist-event totals.
+type eventCounts struct{ events, fences uint64 }
+
+// countKey is every Spec field instrumented reads, so a full pass's
+// totals are a function of it alone.
+type countKey struct {
+	workload string
+	seed     int64
+	ops      int
+}
+
+// maxCounted bounds the memo: it is emptied when it reaches this many
+// keys, since terpd takes arbitrary seeds. A crash grid fills 7 keys.
+const maxCounted = 1024
+
+// counts memoizes the totals of every full instrumented pass: a fence
+// cell's, or a random cell's counting pass on a miss. A random cell of
+// the same key draws its sample from them and runs only its replay. A
+// serial crash grid runs each workload's fence cell before its random
+// cell, so there every random cell hits; in a parallel grid sibling cells
+// that overlap count on their own. It is a cache of a pure function, not
+// a knob: nothing sets, resets or toggles it.
+var counts = struct {
+	sync.Mutex
+	m map[countKey]eventCounts
+}{m: make(map[countKey]eventCounts)}
+
+func (s Spec) countKey() countKey {
+	return countKey{workload: s.Workload, seed: s.Seed, ops: s.Ops}
+}
+
+// counted returns the memoized totals of the spec's full pass.
+func (s Spec) counted() (eventCounts, bool) {
+	counts.Lock()
+	defer counts.Unlock()
+	c, ok := counts.m[s.countKey()]
+	return c, ok
+}
+
+// count returns the totals of r, a full pass of the spec, and memoizes
+// them.
+func (s Spec) count(r *run) eventCounts {
+	c, k := eventCounts{events: r.buf.Events(), fences: r.buf.Fences()}, s.countKey()
+	counts.Lock()
+	defer counts.Unlock()
+	if _, ok := counts.m[k]; !ok && len(counts.m) >= maxCounted {
+		clear(counts.m)
+	}
+	counts.m[k] = c
+	return c
 }

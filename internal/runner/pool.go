@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 
@@ -288,16 +289,23 @@ func (p *Pool) worker() {
 
 // runCell runs cell i of job j. A panic inside the cell becomes the
 // cell's error, naming the cell and carrying the panic value and stack,
-// so one bad cell fails its own job instead of the whole process.
+// so one bad cell fails its own job instead of the whole process. The
+// cell runs under the pprof labels exp and cell, added to those of the
+// job's context, so `go tool pprof -tagfocus cell=<name>` selects one
+// cell of a CPU profile.
 func (p *Pool) runCell(j *poolJob, i int) (res CellResult, err error) {
+	c := j.cells[i]
 	defer func() {
 		if v := recover(); v != nil {
 			p.panics.Add(1)
-			res = CellResult{Cell: j.cells[i]}
-			err = fmt.Errorf("cell %s panicked: %v\n%s", j.cells[i].Name(), v, debug.Stack())
+			res = CellResult{Cell: c}
+			err = fmt.Errorf("cell %s panicked: %v\n%s", c.Name(), v, debug.Stack())
 		}
 	}()
-	return RunCellCtx(j.ctx, j.cells[i], p.cache, j.ocfg)
+	pprof.Do(j.ctx, pprof.Labels("exp", c.Exp, "cell", c.Name()), func(ctx context.Context) {
+		res, err = RunCellCtx(ctx, c, p.cache, j.ocfg)
+	})
+	return res, err
 }
 
 // Close shuts the pool down: jobs still queued are canceled with

@@ -7,10 +7,23 @@
 // executes one cell on the calling goroutine.
 //
 // Each cell builds its own simulated machine, NVM device and runtime, so
-// cells share no mutable state; the only cross-cell structure is the
-// compiled-program cache (see ProgCache), which memoizes the TPL
-// compile + insertion + link pipeline per (kernel, scale, cost model)
-// and hands out read-only linked programs.
+// cells share no simulated state. What cells do share are three caches of
+// pure functions, each filled on first use and never reset or toggled:
+//   - the compiled-program cache (see ProgCache), which memoizes the TPL
+//     compile + insertion + link pipeline per (kernel, scale, cost model)
+//     and hands out read-only linked programs;
+//   - whisper's preloaded hash tables, one immutable image per table
+//     placement and key set, which every hashmap, redis and ycsb cell
+//     maps copy-on-write;
+//   - crash's persist-event totals per (workload, seed, ops), which a
+//     random crash cell draws its sample from instead of counting the
+//     events in a pass of its own when a full pass of its key has run.
+//
+// A cell reads the same value from each whether it computed it or not,
+// so a grid's bytes do not depend on which cells ran before it.
+//
+// Pool runs each cell under the pprof labels exp and cell (see
+// Pool.runCell), so a CPU profile of a run splits by cell.
 package runner
 
 import (

@@ -16,6 +16,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -98,8 +99,11 @@ type Job struct {
 // events are never dropped — the channel drains before close).
 const subBuffer = 64
 
+// newJob builds a queued job. Its context carries the pprof labels job
+// and tenant, which every cell of the job adds its own to.
 func newJob(id, tenant string, spec terp.ExperimentSpec, total int) *Job {
-	ctx, cancel := context.WithCancel(context.Background())
+	labeled := pprof.WithLabels(context.Background(), pprof.Labels("job", id, "tenant", tenant))
+	ctx, cancel := context.WithCancel(labeled)
 	return &Job{
 		ID: id, Tenant: tenant, Spec: spec, Total: total,
 		ctx: ctx, cancel: cancel, state: StateQueued,
@@ -226,16 +230,16 @@ func (j *Job) progress(done, total int, cell string) {
 	j.mu.Unlock()
 }
 
-// finish records the job's outcome, emits the terminal event and closes
-// every subscriber channel. Sends never block (a stalled subscriber
-// must not wedge the scheduler); the channel close itself signals
-// termination, and readers re-fetch Status after it for the final
-// state.
-func (j *Job) finish(grid *terp.Grid, gridJSON []byte, state State, errMsg string) {
+// finish records the job's outcome, finished at the wall-clock instant
+// at, emits the terminal event and closes every subscriber channel. Sends
+// never block (a stalled subscriber must not wedge the scheduler); the
+// channel close itself signals termination, and readers re-fetch Status
+// after it for the final state.
+func (j *Job) finish(grid *terp.Grid, gridJSON []byte, state State, errMsg string, at time.Time) {
 	j.mu.Lock()
 	j.grid, j.gridJSON = grid, gridJSON
 	j.state, j.errMsg = state, errMsg
-	j.finishedAt = time.Now()
+	j.finishedAt = at
 	if state == StateDone {
 		j.done = j.Total
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -164,9 +165,11 @@ func (s *Scheduler) startNextLocked(t *tenant) {
 	go s.run(t, j)
 }
 
-// run executes one job on the shared pool and retires it.
+// run executes one job on the shared pool and retires it, under the
+// job's pprof labels.
 func (s *Scheduler) run(t *tenant, j *Job) {
 	defer s.wg.Done()
+	pprof.SetGoroutineLabels(j.ctx)
 	spec := j.Spec
 	spec.Progress = j.progress
 	grid, err := terp.RunOn(j.ctx, s.pool, spec)
@@ -188,15 +191,17 @@ func (s *Scheduler) run(t *tenant, j *Job) {
 	default:
 		state, errMsg, grid = StateFailed, err.Error(), nil
 	}
-	j.finish(grid, gridJSON, state, errMsg)
-	_, started, finished := j.WallTimes()
+	at := time.Now()
 	var runDur time.Duration
-	if !started.IsZero() {
-		runDur = finished.Sub(started)
+	if _, started, _ := j.WallTimes(); !started.IsZero() {
+		runDur = at.Sub(started)
 	}
 
+	// The job is counted before finish publishes its terminal state, so
+	// the counters already include every job a client has seen finish.
 	s.mu.Lock()
 	s.metrics.jobFinished(j, state, runDur)
+	j.finish(grid, gridJSON, state, errMsg, at)
 	delete(s.active, j.ID)
 	s.store.Put(j)
 	t.running = nil
@@ -256,7 +261,7 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 			s.metrics.jobFinished(j, StateCanceled, 0)
 			s.depthLocked(j.Tenant, t)
 			s.mu.Unlock()
-			j.finish(nil, nil, StateCanceled, "canceled before start")
+			j.finish(nil, nil, StateCanceled, "canceled before start", time.Now())
 			s.store.Put(j)
 			return j, nil
 		}
@@ -306,7 +311,7 @@ func (s *Scheduler) Close() {
 	s.mu.Unlock()
 
 	for _, j := range queued {
-		j.finish(nil, nil, StateCanceled, "server shutting down")
+		j.finish(nil, nil, StateCanceled, "server shutting down", time.Now())
 		s.store.Put(j)
 	}
 	for _, j := range running {

@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -390,6 +392,44 @@ func TestStatsCounters(t *testing.T) {
 	if body.Workers != 2 {
 		t.Fatalf("workers = %d, want 2", body.Workers)
 	}
+}
+
+// TestStatsCountJobsSeenFinished reads the scheduler's counters on every
+// terminal event of many jobs, from four tenants at once: a job is
+// counted before its terminal state is published, so the counters
+// already include every job a client has seen finish.
+func TestStatsCountJobsSeenFinished(t *testing.T) {
+	s := NewScheduler(2, 4, NewStore(8), nil, nil)
+	defer s.Close()
+	const tenants, jobs = 4, 100
+	spec := terp.ExperimentSpec{Name: "table5"}
+	var seen atomic.Uint64
+	var wg sync.WaitGroup
+	for tn := 0; tn < tenants; tn++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < jobs; i++ {
+				j, err := s.Submit(fmt.Sprintf("t%d", tn), spec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				events, _ := j.Subscribe()
+				for ev := range events {
+					if !ev.State.Terminal() {
+						continue
+					}
+					n := seen.Add(1)
+					if c, _, _, _ := s.Stats(); c.Completed < n {
+						t.Errorf("%s seen %s: %d jobs seen finished, counters %+v", j.ID, ev.State, n, c)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestStatsFollowJobStates: the /v1/stats counters come from the

@@ -2,8 +2,11 @@ package service
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"io"
 	"net/http"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"testing"
@@ -178,6 +181,75 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 		t.Fatalf("served grid differs from offline run under scrape load (%d vs %d bytes)",
 			len(served), len(offline))
 	}
+}
+
+// TestCPUProfileLabelsJobsAndCells takes a CPU profile around a served
+// job. Its samples carry the job's job and tenant labels and each cell's
+// exp and cell labels, so the gzipped profile holds their strings, and
+// the grid is byte-identical to the offline run.
+func TestCPUProfileLabelsJobsAndCells(t *testing.T) {
+	spec := terp.ExperimentSpec{Name: "table3", Opts: terp.ExpOpts{Ops: 10000, Seed: 1}}
+	g, err := terp.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := g.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := spec.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, hs := newTestServer(t, Config{Workers: 2})
+	var prof bytes.Buffer
+	if err := pprof.StartCPUProfile(&prof); err != nil {
+		t.Skipf("profiler busy (a -cpuprofile run): %v", err)
+	}
+	defer pprof.StopCPUProfile()
+	const tenant = "profiled-tenant"
+	st, resp := submit(t, hs.URL, tenant, spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	end := waitTerminal(t, hs.URL, st.ID)
+	pprof.StopCPUProfile()
+	if end.State != StateDone {
+		t.Fatalf("job ended %s: %s", end.State, end.Error)
+	}
+	served, code := fetch(t, hs.URL+"/v1/jobs/"+st.ID+"/grid")
+	if code != http.StatusOK {
+		t.Fatalf("grid: HTTP %d", code)
+	}
+	if !bytes.Equal(served, offline) {
+		t.Fatalf("grid served under a CPU profile differs from the offline run (%d vs %d bytes)",
+			len(served), len(offline))
+	}
+
+	zr, err := gzip.NewReader(&prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"job", st.ID, "tenant", tenant, "exp", spec.Name, "cell"} {
+		if !bytes.Contains(raw, []byte(s)) {
+			t.Errorf("profile has no string %q", s)
+		}
+	}
+	labeled := 0
+	for _, c := range cells {
+		if bytes.Contains(raw, []byte(c.Name())) {
+			labeled++
+		}
+	}
+	if labeled == 0 {
+		t.Errorf("profile names none of the %d cells", len(cells))
+	}
+	t.Logf("%d of %d cells sampled", labeled, len(cells))
 }
 
 // TestTraceHasWallTrack: a served trace carries both the sim-cycle
