@@ -28,15 +28,6 @@ func (r *Runtime) EnableObs(cfg obs.Config) {
 			r.chargeHists[a] = r.metrics.Hist("sim/charge/" + a.String())
 		}
 	}
-	if b := r.mgr.Device().PersistBuffer(); b != nil {
-		if cfg.Trace {
-			b.Obs = r.obs.Track(obs.HWThread)
-			b.NowFn = r.globalNow
-		}
-		if cfg.Metrics {
-			b.Occupancy = r.metrics.Hist("nvm/occupancy")
-		}
-	}
 }
 
 // wireSwitchHook records scheduler context switches on the resumed
@@ -46,18 +37,6 @@ func (r *Runtime) wireSwitchHook(m *sim.Machine) {
 	m.SwitchHook = func(ts uint64, thread int) {
 		rec.Track(thread).Instant(ts, obs.CatSim, "switch-in", 0)
 	}
-}
-
-// globalNow approximates current simulated time for events issued without
-// a thread identity (the persist buffer is driven through the device).
-func (r *Runtime) globalNow() uint64 {
-	if r.machine != nil {
-		return r.machine.Now()
-	}
-	if len(r.threads) > 0 {
-		return r.threads[0].th.Clock
-	}
-	return 0
 }
 
 // wireThreadObs instruments a newly created thread context: its own event
@@ -129,11 +108,6 @@ func (r *Runtime) obsSnapshot() *obs.Snapshot {
 	ew, tew := r.tracker.Counts()
 	s.Add("expo/ew_closed", ew)
 	s.Add("expo/tew_closed", tew)
-	if b := r.mgr.Device().PersistBuffer(); b != nil {
-		s.Add("nvm/flushes", b.Flushes())
-		s.Add("nvm/fences", b.Fences())
-		s.Add("nvm/drained_lines", b.DrainedLines())
-	}
 	if r.obs != nil {
 		s.Add("obs/events", r.obs.Total())
 		// Ring overflow is never silent: dropped events surface here and

@@ -20,12 +20,8 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/nvm"
-	"repro/internal/paging"
-	"repro/internal/params"
 	"repro/internal/pmo"
-	"repro/internal/sim"
 	"repro/internal/txn"
 	"repro/internal/whisper"
 )
@@ -139,6 +135,11 @@ type run struct {
 // stops before the next operation once stop (when non-nil) reports true.
 // The run is fully determined by the spec, so calling it twice replays
 // the same event stream.
+//
+// It drives the workload untimed: Setup gets no cost sink and every Op
+// goes through whisper.Untimed, so no runtime, clock or cache model runs.
+// A report depends only on the persist events and the bytes written,
+// which are a measured run's (TestUntimedOpsMatchMeasured).
 func (s Spec) instrumented(hook func(r *run, e nvm.Event), stop func() bool) (*run, error) {
 	w, logCap, devSize, err := makeWorkload(s.Workload)
 	if err != nil {
@@ -146,21 +147,17 @@ func (s Spec) instrumented(hook func(r *run, e nvm.Event), stop func() bool) (*r
 	}
 	r := &run{dev: nvm.NewDevice(nvm.NVM, devSize), w: w, logCap: logCap}
 	mgr := pmo.NewManager(r.dev)
-	rt := core.NewRuntime(params.NewConfig(params.Unprotected, params.DefaultEWMicros), mgr)
-	ctx := rt.NewThread(sim.SingleThread())
 	rng := rand.New(rand.NewSource(s.Seed))
-	if err := w.Setup(mgr, ctx, rng); err != nil {
+	if err := w.Setup(mgr, nil, rng); err != nil {
 		return nil, fmt.Errorf("crash: %s setup: %w", s.Workload, err)
 	}
-	if err := ctx.Attach(w.PMO(), paging.ReadWrite); err != nil {
-		return nil, err
-	}
 	// Enable the buffer only now: the load phase is durable ground truth,
-	// and every measured op's persistence flows through the buffer.
+	// and every op's persistence flows through the buffer.
 	r.buf = r.dev.EnablePersistBuffer(nvm.DefaultLineSize)
 	if hook != nil {
 		r.buf.SetEventHook(func(e nvm.Event) { hook(r, e) })
 	}
+	ctx := whisper.Untimed{P: w.PMO()}
 	for i := 0; i < s.Ops && (stop == nil || !stop()); i++ {
 		if err := w.Op(ctx, rng); err != nil {
 			return nil, fmt.Errorf("crash: %s op %d: %w", s.Workload, i, err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/pmo"
 	"repro/internal/txn"
 	"repro/internal/whisper"
@@ -51,7 +50,7 @@ func (w *TxnPairs) Profile() whisper.Profile {
 func (w *TxnPairs) LogOID() pmo.OID { return w.logOID }
 
 // Setup implements whisper.Workload.
-func (w *TxnPairs) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) error {
+func (w *TxnPairs) Setup(mgr *pmo.Manager, sink txn.CostSink, rng *rand.Rand) error {
 	p, err := mgr.Create("crash.txnpairs", 1<<20, pmo.ModeRead|pmo.ModeWrite)
 	if err != nil {
 		return err
@@ -61,7 +60,7 @@ func (w *TxnPairs) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) 
 	if err != nil {
 		return err
 	}
-	log.SetSink(ctx)
+	log.SetSink(sink)
 	w.log, w.logOID = log, logOID
 	if w.a, err = p.Alloc(pairCount * 8); err != nil {
 		return err
@@ -82,7 +81,7 @@ func (w *TxnPairs) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) 
 }
 
 // Op implements whisper.Workload: rewrite one pair under the undo log.
-func (w *TxnPairs) Op(ctx *core.ThreadCtx, rng *rand.Rand) error {
+func (w *TxnPairs) Op(ctx whisper.Accessor, rng *rand.Rand) error {
 	i := uint64(rng.Intn(pairCount))
 	v := rng.Uint64() | 1 // nonzero
 	ao := pmo.MakeOID(w.p.ID, w.a.Offset()+i*8)

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-
-	"repro/internal/obs"
 )
 
 // DefaultLineSize is the persistence granularity of the buffer model: one
@@ -79,18 +77,9 @@ type PersistBuffer struct {
 	// silent store or a drained writeback allocates nothing.
 	scratch []byte
 
-	events  uint64
-	flushes uint64
-	fences  uint64
-	drained uint64
-	hook    func(Event)
-
-	// Obs, when set, records flush/fence/drain events as instants; NowFn
-	// supplies the issuing thread's simulated clock. Occupancy, when set,
-	// samples the buffered-line count at every persist event.
-	Obs       *obs.Track
-	NowFn     func() uint64
-	Occupancy *obs.Hist
+	events uint64
+	fences uint64
+	hook   func(Event)
 }
 
 // EnablePersistBuffer layers a persist buffer with the given line size
@@ -197,14 +186,8 @@ func (b *PersistBuffer) LineSize() uint64 { return b.line }
 // Events returns the number of persist events (flushes + fences) issued.
 func (b *PersistBuffer) Events() uint64 { return b.events }
 
-// Flushes returns the number of Flush calls.
-func (b *PersistBuffer) Flushes() uint64 { return b.flushes }
-
 // Fences returns the number of Fence calls.
 func (b *PersistBuffer) Fences() uint64 { return b.fences }
-
-// DrainedLines returns the number of lines made durable by fences.
-func (b *PersistBuffer) DrainedLines() uint64 { return b.drained }
 
 // UnfencedLines returns, in ascending order, the lines with an in-flight
 // writeback (flushed, not yet fenced): the lines a relaxed-ordering crash
@@ -264,7 +247,6 @@ func (b *PersistBuffer) dirty(off uint64, data []byte) {
 // replaces its in-flight capture with the newer content.
 func (b *PersistBuffer) flush(off, n uint64) {
 	b.emit(FlushEvent)
-	b.flushes++
 	first := off / b.line
 	last := (off + n - 1) / b.line
 	for ln := first; ln <= last; ln++ {
@@ -285,7 +267,6 @@ func (b *PersistBuffer) flush(off, n uint64) {
 func (b *PersistBuffer) fence() {
 	b.emit(FenceEvent)
 	b.fences++
-	var n uint64
 	for ln, st := range b.pending {
 		if st.wb == nil {
 			continue
@@ -296,11 +277,6 @@ func (b *PersistBuffer) fence() {
 		} else {
 			st.durable, st.wb = st.wb, nil // still dirty past the drain
 		}
-		b.drained++
-		n++
-	}
-	if n > 0 {
-		b.Obs.Instant(b.now(), obs.CatNVM, "drain", int64(n))
 	}
 }
 
@@ -308,20 +284,7 @@ func (b *PersistBuffer) emit(k EventKind) {
 	if b.hook != nil {
 		b.hook(Event{Kind: k, Index: b.events})
 	}
-	if b.Occupancy != nil {
-		b.Occupancy.Observe(uint64(len(b.pending)))
-	}
-	b.Obs.Instant(b.now(), obs.CatNVM, k.String(), int64(len(b.pending)))
 	b.events++
-}
-
-// now returns the issuing thread's simulated clock, or 0 when no clock
-// source is wired (events still order correctly by Seq within a track).
-func (b *PersistBuffer) now() uint64 {
-	if b.NowFn != nil {
-		return b.NowFn()
-	}
-	return 0
 }
 
 // reset empties the buffer (a power cycle loses the volatile lines).

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func img8(t *testing.T, img *Device, off uint64) uint64 {
@@ -63,8 +61,8 @@ func TestPersistBufferFenceDrains(t *testing.T) {
 	if v := img8(t, d.CrashView(func(uint64) bool { return true }), 0); v != 42 {
 		t.Fatalf("fenced write lost: %d", v)
 	}
-	if b.DrainedLines() != 1 || b.Flushes() != 1 || b.Fences() != 1 {
-		t.Fatalf("stats = drained %d flushes %d fences %d", b.DrainedLines(), b.Flushes(), b.Fences())
+	if b.Events() != 2 || b.Fences() != 1 {
+		t.Fatalf("stats = events %d fences %d, want 2 and 1", b.Events(), b.Fences())
 	}
 }
 
@@ -257,8 +255,7 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 }
 
 // TestPersistEventStreamFenceOrdered checks the per-stream ordering
-// contract the crash injector and the observability layer both rely on:
-// event indices are strictly increasing, and every line that becomes
+// contract the crash injector relies on: event indices are strictly increasing, and every line that becomes
 // durable had its flush issued before the draining fence — no fence may
 // drain a line whose flush appears later in the stream.
 func TestPersistEventStreamFenceOrdered(t *testing.T) {
@@ -284,10 +281,16 @@ func TestPersistEventStreamFenceOrdered(t *testing.T) {
 		}
 		last = int64(e.Index)
 	}
-	// Each fence's drains are justified by earlier flushes: replay the
-	// stream counting flushed-not-yet-fenced lines.
-	if b.DrainedLines() != 3 {
-		t.Fatalf("drained = %d, want 3", b.DrainedLines())
+	// The two fences drained all three lines: none is buffered, and a
+	// crash that drops every in-flight writeback keeps each one.
+	if len(b.pending) != 0 {
+		t.Fatalf("%d lines still buffered after the last fence", len(b.pending))
+	}
+	all := d.CrashView(func(uint64) bool { return true })
+	for i, off := range []uint64{0, 64, 128} {
+		if v := img8(t, all, off); v != uint64(i+1) {
+			t.Fatalf("line at %d reads %d after the fences, want %d", off, v, i+1)
+		}
 	}
 	kinds := make([]EventKind, len(stream))
 	for i, e := range stream {
@@ -301,51 +304,6 @@ func TestPersistEventStreamFenceOrdered(t *testing.T) {
 		if kinds[i] != want[i] {
 			t.Fatalf("stream[%d] = %v, want %v (full: %v)", i, kinds[i], want[i], kinds)
 		}
-	}
-}
-
-// TestPersistBufferObsEvents wires the obs track and occupancy histogram
-// and checks flush/fence/drain instants carry the simulated clock and
-// the pending-line occupancy is sampled per event.
-func TestPersistBufferObsEvents(t *testing.T) {
-	d := NewDevice(NVM, 1<<20)
-	b := d.EnablePersistBuffer(64)
-	rec := obs.NewRecorder(0)
-	var clock uint64
-	b.Obs = rec.Track(obs.HWThread)
-	b.NowFn = func() uint64 { return clock }
-	occ := &obs.Hist{}
-	b.Occupancy = occ
-
-	clock = 10
-	d.Write8(0, 1)
-	d.Flush(0, 8)
-	clock = 20
-	d.Fence()
-
-	ev := rec.Events()
-	var names []string
-	for _, e := range ev {
-		names = append(names, e.Name)
-	}
-	want := []string{"flush", "fence", "drain"}
-	if len(names) != len(want) {
-		t.Fatalf("obs events = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("obs events = %v, want %v", names, want)
-		}
-	}
-	if ev[0].TS != 10 || ev[1].TS != 20 || ev[2].TS != 20 {
-		t.Fatalf("timestamps = %d %d %d", ev[0].TS, ev[1].TS, ev[2].TS)
-	}
-	if ev[2].Arg != 1 {
-		t.Fatalf("drain count = %d, want 1", ev[2].Arg)
-	}
-	// Occupancy sampled at both persist events: 1 pending line each time.
-	if occ.Count != 2 || occ.Max != 1 {
-		t.Fatalf("occupancy hist: count=%d max=%d", occ.Count, occ.Max)
 	}
 }
 

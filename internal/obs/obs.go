@@ -73,8 +73,9 @@ const (
 	CatMERR
 	// CatPaging is the TLB/page-walk layer.
 	CatPaging
-	// CatNVM is the persist buffer (flush/fence/drain).
-	CatNVM
+	// Unused: traces carry a Cat as a number, so this slot keeps the
+	// later categories' numbers.
+	_
 	// CatExpo is the exposure tracker (EW/TEW windows).
 	CatExpo
 	// CatCore is the runtime's attach/detach state machine.
@@ -95,8 +96,6 @@ func (c Cat) String() string {
 		return "merr"
 	case CatPaging:
 		return "paging"
-	case CatNVM:
-		return "nvm"
 	case CatExpo:
 		return "expo"
 	case CatCore:

@@ -174,12 +174,12 @@ func TestFormatMetrics(t *testing.T) {
 	}
 	s := NewSnapshot()
 	s.Add("sim/cycles/base", 100)
-	s.Hist("nvm/occupancy").Observe(8)
+	s.Hist("sim/charge/base").Observe(8)
 	out := FormatMetrics(s)
 	if !strings.Contains(out, "sim/cycles/base") || !strings.Contains(out, "100") {
 		t.Fatalf("missing counter row:\n%s", out)
 	}
-	if !strings.Contains(out, "nvm/occupancy") || !strings.Contains(out, "n=1") {
+	if !strings.Contains(out, "sim/charge/base") || !strings.Contains(out, "n=1") {
 		t.Fatalf("missing hist row:\n%s", out)
 	}
 }

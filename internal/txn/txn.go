@@ -17,8 +17,10 @@ import (
 	"repro/internal/pmo"
 )
 
-// CostSink receives the cycle cost of persistence operations. The
-// workload's thread context implements it (charging to the Base account).
+// CostSink receives the cycle cost of persistence operations. In a
+// measured run the workload's thread context implements it (charging to
+// the Base account); a log with no sink, such as the crash harness's or
+// a recovery's, discards the costs.
 type CostSink interface {
 	// Compute charges n cycles.
 	Compute(n uint64)

@@ -4,10 +4,10 @@
 // transaction benchmark, and the ctree and hashmap data structures
 // (hashmap, Redis and YCSB share one type, KV, over the same persistent
 // hash table). Each workload keeps its data in one PMO, accesses it
-// through the protected runtime (so every load/store passes the TLB,
-// permission matrix and thread-permission checks and is charged its cycle
-// costs), and uses the undo log of internal/txn for crash-consistent
-// updates.
+// through an Accessor (in a measured run the protected runtime, so every
+// load/store passes the TLB, permission matrix and thread-permission
+// checks and is charged its cycle costs), and uses the undo log of
+// internal/txn for crash-consistent updates.
 //
 // The package also provides the measurement driver that applies the
 // paper's insertion strategies: manual MERR-style bracketing at exposure
@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/nvm"
 	"repro/internal/pmo"
 	"repro/internal/txn"
@@ -30,7 +29,7 @@ import (
 
 // Hash is an open-addressing persistent hash table with linear probing,
 // stored inside a PMO. Slot layout: [key(8) | value(8)]; key 0 is empty.
-// All measured accesses go through the thread context.
+// Get and Put access the table through an Accessor.
 type Hash struct {
 	p    *pmo.PMO
 	base uint64 // offset of slot array
@@ -64,8 +63,8 @@ func mix(k uint64) uint64 {
 	return k
 }
 
-// Get looks a key up through the protected runtime, returning its value.
-func (h *Hash) Get(ctx *core.ThreadCtx, key uint64) (uint64, bool, error) {
+// Get looks a key up, returning its value.
+func (h *Hash) Get(ctx Accessor, key uint64) (uint64, bool, error) {
 	if key == 0 {
 		return 0, false, nil
 	}
@@ -88,7 +87,7 @@ func (h *Hash) Get(ctx *core.ThreadCtx, key uint64) (uint64, bool, error) {
 }
 
 // Put inserts or updates a key transactionally.
-func (h *Hash) Put(ctx *core.ThreadCtx, key, value uint64) error {
+func (h *Hash) Put(ctx Accessor, key, value uint64) error {
 	if key == 0 {
 		return fmt.Errorf("whisper: zero key")
 	}
@@ -109,8 +108,8 @@ func (h *Hash) Put(ctx *core.ThreadCtx, key, value uint64) error {
 					h.log.Abort()
 					return err
 				}
-				// Mirror the logged write through the runtime
-				// so timing and protection are charged.
+				// Mirror the logged write through the accessor
+				// (the measured one charges timing and protection).
 				if err := ctx.Store(so, key); err != nil {
 					h.log.Abort()
 					return err
@@ -460,23 +459,26 @@ func field(n pmo.OID, off uint64) pmo.OID {
 	return pmo.MakeOID(n.Pool(), n.Offset()+off)
 }
 
-// Accessor reads and writes PMO words for a structure operation and
-// charges its non-memory work. *core.ThreadCtx is the measured one: each
-// access passes the protection checks and is charged its simulated cost.
-// A workload's load phase uses an untimed one.
+// Accessor reads and writes PMO words for a workload or structure
+// operation and charges its non-memory work. *core.ThreadCtx is the
+// measured one: each access passes the protection checks and is charged
+// its simulated cost. Untimed is the other, for what only the written
+// words matter to: a load phase, and the crash harness, which checks
+// what persists.
 type Accessor interface {
 	Load(o pmo.OID) (uint64, error)
 	Store(o pmo.OID, v uint64) error
 	Compute(n uint64)
 }
 
-// untimed is the load-phase Accessor of one PMO: it reads and writes the
-// PMO directly and charges nothing.
-type untimed struct{ p *pmo.PMO }
+// Untimed is the Accessor of one PMO that reads and writes it directly
+// and charges nothing. It writes the words a measured accessor writes,
+// with no clock, cache or protection state behind them.
+type Untimed struct{ P *pmo.PMO }
 
-func (u untimed) Load(o pmo.OID) (uint64, error)  { return u.p.Read8(o.Offset()) }
-func (u untimed) Store(o pmo.OID, v uint64) error { return u.p.Write8(o.Offset(), v) }
-func (untimed) Compute(uint64)                    {}
+func (u Untimed) Load(o pmo.OID) (uint64, error)  { return u.P.Read8(o.Offset()) }
+func (u Untimed) Store(o pmo.OID, v uint64) error { return u.P.Write8(o.Offset(), v) }
+func (Untimed) Compute(uint64)                    {}
 
 // Insert adds or updates a key transactionally; allocation of new nodes
 // charges a fixed allocator cost through the accessor. The undo log
@@ -562,7 +564,7 @@ func (t *Tree) Insert(ctx Accessor, key, value uint64) error {
 // inserted in the order rng.Perm(n) draws. It leaves the PMO, its
 // allocator, the undo log, the log's sink and rng as
 //
-//	for _, k := range rng.Perm(n) { t.Insert(untimed{t.p}, uint64(k)+1, uint64(k)) }
+//	for _, k := range rng.Perm(n) { t.Insert(Untimed{t.p}, uint64(k)+1, uint64(k)) }
 //
 // leaves them. The PMO must meet AllocRun's terms: an empty free list and
 // no persist buffer.
@@ -651,7 +653,7 @@ func (t *Tree) Preload(rng *rand.Rand, n int) error {
 		}
 	}
 	t.log.ChargeCommits(n - 1)
-	return t.Insert(untimed{t.p}, uint64(last)+1, uint64(last))
+	return t.Insert(Untimed{t.p}, uint64(last)+1, uint64(last))
 }
 
 // invertPerm replaces perm, a permutation of 0..len(perm)-1, with its
@@ -726,7 +728,7 @@ func (t *Tree) Audit(p *pmo.PMO, maxKey uint64) error {
 }
 
 // Lookup finds a key.
-func (t *Tree) Lookup(ctx *core.ThreadCtx, key uint64) (uint64, bool, error) {
+func (t *Tree) Lookup(ctx Accessor, key uint64) (uint64, bool, error) {
 	raw, err := ctx.Load(t.root)
 	if err != nil {
 		return 0, false, err

@@ -622,7 +622,7 @@ func TestTreePreloadMatchesInserts(t *testing.T) {
 	}
 	loop := func(tr *Tree, rng *rand.Rand, n int) error {
 		for _, k := range rng.Perm(n) {
-			if err := tr.Insert(untimed{tr.p}, uint64(k)+1, uint64(k)); err != nil {
+			if err := tr.Insert(Untimed{tr.p}, uint64(k)+1, uint64(k)); err != nil {
 				return err
 			}
 		}
@@ -667,7 +667,7 @@ func TestTreePreloadRefusesNonEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Insert(untimed{st.p}, 7, 7); err != nil {
+	if err := tr.Insert(Untimed{st.p}, 7, 7); err != nil {
 		t.Fatal(err)
 	}
 	before := nvm.ImageHash(dev)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/pmo"
 	"repro/internal/txn"
 )
@@ -12,17 +11,21 @@ import (
 // Workload is one WHISPER benchmark: a persistent application whose
 // operations the driver measures under a protection scheme. Setup runs
 // unprotected (the load phase is not measured); Op performs one
-// transaction's PM accesses through the context and assumes the driver
-// attached the PMO. Every workload can be crash-tested: it says where its
-// undo log lives and audits its durable structures in a reopened
-// (possibly crash-recovered) PMO.
+// transaction's PM accesses through the accessor and assumes the PMO is
+// attached. The undo log charges its persistence costs to the sink
+// Setup got. Run passes its measured thread context as both; the crash
+// harness passes a nil sink and Untimed, so what an op writes must not
+// depend on a clock or a charge. Every workload can be crash-tested: it
+// says where its undo log lives and audits its durable structures in a
+// reopened (possibly crash-recovered) PMO.
 type Workload interface {
 	// Name is the benchmark name used in the tables.
 	Name() string
-	// Setup creates the PMO and initial data in the manager.
-	Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) error
+	// Setup creates the PMO and initial data in the manager; a nil sink
+	// discards the log's charges.
+	Setup(mgr *pmo.Manager, sink txn.CostSink, rng *rand.Rand) error
 	// Op performs one operation's PM accesses.
-	Op(ctx *core.ThreadCtx, rng *rand.Rand) error
+	Op(ctx Accessor, rng *rand.Rand) error
 	// PMO returns the workload's (single) PMO.
 	PMO() *pmo.PMO
 	// LogOID returns the OID of the workload's undo log inside its PMO.
@@ -73,9 +76,9 @@ func (s *store) PMO() *pmo.PMO { return s.p }
 // LogOID implements Workload.
 func (s *store) LogOID() pmo.OID { return s.logOID }
 
-// open creates the PMO and an undo log inside it whose costs ctx is
+// open creates the PMO and an undo log inside it whose costs sink is
 // charged, recording the log's OID so crash recovery can find it again.
-func (s *store) open(mgr *pmo.Manager, name string, ctx *core.ThreadCtx) error {
+func (s *store) open(mgr *pmo.Manager, name string, sink txn.CostSink) error {
 	p, err := mgr.Create(name, pmoSize, pmo.ModeRead|pmo.ModeWrite)
 	if err != nil {
 		return err
@@ -84,7 +87,7 @@ func (s *store) open(mgr *pmo.Manager, name string, ctx *core.ThreadCtx) error {
 	if err != nil {
 		return err
 	}
-	log.SetSink(ctx)
+	log.SetSink(sink)
 	s.p, s.log, s.logOID = p, log, logOID
 	return nil
 }
@@ -143,8 +146,8 @@ func (w *KV) Name() string { return w.row.name }
 func (w *KV) Profile() Profile { return w.row.prof }
 
 // Setup implements Workload.
-func (w *KV) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) error {
-	if err := w.open(mgr, "whisper."+w.Name(), ctx); err != nil {
+func (w *KV) Setup(mgr *pmo.Manager, sink txn.CostSink, rng *rand.Rand) error {
+	if err := w.open(mgr, "whisper."+w.Name(), sink); err != nil {
 		return err
 	}
 	var err error
@@ -166,7 +169,7 @@ func (w *KV) CheckInvariants(p *pmo.PMO) error {
 }
 
 // Op implements Workload.
-func (w *KV) Op(ctx *core.ThreadCtx, rng *rand.Rand) error {
+func (w *KV) Op(ctx Accessor, rng *rand.Rand) error {
 	var key uint64
 	if w.zipf != nil {
 		key = w.zipf.Uint64() + 1
@@ -202,8 +205,8 @@ func (w *Ctree) Profile() Profile {
 }
 
 // Setup implements Workload.
-func (w *Ctree) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) error {
-	if err := w.open(mgr, "whisper."+w.Name(), ctx); err != nil {
+func (w *Ctree) Setup(mgr *pmo.Manager, sink txn.CostSink, rng *rand.Rand) error {
+	if err := w.open(mgr, "whisper."+w.Name(), sink); err != nil {
 		return err
 	}
 	var err error
@@ -212,7 +215,7 @@ func (w *Ctree) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) err
 	}
 	// Preload keys in shuffled order so the tree is reasonably balanced.
 	// The load phase is not measured, so the tree is built untimed; the
-	// undo log still charges ctx what the inserts' transactions charge.
+	// undo log still charges sink what the inserts' transactions charge.
 	return w.t.Preload(rng, int(w.keys/2))
 }
 
@@ -223,7 +226,7 @@ func (w *Ctree) CheckInvariants(p *pmo.PMO) error {
 }
 
 // Op implements Workload.
-func (w *Ctree) Op(ctx *core.ThreadCtx, rng *rand.Rand) error {
+func (w *Ctree) Op(ctx Accessor, rng *rand.Rand) error {
 	key := uint64(rng.Int63n(int64(w.keys))) + 1
 	if rng.Intn(2) == 0 {
 		_, _, err := w.t.Lookup(ctx, key)
@@ -256,8 +259,8 @@ func (w *Echo) Profile() Profile {
 }
 
 // Setup implements Workload.
-func (w *Echo) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) error {
-	if err := w.open(mgr, "whisper."+w.Name(), ctx); err != nil {
+func (w *Echo) Setup(mgr *pmo.Manager, sink txn.CostSink, rng *rand.Rand) error {
+	if err := w.open(mgr, "whisper."+w.Name(), sink); err != nil {
 		return err
 	}
 	p := w.p
@@ -325,7 +328,7 @@ func (w *Echo) CheckInvariants(p *pmo.PMO) error {
 }
 
 // Op implements Workload.
-func (w *Echo) Op(ctx *core.ThreadCtx, rng *rand.Rand) error {
+func (w *Echo) Op(ctx Accessor, rng *rand.Rand) error {
 	key := uint64(rng.Int63n(int64(w.keys))) + 1
 	if rng.Intn(100) < 40 {
 		_, _, err := w.h.Get(ctx, key)
@@ -393,8 +396,8 @@ func (w *TPCC) Profile() Profile {
 }
 
 // Setup implements Workload.
-func (w *TPCC) Setup(mgr *pmo.Manager, ctx *core.ThreadCtx, rng *rand.Rand) error {
-	if err := w.open(mgr, "whisper."+w.Name(), ctx); err != nil {
+func (w *TPCC) Setup(mgr *pmo.Manager, sink txn.CostSink, rng *rand.Rand) error {
+	if err := w.open(mgr, "whisper."+w.Name(), sink); err != nil {
 		return err
 	}
 	p := w.p
@@ -438,7 +441,7 @@ func (w *TPCC) CheckInvariants(p *pmo.PMO) error {
 }
 
 // Op implements Workload.
-func (w *TPCC) Op(ctx *core.ThreadCtx, rng *rand.Rand) error {
+func (w *TPCC) Op(ctx Accessor, rng *rand.Rand) error {
 	district := uint64(rng.Intn(10))
 	dCell := pmo.MakeOID(w.p.ID, w.districts.Offset()+district*8)
 	if err := w.log.Begin(); err != nil {
